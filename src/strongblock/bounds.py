@@ -141,15 +141,9 @@ def one_mod_p_profile(point_set: PointSet, p, budget=LINE_BUDGET):
         raise ValueError("profile is a plane operation")
     if space.num_points > budget:
         raise BudgetExceeded("%d lines exceed budget" % space.num_points)
-    mat = point_set.matrix()
     census = {}
-    block = 4096
-    for start in range(0, space.num_points, block):
-        stop = min(start + block, space.num_points)
-        duals = np.asarray([space.point_at(i) for i in range(start, stop)],
-                           dtype=np.int64)
-        counts = (space.dot_block(duals, mat) == 0).sum(axis=1)
-        vals, cts = np.unique(counts, return_counts=True)
+    for _start, _duals, incident in space.sections(point_set.matrix()):
+        vals, cts = np.unique(incident.sum(axis=1), return_counts=True)
         for v, c in zip(vals, cts):
             census[int(v)] = census.get(int(v), 0) + int(c)
     holds = all(v % p == 1 for v in census)

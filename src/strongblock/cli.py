@@ -222,8 +222,6 @@ def build_parser():
         prog="strongblock",
         description="Strong blocking sets as unions of subgeometries, "
                     "and minimal linear codes.")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker hint; results do not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help="field -> R* -> tuple -> union -> "
@@ -277,7 +275,6 @@ def build_parser():
 
     p = sub.add_parser("bounds", help="interval violation certification")
     p.add_argument("--q-range", required=True, help="e.g. 7:1000")
-    p.add_argument("--odd-only", action="store_true")
     p.add_argument("--include-excluded", action="store_true",
                    help="also report q = 9, which the argument cannot certify")
     p.add_argument("--format", choices=["text", "json"], default="json")

@@ -18,7 +18,6 @@ from .field import Field
 from .geometry import PointSet, ProjectiveSpace
 
 DEFAULT_CLASS_BUDGET = 10 ** 5
-BLOCK = 4096
 
 
 @dataclass
@@ -83,17 +82,14 @@ def support_profiles(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET):
     C = space.num_points
     if C > budget:
         raise BudgetExceeded("%d codeword classes exceed budget" % C)
-    cols = G.entries.T  # (n, k)
     words = (G.n + 63) // 64
     supports = np.zeros((C, words), dtype=np.uint64)
     weights = np.zeros(C, dtype=np.int64)
     pad = words * 64 - G.n
-    for start in range(0, C, BLOCK):
-        stop = min(start + BLOCK, C)
-        msgs = np.asarray([space.point_at(i) for i in range(start, stop)],
-                          dtype=np.int64)
-        vals = space.dot_block(msgs, cols)  # (block, n)
-        nz = vals != 0
+    # a class's support is the complement of its message hyperplane's section
+    for start, msgs, incident in space.sections(G.entries.T):
+        stop = start + len(msgs)
+        nz = ~incident
         weights[start:stop] = nz.sum(axis=1)
         if pad:
             nz = np.concatenate(

@@ -5,6 +5,8 @@ is one.  The canonical enumeration orders points by the position of that
 leading one (ascending), then lexicographically by the remaining codes; the
 same indexing addresses hyperplanes through their dual coordinates, so scans
 can be partitioned by index range without materializing the stream.
+`ProjectiveSpace.sections` is the one hyperplane walk the exhaustive scans
+share: BLOCK hyperplanes at a time, decoded by `points_block`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .field import Field
+
+BLOCK = 4096  # hyperplanes per block of the canonical walk
 
 
 class ProjectiveSpace:
@@ -78,6 +82,23 @@ class ProjectiveSpace:
             index -= block
         raise IndexError("point index out of range")
 
+    def points_block(self, start, stop):
+        """(stop-start, n+1) coordinates of the points start..stop-1."""
+        if not 0 <= start <= stop <= self.num_points:
+            raise IndexError("point index out of range")
+        q = self.field.order
+        offs = np.asarray(self._offsets, dtype=np.int64)
+        idx = np.arange(start, stop, dtype=np.int64)
+        lead = np.searchsorted(offs, idx, side="right") - 1
+        rem = idx - offs[lead]
+        out = np.zeros((idx.size, self.k), dtype=np.int64)
+        # base-q digits after the leading one; positions up to it decode to 0
+        for j in range(self.n, 0, -1):
+            out[:, j] = rem % q
+            rem //= q
+        out[np.arange(idx.size), lead] = 1
+        return out
+
     def point_index(self, coords):
         coords = self.normalize(coords)
         q = self.field.order
@@ -98,13 +119,6 @@ class ProjectiveSpace:
             active = lead < j
             val = np.where(active, val * q + mat[:, j], val)
         return idx + val
-
-    def hyperplanes(self):
-        """Dual coordinates of all hyperplanes, canonical order."""
-        return self.points()
-
-    def hyperplane_at(self, index):
-        return self.point_at(index)
 
     # -- incidence ---------------------------------------------------------
 
@@ -130,6 +144,17 @@ class ProjectiveSpace:
         for j in range(self.k):
             acc = f.add_vec(acc, f.mul_vec(duals[:, j:j + 1], pts[None, :, j]))
         return acc
+
+    def sections(self, mat):
+        """Yield (start, duals, incident) over all hyperplanes, canonical order.
+
+        `duals` holds the dual coordinates of hyperplanes start, start+1, ...
+        (at most BLOCK of them) and incident[i, j] is True iff row j of the
+        (N, n+1) point matrix lies on hyperplane start+i.
+        """
+        for start in range(0, self.num_points, BLOCK):
+            duals = self.points_block(start, min(start + BLOCK, self.num_points))
+            yield start, duals, self.dot_block(duals, mat) == 0
 
     # -- rank --------------------------------------------------------------
 

@@ -142,8 +142,10 @@ def full_partition(rg: RGroup, basis=None):
 def r_tuple_matrix(rg: RGroup, ncoords, budget=DEFAULT_ENUM_BUDGET):
     """Normalized points of PG(ncoords-1, .) with every coordinate in R.
 
-    Rows are generated leading-one first and sorted by canonical point index;
-    raises BudgetExceeded when (r+1)^ncoords is out of reach.
+    Rows come out in canonical point-index order: leading-one blocks in
+    ascending position, and within a block the ascending R codes count in
+    base r+1 as the index counts in base Q.  Raises BudgetExceeded when
+    (r+1)^ncoords is out of reach.
     """
     r = rg.r
     if (r + 1) ** ncoords - 1 > budget * r:
@@ -160,10 +162,7 @@ def r_tuple_matrix(rg: RGroup, ncoords, budget=DEFAULT_ENUM_BUDGET):
             div = (r + 1) ** (free - 1 - j)
             block[:, lead + 1 + j] = rcodes[(rows // div) % (r + 1)]
         blocks.append(block)
-    mat = np.concatenate(blocks, axis=0)
-    space = ProjectiveSpace(rg.field, ncoords - 1)
-    order = np.argsort(space.point_index_vec(mat))
-    return mat[order]
+    return np.concatenate(blocks, axis=0)
 
 
 @dataclass

@@ -88,7 +88,8 @@ def is_r_independent(alphas, rg: RGroup, budget=DEFAULT_ENUM_BUDGET,
     hits = np.flatnonzero(acc == 0)
     if hits.size:
         rhos = tuple(int(c) for c in mat[hits[0]])
-        assert _relation_value(rg, alphas, rhos) == 0
+        if _relation_value(rg, alphas, rhos) != 0:
+            raise AssertionError("R-relation re-check failed")
         return IndependenceVerdict("dependent", rhos, "exhaustive-bset-incidence")
     return IndependenceVerdict("independent", None, "exhaustive-bset-incidence")
 
@@ -141,6 +142,25 @@ def mark_lines_through(space: ProjectiveSpace, mat, marks=None):
     return marks
 
 
+def _first_unmarked_line(space: ProjectiveSpace, mat):
+    """(index, dual coordinates) of the lowest-index line of the plane through
+    no row of `mat`, or (None, None) when every line is marked.
+
+    The witness is re-checked for zero incidences off the marking path.
+    """
+    free = np.flatnonzero(~mark_lines_through(space, mat))
+    if free.size == 0:
+        return None, None
+    dual = space.point_at(int(free[0]))
+    f = space.field
+    vals = np.zeros(mat.shape[0], dtype=np.int64)
+    for j in range(3):
+        vals = f.add_vec(vals, f.mul_vec(mat[:, j], dual[j]))
+    if np.any(vals == 0):
+        raise AssertionError("witness line re-check failed")
+    return int(free[0]), dual
+
+
 def blocking_status(bset: BSet, budget=DEFAULT_ENUM_BUDGET):
     """Exhaustive blocking verdict for B(k,q) in its plane, via dual marking.
 
@@ -148,25 +168,14 @@ def blocking_status(bset: BSet, budget=DEFAULT_ENUM_BUDGET):
     when no line stays unmarked.  The witness, when present, is the
     lowest-index unmarked line, re-checked for zero incidences.
     """
-    rg = bset.rgroup
-    if bset.space.n != 2:
-        raise ValueError("blocking scan implemented for the plane case k=4")
     space = bset.space
+    if space.n != 2:
+        raise ValueError("blocking scan implemented for the plane case k=4")
     if space.num_points > budget:
         raise BudgetExceeded("%d lines exceed scan budget" % space.num_points)
-    marks = mark_lines_through(space, bset.matrix)
-    unmarked = np.flatnonzero(~marks)
-    if unmarked.size == 0:
-        return BlockingVerdict("blocking", None, "dual-marking-scan",
-                               lines_scanned=space.num_points)
-    dual = space.point_at(int(unmarked[0]))
-    vals = np.zeros(len(bset), dtype=np.int64)
-    f = rg.field
-    for j in range(3):
-        vals = f.add_vec(vals, f.mul_vec(bset.matrix[:, j], dual[j]))
-    assert not np.any(vals == 0), "witness line re-check failed"
-    return BlockingVerdict("not-blocking", dual, "dual-marking-scan",
-                           lines_scanned=space.num_points)
+    _index, dual = _first_unmarked_line(space, bset.matrix)
+    return BlockingVerdict("blocking" if dual is None else "not-blocking", dual,
+                           "dual-marking-scan", lines_scanned=space.num_points)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +223,13 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
             raise ValueError("exhaustive strategy supports m = 2 or 3")
         if space.num_points > budget:
             raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
-        mat = r_tuple_matrix(rg, m, budget)
-        marks = mark_lines_through(space, mat)
-        free = np.flatnonzero(~marks)
-        if free.size == 0:
+        index, alphas = _first_unmarked_line(space, r_tuple_matrix(rg, m, budget))
+        if alphas is None:
             return SearchResult("not-found", None, "exhaustive", None,
-                                int(marks.size), "dual-marking-scan")
-        alphas = space.point_at(int(free[0]))
-        verdict = is_r_independent(alphas, rg, budget)
-        assert verdict.status == "independent"
-        return SearchResult("found", alphas, "exhaustive", None, int(free[0]) + 1,
+                                space.num_points, "dual-marking-scan")
+        if is_r_independent(alphas, rg, budget).status != "independent":
+            raise AssertionError("witness hyperplane is not R-independent")
+        return SearchResult("found", alphas, "exhaustive", None, index + 1,
                             "dual-marking-scan")
     raise ValueError("unknown strategy %r" % (strategy,))
 

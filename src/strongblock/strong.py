@@ -17,7 +17,6 @@ from .geometry import PointSet
 from .partition import RGroup, subgeometry_points
 
 DEFAULT_HYPERPLANE_BUDGET = 2 * 10 ** 7
-BLOCK = 4096
 
 
 @dataclass
@@ -65,27 +64,24 @@ def union_subgeometries(rg: RGroup, alphas, basis=None):
     return ps
 
 
-def _scan(point_set: PointSet, budget, need_rank):
+def _scan(point_set: PointSet, k, budget, need_rank):
+    """(status, witness, rank, checked) for the first failing hyperplane, or
+    (None, None, None, num_points) when every hyperplane passes."""
     space = point_set.space
+    if k is not None and k != space.k:
+        raise ValueError("ambient dimension mismatch: k=%d, space needs %d"
+                         % (k, space.k))
+    if len(point_set) == 0:
+        return ("not-blocking", space.point_at(0), 0, 1)
     if space.num_points > budget:
         raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
-    mat = point_set.matrix()
     pts = point_set.points
     target = space.k - 1
-    checked = 0
-    for start in range(0, space.num_points, BLOCK):
-        stop = min(start + BLOCK, space.num_points)
-        duals = np.asarray([space.point_at(i) for i in range(start, stop)],
-                           dtype=np.int64)
-        vals = space.dot_block(duals, mat)
-        incident = vals == 0
+    for start, duals, incident in space.sections(point_set.matrix()):
         counts = incident.sum(axis=1)
-        if need_rank:
-            suspects = range(stop - start)
-        else:
-            suspects = np.flatnonzero(counts == 0)
+        suspects = (range(len(duals)) if need_rank
+                    else np.flatnonzero(counts == 0).tolist())
         for row in suspects:
-            checked = start + row + 1
             if counts[row] == 0:
                 return ("not-blocking", tuple(int(c) for c in duals[row]), 0,
                         start + row + 1)
@@ -105,30 +101,12 @@ def verify_strong_blocking(point_set: PointSet, k=None,
     Returns "strong", or the first offending hyperplane: "not-blocking" when
     the section is empty, "not-strong" when its rank falls short of k-1.
     """
-    space = point_set.space
-    if k is not None and k != space.k:
-        raise ValueError("ambient dimension mismatch: k=%d, space needs %d"
-                         % (k, space.k))
-    if len(point_set) == 0:
-        first = next(space.hyperplanes())
-        return StrongVerdict("not-blocking", tuple(first), 0, 1)
-    status, witness, rank, checked = _scan(point_set, budget, need_rank=True)
-    if status is None:
-        return StrongVerdict("strong", None, None, checked)
-    return StrongVerdict(status, witness, rank, checked)
+    status, witness, rank, checked = _scan(point_set, k, budget, need_rank=True)
+    return StrongVerdict(status or "strong", witness, rank, checked)
 
 
 def verify_blocking(point_set: PointSet, k=None,
                     budget=DEFAULT_HYPERPLANE_BUDGET):
     """Exhaustively verify that every hyperplane contains a point of the set."""
-    space = point_set.space
-    if k is not None and k != space.k:
-        raise ValueError("ambient dimension mismatch: k=%d, space needs %d"
-                         % (k, space.k))
-    if len(point_set) == 0:
-        first = next(space.hyperplanes())
-        return BlockingSetVerdict("not-blocking", tuple(first), 1)
-    status, witness, _rank, checked = _scan(point_set, budget, need_rank=False)
-    if status is None:
-        return BlockingSetVerdict("blocking", None, checked)
-    return BlockingSetVerdict("not-blocking", witness, checked)
+    status, witness, _rank, checked = _scan(point_set, k, budget, need_rank=False)
+    return BlockingSetVerdict(status or "blocking", witness, checked)

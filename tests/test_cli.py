@@ -115,6 +115,13 @@ def test_verify_rejects_weak_set(tmp_path, capsys):
     assert code == 2
     assert doc["status"] == "not-strong"
     assert "witness" in doc
+    pair = tmp_path / "pair.json"
+    PointSet(space, line[:2]).save(pair)
+    code, doc = run_json(capsys, ["verify", "--input", str(pair),
+                                  "--mode", "blocking"])
+    assert code == 2
+    assert doc["status"] == "not-blocking"
+    assert doc["hyperplanes_checked"] == 129
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -123,8 +130,7 @@ def test_verify_missing_file(tmp_path, capsys):
 
 
 def test_bounds_all_certified(capsys):
-    code, doc = run_json(capsys, ["bounds", "--q-range", "7:101",
-                                  "--odd-only"])
+    code, doc = run_json(capsys, ["bounds", "--q-range", "7:101"])
     assert code == 0
     qs = [row["q"] for row in doc["rows"]]
     assert 9 not in qs

@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongblock import geometry
+from strongblock.bounds import one_mod_p_profile
+from strongblock.codes import generator_from_points, support_profiles
 from strongblock.errors import DimensionMismatch
 from strongblock.field import Field
 from strongblock.geometry import PointSet, ProjectiveSpace
+from strongblock.partition import subgeometry_points
+from strongblock.search import find_independent_tuple
+from strongblock.strong import (
+    union_subgeometries,
+    verify_blocking,
+    verify_strong_blocking,
+)
 
 
 def count_points(q, n):
@@ -55,6 +65,59 @@ def test_index_roundtrip_sampled_big_plane():
     idx = rng.integers(0, space.num_points, 3000)
     pts = np.asarray([space.point_at(int(i)) for i in idx], dtype=np.int64)
     assert np.array_equal(space.point_index_vec(pts), idx)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2), (2, 3, 3), (3, 2, 2)])
+def test_points_block_matches_point_at(params):
+    p, m, n = params
+    space = ProjectiveSpace(Field.build(p, m), n)
+    ref = np.asarray([space.point_at(i) for i in range(space.num_points)],
+                     dtype=np.int64)
+    assert np.array_equal(space.points_block(0, space.num_points), ref)
+    for off in space._offsets:
+        # ranges straddling each leading-one boundary, and empty ranges
+        lo, hi = max(off - 3, 0), min(off + 3, space.num_points)
+        assert np.array_equal(space.points_block(lo, hi), ref[lo:hi])
+        assert space.points_block(off, off).shape == (0, n + 1)
+    with pytest.raises(IndexError):
+        space.point_at(space.num_points)
+    with pytest.raises(IndexError):
+        space.points_block(0, space.num_points + 1)
+
+
+def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
+    union45 = union_subgeometries(
+        rg24, find_independent_tuple(rg24, 3, seed=1).alphas)
+    space = union45.space
+    H = space.point_at(100)
+    off_H = [pt for pt in space.points() if not space.incidence(pt, H)]
+    on_H = next(pt for pt in space.points() if space.incidence(pt, H))
+    # strong; one point on H (not strong); nothing on H (not blocking)
+    sets = [union45, PointSet(space, off_H + [on_H]), PointSet(space, off_H)]
+    code45 = generator_from_points(union45)
+    baer = subgeometry_points(rg33, 0)
+
+    def scans():
+        prof = support_profiles(code45)
+        return ([verify_strong_blocking(S) for S in sets],
+                [verify_blocking(S) for S in sets],
+                prof.supports, prof.weights, one_mod_p_profile(baer, 3).census)
+
+    default = scans()
+    strong, blocking = default[0], default[1]
+    assert [v.status for v in strong] == ["strong", "not-strong",
+                                          "not-blocking"]
+    assert [v.status for v in blocking] == ["blocking", "blocking",
+                                            "not-blocking"]
+    assert strong[1].witness == strong[2].witness == blocking[2].witness == H
+    assert strong[1].hyperplanes_checked == 101
+    assert blocking[2].hyperplanes_checked == 101
+    monkeypatch.setattr(geometry, "BLOCK", 7)
+    small = scans()
+    assert small[:2] == default[:2]
+    assert np.array_equal(small[2], default[2])
+    assert np.array_equal(small[3], default[3])
+    assert small[4] == default[4]
 
 
 def test_canonical_order_is_monotone_in_lead():
@@ -133,7 +196,7 @@ def test_hyperplane_point_counts():
     # every hyperplane of PG(n,q) carries (q^n - 1)/(q - 1) points
     space = ProjectiveSpace(Field.build(2, 2), 2)
     pts = np.asarray(list(space.points()), dtype=np.int64)
-    for h in space.hyperplanes():
+    for h in space.points():  # hyperplanes share the point indexing
         on = np.count_nonzero(
             space.dot_block(np.asarray([h]), pts)[0] == 0)
         assert on == 5

@@ -135,17 +135,19 @@ def test_fano_subgeometry(rg23):
                 assert len(line & pts) == 3
 
 
-def test_r_tuple_matrix(rg23):
-    mat = r_tuple_matrix(rg23, 2)
-    r = rg23.r
-    assert mat.shape == (((r + 1) ** 2 - 1) // r, 2)
-    assert np.all(rg23.in_r(mat))
+def test_r_tuple_matrix(rg23, rg24):
     from strongblock.geometry import ProjectiveSpace
-    space = ProjectiveSpace(rg23.field, 1)
-    idx = space.point_index_vec(mat)
-    assert np.all(np.diff(idx) > 0)  # sorted, no duplicates
-    with pytest.raises(BudgetExceeded):
-        r_tuple_matrix(rg23, 2, budget=10)
+    for rg, ncoords in ((rg23, 2), (rg24, 3)):
+        mat = r_tuple_matrix(rg, ncoords)
+        r = rg.r
+        assert mat.shape == (((r + 1) ** ncoords - 1) // r, ncoords)
+        assert np.all(rg.in_r(mat))
+        space = ProjectiveSpace(rg.field, ncoords - 1)
+        idx = space.point_index_vec(mat)
+        assert np.all(np.diff(idx) > 0)  # canonical order, no duplicates
+        with pytest.raises(BudgetExceeded):
+            r_tuple_matrix(rg, ncoords, budget=10)
+    assert mat.shape[0] == 11343
 
 
 def test_bset_census(bset24):

@@ -1,7 +1,14 @@
 """Tests for R-independence decisions, line marking, and line statistics."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import strongblock
 
 from strongblock.errors import BudgetExceeded
 from strongblock.field import Field
@@ -110,7 +117,7 @@ def test_mark_lines_matches_brute_force():
                      dtype=np.int64)
     marks = mark_lines_through(space, pts)
     assert marks.shape == (space.num_points,)
-    duals = np.asarray(list(space.hyperplanes()), dtype=np.int64)
+    duals = np.asarray(list(space.points()), dtype=np.int64)
     expect = np.any(space.dot_block(duals, pts) == 0, axis=1)
     assert np.array_equal(marks, expect)
 
@@ -199,3 +206,54 @@ def test_weight1_point_validation(bset24):
 def test_line_stats_rejects_non_plane(bset23):
     with pytest.raises(ValueError):
         line_stats_weight1(bset23)
+
+
+RECHECK_SCRIPT = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from strongblock import search
+    from strongblock.partition import build_bset, build_rgroup
+
+    def expect_error(name, call):
+        try:
+            call()
+        except AssertionError as exc:
+            print(name, "raised:", exc)
+        else:
+            print(name, "passed silently")
+
+    print("optimize", sys.flags.optimize)
+    rg23, rg24 = build_rgroup(2, 3), build_rgroup(2, 4)
+    one = rg23.field.one
+    real_relation = search._relation_value
+    search._relation_value = lambda rg, alphas, rhos: 1
+    expect_error("relation", lambda: search.is_r_independent((one, one), rg23))
+    search._relation_value = real_relation
+    real_marking = search.mark_lines_through
+    search.mark_lines_through = (
+        lambda space, mat, marks=None: np.zeros(space.num_points, dtype=bool))
+    expect_error("witness-line", lambda: search.blocking_status(build_bset(rg24)))
+    search.mark_lines_through = real_marking
+    # one R-point marks few lines, so the scan reaches the independence check
+    search.r_tuple_matrix = lambda rg, m, budget: np.asarray([[1, 0, 0]])
+    search.is_r_independent = lambda alphas, rg, budget: (
+        search.IndependenceVerdict("dependent", None, "forced"))
+    expect_error("independence", lambda: search.find_independent_tuple(
+        rg24, 3, strategy="exhaustive"))
+""")
+
+
+def test_rechecks_survive_python_O():
+    # the witness re-checks are explicit raises, so python -O keeps them
+    src = os.path.dirname(os.path.dirname(strongblock.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-O", "-c", RECHECK_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "optimize 1",
+        "relation raised: R-relation re-check failed",
+        "witness-line raised: witness line re-check failed",
+        "independence raised: witness hyperplane is not R-independent",
+    ]
