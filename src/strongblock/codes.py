@@ -171,24 +171,24 @@ def export_code(G: GeneratorMatrix, path, format="json"):
 def import_code(path, format=None):
     if format is None:
         format = "json" if str(path).endswith(".json") else "text"
-    if format == "json":
-        with open(path) as fh:
-            doc = json.load(fh)
-        meta = doc["field"]
-        f = Field.build(meta["p"], meta["m"], tuple(meta["modulus"]))
-        entries = np.asarray(
-            [[f.parse_elem(s) for s in row] for row in doc["entries"]],
-            dtype=np.int64)
-        return GeneratorMatrix(field=f, k=doc["k"], n=doc["n"], entries=entries)
     with open(path) as fh:
-        head = fh.readline().split()
-        p, m = int(head[0]), int(head[1])
-        modulus = tuple(int(v) for v in head[2:2 + m + 1])
-        k, n = int(head[2 + m + 1]), int(head[2 + m + 2])
-        f = Field.build(p, m, modulus)
-        entries = np.asarray(
-            [[f.parse_elem(s) for s in fh.readline().split()] for _ in range(k)],
-            dtype=np.int64)
+        if format == "json":
+            doc = json.load(fh)
+            try:
+                meta, k, n, rows = doc["field"], doc["k"], doc["n"], doc["entries"]
+                p, m, modulus = meta["p"], meta["m"], meta["modulus"]
+            except KeyError as exc:
+                raise ValueError("%s lacks key %s" % (path, exc)) from None
+        else:
+            head = [int(v) for v in fh.readline().split()]
+            if len(head) < 2 or len(head) != head[1] + 5:
+                raise ValueError("%s: header must be p, m, the m+1 modulus "
+                                 "coefficients, k, n" % path)
+            p, m, modulus, (k, n) = head[0], head[1], head[2:-2], head[-2:]
+            rows = [fh.readline().split() for _ in range(k)]
+    f = Field.build(p, m, tuple(modulus))
+    entries = np.asarray([[f.parse_elem(s) for s in row] for row in rows],
+                         dtype=np.int64)
     if entries.shape != (k, n):
         raise ValueError("matrix shape mismatch in %s" % path)
     return GeneratorMatrix(field=f, k=k, n=n, entries=entries)

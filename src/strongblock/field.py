@@ -9,7 +9,6 @@ operations come in scalar and numpy-vectorized flavours.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,29 +194,6 @@ def _build_tables_odd(poly, p, m):
     return exp, log, zech
 
 
-def _cache_dir():
-    return os.environ.get("STRONGBLOCK_CACHE_DIR")
-
-
-def _load_or_build_tables(p, m, modulus):
-    cache = _cache_dir()
-    fname = None
-    if cache:
-        tag = "gf_%d_%d_%s" % (p, m, "_".join(str(c) for c in modulus))
-        fname = os.path.join(cache, tag + ".npz")
-        if os.path.exists(fname):
-            data = np.load(fname)
-            return data["exp"], data["log"], data["zech"]
-    if p == 2:
-        exp, log, zech = _build_tables_char2(modulus, m)
-    else:
-        exp, log, zech = _build_tables_odd(modulus, p, m)
-    if fname:
-        os.makedirs(cache, exist_ok=True)
-        np.savez(fname, exp=exp, log=log, zech=zech)
-    return exp, log, zech
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -268,7 +244,10 @@ class Field:
         if key in _FIELD_CACHE:
             return _FIELD_CACHE[key]
         mod = modulus if modulus is not None else _smallest_primitive_poly(p, m)
-        exp, log, zech = _load_or_build_tables(p, m, mod)
+        if p == 2:
+            exp, log, zech = _build_tables_char2(mod, m)
+        else:
+            exp, log, zech = _build_tables_odd(mod, p, m)
         f = Field(p, m, mod, exp, log, zech)
         _FIELD_CACHE[key] = f
         return f

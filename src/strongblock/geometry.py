@@ -136,12 +136,16 @@ class ProjectiveSpace:
         return self.dot(point, hyperplane) == 0
 
     def dot_block(self, duals, pts):
-        """(A, B) code matrix of dual-form values for A duals and B points."""
+        """(A, B) code matrix of dual-form values for A duals and B points.
+
+        The forms run over the columns given, so a quotient's coordinates
+        (fewer than n+1) pair up the same way.
+        """
         duals = np.asarray(duals, dtype=np.int64)
         pts = np.asarray(pts, dtype=np.int64)
         f = self.field
         acc = np.zeros((duals.shape[0], pts.shape[0]), dtype=np.int64)
-        for j in range(self.k):
+        for j in range(duals.shape[1]):
             acc = f.add_vec(acc, f.mul_vec(duals[:, j:j + 1], pts[None, :, j]))
         return acc
 
@@ -246,7 +250,7 @@ class PointSet:
         return len(self.points)
 
     def matrix(self):
-        return np.asarray(self.points, dtype=np.int64)
+        return np.asarray(self.points, dtype=np.int64).reshape(-1, self.space.k)
 
     def indices(self):
         return self.space.point_index_vec(self.matrix())
@@ -266,10 +270,14 @@ class PointSet:
 
     @staticmethod
     def from_json(doc):
-        meta = doc["field"]
-        f = Field.build(meta["p"], meta["m"], tuple(meta["modulus"]))
-        space = ProjectiveSpace(f, doc["n"])
-        pts = [tuple(f.parse_elem(s) for s in row) for row in doc["points"]]
+        try:
+            meta, n, rows = doc["field"], doc["n"], doc["points"]
+            p, m, modulus = meta["p"], meta["m"], meta["modulus"]
+        except KeyError as exc:
+            raise ValueError("points JSON lacks key %s" % exc) from None
+        f = Field.build(p, m, tuple(modulus))
+        space = ProjectiveSpace(f, n)
+        pts = [tuple(f.parse_elem(s) for s in row) for row in rows]
         ps = PointSet(space, pts)
         for key, tag in doc.get("labels", {}).items():
             ps.labels[ps.points[int(key)]] = tag

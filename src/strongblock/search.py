@@ -5,6 +5,12 @@ Independence of (a_1, ..., a_m) is certified through the incidence of the
 hyperplane with dual coordinates (a_1, ..., a_m) against the set of points
 with all coordinates in R: a nontrivial relation exists exactly when some such
 point lies on the hyperplane.
+
+So every blocking question here is one question: which hyperplane, if any,
+misses a point set?  `mark_lines_through` answers it in any PG(n, Q) by
+marking the hyperplanes through each point, and `_first_unmarked_line`
+returns the lowest-index survivor for `blocking_status`, the exhaustive
+tuple search and `strong.verify_blocking`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .errors import BudgetExceeded
 from .geometry import ProjectiveSpace
 from .partition import BSet, DEFAULT_ENUM_BUDGET, RGroup, r_tuple_matrix
 
-SCAN_BLOCK = 32  # B points marked per vectorized pencil batch
+MARK_BATCH = 1 << 17  # hyperplanes generated per vectorized marking batch
 
 
 @dataclass
@@ -95,84 +101,66 @@ def is_r_independent(alphas, rg: RGroup, budget=DEFAULT_ENUM_BUDGET,
 
 
 # ---------------------------------------------------------------------------
-# dual-marking scan over the lines of a plane
-
-
-def _pencil_basis(rows, field):
-    """Two dual basis vectors per normalized plane point, vectorized.
-
-    For P = (1,b,c): (b',1,0), (c',0,1) with b' = -b, c' = -c;
-    for P = (0,1,c): (1,0,0), (0,c',1); for P = (0,0,1): (1,0,0), (0,1,0).
-    """
-    n_rows = rows.shape[0]
-    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
-    nb, nc = field.neg_vec(b), field.neg_vec(c)
-    d1 = np.empty((n_rows, 3), dtype=np.int64)
-    d2 = np.empty((n_rows, 3), dtype=np.int64)
-    case_a = a != 0
-    case_b = (~case_a) & (b != 0)
-    case_c = (~case_a) & (b == 0)
-    d1[case_a] = np.stack([nb, np.ones_like(a), np.zeros_like(a)], axis=1)[case_a]
-    d2[case_a] = np.stack([nc, np.zeros_like(a), np.ones_like(a)], axis=1)[case_a]
-    d1[case_b | case_c] = [1, 0, 0]
-    d2[case_b] = np.stack([np.zeros_like(a), nc, np.ones_like(a)], axis=1)[case_b]
-    d2[case_c] = [0, 1, 0]
-    return d1, d2
+# dual-marking scan over the hyperplanes of PG(n, Q)
 
 
 def mark_lines_through(space: ProjectiveSpace, mat, marks=None):
-    """Mark, in a bitset over canonical line indices, every line through any
-    of the given plane points.  Returns the bitset."""
-    if space.n != 2:
-        raise ValueError("dual-marking scan is a plane operation")
+    """Mark, in a bitset over canonical hyperplane indices, every hyperplane
+    through any of the given normalized points.  Returns the bitset.
+
+    The hyperplanes through P, whose leading one sits at position l, are the
+    duals c of PG(n-1) in canonical order with -(c . P') inserted at
+    position l, where P' is P without position l.
+    """
     f = space.field
-    q = f.order
+    n, k = space.n, space.k
     if marks is None:
         marks = np.zeros(space.num_points, dtype=bool)
-    ts = np.arange(q, dtype=np.int64)  # all codes, 0 included
-    for start in range(0, mat.shape[0], SCAN_BLOCK):
-        rows = mat[start:start + SCAN_BLOCK]
-        d1, d2 = _pencil_basis(rows, f)
-        # pencils: d1 + t*d2 for all t, plus d2 itself
-        pencil = f.add_vec(d1[:, None, :], f.mul_vec(ts[None, :, None], d2[:, None, :]))
-        pencil = np.concatenate([pencil, d2[:, None, :]], axis=1)
-        flat = pencil.reshape(-1, 3)
-        idx = space.point_index_vec(space.normalize_vec(flat))
-        marks[idx] = True
+    if n == 1:
+        coeffs = np.ones((1, 1), dtype=np.int64)  # PG(0) is one point
+    else:
+        sub = ProjectiveSpace(f, n - 1)
+        coeffs = sub.points_block(0, sub.num_points)
+    step = max(1, MARK_BATCH // coeffs.shape[0])
+    for start in range(0, mat.shape[0], step):
+        rows = mat[start:start + step]
+        b = rows.shape[0]
+        lead = np.argmax(rows != 0, axis=1)
+        keep = np.arange(k)[None, :] != lead[:, None]
+        duals = np.empty((b, k, coeffs.shape[0]), dtype=np.int64)
+        duals[keep] = np.tile(coeffs.T, (b, 1))
+        duals[np.arange(b), lead] = f.neg_vec(
+            space.dot_block(coeffs, rows[keep].reshape(b, n))).T
+        flat = duals.transpose(0, 2, 1).reshape(-1, k)
+        marks[space.point_index_vec(space.normalize_vec(flat))] = True
     return marks
 
 
 def _first_unmarked_line(space: ProjectiveSpace, mat):
-    """(index, dual coordinates) of the lowest-index line of the plane through
-    no row of `mat`, or (None, None) when every line is marked.
+    """(index, dual coordinates) of the lowest-index hyperplane through no
+    row of `mat`, or (None, None) when every hyperplane is marked.
 
-    The witness is re-checked for zero incidences off the marking path.
+    The witness is re-checked with scalar incidences, off the marking path.
     """
     free = np.flatnonzero(~mark_lines_through(space, mat))
     if free.size == 0:
         return None, None
     dual = space.point_at(int(free[0]))
-    f = space.field
-    vals = np.zeros(mat.shape[0], dtype=np.int64)
-    for j in range(3):
-        vals = f.add_vec(vals, f.mul_vec(mat[:, j], dual[j]))
-    if np.any(vals == 0):
+    if any(space.incidence(row, dual) for row in mat.tolist()):
         raise AssertionError("witness line re-check failed")
     return int(free[0]), dual
 
 
 def blocking_status(bset: BSet, budget=DEFAULT_ENUM_BUDGET):
-    """Exhaustive blocking verdict for B(k,q) in its plane, via dual marking.
+    """Exhaustive blocking verdict for B(k,q), via dual marking.
 
-    Every line through a point of B is marked; B is a blocking set exactly
-    when no line stays unmarked.  The witness, when present, is the
-    lowest-index unmarked line, re-checked for zero incidences.
+    Every hyperplane through a point of B is marked; B is a blocking set
+    exactly when none stays unmarked.  The witness, when present, is the
+    lowest-index unmarked hyperplane, re-checked for zero incidences.
     """
     space = bset.space
-    if space.n != 2:
-        raise ValueError("blocking scan implemented for the plane case k=4")
     if space.num_points > budget:
-        raise BudgetExceeded("%d lines exceed scan budget" % space.num_points)
+        raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
     _index, dual = _first_unmarked_line(space, bset.matrix)
     return BlockingVerdict("blocking" if dual is None else "not-blocking", dual,
                            "dual-marking-scan", lines_scanned=space.num_points)
@@ -188,10 +176,10 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
 
     Random strategy samples m distinct cosets per trial (independence is
     invariant under scaling each entry by R*, so representatives suffice).
-    Exhaustive strategy walks the hyperplanes of PG(m-1, .) in canonical
-    order via the dual-marking scan and returns the first one missing the
-    R-coordinate points; exhausting the scan without a witness means the set
-    IS a blocking set, reported as status "not-found".
+    Exhaustive strategy marks the hyperplanes of PG(m-1, .) through the
+    R-coordinate points and returns the lowest-index one left unmarked;
+    marking every hyperplane means the set IS a blocking set, reported as
+    status "not-found".
     """
     if m is None:
         m = rg.k - 1
@@ -209,18 +197,6 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
         return SearchResult("not-found", None, "random", seed, max_iters, "none")
     if strategy == "exhaustive":
         space = ProjectiveSpace(rg.field, m - 1)
-        if m == 2:
-            # hyperplanes of a line are its points; complement test directly
-            mat = r_tuple_matrix(rg, m, budget)
-            occupied = np.zeros(space.num_points, dtype=bool)
-            occupied[space.point_index_vec(mat)] = True
-            free = np.flatnonzero(~occupied)
-            if free.size == 0:
-                return SearchResult("not-found", None, "exhaustive", None, int(occupied.size), "exhaustive-scan")
-            alphas = space.point_at(int(free[0]))
-            return SearchResult("found", alphas, "exhaustive", None, int(free[0]) + 1, "exhaustive-scan")
-        if m != 3:
-            raise ValueError("exhaustive strategy supports m = 2 or 3")
         if space.num_points > budget:
             raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
         index, alphas = _first_unmarked_line(space, r_tuple_matrix(rg, m, budget))

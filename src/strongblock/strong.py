@@ -3,7 +3,9 @@
 A strong blocking set meets every hyperplane in a set of full rank; the scan
 walks hyperplanes in canonical order, computes the incident subset with
 vectorized dual forms, and ranks it with early exit, so the returned witness
-is always the first failure.
+is always the first failure.  Plain blocking needs no sections: it marks the
+hyperplanes through each point (`search.mark_lines_through`), and the first
+unmarked one is the same lowest-index witness.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .errors import BudgetExceeded, RepeatedCoset
 from .geometry import PointSet
 from .partition import RGroup, subgeometry_points
+from .search import _first_unmarked_line
 
 DEFAULT_HYPERPLANE_BUDGET = 2 * 10 ** 7
 
@@ -64,34 +67,12 @@ def union_subgeometries(rg: RGroup, alphas, basis=None):
     return ps
 
 
-def _scan(point_set: PointSet, k, budget, need_rank):
-    """(status, witness, rank, checked) for the first failing hyperplane, or
-    (None, None, None, num_points) when every hyperplane passes."""
-    space = point_set.space
+def _check_scan(space, k, budget):
     if k is not None and k != space.k:
         raise ValueError("ambient dimension mismatch: k=%d, space needs %d"
                          % (k, space.k))
-    if len(point_set) == 0:
-        return ("not-blocking", space.point_at(0), 0, 1)
     if space.num_points > budget:
         raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
-    pts = point_set.points
-    target = space.k - 1
-    for start, duals, incident in space.sections(point_set.matrix()):
-        counts = incident.sum(axis=1)
-        suspects = (range(len(duals)) if need_rank
-                    else np.flatnonzero(counts == 0).tolist())
-        for row in suspects:
-            if counts[row] == 0:
-                return ("not-blocking", tuple(int(c) for c in duals[row]), 0,
-                        start + row + 1)
-            if need_rank:
-                section = [pts[j] for j in np.flatnonzero(incident[row])]
-                rank = space.rank(section, target)
-                if rank < target:
-                    return ("not-strong", tuple(int(c) for c in duals[row]),
-                            rank, start + row + 1)
-    return (None, None, None, space.num_points)
 
 
 def verify_strong_blocking(point_set: PointSet, k=None,
@@ -101,12 +82,28 @@ def verify_strong_blocking(point_set: PointSet, k=None,
     Returns "strong", or the first offending hyperplane: "not-blocking" when
     the section is empty, "not-strong" when its rank falls short of k-1.
     """
-    status, witness, rank, checked = _scan(point_set, k, budget, need_rank=True)
-    return StrongVerdict(status or "strong", witness, rank, checked)
+    space = point_set.space
+    _check_scan(space, k, budget)
+    pts = point_set.points
+    target = space.k - 1
+    for start, duals, incident in space.sections(point_set.matrix()):
+        for row, on in enumerate(incident):
+            section = [pts[j] for j in np.flatnonzero(on)]
+            rank = space.rank(section, target)
+            if rank < target:
+                return StrongVerdict("not-strong" if section else "not-blocking",
+                                     tuple(int(c) for c in duals[row]), rank,
+                                     start + row + 1)
+    return StrongVerdict("strong", None, None, space.num_points)
 
 
 def verify_blocking(point_set: PointSet, k=None,
                     budget=DEFAULT_HYPERPLANE_BUDGET):
-    """Exhaustively verify that every hyperplane contains a point of the set."""
-    status, witness, _rank, checked = _scan(point_set, k, budget, need_rank=False)
-    return BlockingSetVerdict(status or "blocking", witness, checked)
+    """Exhaustively verify that every hyperplane contains a point of the set,
+    by marking the hyperplanes through each point."""
+    space = point_set.space
+    _check_scan(space, k, budget)
+    index, witness = _first_unmarked_line(space, point_set.matrix())
+    if witness is None:
+        return BlockingSetVerdict("blocking", None, space.num_points)
+    return BlockingSetVerdict("not-blocking", witness, index + 1)

@@ -1,10 +1,18 @@
 """Command line interface tests: exit codes, report shape, determinism."""
 
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import strongblock
 from strongblock import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 
 def run(capsys, argv):
@@ -152,3 +160,58 @@ def test_bounds_text_format(capsys):
                              "text"])
     assert code == 0
     assert "q=7" in out and "certified" in out
+
+
+def run_subprocess(argv, cwd):
+    src = os.path.dirname(os.path.dirname(strongblock.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "strongblock.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_malformed_inputs_exit_1_with_message(tmp_path):
+    doc = json.loads((GOLDEN / "pair_pg3_8.json").read_text())
+    del doc["points"]
+    (tmp_path / "nopoints.json").write_text(json.dumps(doc))
+    (tmp_path / "noentries.json").write_text(json.dumps(
+        {"field": doc["field"], "k": 2, "n": 2}))
+    (tmp_path / "short.txt").write_text("2 3\n")
+    for argv in (["verify", "--input", "nopoints.json"],
+                 ["check-minimal", "--input", "noentries.json"],
+                 ["check-minimal", "--input", "short.txt"]):
+        out = run_subprocess(argv, tmp_path)
+        assert out.returncode == 1, argv
+        assert out.stderr.startswith("error: "), out.stderr
+        assert "Traceback" not in out.stderr
+
+
+# Reports produced by the commands below, with the input files of
+# tests/data/golden in the working directory; they pin stdout byte for byte.
+GOLDEN_COMMANDS = [
+    ("pipeline_q2_k3", ["pipeline", "--q", "2", "--k", "3", "--seed", "1"], 0),
+    ("search_q2_k3_exhaustive",
+     ["search", "--q", "2", "--k", "3", "--strategy", "exhaustive"], 0),
+    ("search_q2_k3_m3_exhaustive",
+     ["search", "--q", "2", "--k", "3", "--m", "3", "--strategy",
+      "exhaustive"], 2),
+    ("verify_strong_points_q2_k3",
+     ["verify", "--input", "points_q2_k3.json", "--mode", "strong"], 0),
+    ("verify_blocking_points_q2_k3",
+     ["verify", "--input", "points_q2_k3.json", "--mode", "blocking"], 0),
+    ("verify_strong_pair_pg3_8",
+     ["verify", "--input", "pair_pg3_8.json", "--mode", "strong"], 2),
+    ("verify_blocking_pair_pg3_8",
+     ["verify", "--input", "pair_pg3_8.json", "--mode", "blocking"], 2),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN_COMMANDS,
+                         ids=[c[0] for c in GOLDEN_COMMANDS])
+def test_golden_reports(name, argv, code, tmp_path, monkeypatch, capsys):
+    for data in GOLDEN.glob("*.json"):
+        shutil.copy(data, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / (name + ".out")).read_bytes()

@@ -112,14 +112,24 @@ def test_scaling_invariance_of_independence(rg24):
 
 
 def test_mark_lines_matches_brute_force():
+    def check(space, pts):
+        marks = mark_lines_through(space, pts)
+        assert marks.shape == (space.num_points,)
+        duals = np.asarray(list(space.points()), dtype=np.int64)
+        expect = np.any(space.dot_block(duals, pts) == 0, axis=1)
+        assert np.array_equal(marks, expect)
+
     space = ProjectiveSpace(Field.build(2, 2), 2)
-    pts = np.asarray([space.point_at(i) for i in (0, 4, 11, 17)],
-                     dtype=np.int64)
-    marks = mark_lines_through(space, pts)
-    assert marks.shape == (space.num_points,)
-    duals = np.asarray(list(space.points()), dtype=np.int64)
-    expect = np.any(space.dot_block(duals, pts) == 0, axis=1)
-    assert np.array_equal(marks, expect)
+    check(space, np.asarray([space.point_at(i) for i in (0, 4, 11, 17)],
+                            dtype=np.int64))
+    # random sets in PG(1,64), PG(2,9), PG(3,8) and PG(4,4)
+    rng = np.random.default_rng(7)
+    for p, m, n in [(2, 6, 1), (3, 2, 2), (2, 3, 3), (2, 2, 4)]:
+        space = ProjectiveSpace(Field.build(p, m), n)
+        for size in (1, 5, 23):
+            idx = np.sort(rng.choice(space.num_points, size, replace=False))
+            check(space, np.asarray([space.point_at(int(i)) for i in idx],
+                                    dtype=np.int64))
 
 
 def test_mark_lines_counts_per_point():
@@ -129,12 +139,6 @@ def test_mark_lines_counts_per_point():
         marks = mark_lines_through(
             space, np.asarray([space.point_at(i)], dtype=np.int64))
         assert int(marks.sum()) == space.field.order + 1
-
-
-def test_mark_lines_rejects_non_plane(rg23):
-    space = ProjectiveSpace(rg23.field, 1)
-    with pytest.raises(ValueError):
-        mark_lines_through(space, np.zeros((1, 2), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +159,10 @@ def test_exhaustive_pair_search_small_case(rg23):
         if 0 in pair:
             continue  # a zero coordinate always admits the relation (0, rho)
         assert is_r_independent(pair, rg23).status == "dependent"
+    # every line of PG(2,64) meets an R-point: no independent triple
+    res = find_independent_tuple(rg23, 3, strategy="exhaustive")
+    assert (res.status, res.alphas, res.trials) == ("not-found", None, 4161)
+    assert res.certification == "dual-marking-scan"
 
 
 def test_random_search_reproducible(rg24):
@@ -172,7 +180,8 @@ def test_random_search_reproducible(rg24):
 def test_search_strategy_validation(rg24):
     with pytest.raises(ValueError):
         find_independent_tuple(rg24, 3, strategy="greedy")
-    with pytest.raises(ValueError):
+    # PG(3,4096) has 6.9e10 hyperplanes
+    with pytest.raises(BudgetExceeded):
         find_independent_tuple(rg24, 4, strategy="exhaustive")
 
 

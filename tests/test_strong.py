@@ -134,8 +134,11 @@ def test_empty_set(gf8):
     from strongblock.geometry import ProjectiveSpace
     space = ProjectiveSpace(gf8, 3)
     S = PointSet(space, [])
-    assert verify_blocking(S).status == "not-blocking"
-    assert verify_strong_blocking(S).status == "not-blocking"
+    assert S.matrix().shape == (0, 4)
+    for verdict in (verify_blocking(S), verify_strong_blocking(S)):
+        assert verdict.status == "not-blocking"
+        assert verdict.witness == space.point_at(0)
+        assert verdict.hyperplanes_checked == 1
 
 
 def test_dimension_mismatch_and_budget(rg24):
