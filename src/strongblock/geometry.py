@@ -270,17 +270,16 @@ class PointSet:
 
     @staticmethod
     def from_json(doc):
-        try:
-            meta, n, rows = doc["field"], doc["n"], doc["points"]
-            p, m, modulus = meta["p"], meta["m"], meta["modulus"]
-        except KeyError as exc:
-            raise ValueError("points JSON lacks key %s" % exc) from None
-        f = Field.build(p, m, tuple(modulus))
-        space = ProjectiveSpace(f, n)
-        pts = [tuple(f.parse_elem(s) for s in row) for row in rows]
-        ps = PointSet(space, pts)
-        for key, tag in doc.get("labels", {}).items():
-            ps.labels[ps.points[int(key)]] = tag
+        where = "points JSON"
+        meta, n, rows = json_fields(doc, where, field=dict, n=int, points=list)
+        f = field_from_json(meta, where)
+        ps = PointSet(ProjectiveSpace(f, n), parse_rows(f, rows, where))
+        if "labels" in doc:
+            for key, tag in json_fields(doc, where, labels=dict)[0].items():
+                if not (key.isdigit() and int(key) < len(ps)):
+                    raise ValueError("%s: label key %r is not a point index"
+                                     % (where, key))
+                ps.labels[ps.points[int(key)]] = tag
         return ps
 
     def save(self, path):
@@ -291,3 +290,48 @@ class PointSet:
     def load(path):
         with open(path) as fh:
             return PointSet.from_json(json.load(fh))
+
+
+# ---------------------------------------------------------------------------
+# reading input files
+
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def json_fields(doc, where, **kinds):
+    """The values of the given keys of a JSON object, each type-checked.
+
+    A document that is not an object, lacks a key or holds a value of the
+    wrong JSON type raises ValueError naming `where` and the key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("%s: the document is not a JSON object" % where)
+    values = []
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise ValueError("%s lacks key '%s'" % (where, key))
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError("%s: '%s' must be %s"
+                             % (where, key, _JSON_KINDS[kind]))
+        values.append(value)
+    return values
+
+
+def field_from_json(meta, where):
+    """The field of a `Field.meta()` description read from a file."""
+    p, m, modulus = json_fields(meta, "%s field" % where,
+                                p=int, m=int, modulus=list)
+    if not all(isinstance(c, int) for c in modulus):
+        raise ValueError("%s: field modulus must be an array of integers"
+                         % where)
+    return Field.build(p, m, tuple(modulus))
+
+
+def parse_rows(field, rows, where):
+    """Field codes of rows of element strings ("0", "g^e")."""
+    if not all(isinstance(row, list) and all(isinstance(s, str) for s in row)
+               for row in rows):
+        raise ValueError("%s: rows must be arrays of field element strings"
+                         % where)
+    return [[field.parse_elem(s) for s in row] for row in rows]

@@ -178,9 +178,28 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
     (tmp_path / "noentries.json").write_text(json.dumps(
         {"field": doc["field"], "k": 2, "n": 2}))
     (tmp_path / "short.txt").write_text("2 3\n")
+    pair = json.loads((GOLDEN / "pair_pg3_8.json").read_text())
+    # the pair as a 4-row code: rows 2 and 3 are zero, so the rank is 2
+    (tmp_path / "rank2.json").write_text(json.dumps(
+        {"field": pair["field"], "k": 4, "n": 2,
+         "entries": [[pt[i] for pt in pair["points"]] for i in range(4)]}))
+    (tmp_path / "array.json").write_text("[1, 2]")
+    pair["labels"] = {"2": "past the last point"}
+    (tmp_path / "label.json").write_text(json.dumps(pair))
+    pair["n"] = "3"
+    (tmp_path / "strn.json").write_text(json.dumps(pair))
+    code = json.loads((GOLDEN / "code_pair_pg3_8.json").read_text())
+    code["field"]["m"] = "3"
+    (tmp_path / "strcode.json").write_text(json.dumps(code))
     for argv in (["verify", "--input", "nopoints.json"],
                  ["check-minimal", "--input", "noentries.json"],
-                 ["check-minimal", "--input", "short.txt"]):
+                 ["check-minimal", "--input", "short.txt"],
+                 ["check-minimal", "--input", "rank2.json"],
+                 ["verify", "--input", "array.json"],
+                 ["check-minimal", "--input", "array.json"],
+                 ["verify", "--input", "label.json"],
+                 ["verify", "--input", "strn.json"],
+                 ["check-minimal", "--input", "strcode.json"]):
         out = run_subprocess(argv, tmp_path)
         assert out.returncode == 1, argv
         assert out.stderr.startswith("error: "), out.stderr
@@ -204,6 +223,13 @@ GOLDEN_COMMANDS = [
      ["verify", "--input", "pair_pg3_8.json", "--mode", "strong"], 2),
     ("verify_blocking_pair_pg3_8",
      ["verify", "--input", "pair_pg3_8.json", "--mode", "blocking"], 2),
+    # code_q2_k3.json is `export-code` of points_q2_k3.json; code_pair_pg3_8
+    # is the pair of pair_pg3_8.json on the line it spans (its two nonzero
+    # coordinates), a [2,2]_8 code whose weight-1 class sits inside another
+    ("check_minimal_code_q2_k3",
+     ["check-minimal", "--input", "code_q2_k3.json"], 0),
+    ("check_minimal_code_pair_pg3_8",
+     ["check-minimal", "--input", "code_pair_pg3_8.json"], 2),
 ]
 
 

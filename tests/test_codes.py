@@ -1,9 +1,16 @@
 """Tests for generator matrices, supports, minimality, and code export."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import strongblock
 from strongblock.codes import (
+    GeneratorMatrix,
     check_minimal,
     export_code,
     generator_from_points,
@@ -108,6 +115,127 @@ def test_not_minimal_witness_verified(gf8):
     ib = space.point_index(container)
     assert ia != ib
     assert prof.support_set(ia) < prof.support_set(ib)
+
+
+def all_pairs_minimality(G, prof):
+    """Reference check: every class against the whole support matrix.
+
+    Classes go in stable weight order; the first whose support sits inside
+    another class's support is the witness, with its lowest-index container.
+    """
+    S = prof.supports
+    order = np.argsort(prof.weights, kind="stable")
+    space = G.message_space()
+    for pos, a in enumerate(order):
+        containers = np.all((S & S[a]) == S[a], axis=1)
+        containers[a] = False
+        hits = np.flatnonzero(containers)
+        if hits.size:
+            return ("not-minimal",
+                    (space.point_at(int(a)), space.point_at(int(hits[0]))),
+                    pos + 1)
+    return "minimal", None, prof.class_count
+
+
+def oracle_corpus(code45):
+    """Generator matrices for the oracle comparison, with what each covers."""
+    rng = np.random.default_rng(2024)
+    corpus = [code45]
+    for (p, m, n), sizes in (((2, 2, 2), range(3, 21)),
+                             ((2, 3, 3), range(4, 84, 4)),
+                             ((2, 4, 2), range(3, 120, 6))):
+        space = ProjectiveSpace(Field.build(p, m), n)
+        for size in sizes:
+            while True:
+                idx = rng.choice(space.num_points, size, replace=False)
+                S = PointSet(space, [space.point_at(int(i)) for i in idx])
+                if space.rank(S.points) == space.k:
+                    break
+            corpus.append(generator_from_points(S))
+    # PG(2,64) has 4161 classes, more than one step of the index build: the
+    # three sides of a triangle (strong), then without one non-vertex point
+    space = ProjectiveSpace(Field.build(2, 6), 2)
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    sides = [pt for i in range(3)
+             for pt in space.line_through(e[i], e[(i + 1) % 3])]
+    triangle = PointSet(space, sides)
+    corpus.append(generator_from_points(triangle))
+    corpus.append(generator_from_points(PointSet(space, [
+        pt for pt in triangle.points if pt != (1, 1, 0)])))
+    # repeated columns, once verbatim and once as a scalar multiple
+    f = code45.field
+    cols = np.concatenate([np.eye(4, dtype=np.int64), code45.entries[:, :3]],
+                          axis=1)[:, [0, 1, 2, 3, 4, 5, 6, 4, 6]]
+    cols[:, 8] = f.mul_vec(cols[:, 8], f.from_exp(3))
+    corpus.append(GeneratorMatrix(field=f, k=4, n=9, entries=cols))
+    # identity codes: every support is a coordinate set shared by many classes
+    for field, k in ((Field.build(2, 2), 3), (f, 4), (Field.build(2, 4), 2)):
+        corpus.append(GeneratorMatrix(field=field, k=k, n=k,
+                                      entries=np.eye(k, dtype=np.int64)))
+    return corpus
+
+
+def test_check_minimal_matches_all_pairs_oracle(code45):
+    corpus = oracle_corpus(code45)
+    assert len(corpus) >= 60
+    seen = set()
+    for G in corpus:
+        prof = support_profiles(G)
+        v = check_minimal(G, profile=prof)
+        assert (v.status, v.witness, v.classes_checked) == \
+            all_pairs_minimality(G, prof)
+        seen.add(v.status)
+        if v.status == "not-minimal" and v.classes_checked > 1:
+            seen.add("witness past the lightest class")
+        if prof.weights.max() == G.n:
+            seen.add("full-weight class")
+        if len(np.unique(prof.supports, axis=0)) < prof.class_count:
+            seen.add("equal supports")
+        if len({tuple(col) for col in G.column_points().matrix()}) < G.n:
+            seen.add("repeated column")
+    assert seen == {"minimal", "not-minimal", "witness past the lightest class",
+                    "full-weight class", "equal supports", "repeated column"}
+
+
+RECHECK_SCRIPT = textwrap.dedent("""
+    import sys
+    from strongblock import codes
+    from strongblock.field import Field
+    from strongblock.geometry import PointSet, ProjectiveSpace
+
+    print("optimize", sys.flags.optimize)
+    space = ProjectiveSpace(Field.build(2, 3), 2)
+    G = codes.generator_from_points(PointSet(space, list(space.points())))
+    prof = codes.support_profiles(G)
+    prof.supports[0] &= prof.supports[1]  # forged: class 0 inside class 1
+    try:
+        codes.check_minimal(G, profile=prof)
+    except AssertionError as exc:
+        print("witness raised:", exc)
+    else:
+        print("witness passed silently")
+""")
+
+
+def test_minimality_recheck_survives_python_O():
+    # the simplex code is minimal, so the forged witness must be refused
+    src = os.path.dirname(os.path.dirname(strongblock.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-O", "-c", RECHECK_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "optimize 1",
+        "witness raised: minimality witness re-check failed",
+    ]
+
+
+def test_zero_weight_class_is_rank_deficient(gf8):
+    G = GeneratorMatrix(field=gf8, k=3, n=2,
+                        entries=np.asarray([[1, 0], [0, 1], [0, 0]]))
+    with pytest.raises(RankDeficient):
+        support_profiles(G)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
