@@ -141,10 +141,10 @@ def one_mod_p_profile(point_set: PointSet, p, budget=LINE_BUDGET):
         raise ValueError("profile is a plane operation")
     if space.num_points > budget:
         raise BudgetExceeded("%d lines exceed budget" % space.num_points)
-    census = {}
-    for _start, _duals, incident in space.sections(point_set.matrix()):
-        vals, cts = np.unique(incident.sum(axis=1), return_counts=True)
-        for v, c in zip(vals, cts):
-            census[int(v)] = census.get(int(v), 0) + int(c)
+    counts = np.zeros(space.num_points, dtype=np.int32)  # points per line
+    for _rows, lines in space.pencils(point_set.matrix()):
+        np.add.at(counts, lines.ravel(), 1)
+    vals, cts = np.unique(counts, return_counts=True)
+    census = {int(v): int(c) for v, c in zip(vals, cts)}
     holds = all(v % p == 1 for v in census)
     return ModProfile(p=p, census=census, holds=holds)

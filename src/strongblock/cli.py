@@ -11,10 +11,9 @@ import argparse
 import json
 import sys
 
-from sympy import factorint
-
 from . import bounds, codes, partition, search, strong
 from .errors import BudgetExceeded, StrongBlockError
+from .field import factor
 from .geometry import PointSet
 
 SCHEMA = 1
@@ -194,7 +193,7 @@ def cmd_bounds(args):
     all_ok = True
     for q in range(lo, hi + 1):
         # the interval argument covers q = 7 and odd q > 9 only
-        if q % 2 == 0 or len(factorint(q)) != 1 or q < 7:
+        if q < 7 or q % 2 == 0 or len(factor(q)) != 1:
             continue
         if q == 9 and not args.include_excluded:
             continue

@@ -84,7 +84,13 @@ class SupportProfile:
 
 
 def support_profiles(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET):
-    """Evaluate one codeword per projective message class, canonical order."""
+    """Evaluate one codeword per projective message class, canonical order.
+
+    Class b vanishes at column j iff message hyperplane b passes through
+    column j, so Z(b) is read off the pencils of the columns, 64 columns
+    (one support word) at a time.  Incidence is scale-invariant, so the
+    columns are normalized first; a zero column vanishes on every class.
+    """
     space = G.message_space()
     C = space.num_points
     if C > budget:
@@ -92,17 +98,20 @@ def support_profiles(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET):
     words = (G.n + 63) // 64
     supports = np.zeros((C, words), dtype=np.uint64)
     weights = np.zeros(C, dtype=np.int64)
-    pad = words * 64 - G.n
-    # a class's support is the complement of its message hyperplane's section
-    for start, msgs, incident in space.sections(G.entries.T):
-        stop = start + len(msgs)
-        nz = ~incident
-        weights[start:stop] = nz.sum(axis=1)
-        if pad:
-            nz = np.concatenate(
-                [nz, np.zeros((nz.shape[0], pad), dtype=bool)], axis=1)
-        packed = np.packbits(nz, axis=1, bitorder="little")
-        supports[start:stop] = packed.view(np.uint64)
+    cols = G.entries.T
+    zero = np.all(cols == 0, axis=1)
+    for w in range(words):
+        live = np.flatnonzero(~zero[64 * w:64 * w + 64])
+        # zero columns and the padding past column n vanish everywhere
+        vanish = np.ones((C, 64), dtype=bool)
+        vanish[:, live] = False
+        for rows, msgs in space.pencils(
+                space.normalize_vec(cols[64 * w + live])):
+            vanish[msgs, live[rows, None]] = True
+        nz = ~vanish
+        weights += nz.sum(axis=1)
+        supports[:, w] = np.packbits(nz, axis=1, bitorder="little").view(
+            np.uint64)[:, 0]
     if np.any(weights == 0):
         raise RankDeficient("a nonzero message gives the zero codeword: "
                             "the generator matrix is not of full rank")

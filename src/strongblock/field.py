@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import factorint, isprime
 
 from .errors import (
     DependentBasis,
@@ -27,6 +26,26 @@ DEFAULT_ORDER_CAP = 1 << 25
 
 # Fields are immutable, so identical build requests share one instance.
 _FIELD_CACHE: dict = {}
+
+
+def factor(n):
+    """Prime factorization {prime: exponent} of a positive integer.
+
+    Trial division: the integers factored here are p, m, p^m - 1 under the
+    order cap and the q of a bounds sweep, all small.  factor(1) is {}.
+    """
+    if n < 1:
+        raise ValueError("can only factor a positive integer, not %r" % (n,))
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +123,7 @@ def _is_irreducible(mod, p):
     if m == 1:
         return True
     x = (0, 1)
-    for ell in factorint(m):
+    for ell in factor(m):
         h = _poly_powmod(x, p ** (m // ell), mod, p)
         if len(_poly_gcd(_poly_sub(h, x, p), mod, p)) > 1:
             return False
@@ -123,7 +142,7 @@ def _is_primitive(mod, p):
     x = (0, 1)
     if _poly_powmod(x, group, mod, p) != (1,):
         return False
-    for ell in factorint(group):
+    for ell in factor(group):
         if _poly_powmod(x, group // ell, mod, p) == (1,):
             return False
     return True
@@ -225,7 +244,8 @@ class Field:
         Defaults to the primitive polynomial with the smallest packed
         coefficient value, so identical parameters give identical fields.
         """
-        if not isprime(p):
+        # a p past the cap fails the order check below, prime or not
+        if p < 2 or (p <= order_cap and factor(p) != {p: 1}):
             raise NonPrimeP("p = %r is not prime" % (p,))
         if m < 1:
             raise ValueError("extension degree must be positive")

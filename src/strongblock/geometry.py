@@ -5,8 +5,13 @@ is one.  The canonical enumeration orders points by the position of that
 leading one (ascending), then lexicographically by the remaining codes; the
 same indexing addresses hyperplanes through their dual coordinates, so scans
 can be partitioned by index range without materializing the stream.
-`ProjectiveSpace.sections` is the one hyperplane walk the exhaustive scans
-share: BLOCK hyperplanes at a time, decoded by `points_block`.
+
+Every exhaustive scan reads incidences from one generator,
+`ProjectiveSpace.pencils`: the canonical indices of the hyperplanes through
+each point, MARK_BATCH incidences at a time.  N points cost
+N (Q^n - 1)/(Q - 1) incidences instead of one dual form per point and
+hyperplane.  `rank_stack` ranks a stack of equal-size hyperplane sections in
+one batched elimination; the scalar `rank` is its independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .field import Field
 
-BLOCK = 4096  # hyperplanes per block of the canonical walk
+MARK_BATCH = 1 << 17  # incidences generated per vectorized pencil batch
 
 
 class ProjectiveSpace:
@@ -149,16 +154,36 @@ class ProjectiveSpace:
             acc = f.add_vec(acc, f.mul_vec(duals[:, j:j + 1], pts[None, :, j]))
         return acc
 
-    def sections(self, mat):
-        """Yield (start, duals, incident) over all hyperplanes, canonical order.
+    def pencils(self, mat):
+        """Yield (rows, hyperplanes) over the incidences of normalized points.
 
-        `duals` holds the dual coordinates of hyperplanes start, start+1, ...
-        (at most BLOCK of them) and incident[i, j] is True iff row j of the
-        (N, n+1) point matrix lies on hyperplane start+i.
+        `rows` holds consecutive row indices into the (N, n+1) matrix `mat`
+        and hyperplanes[i] the canonical indices of every hyperplane through
+        row rows[i]: at most MARK_BATCH incidences per batch, or one row's
+        pencil if that is larger.  The hyperplanes through P, whose leading
+        one sits at position l, are the duals c of PG(n-1) in canonical
+        order with -(c . P') inserted at position l, where P' is P without
+        position l.
         """
-        for start in range(0, self.num_points, BLOCK):
-            duals = self.points_block(start, min(start + BLOCK, self.num_points))
-            yield start, duals, self.dot_block(duals, mat) == 0
+        f, n, k = self.field, self.n, self.k
+        if n == 1:
+            coeffs = np.ones((1, 1), dtype=np.int64)  # PG(0) is one point
+        else:
+            sub = ProjectiveSpace(f, n - 1)
+            coeffs = sub.points_block(0, sub.num_points)
+        step = max(1, MARK_BATCH // coeffs.shape[0])
+        for start in range(0, mat.shape[0], step):
+            rows = mat[start:start + step]
+            b = rows.shape[0]
+            lead = np.argmax(rows != 0, axis=1)
+            keep = np.arange(k)[None, :] != lead[:, None]
+            duals = np.empty((b, k, coeffs.shape[0]), dtype=np.int64)
+            duals[keep] = np.tile(coeffs.T, (b, 1))
+            duals[np.arange(b), lead] = f.neg_vec(
+                self.dot_block(coeffs, rows[keep].reshape(b, n))).T
+            flat = duals.transpose(0, 2, 1).reshape(-1, k)
+            yield (np.arange(start, start + b),
+                   self.point_index_vec(self.normalize_vec(flat)).reshape(b, -1))
 
     # -- rank --------------------------------------------------------------
 
@@ -189,6 +214,40 @@ class ProjectiveSpace:
             if target is not None and rank >= target:
                 return rank
         return rank
+
+    def rank_stack(self, stack):
+        """Ranks of the matrices of an (H, s, n+1) stack of code matrices.
+
+        One batched elimination in Zech codes: for each column, every matrix
+        takes its first row that is nonzero there as pivot and clears the
+        column from all its rows, the pivot row included.  The pivot row is
+        independent of the cleared rows, so each pivot adds one to the rank
+        and dropping it loses nothing: the rank is the number of columns
+        that found a pivot.
+        """
+        f = self.field
+        a = np.array(stack, dtype=np.int64)
+        H, s, k = a.shape
+        ranks = np.zeros(H, dtype=np.int64)
+        if s == 0:
+            return ranks
+        mats = np.arange(H)
+        for col in range(k):
+            piv = np.argmax(a[:, :, col] != 0, axis=1)
+            lead = a[mats, piv, col]
+            has = lead != 0
+            ranks += has
+            if col + 1 == k:
+                break
+            # pivot row scaled to -1 in this column: adding c times it to a
+            # row whose entry here is c clears the entry
+            scale = f.neg_vec(f.inv_vec(np.where(has, lead, 1)))
+            prow = np.where(has[:, None],
+                            f.mul_vec(a[mats, piv, col + 1:], scale[:, None]), 0)
+            a[:, :, col + 1:] = f.add_vec(
+                a[:, :, col + 1:],
+                f.mul_vec(a[:, :, col:col + 1], prow[:, None, :]))
+        return ranks
 
     # -- lines -------------------------------------------------------------
 

@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from sympy import factorint
 
-from .errors import BudgetExceeded, NoWitnessFound
-from .field import Field
+from .errors import BudgetExceeded, FieldTooLarge, NoWitnessFound
+from .field import DEFAULT_ORDER_CAP, Field, factor
 from .geometry import PointSet, ProjectiveSpace
 
 DEFAULT_ENUM_BUDGET = 2 * 10 ** 7
@@ -25,7 +24,7 @@ DEFAULT_ENUM_BUDGET = 2 * 10 ** 7
 
 def prime_power(q):
     """(p, h) with q = p^h, or raise ValueError."""
-    fac = factorint(q)
+    fac = factor(q) if q >= 1 else {}
     if len(fac) != 1:
         raise ValueError("q = %d is not a prime power" % q)
     ((p, h),) = fac.items()
@@ -80,12 +79,15 @@ def build_rgroup(q, k, order_cap=None, verify_limit=10 ** 6, rng_seed=0):
     and compared against the stride description; above `verify_limit` a random
     sample of products is checked instead.
     """
+    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
+    if q > cap:
+        # no such q builds a field; refuse it before factoring q
+        raise FieldTooLarge("q = %d exceeds the field order cap %d" % (q, cap))
     p, h = prime_power(q)
     if k < 3:
         raise ValueError("construction needs k >= 3")
     m = h * k * (k - 1)
-    kwargs = {} if order_cap is None else {"order_cap": order_cap}
-    field = Field.build(p, m, **kwargs)
+    field = Field.build(p, m, order_cap=cap)
     n = field.group_order
     r = (q ** (k - 1) - 1) * (q ** k - 1) // (q - 1)
     if n % r:

@@ -8,9 +8,9 @@ point lies on the hyperplane.
 
 So every blocking question here is one question: which hyperplane, if any,
 misses a point set?  `mark_lines_through` answers it in any PG(n, Q) by
-marking the hyperplanes through each point, and `_first_unmarked_line`
-returns the lowest-index survivor for `blocking_status`, the exhaustive
-tuple search and `strong.verify_blocking`.
+marking the hyperplanes through each point (`ProjectiveSpace.pencils`), and
+`_first_unmarked_line` returns the lowest-index survivor for
+`blocking_status`, the exhaustive tuple search and `strong.verify_blocking`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 from .errors import BudgetExceeded
 from .geometry import ProjectiveSpace
 from .partition import BSet, DEFAULT_ENUM_BUDGET, RGroup, r_tuple_matrix
-
-MARK_BATCH = 1 << 17  # hyperplanes generated per vectorized marking batch
 
 
 @dataclass
@@ -108,31 +106,13 @@ def mark_lines_through(space: ProjectiveSpace, mat, marks=None):
     """Mark, in a bitset over canonical hyperplane indices, every hyperplane
     through any of the given normalized points.  Returns the bitset.
 
-    The hyperplanes through P, whose leading one sits at position l, are the
-    duals c of PG(n-1) in canonical order with -(c . P') inserted at
-    position l, where P' is P without position l.
+    The marks are scattered batch by batch from `space.pencils`; no
+    incidence is kept.
     """
-    f = space.field
-    n, k = space.n, space.k
     if marks is None:
         marks = np.zeros(space.num_points, dtype=bool)
-    if n == 1:
-        coeffs = np.ones((1, 1), dtype=np.int64)  # PG(0) is one point
-    else:
-        sub = ProjectiveSpace(f, n - 1)
-        coeffs = sub.points_block(0, sub.num_points)
-    step = max(1, MARK_BATCH // coeffs.shape[0])
-    for start in range(0, mat.shape[0], step):
-        rows = mat[start:start + step]
-        b = rows.shape[0]
-        lead = np.argmax(rows != 0, axis=1)
-        keep = np.arange(k)[None, :] != lead[:, None]
-        duals = np.empty((b, k, coeffs.shape[0]), dtype=np.int64)
-        duals[keep] = np.tile(coeffs.T, (b, 1))
-        duals[np.arange(b), lead] = f.neg_vec(
-            space.dot_block(coeffs, rows[keep].reshape(b, n))).T
-        flat = duals.transpose(0, 2, 1).reshape(-1, k)
-        marks[space.point_index_vec(space.normalize_vec(flat))] = True
+    for _rows, hyperplanes in space.pencils(mat):
+        marks[hyperplanes] = True
     return marks
 
 

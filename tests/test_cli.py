@@ -230,6 +230,10 @@ GOLDEN_COMMANDS = [
      ["check-minimal", "--input", "code_q2_k3.json"], 0),
     ("check_minimal_code_pair_pg3_8",
      ["check-minimal", "--input", "code_pair_pg3_8.json"], 2),
+    # a [6,3]_8 code with a zero column, an unnormalized column and a
+    # scaled copy of the first column
+    ("check_minimal_code_zero_column_pg2_8",
+     ["check-minimal", "--input", "code_zero_column_pg2_8.json"], 2),
 ]
 
 

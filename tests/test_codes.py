@@ -75,6 +75,42 @@ def test_support_profiles_against_direct_evaluation(code45):
         assert prof.weights[int(i)] == len(support)
 
 
+def dot_block_profile(G):
+    """Supports and weights from every message's dual form on every column."""
+    space = G.message_space()
+    msgs = space.points_block(0, space.num_points)
+    nz = space.dot_block(msgs, G.entries.T) != 0
+    words = (G.n + 63) // 64
+    nz = np.concatenate(
+        [nz, np.zeros((nz.shape[0], words * 64 - G.n), dtype=bool)], axis=1)
+    supports = np.packbits(nz, axis=1, bitorder="little").view(np.uint64)
+    return supports, nz.sum(axis=1)
+
+
+def test_support_profiles_match_dot_block_oracle(code45, gf8):
+    rng = np.random.default_rng(11)
+    corpus = [code45]
+    for p, m, k, n in [(2, 3, 3, 20), (2, 3, 3, 64), (2, 3, 3, 130),
+                       (3, 2, 2, 12), (2, 1, 5, 40), (2, 2, 4, 70)]:
+        f = Field.build(p, m)
+        while True:
+            entries = rng.integers(0, f.order, (k, n))
+            # repeated columns, scaled copies and a zero column
+            entries[:, 1] = entries[:, 0]
+            entries[:, 2] = f.mul_vec(entries[:, 0], f.order - 1)
+            entries[:, n // 2] = 0
+            G = GeneratorMatrix(field=f, k=k, n=n, entries=entries)
+            if G.message_space().rank(
+                    [tuple(int(c) for c in col) for col in entries.T]) == k:
+                break
+        corpus.append(G)
+    for G in corpus:
+        prof = support_profiles(G)
+        supports, weights = dot_block_profile(G)
+        assert np.array_equal(prof.supports, supports)
+        assert np.array_equal(prof.weights, weights)
+
+
 def test_weights_are_hyperplane_complements(code45, union45):
     # weight of class m equals n minus the size of the hyperplane section
     prof = support_profiles(code45)

@@ -18,7 +18,7 @@ from strongblock.errors import (
     NotADivisor,
     ReducibleModulus,
 )
-from strongblock.field import Field
+from strongblock.field import Field, factor
 
 
 class PolyModel:
@@ -116,6 +116,24 @@ def test_irreducible_but_imprimitive_modulus_rejected():
 def test_order_cap():
     with pytest.raises(FieldTooLarge):
         Field.build(2, 26)
+    # a characteristic past the cap fails the order check, prime or not
+    for p in (2 ** 31 - 1, 2 ** 40):
+        with pytest.raises(FieldTooLarge):
+            Field.build(p, 1)
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 10 ** 5 + 1):
+        assert factor(n) == sympy.factorint(n), n
+    near = range(2 ** 25 - 60, 2 ** 25 + 60)
+    assert any(sympy.isprime(n) for n in near)
+    for n in near:
+        assert factor(n) == sympy.factorint(n), n
+    assert factor(1) == {}
+    for n in (0, -7):
+        with pytest.raises(ValueError):
+            factor(n)
 
 
 # ---------------------------------------------------------------------------

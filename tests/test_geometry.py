@@ -112,7 +112,10 @@ def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
     assert strong[1].witness == strong[2].witness == blocking[2].witness == H
     assert strong[1].hyperplanes_checked == 101
     assert blocking[2].hyperplanes_checked == 101
-    monkeypatch.setattr(geometry, "BLOCK", 7)
+    # pencil batches of one point, rank stacks of one section, and strong
+    # scan windows of a few hyperplanes
+    monkeypatch.setattr(geometry, "MARK_BATCH", 7)
+    monkeypatch.setattr("strongblock.strong.SECTION_CAP", 2000)
     small = scans()
     assert small[:2] == default[:2]
     assert np.array_equal(small[2], default[2])
@@ -223,6 +226,29 @@ def test_rank_basics():
     assert space.rank(e[:2]) == 2
     assert space.rank([e[0], e[0]]) == 1
     assert space.rank(e, target=2) == 2  # early exit honors the target
+
+
+def test_rank_stack_matches_scalar_rank():
+    # random stacks with rows drawn from a subspace of random dimension, so
+    # deficient, zero and full ranks all occur
+    rng = np.random.default_rng(17)
+    for p, m, n in [(2, 3, 2), (3, 2, 3), (2, 1, 4), (2, 6, 1)]:
+        space = ProjectiveSpace(Field.build(p, m), n)
+        f, k = space.field, space.k
+        for s in (0, 1, 2, 3, 5, 8):
+            stack = np.zeros((40, s, k), dtype=np.int64)
+            for h in range(40):
+                basis = rng.integers(0, f.order, (int(rng.integers(0, k + 1)), k))
+                coef = rng.integers(0, f.order, (s, basis.shape[0]))
+                for i in range(basis.shape[0]):
+                    stack[h] = f.add_vec(stack[h], f.mul_vec(
+                        coef[:, i:i + 1], basis[i][None, :]))
+            ranks = space.rank_stack(stack)
+            expect = [space.rank([tuple(int(c) for c in row) for row in mat])
+                      for mat in stack]
+            assert ranks.tolist() == expect
+            if s >= k:
+                assert min(expect) == 0 and max(expect) >= k - 1
 
 
 def test_rank_of_line_points():

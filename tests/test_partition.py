@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from strongblock.errors import BudgetExceeded
+from strongblock.errors import BudgetExceeded, FieldTooLarge
 from strongblock.partition import (
     build_bset,
     build_rgroup,
@@ -30,6 +30,12 @@ def test_prime_power():
 def test_build_rgroup_rejects_small_k():
     with pytest.raises(ValueError):
         build_rgroup(2, 2)
+
+
+def test_build_rgroup_refuses_q_past_the_cap_before_factoring():
+    # 2^61 - 1 is prime: trial division would take about 10^9 steps
+    with pytest.raises(FieldTooLarge):
+        build_rgroup(2 ** 61 - 1, 4)
 
 
 @pytest.mark.parametrize("expect", [(2, 3, 21, 3), (2, 4, 105, 39),

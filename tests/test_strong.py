@@ -1,13 +1,22 @@
 """Tests for subgeometry unions and (strong) blocking verification."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import strongblock
+from strongblock import geometry, strong
 from strongblock.errors import BudgetExceeded, RepeatedCoset
-from strongblock.geometry import PointSet
+from strongblock.field import Field
+from strongblock.geometry import PointSet, ProjectiveSpace
 from strongblock.partition import subgeometry_points
 from strongblock.search import find_independent_tuple
 from strongblock.strong import (
+    StrongVerdict,
     expected_size,
     union_subgeometries,
     verify_blocking,
@@ -156,3 +165,122 @@ def test_whole_space_is_strong(gf9):
     space = ProjectiveSpace(gf9, 2)
     S = PointSet(space, list(space.points()))
     assert verify_strong_blocking(S).status == "strong"
+
+
+# ---------------------------------------------------------------------------
+# the pencil/CSR/batched-rank scan against the section-by-section oracle
+
+
+def strong_oracle(point_set):
+    """Every hyperplane in canonical order, its section from dual forms and
+    the scalar rank with early exit; the first short section is the witness."""
+    space = point_set.space
+    target = space.k - 1
+    mat = point_set.matrix()
+    for start in range(0, space.num_points, 4096):
+        duals = space.points_block(start, min(start + 4096, space.num_points))
+        incident = space.dot_block(duals, mat) == 0
+        for row, on in enumerate(incident):
+            section = [point_set.points[j] for j in np.flatnonzero(on)]
+            rank = space.rank(section, target)
+            if rank < target:
+                return StrongVerdict(
+                    "not-strong" if section else "not-blocking",
+                    tuple(int(c) for c in duals[row]), rank, start + row + 1)
+    return StrongVerdict("strong", None, None, space.num_points)
+
+
+@pytest.fixture(scope="module")
+def strong_corpus(rg24):
+    rng = np.random.default_rng(5)
+    corpus = []
+    for p, m, n, sizes in [(2, 6, 1, (1, 30, 64)), (2, 2, 2, (3, 8, 15)),
+                           (3, 2, 2, (4, 20, 60)), (2, 2, 3, (5, 30, 70)),
+                           (2, 3, 3, (10, 60, 300)), (2, 1, 4, (6, 15, 28))]:
+        space = ProjectiveSpace(Field.build(p, m), n)
+        for size in sizes:
+            idx = rng.choice(space.num_points, size, replace=False)
+            corpus.append(PointSet(space, [space.point_at(int(i))
+                                           for i in idx]))
+    pg38 = ProjectiveSpace(Field.build(2, 3), 3)
+    pg29 = ProjectiveSpace(Field.build(3, 2), 2)
+    corpus += [
+        PointSet(pg38, []),
+        subgeometry_points(rg24, 0),
+        PointSet(pg38, pg38.line_through((1, 0, 0, 0), (0, 1, 0, 0))),
+        PointSet(pg38, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+        PointSet(pg29, list(pg29.points())),
+        union_subgeometries(
+            rg24, find_independent_tuple(rg24, 3, seed=1).alphas),
+    ]
+    return corpus
+
+
+def test_strong_scan_matches_section_oracle(strong_corpus):
+    seen = set()
+    for S in strong_corpus:
+        v = verify_strong_blocking(S)
+        assert v == strong_oracle(S), (S.space, len(S))
+        seen.add(v.status)
+        if v.status == "not-strong" and v.hyperplanes_checked > 1:
+            seen.add("witness past the first hyperplane")
+    assert seen == {"strong", "not-strong", "not-blocking",
+                    "witness past the first hyperplane"}
+
+
+@pytest.mark.parametrize("name,value", [("MARK_BATCH", 3),
+                                        ("SECTION_CAP", 200)])
+def test_strong_scan_batch_sizes(monkeypatch, strong_corpus, name, value):
+    # pencil batches of one point and rank stacks of one section, or scan
+    # windows of a few hyperplanes, give the same verdicts
+    expected = [verify_strong_blocking(S) for S in strong_corpus]
+    monkeypatch.setattr(geometry if name == "MARK_BATCH" else strong,
+                        name, value)
+    assert [verify_strong_blocking(S) for S in strong_corpus] == expected
+
+
+RECHECK_SCRIPT = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from strongblock import strong
+    from strongblock.field import Field
+    from strongblock.geometry import PointSet, ProjectiveSpace
+
+    def expect_error(name, call):
+        try:
+            call()
+        except AssertionError as exc:
+            print(name, "raised:", exc)
+        else:
+            print(name, "passed silently")
+
+    print("optimize", sys.flags.optimize)
+    space = ProjectiveSpace(Field.build(2, 2), 2)
+    plane = PointSet(space, list(space.points()))
+    real_rank = ProjectiveSpace.rank_stack
+    ProjectiveSpace.rank_stack = lambda self, stack: np.zeros(
+        len(stack), dtype=np.int64)
+    expect_error("rank", lambda: strong.verify_strong_blocking(plane))
+    ProjectiveSpace.rank_stack = real_rank
+    # hyperplane 0 (x0 = 0) meets the pair in one point: short, not empty
+    pair = PointSet(space, [(1, 0, 0), (0, 1, 0)])
+    strong._sections = lambda space, mat: iter([(
+        0, np.zeros(space.num_points + 1, dtype=np.int64),
+        np.zeros(0, dtype=np.int32))])
+    expect_error("emptiness", lambda: strong.verify_strong_blocking(pair))
+""")
+
+
+def test_strong_recheck_survives_python_O():
+    # forged batched ranks and sections must be refused under python -O
+    src = os.path.dirname(os.path.dirname(strongblock.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-O", "-c", RECHECK_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "optimize 1",
+        "rank raised: strong witness re-check failed",
+        "emptiness raised: strong witness re-check failed",
+    ]
