@@ -13,7 +13,6 @@ import sys
 
 from . import bounds, codes, partition, search, strong
 from .errors import BudgetExceeded, StrongBlockError
-from .field import factor
 from .geometry import PointSet
 
 SCHEMA = 1
@@ -193,11 +192,12 @@ def cmd_bounds(args):
     all_ok = True
     for q in range(lo, hi + 1):
         # the interval argument covers q = 7 and odd q > 9 only
-        if q < 7 or q % 2 == 0 or len(factor(q)) != 1:
+        if q < 7 or q % 2 == 0 or (q == 9 and not args.include_excluded):
             continue
-        if q == 9 and not args.include_excluded:
+        try:
+            rep = bounds.interval_violation_report(q, strict=False)
+        except ValueError:  # q is not a prime power
             continue
-        rep = bounds.interval_violation_report(q, strict=False)
         rows.append({
             "q": q, "p": rep.p, "h": rep.h,
             "bset_size": rep.size,

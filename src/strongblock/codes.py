@@ -9,6 +9,7 @@ that vanish there, since supp(a) <= supp(b) iff Z(b) <= Z(a).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -233,7 +234,12 @@ def import_code(path, format=None):
                                  "coefficients, k, n" % path)
             p, m, modulus, (k, n) = head[0], head[1], head[2:-2], head[-2:]
             f = Field.build(p, m, tuple(modulus))
-            rows = [fh.readline().split() for _ in range(k)]
+            if k < 1 or n < 1:
+                raise ValueError("%s: k and n must be positive" % path)
+            rows = [line.split() for line in itertools.islice(fh, k)]
+            if len(rows) != k:
+                raise ValueError("%s: expected %d code rows, found %d"
+                                 % (path, k, len(rows)))
     entries = np.asarray(parse_rows(f, rows, path), dtype=np.int64)
     if entries.shape != (k, n):
         raise ValueError("matrix shape mismatch in %s" % path)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DependentBasis,
     FieldTooLarge,
     NonPrimeP,
@@ -31,8 +32,9 @@ _FIELD_CACHE: dict = {}
 def factor(n):
     """Prime factorization {prime: exponent} of a positive integer.
 
-    Trial division: the integers factored here are p, m, p^m - 1 under the
-    order cap and the q of a bounds sweep, all small.  factor(1) is {}.
+    Trial division: the integers factored here are p, m and p^m - 1 under
+    the order cap, all small; `is_prime` serves larger ones.  factor(1) is
+    {}.
     """
     if n < 1:
         raise ValueError("can only factor a positive integer, not %r" % (n,))
@@ -46,6 +48,53 @@ def factor(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Miller-Rabin with these bases is exact below this bound (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_EXACT_BELOW = 318665857834031151167461
+
+
+def is_prime(n):
+    """Deterministic primality of an integer below MR_EXACT_BELOW.
+
+    Strong probable-prime tests to the first twelve prime bases; past the
+    bound, where these bases are not proven, it raises BudgetExceeded.
+    """
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= MR_EXACT_BELOW:
+        raise BudgetExceeded("cannot certify the primality of %d" % n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def iroot(n, h):
+    """The integer h-th root floor(n^(1/h)) of n >= 0, by Newton's method."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // h)  # at least the root
+    while True:
+        y = ((h - 1) * x + n // x ** (h - 1)) // h
+        if y >= x:
+            return x
+        x = y
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,16 @@ class ProjectiveSpace:
     def __init__(self, field: Field, n: int):
         if n < 1:
             raise ValueError("projective dimension must be at least 1")
+        q = field.order
+        count = 1  # points of PG(i, q), grown one dimension at a time
+        for _ in range(n):
+            count = count * q + 1
+            if count >= 1 << 63:
+                raise ValueError("PG(%d, %d) has 2^63 or more points, past "
+                                 "the int64 canonical indices" % (n, q))
         self.field = field
         self.n = n
         self.k = n + 1  # ambient vector space dimension
-        q = field.order
         self.num_points = (q ** (n + 1) - 1) // (q - 1)
         # block offsets of the canonical order, by leading-one position
         offs = [0]
@@ -331,6 +337,9 @@ class PointSet:
     def from_json(doc):
         where = "points JSON"
         meta, n, rows = json_fields(doc, where, field=dict, n=int, points=list)
+        if any(isinstance(row, list) and len(row) != n + 1 for row in rows):
+            raise ValueError("%s: every point needs n + 1 = %d coordinates"
+                             % (where, n + 1))
         f = field_from_json(meta, where)
         ps = PointSet(ProjectiveSpace(f, n), parse_rows(f, rows, where))
         if "labels" in doc:

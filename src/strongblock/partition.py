@@ -16,19 +16,24 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BudgetExceeded, FieldTooLarge, NoWitnessFound
-from .field import DEFAULT_ORDER_CAP, Field, factor
+from .field import DEFAULT_ORDER_CAP, Field, iroot, is_prime
 from .geometry import PointSet, ProjectiveSpace
 
 DEFAULT_ENUM_BUDGET = 2 * 10 ** 7
 
 
 def prime_power(q):
-    """(p, h) with q = p^h, or raise ValueError."""
-    fac = factor(q) if q >= 1 else {}
-    if len(fac) != 1:
-        raise ValueError("q = %d is not a prime power" % q)
-    ((p, h),) = fac.items()
-    return p, h
+    """(p, h) with q = p^h, or raise ValueError.
+
+    Tries every h from log2(q) down to 1: q is a power of a prime exactly
+    when some integer h-th root p has p^h = q and passes `is_prime`.
+    """
+    if q >= 2:
+        for h in range(q.bit_length() - 1, 0, -1):
+            p = iroot(q, h)
+            if p ** h == q and is_prime(p):
+                return p, h
+    raise ValueError("q = %d is not a prime power" % q)
 
 
 @dataclass
@@ -81,7 +86,7 @@ def build_rgroup(q, k, order_cap=None, verify_limit=10 ** 6, rng_seed=0):
     """
     cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
     if q > cap:
-        # no such q builds a field; refuse it before factoring q
+        # no such q builds a field; refuse it before testing q
         raise FieldTooLarge("q = %d exceeds the field order cap %d" % (q, cap))
     p, h = prime_power(q)
     if k < 3:

@@ -1,16 +1,23 @@
 """R-independence decisions, searches for hyperplanes missing B(k,q), the
-exhaustive dual-marking blocking scan, and the weight-1 line statistics.
+coset-quotient and dual-marking blocking scans, and the weight-1 line
+statistics.
 
 Independence of (a_1, ..., a_m) is certified through the incidence of the
 hyperplane with dual coordinates (a_1, ..., a_m) against the set of points
 with all coordinates in R: a nontrivial relation exists exactly when some such
-point lies on the hyperplane.
+point lies on the hyperplane.  Independent coset representatives make the
+union of their subgeometries a strong blocking set; the converse fails (at
+q = 2, 367 of the 703 unions of coset 0 with two others are strong, and only
+24 of those triples are independent).
 
 So every blocking question here is one question: which hyperplane, if any,
-misses a point set?  `mark_lines_through` answers it in any PG(n, Q) by
-marking the hyperplanes through each point (`ProjectiveSpace.pencils`), and
-`_first_unmarked_line` returns the lowest-index survivor for
-`blocking_status`, the exhaustive tuple search and `strong.verify_blocking`.
+misses a point set?  For B(k,q) with k <= 4 the answer depends only on the
+cosets of the dual coordinates, and `free_cosets` reads it off the Zech
+table for all of them at once.  Otherwise `mark_lines_through` marks the
+hyperplanes through each point (`ProjectiveSpace.pencils`) in any PG(n, Q),
+and `_first_unmarked_line` returns the lowest-index survivor.  Either
+witness is re-checked off its own path: scalar incidences for a hyperplane,
+the exhaustive `is_r_independent` for a tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .geometry import ProjectiveSpace
+from .geometry import MARK_BATCH, ProjectiveSpace
 from .partition import BSet, DEFAULT_ENUM_BUDGET, RGroup, r_tuple_matrix
 
 
@@ -99,6 +106,57 @@ def is_r_independent(alphas, rg: RGroup, budget=DEFAULT_ENUM_BUDGET,
 
 
 # ---------------------------------------------------------------------------
+# coset quotient: the independent tuples of length m <= 3
+
+
+def free_cosets(rg: RGroup, m):
+    """Which normalized coset tuples of length m = 2 or 3 are R-independent.
+
+    Returns a boolean array of shape (stride,) * (m - 1) whose entry c says
+    whether (1, g^c_1, ..., g^c_(m-1)) is R-independent; every element of
+    the cosets named by c gives the same answer, since scaling an entry by
+    R* leaves independence unchanged.  (1, b) is dependent exactly when
+    coset(b) = 0.  (1, b, c) with b, c nonzero is dependent exactly when
+    coset(b) = 0, coset(c) = 0, coset(c) = coset(b), or coset(c) lies in
+    D(b) = {coset(x + b) : x in R*}.  With b = g^cb and x = g^(s i), where s
+    is the stride, coset(x + b) = (cb + zech[(s i - cb) mod N]) mod s, so D
+    over every coset costs one pass over the Zech table, MARK_BATCH lookups
+    at a time.
+    """
+    s = rg.stride
+    if m == 2:
+        return np.arange(s) != 0
+    if m != 3:
+        raise ValueError("the coset quotient covers m = 2 and 3, not %d" % m)
+    f = rg.field
+    free = np.ones((s, s), dtype=bool)
+    free[0, :] = free[:, 0] = False
+    np.fill_diagonal(free, False)
+    rstar = np.arange(rg.r, dtype=np.int64) * s  # exponents of R*
+    step = max(1, MARK_BATCH // rg.r)
+    for lo in range(1, s, step):
+        cb = np.arange(lo, min(lo + step, s), dtype=np.int64)[:, None]
+        free[cb, (cb + f.zech[(rstar - cb) % f.group_order]) % s] = False
+    return free
+
+
+def _first_free_tuple(rg: RGroup, m):
+    """(canonical index, alphas) of the lowest-index R-independent
+    (1, a_2, ..., a_m) in PG(m-1, Q), or (None, None) when there is none.
+
+    The lowest index has the lowest free coset in position 2, then in
+    position 3, each represented by its smallest code g^c.
+    """
+    free = free_cosets(rg, m).ravel()
+    first = int(np.argmax(free))
+    if not free[first]:
+        return None, None
+    cosets = np.unravel_index(first, (rg.stride,) * (m - 1))
+    alphas = (rg.field.one,) + tuple(rg.coset_rep(int(c)) for c in cosets)
+    return ProjectiveSpace(rg.field, m - 1).point_index(alphas), alphas
+
+
+# ---------------------------------------------------------------------------
 # dual-marking scan over the hyperplanes of PG(n, Q)
 
 
@@ -116,34 +174,48 @@ def mark_lines_through(space: ProjectiveSpace, mat, marks=None):
     return marks
 
 
+def _recheck_line(space: ProjectiveSpace, mat, dual):
+    """Raise unless the hyperplane `dual` misses every row of `mat`, checked
+    with scalar incidences, off the marking and quotient paths."""
+    if any(space.incidence(row, dual) for row in mat.tolist()):
+        raise AssertionError("witness line re-check failed")
+
+
 def _first_unmarked_line(space: ProjectiveSpace, mat):
     """(index, dual coordinates) of the lowest-index hyperplane through no
     row of `mat`, or (None, None) when every hyperplane is marked.
-
-    The witness is re-checked with scalar incidences, off the marking path.
     """
     free = np.flatnonzero(~mark_lines_through(space, mat))
     if free.size == 0:
         return None, None
     dual = space.point_at(int(free[0]))
-    if any(space.incidence(row, dual) for row in mat.tolist()):
-        raise AssertionError("witness line re-check failed")
+    _recheck_line(space, mat, dual)
     return int(free[0]), dual
 
 
 def blocking_status(bset: BSet, budget=DEFAULT_ENUM_BUDGET):
-    """Exhaustive blocking verdict for B(k,q), via dual marking.
+    """Exhaustive blocking verdict for B(k,q).
 
-    Every hyperplane through a point of B is marked; B is a blocking set
-    exactly when none stays unmarked.  The witness, when present, is the
-    lowest-index unmarked hyperplane, re-checked for zero incidences.
+    A hyperplane misses B exactly when its dual coordinates are
+    R-independent, so for k <= 4 the coset quotient decides it; above that
+    every hyperplane through a point of B is marked.  The witness, when
+    present, is the lowest-index hyperplane missing B, re-checked for zero
+    incidences with every point of B.
     """
     space = bset.space
-    if space.num_points > budget:
-        raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
-    _index, dual = _first_unmarked_line(space, bset.matrix)
+    if space.n <= 2:
+        _index, dual = _first_free_tuple(bset.rgroup, space.k)
+        if dual is not None:
+            _recheck_line(space, bset.matrix, dual)
+        method = "coset-quotient"
+    else:
+        if space.num_points > budget:
+            raise BudgetExceeded("%d hyperplanes exceed scan budget"
+                                 % space.num_points)
+        _index, dual = _first_unmarked_line(space, bset.matrix)
+        method = "dual-marking-scan"
     return BlockingVerdict("blocking" if dual is None else "not-blocking", dual,
-                           "dual-marking-scan", lines_scanned=space.num_points)
+                           method, lines_scanned=space.num_points)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +227,13 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
     """Search for an R-independent tuple of coset representatives.
 
     Random strategy samples m distinct cosets per trial (independence is
-    invariant under scaling each entry by R*, so representatives suffice).
-    Exhaustive strategy marks the hyperplanes of PG(m-1, .) through the
-    R-coordinate points and returns the lowest-index one left unmarked;
-    marking every hyperplane means the set IS a blocking set, reported as
-    status "not-found".
+    invariant under scaling each entry by R*, so representatives suffice)
+    and decides each with `is_r_independent`.  Exhaustive strategy returns
+    the lowest-index independent tuple of PG(m-1, .), read off the coset
+    quotient (`free_cosets`) for m <= 3 and found by marking every
+    hyperplane through the R-points above that, and certifies it with the
+    exhaustive `is_r_independent`; none means the R-coordinate points form
+    a blocking set, reported as status "not-found".
     """
     if m is None:
         m = rg.k - 1
@@ -176,17 +250,27 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
                 raise BudgetExceeded("cannot certify candidates at this size")
         return SearchResult("not-found", None, "random", seed, max_iters, "none")
     if strategy == "exhaustive":
-        space = ProjectiveSpace(rg.field, m - 1)
-        if space.num_points > budget:
-            raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
-        index, alphas = _first_unmarked_line(space, r_tuple_matrix(rg, m, budget))
+        order = rg.field.order
+        lines = (order ** m - 1) // (order - 1)  # hyperplanes of PG(m-1, .)
+        if m <= 3:
+            index, alphas = _first_free_tuple(rg, m)
+            certification = "coset-quotient"
+        elif lines > budget:
+            raise BudgetExceeded("%d hyperplanes exceed scan budget" % lines)
+        else:
+            index, alphas = _first_unmarked_line(
+                ProjectiveSpace(rg.field, m - 1), r_tuple_matrix(rg, m, budget))
+            certification = "dual-marking-scan"
         if alphas is None:
-            return SearchResult("not-found", None, "exhaustive", None,
-                                space.num_points, "dual-marking-scan")
-        if is_r_independent(alphas, rg, budget).status != "independent":
+            return SearchResult("not-found", None, "exhaustive", None, lines,
+                                certification)
+        verdict = is_r_independent(alphas, rg, budget)
+        if verdict.status == "dependent":
             raise AssertionError("witness hyperplane is not R-independent")
+        if verdict.status != "independent":
+            raise BudgetExceeded("cannot certify the witness at this size")
         return SearchResult("found", alphas, "exhaustive", None, index + 1,
-                            "dual-marking-scan")
+                            certification)
     raise ValueError("unknown strategy %r" % (strategy,))
 
 

@@ -86,10 +86,21 @@ def test_search_report(capsys):
 
 
 def test_search_budget_exceeded(capsys):
-    # the exhaustive triple scan at q=3 would need 2.8e11 lines
-    assert cli.main(["search", "--q", "3", "--k", "4",
+    # the exhaustive quadruple scan marks the 6.9e10 planes of PG(3,4096)
+    assert cli.main(["search", "--q", "2", "--k", "4", "--m", "4",
                      "--strategy", "exhaustive"]) == 3
     capsys.readouterr()
+
+
+def test_search_exhaustive_q3(capsys):
+    # PG(2,3^12) has 2.8e11 lines; the coset quotient needs 531,440 lookups
+    code, doc = run_json(capsys, ["search", "--q", "3", "--k", "4",
+                                  "--strategy", "exhaustive"])
+    assert code == 0
+    assert doc["status"] == "found"
+    assert doc["alphas"] == ["g^0", "g^1", "g^5"]
+    assert doc["trials"] == 1062889  # index of (1, g^1, g^5) plus one
+    assert doc["certification"] == "coset-quotient"
 
 
 def test_verify_and_code_roundtrip(tmp_path, capsys):
@@ -167,8 +178,10 @@ def run_subprocess(argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    # a malformed input once hung here, so a hang fails the test instead
     return subprocess.run([sys.executable, "-m", "strongblock.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_malformed_inputs_exit_1_with_message(tmp_path):
@@ -191,6 +204,14 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
     code = json.loads((GOLDEN / "code_pair_pg3_8.json").read_text())
     code["field"]["m"] = "3"
     (tmp_path / "strcode.json").write_text(json.dumps(code))
+    # these two hung: a huge n or k was used before any check on it
+    pair["n"] = 10 ** 9
+    (tmp_path / "hugen.json").write_text(json.dumps(pair))
+    (tmp_path / "hugek.txt").write_text("2 3 1 1 0 1 1000000000 2\n")
+    # PG(40, 8) has more than 2^63 points
+    pair["n"], pair["points"] = 40, [["0"] * 40 + ["g^0"]]
+    del pair["labels"]
+    (tmp_path / "pg40.json").write_text(json.dumps(pair))
     for argv in (["verify", "--input", "nopoints.json"],
                  ["check-minimal", "--input", "noentries.json"],
                  ["check-minimal", "--input", "short.txt"],
@@ -199,7 +220,10 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
                  ["check-minimal", "--input", "array.json"],
                  ["verify", "--input", "label.json"],
                  ["verify", "--input", "strn.json"],
-                 ["check-minimal", "--input", "strcode.json"]):
+                 ["check-minimal", "--input", "strcode.json"],
+                 ["verify", "--input", "hugen.json"],
+                 ["check-minimal", "--input", "hugek.txt"],
+                 ["verify", "--input", "pg40.json"]):
         out = run_subprocess(argv, tmp_path)
         assert out.returncode == 1, argv
         assert out.stderr.startswith("error: "), out.stderr

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from strongblock.errors import BudgetExceeded, FieldTooLarge
+from strongblock.field import MR_EXACT_BELOW, factor, is_prime
 from strongblock.partition import (
     build_bset,
     build_rgroup,
@@ -21,10 +22,46 @@ def test_prime_power():
     assert prime_power(8) == (2, 3)
     assert prime_power(27) == (3, 3)
     assert prime_power(7) == (7, 1)
-    with pytest.raises(ValueError):
-        prime_power(6)
-    with pytest.raises(ValueError):
-        prime_power(1)
+    for q in (6, 1, 0, -8):
+        with pytest.raises(ValueError):
+            prime_power(q)
+
+
+def test_prime_power_matches_factor():
+    for q in range(2, 10 ** 5 + 1):
+        fac = factor(q)
+        if len(fac) == 1:
+            assert prime_power(q) == next(iter(fac.items())), q
+        else:
+            with pytest.raises(ValueError):
+                prime_power(q)
+
+
+def test_prime_power_matches_sympy_on_large_q():
+    sympy = pytest.importorskip("sympy")
+    primes = [sympy.prevprime(10 ** 12), sympy.nextprime(10 ** 15),
+              1000000000000037, 2 ** 61 - 1, sympy.prevprime(MR_EXACT_BELOW)]
+    for p in primes:
+        assert is_prime(p)
+        assert prime_power(p) == (p, 1)
+    for p, h in [(3, 40), (2, 77), (10 ** 9 + 7, 2), (1000003, 3),
+                 (sympy.nextprime(10 ** 6), 3)]:
+        assert prime_power(p ** h) == (p, h)
+    # strong pseudoprimes to many of the bases, Carmichael numbers, and
+    # products of two large primes are not prime powers
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 561, 41041, 825265,
+              (10 ** 9 + 7) * (10 ** 9 + 9), (10 ** 6 + 3) ** 2 * 5):
+        assert not sympy.isprime(n) and len(sympy.factorint(n)) > 1
+        assert not is_prime(n)
+        with pytest.raises(ValueError):
+            prime_power(n)
+    rng = np.random.default_rng(11)
+    for n in rng.integers(10 ** 12, 10 ** 18, 300).tolist():
+        assert is_prime(n) == sympy.isprime(n), n
+    # past the proven bound of the twelve bases nothing is certified
+    with pytest.raises(BudgetExceeded):
+        is_prime(MR_EXACT_BELOW)
 
 
 def test_build_rgroup_rejects_small_k():

@@ -1,6 +1,7 @@
 """Tests for R-independence decisions, line marking, and line statistics."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -13,8 +14,11 @@ import strongblock
 from strongblock.errors import BudgetExceeded
 from strongblock.field import Field
 from strongblock.geometry import ProjectiveSpace
+from strongblock.partition import r_tuple_matrix
 from strongblock.search import (
+    blocking_status,
     find_independent_tuple,
+    free_cosets,
     is_r_independent,
     line_stats_weight1,
     mark_lines_through,
@@ -142,6 +146,92 @@ def test_mark_lines_counts_per_point():
 
 
 # ---------------------------------------------------------------------------
+# coset quotient
+
+
+def quotient_lines(rg, m):
+    """PG(m-1, Q) and the hyperplanes (1, b[, c]) that `free_cosets` calls
+    independent, expanded from cosets to every element of them."""
+    space = ProjectiveSpace(rg.field, m - 1)
+    Q = rg.field.order
+    cosets = (np.arange(1, Q) - 1) % rg.stride  # coset of each nonzero code
+    free = free_cosets(rg, m)
+    lines = np.zeros(space.num_points, dtype=bool)
+    if m == 2:
+        lines[1:Q] = free[cosets]  # (1, b) has index b
+    else:
+        # (1, b, c) has index b Q + c
+        lines[:Q * Q].reshape(Q, Q)[1:, 1:] = free[np.ix_(cosets, cosets)]
+    return space, lines
+
+
+@pytest.mark.parametrize("name,m,count,first", [
+    ("rg24", 3, 529200, (1, 2, 18)),
+    ("rg23", 3, 0, None),
+    ("rg33", 3, 0, None),
+    ("rg23", 2, 42, (1, 2)),
+])
+def test_free_cosets_match_marking_scan(name, m, count, first, request):
+    rg = request.getfixturevalue(name)
+    space, lines = quotient_lines(rg, m)
+    unmarked = ~mark_lines_through(space, r_tuple_matrix(rg, m))
+    assert np.array_equal(lines, unmarked)
+    assert int(lines.sum()) == count
+    res = find_independent_tuple(rg, m, strategy="exhaustive")
+    assert res.certification == "coset-quotient"
+    if first is None:
+        assert (res.status, res.alphas, res.trials) == (
+            "not-found", None, space.num_points)
+        return
+    index = int(np.argmax(lines))
+    assert space.point_at(index) == first == res.alphas
+    assert res.trials == index + 1
+
+
+def test_blocking_status_reads_the_quotient(bset23, bset24):
+    verdict = blocking_status(bset24)
+    assert (verdict.status, verdict.witness, verdict.method,
+            verdict.lines_scanned) == ("not-blocking", (1, 2, 18),
+                                       "coset-quotient", 16781313)
+    # B(3,2) has 23 of the 65 points of PG(1,64), so most points miss it
+    verdict = blocking_status(bset23)
+    assert (verdict.status, verdict.witness, verdict.method,
+            verdict.lines_scanned) == ("not-blocking", (1, 2),
+                                       "coset-quotient", 65)
+
+
+def test_free_cosets_rejects_other_lengths(rg23):
+    for m in (1, 4):
+        with pytest.raises(ValueError):
+            free_cosets(rg23, m)
+
+
+def quotient_random_search(rg, m, seed, max_iters=10 ** 4):
+    """(trials, alphas) of the random search with every candidate decided
+    by `free_cosets`, its cosets shifted so that the first is 0."""
+    free = free_cosets(rg, m)
+    rng = random.Random(seed)
+    for trial in range(1, max_iters + 1):
+        cosets = rng.sample(range(rg.stride), m)
+        if free[tuple((c - cosets[0]) % rg.stride for c in cosets[1:])]:
+            return trial, tuple(rg.coset_rep(c) for c in cosets)
+    return max_iters, None
+
+
+@pytest.mark.parametrize("name,seeds", [("rg24", range(1, 31)),
+                                        ("rg34", [1])])
+def test_free_cosets_predict_the_random_search(name, seeds, request):
+    # the random search decides each candidate with `is_r_independent`
+    rg = request.getfixturevalue(name)
+    for seed in seeds:
+        res = find_independent_tuple(rg, 3, strategy="random", seed=seed)
+        assert (res.trials, res.alphas) == quotient_random_search(rg, 3, seed)
+    if name == "rg34":
+        assert res.trials == 15
+        assert res.alphas == (278, 5, 481)  # codes of g^277, g^4, g^480
+
+
+# ---------------------------------------------------------------------------
 # tuple search
 
 
@@ -162,7 +252,7 @@ def test_exhaustive_pair_search_small_case(rg23):
     # every line of PG(2,64) meets an R-point: no independent triple
     res = find_independent_tuple(rg23, 3, strategy="exhaustive")
     assert (res.status, res.alphas, res.trials) == ("not-found", None, 4161)
-    assert res.certification == "dual-marking-scan"
+    assert res.certification == "coset-quotient"
 
 
 def test_random_search_reproducible(rg24):
@@ -238,15 +328,11 @@ RECHECK_SCRIPT = textwrap.dedent("""
     search._relation_value = lambda rg, alphas, rhos: 1
     expect_error("relation", lambda: search.is_r_independent((one, one), rg23))
     search._relation_value = real_relation
-    real_marking = search.mark_lines_through
-    search.mark_lines_through = (
-        lambda space, mat, marks=None: np.zeros(space.num_points, dtype=bool))
+    # a forged quotient calls every coset pair free: its first witness,
+    # (1, 1, 1), meets B and is dependent
+    search.free_cosets = (
+        lambda rg, m: np.ones((rg.stride,) * (m - 1), dtype=bool))
     expect_error("witness-line", lambda: search.blocking_status(build_bset(rg24)))
-    search.mark_lines_through = real_marking
-    # one R-point marks few lines, so the scan reaches the independence check
-    search.r_tuple_matrix = lambda rg, m, budget: np.asarray([[1, 0, 0]])
-    search.is_r_independent = lambda alphas, rg, budget: (
-        search.IndependenceVerdict("dependent", None, "forced"))
     expect_error("independence", lambda: search.find_independent_tuple(
         rg24, 3, strategy="exhaustive"))
 """)

@@ -1,5 +1,6 @@
 """Tests for subgeometry unions and (strong) blocking verification."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -13,8 +14,8 @@ from strongblock import geometry, strong
 from strongblock.errors import BudgetExceeded, RepeatedCoset
 from strongblock.field import Field
 from strongblock.geometry import PointSet, ProjectiveSpace
-from strongblock.partition import subgeometry_points
-from strongblock.search import find_independent_tuple
+from strongblock.partition import full_partition, subgeometry_points
+from strongblock.search import find_independent_tuple, free_cosets
 from strongblock.strong import (
     StrongVerdict,
     expected_size,
@@ -29,6 +30,22 @@ def section(point_set, dual):
     vals = space.dot_block(np.asarray([dual], dtype=np.int64),
                            point_set.matrix())[0]
     return [point_set.points[j] for j in np.flatnonzero(vals == 0)]
+
+
+def test_independence_is_sufficient_not_necessary_for_strong(rg24):
+    # the pairs {a, b} of cosets 1..38 complete the triples (0, a, b)
+    parts = full_partition(rg24)
+    free = free_cosets(rg24, 3)
+    pairs = list(itertools.combinations(range(1, rg24.stride), 2))
+    independent = {(a, b) for a, b in pairs if free[a, b]}
+    strong_unions = {
+        (a, b) for a, b in pairs
+        if verify_strong_blocking(PointSet(
+            parts[0].space,
+            parts[0].points + parts[a].points + parts[b].points)).status
+        == "strong"}
+    assert (len(pairs), len(independent), len(strong_unions)) == (703, 24, 367)
+    assert independent <= strong_unions
 
 
 def test_expected_size():
