@@ -24,6 +24,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 1 << 25
+TABLE_BLOCK = 1 << 16  # table cells per vectorized step of a table build
 
 # Fields are immutable, so identical build requests share one instance.
 _FIELD_CACHE: dict = {}
@@ -221,45 +222,106 @@ def _smallest_primitive_poly(p, m):
 # table construction
 
 
+def _doubling_steps(n):
+    """(B, count) for each block-doubling step of an n-entry power table:
+    entries B .. B+count-1 are entries 0 .. count-1 times g^B."""
+    b = 1
+    while b < n:
+        count = min(b, n - b)
+        yield b, count
+        b += count
+
+
+def _tables_from_exp(exp, order, plus_one):
+    """(exp, log, zech), with log[exp[i]] = i and zech[i] = log[1 + g^i]
+    (`plus_one` on packed values), filled TABLE_BLOCK entries at a time so
+    that no full-size temporary is formed."""
+    log = np.full(order, -1, dtype=np.int64)
+    zech = np.empty(order - 1, dtype=np.int64)
+    for lo in range(0, order - 1, TABLE_BLOCK):
+        hi = min(lo + TABLE_BLOCK, order - 1)
+        log[exp[lo:hi]] = np.arange(lo, hi)
+    for lo in range(0, order - 1, TABLE_BLOCK):
+        zech[lo:lo + TABLE_BLOCK] = log[plus_one(exp[lo:lo + TABLE_BLOCK])]
+    return exp, log, zech
+
+
 def _build_tables_char2(poly, m):
+    """exp/log/zech of GF(2^m), by block doubling (Huber, "Some comments on
+    Zech's logarithms", IEEE Trans. IT 1990).
+
+    exp[B:2B] = exp[0:B] * g^B, and multiplying by g^B is GF(2)-linear on
+    the packed bits: it is the XOR of one 256-entry table per byte, built
+    from the images x^j * g^B of the m basis bits.  So each entry costs a
+    few vectorized lookups, in steps of at most TABLE_BLOCK cells.
+    """
     poly_int = sum(c << i for i, c in enumerate(poly))
     order = 1 << m
+
+    def times_x(v):
+        v <<= 1
+        return v ^ poly_int if v >> m else v
+
     exp = np.empty(order - 1, dtype=np.int64)
-    x = 1
-    high = order
-    mask = order - 1
-    for i in range(order - 1):
-        exp[i] = x
-        x <<= 1
-        if x & high:
-            x ^= poly_int
-            x &= mask
-    log = np.full(order, -1, dtype=np.int64)
-    log[exp] = np.arange(order - 1)
-    zech = log[exp ^ 1]
-    return exp, log, zech
+    exp[0] = 1
+    nbytes = -(-m // 8)
+    byte = np.arange(256, dtype=np.int64)
+    rows = max(1, TABLE_BLOCK // m)
+    for b, count in _doubling_steps(order - 1):
+        image = times_x(int(exp[b - 1]))  # g^B, then x^j g^B
+        tables = np.zeros((nbytes, 256), dtype=np.int64)
+        for j in range(m):
+            tables[j // 8] ^= np.where(byte >> (j % 8) & 1, image, 0)
+            image = times_x(image)
+        for lo in range(0, count, rows):
+            x = exp[lo:min(lo + rows, count)]
+            out = tables[0][x & 255]
+            for t in range(1, nbytes):
+                out ^= tables[t][x >> (8 * t) & 255]
+            exp[b + lo:b + lo + x.size] = out
+    return _tables_from_exp(exp, order, lambda e: e ^ 1)
 
 
 def _build_tables_odd(poly, p, m):
+    """exp/log/zech of GF(p^m), p odd, by block doubling.
+
+    exp[B:2B] = exp[0:B] * g^B, applied as the m x m GF(p) matrix whose
+    row j holds the digits of x^j * g^B: unpack the digits of a block of
+    entries, multiply by the matrix, reduce mod p and repack.  A matrix
+    entry sums m products of digits, below m (p-1)^2, so int64 is exact
+    for every field under DEFAULT_ORDER_CAP (at most 2^50, at m = 1); a
+    larger cap that would overflow is refused.
+    """
     order = p ** m
+    if m * (p - 1) ** 2 >= 1 << 63:
+        raise FieldTooLarge("GF(%d^%d) digit products overflow int64" % (p, m))
+
+    def times_x(d):
+        lead = d[-1]
+        return [(c - lead * a) % p for c, a in zip([0] + d[:-1], poly)]
+
+    def digits(packed):
+        out = np.empty(packed.shape + (m,), dtype=np.int64)
+        for i in range(m):
+            packed, out[..., i] = np.divmod(packed, p)
+        return out
+
     exp = np.empty(order - 1, dtype=np.int64)
-    coeffs = [0] * m
-    coeffs[0] = 1
-    pw = [p ** i for i in range(m)]
-    for i in range(order - 1):
-        exp[i] = sum(c * w for c, w in zip(coeffs, pw))
-        lead = coeffs[m - 1]
-        coeffs = [0] + coeffs[:-1]
-        if lead:
-            for j in range(m):
-                coeffs[j] = (coeffs[j] - lead * poly[j]) % p
-    log = np.full(order, -1, dtype=np.int64)
-    log[exp] = np.arange(order - 1)
+    exp[0] = 1
+    pw = p ** np.arange(m, dtype=np.int64)
+    rows = max(1, TABLE_BLOCK // m)
+    for b, count in _doubling_steps(order - 1):
+        image = times_x(digits(exp[b - 1]).tolist())  # g^B, then x^j g^B
+        mat = np.empty((m, m), dtype=np.int64)
+        for j in range(m):
+            mat[j] = image  # row j: digits of x^j g^B
+            image = times_x(image)
+        for lo in range(0, count, rows):
+            x = exp[lo:min(lo + rows, count)]
+            exp[b + lo:b + lo + x.size] = digits(x) @ mat % p @ pw
     # 1 + g^i changes only the constant digit, mod p
-    c0 = exp % p
-    bumped = exp - c0 + (c0 + 1) % p
-    zech = log[bumped]
-    return exp, log, zech
+    return _tables_from_exp(exp, order,
+                            lambda e: e - e % p + (e % p + 1) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +354,9 @@ class Field:
 
         Defaults to the primitive polynomial with the smallest packed
         coefficient value, so identical parameters give identical fields.
+        The exp/log/zech tables are built by block doubling, a few
+        vectorized passes over the table instead of one Python step per
+        element (`_build_tables_char2`, `_build_tables_odd`).
         """
         # a p past the cap fails the order check below, prime or not
         if p < 2 or (p <= order_cap and factor(p) != {p: 1}):

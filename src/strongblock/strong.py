@@ -86,8 +86,10 @@ def _sections(space, mat):
     members[indptr[i]:indptr[i+1]], in ascending order.
 
     The incidences of one window of about SECTION_CAP of them are sorted by
-    hyperplane at once; the window is handed out in runs of hyperplanes
-    that double from one, so a failure near the start is ranked early.
+    hyperplane at once.  A window of at most MARK_BATCH incidences is
+    handed out whole, one stack per section size; a larger one in runs of
+    hyperplanes that double from one, so a failure near the start is
+    ranked early.
     """
     H, q = space.num_points, space.field.order
     incidences = len(mat) * ((q ** space.n - 1) // (q - 1))
@@ -103,6 +105,9 @@ def _sections(space, mat):
         indptr = np.zeros(hi - lo + 1, dtype=np.int64)
         np.cumsum(np.bincount(hyp, minlength=hi - lo), out=indptr[1:])
         members = np.concatenate(rows)[np.argsort(hyp, kind="stable")]
+        if members.size <= geometry.MARK_BATCH:
+            yield lo, indptr, members
+            continue
         a = 0
         while a < hi - lo:
             b = min(hi - lo, max(1, 2 * a))

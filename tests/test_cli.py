@@ -103,6 +103,18 @@ def test_search_exhaustive_q3(capsys):
     assert doc["certification"] == "coset-quotient"
 
 
+def test_search_exhaustive_q4(capsys):
+    # the certificate enumerates the 5,357 R-points of PG(1,2^24), not the
+    # 2.87e7 of PG(2,2^24), so the found triple is certified
+    code, doc = run_json(capsys, ["search", "--q", "4", "--k", "4",
+                                  "--strategy", "exhaustive"])
+    assert code == 0
+    assert doc["status"] == "found"
+    assert doc["alphas"] == ["g^0", "g^1", "g^2"]
+    assert doc["trials"] == 33554436  # index of (1, g^1, g^2) plus one
+    assert doc["certification"] == "coset-quotient"
+
+
 def test_verify_and_code_roundtrip(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     assert cli.main(["pipeline", "--q", "2", "--k", "3",

@@ -18,6 +18,7 @@ from strongblock.errors import (
     NotADivisor,
     ReducibleModulus,
 )
+from strongblock import field as field_mod
 from strongblock.field import Field, factor
 
 
@@ -210,6 +211,80 @@ def test_vector_ops_match_scalar(gf9):
     assert np.all(gf9.mul_vec(nz, inv) == gf9.one)
     with pytest.raises(ZeroDivisionError):
         gf9.inv_vec(np.array([0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# table build: the block-doubling builders against the per-element loops
+
+
+def loop_tables_char2(poly, m):
+    """exp/log/zech of GF(2^m), one multiplication by x per element."""
+    poly_int = sum(c << i for i, c in enumerate(poly))
+    order = 1 << m
+    exp = np.empty(order - 1, dtype=np.int64)
+    x = 1
+    for i in range(order - 1):
+        exp[i] = x
+        x <<= 1
+        if x & order:
+            x ^= poly_int
+    log = np.full(order, -1, dtype=np.int64)
+    log[exp] = np.arange(order - 1)
+    return exp, log, log[exp ^ 1]
+
+
+def loop_tables_odd(poly, p, m):
+    """exp/log/zech of GF(p^m), p odd, one multiplication by x per element."""
+    order = p ** m
+    exp = np.empty(order - 1, dtype=np.int64)
+    coeffs = [1] + [0] * (m - 1)
+    pw = [p ** i for i in range(m)]
+    for i in range(order - 1):
+        exp[i] = sum(c * w for c, w in zip(coeffs, pw))
+        lead = coeffs[m - 1]
+        coeffs = [0] + coeffs[:-1]
+        if lead:
+            for j in range(m):
+                coeffs[j] = (coeffs[j] - lead * poly[j]) % p
+    log = np.full(order, -1, dtype=np.int64)
+    log[exp] = np.arange(order - 1)
+    c0 = exp % p
+    return exp, log, log[exp - c0 + (c0 + 1) % p]
+
+
+def assert_tables_match_loop(p, m):
+    poly = field_mod._smallest_primitive_poly(p, m)
+    if p == 2:
+        got, want = (field_mod._build_tables_char2(poly, m),
+                     loop_tables_char2(poly, m))
+    else:
+        got, want = (field_mod._build_tables_odd(poly, p, m),
+                     loop_tables_odd(poly, p, m))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, m) for m in range(1, 21)]
+                         + [(3, m) for m in range(1, 11)]
+                         + [(5, m) for m in range(1, 5)]
+                         + [(7, m) for m in range(1, 4)]
+                         + [(65521, 1), (509, 2)])
+def test_doubling_tables_match_loop(p, m):
+    assert_tables_match_loop(p, m)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_doubling_tables_with_small_blocks(monkeypatch, block):
+    # steps of one cell, and blocks that split every doubling step
+    monkeypatch.setattr(field_mod, "TABLE_BLOCK", block)
+    for p, m in ((2, 9), (3, 5), (5, 3)):
+        assert_tables_match_loop(p, m)
+
+
+def test_odd_tables_refuse_digit_overflow():
+    # (p-1)^2 >= 2^63: a digit product would not fit in int64
+    with pytest.raises(FieldTooLarge):
+        field_mod._build_tables_odd((1, 1), 3037000507, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ import pytest
 
 import strongblock
 
+from strongblock import search
 from strongblock.errors import BudgetExceeded
 from strongblock.field import Field
 from strongblock.geometry import ProjectiveSpace
 from strongblock.partition import r_tuple_matrix
 from strongblock.search import (
+    IndependenceVerdict,
     blocking_status,
     find_independent_tuple,
     free_cosets,
@@ -86,15 +88,72 @@ def test_independence_input_validation(rg23):
 
 
 def test_randomized_fallback(rg24):
+    # a pair enumerates one R-point, so only a triple can exceed the budget
     f = rg24.field
-    dependent = (f.one, f.from_exp(rg24.stride))
+    dependent = (f.one, f.from_exp(rg24.stride), f.from_exp(2 * rg24.stride))
     verdict = is_r_independent(dependent, rg24, budget=10, seed=3)
     assert verdict.status == "dependent"
     assert verdict.certification == "randomized"
-    independent = (f.one, f.from_exp(1))
+    independent = find_independent_tuple(rg24, 3, "exhaustive").alphas
     verdict = is_r_independent(independent, rg24, budget=10,
                                fallback_samples=2000)
     assert verdict.status == "unknown"
+
+
+def full_enumeration_verdict(alphas, rg):
+    """Oracle: the first of all normalized R-points of PG(m-1, .), in
+    canonical order, on the hyperplane with dual coordinates alphas."""
+    f = rg.field
+    mat = r_tuple_matrix(rg, len(alphas))
+    acc = np.zeros(mat.shape[0], dtype=np.int64)
+    for j, a in enumerate(alphas):
+        acc = f.add_vec(acc, f.mul_vec(mat[:, j], a))
+    hits = np.flatnonzero(acc == 0)
+    if hits.size:
+        return IndependenceVerdict("dependent",
+                                   tuple(int(c) for c in mat[hits[0]]),
+                                   "exhaustive-bset-incidence")
+    return IndependenceVerdict("independent", None, "exhaustive-bset-incidence")
+
+
+@pytest.mark.parametrize("name,m,independent", [
+    ("rg23", 2, 2), ("rg24", 2, 38), ("rg33", 2, 6),
+    ("rg23", 3, 0), ("rg24", 3, 48), ("rg33", 3, 0),
+    ("rg23", 4, 0),
+])
+def test_prefix_enumeration_matches_full_enumeration(name, m, independent,
+                                                     request):
+    # every coset tuple (0, c_2, ..., c_m), repeated cosets included, and
+    # about 200 of them again with each entry scaled by R* and the whole
+    # tuple by some g^e
+    rg = request.getfixturevalue(name)
+    f = rg.field
+    rng = np.random.default_rng(m)
+    rstar = rg.rstar_codes()
+    every = max(1, rg.stride ** (m - 1) // 200)
+    found = 0
+    for i, cosets in enumerate(np.ndindex(*(rg.stride,) * (m - 1))):
+        alphas = (f.one,) + tuple(rg.coset_rep(c) for c in cosets)
+        verdict = is_r_independent(alphas, rg)
+        assert verdict == full_enumeration_verdict(alphas, rg), alphas
+        found += verdict.status == "independent"
+        if i % every == 0:
+            shift = f.from_exp(int(rng.integers(f.group_order)))
+            scaled = tuple(f.mul(shift, f.mul(a, int(rng.choice(rstar))))
+                           for a in alphas)
+            scaled_verdict = is_r_independent(scaled, rg)
+            assert scaled_verdict == full_enumeration_verdict(scaled, rg)
+            assert scaled_verdict.status == verdict.status
+    assert found == independent
+
+
+def test_relation_recheck_needs_r_coefficients(rg24, monkeypatch):
+    # a forged prefix (g^1) gives (g^1, 1), a relation of (1, g^1) whose
+    # first coefficient lies outside R: the re-check refuses it
+    monkeypatch.setattr(search, "r_tuple_matrix",
+                        lambda rg, n, budget: np.array([[2]], dtype=np.int64))
+    with pytest.raises(AssertionError, match="R-relation re-check failed"):
+        is_r_independent((rg24.field.one, 2), rg24)
 
 
 def test_scaling_invariance_of_independence(rg24):
