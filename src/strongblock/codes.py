@@ -4,7 +4,8 @@ Codewords are enumerated by projective message classes (one representative
 per scalar class), since minimality is scalar-invariant.  Supports live in
 packed machine-word bitsets keyed by column order.  The minimality check
 inverts them into a zero-set index, one bitset per column of the classes
-that vanish there, since supp(a) <= supp(b) iff Z(b) <= Z(a).
+that vanish there, since supp(a) <= supp(b) iff Z(b) <= Z(a), and ANDs
+the bitsets of each zero set in batches of classes with equal |Z(b)|.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .geometry import (
 )
 
 DEFAULT_CLASS_BUDGET = 10 ** 5
+# bytes per batched AND block of the minimality check: the block and one
+# gathered operand stay within a core's L2 cache
+AND_BYTES = 1 << 20
 
 
 @dataclass
@@ -136,31 +140,16 @@ def check_minimal(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET,
     of the bitsets "classes that vanish at column j" (all classes when Z(b)
     is empty).  One such AND per class b, minus b itself, flags every
     contained class at a cost of (zero incidences) x C/8 bytes instead of
-    the C^2 x n/8 of comparing all pairs.  The witness is the first flagged
-    class in stable weight order with its lowest-index container, and is
-    re-checked by scalar evaluation of both codewords.
+    the C^2 x n/8 of comparing all pairs; `_contained` batches the ANDs by
+    |Z(b)|.  The witness is the first flagged class in stable weight order
+    with its lowest-index container, and is re-checked by scalar evaluation
+    of both codewords.
     """
     prof = profile if profile is not None else support_profiles(G, budget)
     C, S = prof.class_count, prof.supports
-    # vanish[j]: bit c set iff class c vanishes at column j; built 512
-    # bytes (4096 classes) at a time, so no (C, n) array is formed
-    width = (C + 7) // 8
-    vanish = np.empty((prof.n, width), dtype=np.uint8)
-    for lo in range(0, width, 512):
-        bits = np.unpackbits(S[8 * lo:8 * (lo + 512)].view(np.uint8), axis=1,
-                             count=prof.n, bitorder="little")
-        vanish[:, lo:lo + 512] = np.packbits(bits.T == 0, axis=1,
-                                             bitorder="little")
-    contained = np.zeros(width, dtype=np.uint8)
-    for b in range(C):
-        byte, bit = b >> 3, np.uint8(1 << (b & 7))
-        zb = np.flatnonzero(vanish[:, byte] & bit)
-        # an empty Z(b) reduces to all ones: b contains every class
-        inside = np.bitwise_and.reduce(vanish[zb], axis=0)
-        inside[byte] &= ~bit
-        contained |= inside
     order = np.argsort(prof.weights, kind="stable")
-    flagged = np.unpackbits(contained, count=C, bitorder="little")[order]
+    flagged = np.unpackbits(_contained(prof), count=C,
+                            bitorder="little")[order]
     if not flagged.any():
         return MinimalityVerdict("minimal", None, classes_checked=C)
     pos = int(np.argmax(flagged))
@@ -172,6 +161,49 @@ def check_minimal(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET,
     witness = (space.point_at(a), space.point_at(b))
     _recheck_witness(G, *witness)
     return MinimalityVerdict("not-minimal", witness, classes_checked=pos + 1)
+
+
+def _contained(prof):
+    """Packed bitset (little bit order) of the classes whose support sits
+    inside the support of another class.
+
+    The zero sets of a chunk of classes are read off the support bitsets in
+    one pass, and the classes of the chunk with equal |Z(b)| = s are ANDed
+    together: s row gathers of the zero-set index into one (G, width) block,
+    then each class's own bit is cleared and the block is OR-reduced.  The
+    OR does not depend on the order of the classes, and every block stays
+    within AND_BYTES, so no (C, n) or (C, width) array is formed.
+    """
+    C, S, n = prof.class_count, prof.supports, prof.n
+    # vanish[j]: bit c set iff class c vanishes at column j; built 512
+    # bytes (4096 classes) at a time
+    width = (C + 7) // 8
+    vanish = np.empty((n, width), dtype=np.uint8)
+    for lo in range(0, width, 512):
+        bits = np.unpackbits(S[8 * lo:8 * (lo + 512)].view(np.uint8), axis=1,
+                             count=n, bitorder="little")
+        vanish[:, lo:lo + 512] = np.packbits(bits.T == 0, axis=1,
+                                             bitorder="little")
+    contained = np.zeros(width, dtype=np.uint8)
+    chunk = max(1, AND_BYTES // max(width, n))
+    for lo in range(0, C, chunk):
+        zero = np.unpackbits(S[lo:lo + chunk].view(np.uint8), axis=1,
+                             count=n, bitorder="little") == 0
+        rows, cols = np.nonzero(zero)  # row-major: each Z(b) ascends
+        sizes = np.bincount(rows, minlength=zero.shape[0])
+        starts = np.cumsum(sizes) - sizes
+        for s in np.unique(sizes).tolist():
+            group = np.flatnonzero(sizes == s)
+            zb = cols[starts[group, None] + np.arange(s)]
+            # an empty Z(b) leaves all ones: b contains every class
+            inside = np.full((group.size, width), 0xFF, dtype=np.uint8)
+            for t in range(s):
+                inside &= vanish[zb[:, t]]
+            b = lo + group
+            inside[np.arange(group.size), b >> 3] &= ~(1 << (b & 7)).astype(
+                np.uint8)
+            contained |= np.bitwise_or.reduce(inside, axis=0)
+    return contained
 
 
 def _recheck_witness(G, contained, container):

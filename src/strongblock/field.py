@@ -26,7 +26,8 @@ from .errors import (
 DEFAULT_ORDER_CAP = 1 << 25
 TABLE_BLOCK = 1 << 16  # table cells per vectorized step of a table build
 
-# Fields are immutable, so identical build requests share one instance.
+# Fields are immutable, so identical build requests share one instance; a
+# default-modulus field is keyed both under None and under its modulus.
 _FIELD_CACHE: dict = {}
 
 
@@ -202,8 +203,17 @@ def _smallest_primitive_poly(p, m):
     """Monic primitive polynomial of degree m with the smallest packed value.
 
     Candidates are ordered by the base-p integer of their coefficient sequence
-    (low-to-high digits), which makes the default modulus deterministic.
+    (low-to-high digits), which makes the default modulus deterministic.  Two
+    exact necessary conditions reject most candidates before the power test
+    of `_is_primitive`, which still certifies the one returned.  The roots of
+    a primitive f are conjugates of a generator g, so (-1)^m f(0), their
+    product, is the norm g^((p^m-1)/(p-1)) and generates GF(p)*
+    (Lidl-Niederreiter, Finite Fields, Thm 3.18).  And for m > 1, f is
+    irreducible, so it has no root in GF(p): gcd(f, x^p - x) = 1.
     """
+    cofactors = [(p - 1) // ell for ell in factor(p - 1)]
+    sign = -1 if m % 2 else 1
+    x = (0, 1)
     for packed in range(p ** m):
         coeffs = []
         v = packed
@@ -211,7 +221,12 @@ def _smallest_primitive_poly(p, m):
             v, rem = divmod(v, p)
             coeffs.append(rem)
         mod = tuple(coeffs) + (1,)
-        if mod[0] == 0:
+        norm = sign * mod[0] % p
+        if norm == 0 or any(pow(norm, e, p) == 1 for e in cofactors):
+            continue
+        # x^p - x is the product of x - a over GF(p)
+        if m > 1 and len(_poly_gcd(_poly_sub(
+                _poly_powmod(x, p, mod, p), x, p), mod, p)) > 1:
             continue
         if _is_primitive(mod, p):
             return mod
@@ -287,14 +302,16 @@ def _build_tables_odd(poly, p, m):
 
     exp[B:2B] = exp[0:B] * g^B, applied as the m x m GF(p) matrix whose
     row j holds the digits of x^j * g^B: unpack the digits of a block of
-    entries, multiply by the matrix, reduce mod p and repack.  A matrix
-    entry sums m products of digits, below m (p-1)^2, so int64 is exact
-    for every field under DEFAULT_ORDER_CAP (at most 2^50, at m = 1); a
-    larger cap that would overflow is refused.
+    entries, multiply by the matrix, reduce mod p and repack.  The product
+    is a float64 (BLAS) matrix product: an entry sums m products of digits,
+    below m (p-1)^2, so it is exact for every field under DEFAULT_ORDER_CAP
+    (at most 2^50, at m = 1); a larger cap past the 2^53 float64 mantissa
+    is refused.
     """
     order = p ** m
-    if m * (p - 1) ** 2 >= 1 << 63:
-        raise FieldTooLarge("GF(%d^%d) digit products overflow int64" % (p, m))
+    if m * (p - 1) ** 2 >= 1 << 53:
+        raise FieldTooLarge("GF(%d^%d) digit products overflow float64"
+                            % (p, m))
 
     def times_x(d):
         lead = d[-1]
@@ -312,13 +329,14 @@ def _build_tables_odd(poly, p, m):
     rows = max(1, TABLE_BLOCK // m)
     for b, count in _doubling_steps(order - 1):
         image = times_x(digits(exp[b - 1]).tolist())  # g^B, then x^j g^B
-        mat = np.empty((m, m), dtype=np.int64)
+        mat = np.empty((m, m), dtype=np.float64)
         for j in range(m):
             mat[j] = image  # row j: digits of x^j g^B
             image = times_x(image)
         for lo in range(0, count, rows):
             x = exp[lo:min(lo + rows, count)]
-            exp[b + lo:b + lo + x.size] = digits(x) @ mat % p @ pw
+            prod = (digits(x).astype(np.float64) @ mat).astype(np.int64)
+            exp[b + lo:b + lo + x.size] = prod % p @ pw
     # 1 + g^i changes only the constant digit, mod p
     return _tables_from_exp(exp, order,
                             lambda e: e - e % p + (e % p + 1) % p)
@@ -369,20 +387,27 @@ class Field:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if not _is_irreducible(modulus, p):
-                raise ReducibleModulus("modulus %r factors over GF(%d)" % (modulus, p))
-            if not _is_primitive(modulus, p):
-                raise NonPrimitiveModulus(
-                    "modulus %r is irreducible but not primitive" % (modulus,))
         key = (p, m, modulus)
-        if key in _FIELD_CACHE:
+        if key in _FIELD_CACHE:  # only verified moduli are ever cached
             return _FIELD_CACHE[key]
-        mod = modulus if modulus is not None else _smallest_primitive_poly(p, m)
-        if p == 2:
-            exp, log, zech = _build_tables_char2(mod, m)
+        if modulus is None:
+            mod = _smallest_primitive_poly(p, m)
         else:
-            exp, log, zech = _build_tables_odd(mod, p, m)
-        f = Field(p, m, mod, exp, log, zech)
+            mod = modulus
+            if not _is_irreducible(mod, p):
+                raise ReducibleModulus("modulus %r factors over GF(%d)"
+                                       % (mod, p))
+            if not _is_primitive(mod, p):
+                raise NonPrimitiveModulus(
+                    "modulus %r is irreducible but not primitive" % (mod,))
+        # the default and the explicit request of one modulus share a field
+        f = _FIELD_CACHE.get((p, m, mod))
+        if f is None:
+            if p == 2:
+                exp, log, zech = _build_tables_char2(mod, m)
+            else:
+                exp, log, zech = _build_tables_odd(mod, p, m)
+            f = _FIELD_CACHE[p, m, mod] = Field(p, m, mod, exp, log, zech)
         _FIELD_CACHE[key] = f
         return f
 

@@ -1,6 +1,7 @@
 """Tests for generator matrices, supports, minimality, and code export."""
 
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import strongblock
+from strongblock import codes as codes_mod
 from strongblock.codes import (
     GeneratorMatrix,
     check_minimal,
@@ -23,6 +25,8 @@ from strongblock.field import Field
 from strongblock.geometry import PointSet, ProjectiveSpace
 from strongblock.search import find_independent_tuple
 from strongblock.strong import union_subgeometries, verify_strong_blocking
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +235,55 @@ def test_check_minimal_matches_all_pairs_oracle(code45):
             seen.add("repeated column")
     assert seen == {"minimal", "not-minimal", "witness past the lightest class",
                     "full-weight class", "equal supports", "repeated column"}
+
+
+def loop_contained(prof):
+    """Reference containment bitset: the per-class loop that the batched
+    `codes._contained` replaced, one zero-set lookup and one AND reduction
+    of the zero-set index per class."""
+    C, S = prof.class_count, prof.supports
+    bits = np.unpackbits(S.view(np.uint8), axis=1, count=prof.n,
+                         bitorder="little")
+    vanish = np.packbits(bits.T == 0, axis=1, bitorder="little")
+    contained = np.zeros((C + 7) // 8, dtype=np.uint8)
+    for b in range(C):
+        byte, bit = b >> 3, np.uint8(1 << (b & 7))
+        zb = np.flatnonzero(vanish[:, byte] & bit)
+        # an empty Z(b) reduces to all ones: b contains every class
+        inside = np.bitwise_and.reduce(vanish[zb], axis=0)
+        inside[byte] &= ~bit
+        contained |= inside
+    return contained
+
+
+@pytest.mark.parametrize("and_bytes", [None, 1])
+def test_batched_containment_matches_per_class_loop(code45, gf8, monkeypatch,
+                                                    and_bytes):
+    # and_bytes = 1: every class is its own batch
+    if and_bytes is not None:
+        monkeypatch.setattr(codes_mod, "AND_BYTES", and_bytes)
+    space = ProjectiveSpace(gf8, 3)
+    line_plus_two = PointSet(space, space.line_through(
+        (1, 0, 0, 0), (0, 1, 0, 0)) + [(0, 0, 1, 0), (0, 0, 0, 1)])
+    cases = [code45, generator_from_points(line_plus_two),
+             import_code(GOLDEN / "code_pair_pg3_8.json"),
+             import_code(GOLDEN / "code_zero_column_pg2_8.json"),
+             GeneratorMatrix(field=Field.build(2, 2), k=3, n=3,
+                             entries=np.eye(3, dtype=np.int64))]
+    seen = set()
+    for G in cases:
+        prof = support_profiles(G)
+        assert np.array_equal(codes_mod._contained(prof), loop_contained(prof))
+        got = check_minimal(G, profile=prof)
+        with monkeypatch.context() as mp:
+            mp.setattr(codes_mod, "_contained", loop_contained)
+            want = check_minimal(G, profile=prof)
+        assert (got.status, got.witness, got.classes_checked) == \
+            (want.status, want.witness, want.classes_checked)
+        seen.add(got.status)
+        if np.any(prof.weights == G.n):
+            seen.add("empty zero set")
+    assert seen == {"minimal", "not-minimal", "empty zero set"}
 
 
 RECHECK_SCRIPT = textwrap.dedent("""

@@ -78,6 +78,20 @@ def test_build_is_memoized(gf8):
     assert Field.build(2, 3, (1, 1, 0, 1)) is not None
 
 
+@pytest.mark.parametrize("p,m", [(3, 12), (5, 3)])
+def test_default_and_explicit_modulus_share_one_field(monkeypatch, p, m):
+    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
+    f = Field.build(p, m)
+    assert Field.build(p, m, f.modulus) is f
+    # the other order, and a cached explicit modulus is not re-verified
+    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
+    g = Field.build(p, m, f.modulus)
+    assert Field.build(p, m) is g
+    monkeypatch.setattr(field_mod, "_is_irreducible", None)
+    monkeypatch.setattr(field_mod, "_is_primitive", None)
+    assert Field.build(p, m, f.modulus) is g
+
+
 def test_exp_table_matches_polynomial_model(gf8, gf9):
     for field in (gf8, gf9):
         model = model_for(field)
@@ -282,9 +296,65 @@ def test_doubling_tables_with_small_blocks(monkeypatch, block):
 
 
 def test_odd_tables_refuse_digit_overflow():
-    # (p-1)^2 >= 2^63: a digit product would not fit in int64
+    # (p-1)^2 >= 2^53: a digit product would not be exact in float64
     with pytest.raises(FieldTooLarge):
-        field_mod._build_tables_odd((1, 1), 3037000507, 1)
+        field_mod._build_tables_odd((1, 1), 94906297, 1)
+
+
+# ---------------------------------------------------------------------------
+# default modulus search
+
+
+def unfiltered_smallest_primitive_poly(p, m):
+    """Reference search: the power test of `_is_primitive` on every monic
+    candidate with a nonzero constant term, in packed order."""
+    for packed in range(p ** m):
+        coeffs = []
+        v = packed
+        for _ in range(m):
+            v, rem = divmod(v, p)
+            coeffs.append(rem)
+        mod = tuple(coeffs) + (1,)
+        if mod[0] and field_mod._is_primitive(mod, p):
+            return mod
+    raise AssertionError("no primitive polynomial found")
+
+
+def small_fields(bound):
+    return [(p, m) for p in range(2, bound + 1) if factor(p) == {p: 1}
+            for m in range(1, bound.bit_length()) if p ** m <= bound]
+
+
+def test_filtered_modulus_search_matches_unfiltered():
+    cases = small_fields(1 << 14) + [(3, 12), (2, 18), (2, 24), (5, 8),
+                                     (3, 9)]
+    for p, m in cases:
+        assert field_mod._smallest_primitive_poly(p, m) == \
+            unfiltered_smallest_primitive_poly(p, m), (p, m)
+
+
+def test_modulus_filters_reject_only_imprimitive_candidates():
+    # every monic candidate: one whose (-1)^m f(0) is not a generator of
+    # GF(p)*, or (for m > 1) with a root in GF(p), is never primitive
+    seen = set()
+    for p, m in [(2, 6), (3, 4), (5, 3), (7, 2), (13, 2), (11, 1)]:
+        units = set(range(1, p))
+        for packed in range(p ** m):
+            mod = tuple(packed // p ** i % p for i in range(m)) + (1,)
+            norm = (-1) ** m * mod[0] % p
+            generator = norm and {pow(norm, e, p) for e in range(p)} >= units
+            root = m > 1 and any(
+                sum(c * x ** i for i, c in enumerate(mod)) % p == 0
+                for x in range(p))
+            if not generator:
+                seen.add("norm")
+                assert not field_mod._is_primitive(mod, p), (p, mod)
+            if root:
+                seen.add("root")
+                assert not field_mod._is_primitive(mod, p), (p, mod)
+            if generator and not root and field_mod._is_primitive(mod, p):
+                seen.add("primitive")
+    assert seen == {"norm", "root", "primitive"}
 
 
 # ---------------------------------------------------------------------------
