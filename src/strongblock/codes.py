@@ -192,7 +192,8 @@ def _contained(prof):
         rows, cols = np.nonzero(zero)  # row-major: each Z(b) ascends
         sizes = np.bincount(rows, minlength=zero.shape[0])
         starts = np.cumsum(sizes) - sizes
-        for s in np.unique(sizes).tolist():
+        # return_counts keeps np.unique off its numpy.ma import
+        for s in np.unique(sizes, return_counts=True)[0].tolist():
             group = np.flatnonzero(sizes == s)
             zb = cols[starts[group, None] + np.arange(s)]
             # an empty Z(b) leaves all ones: b contains every class

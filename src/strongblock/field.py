@@ -2,9 +2,13 @@
 
 Elements are integer codes: code 0 is the zero element, and code c in
 [1, order-1] denotes g^(c-1) where g is the root of the (primitive) modulus.
-With this encoding, multiplication is index addition and addition is a single
-Zech table lookup, which keeps the exhaustive incidence scans cheap.  All
-operations come in scalar and numpy-vectorized flavours.
+With this encoding, multiplication is index addition and addition is a Zech
+table lookup.  A field with at most DENSE_CELLS code pairs (every order up
+to 512, which covers the PG(3, q^3) scans for q <= 8) also holds dense
+order x order addition and multiplication tables, built once from the Zech
+kernels, so each vectorized add or mul is one table gather, with no zero
+case and no modular reduction; larger fields use the Zech kernels
+directly.  All operations come in scalar and numpy-vectorized flavours.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 1 << 25
 TABLE_BLOCK = 1 << 16  # table cells per vectorized step of a table build
+DENSE_CELLS = 1 << 18  # largest order^2 with dense add/mul tables (GF(512))
 
 # Fields are immutable, so identical build requests share one instance; a
 # default-modulus field is keyed both under None and under its modulus.
@@ -346,7 +351,12 @@ def _build_tables_odd(poly, p, m):
 
 
 class Field:
-    """Immutable handle for GF(p^m); safe for concurrent shared reads."""
+    """Immutable handle for GF(p^m); safe for concurrent shared reads.
+
+    Its tables are read-only arrays: `exp`, `log` and `zech`, and for an
+    order with order^2 <= DENSE_CELLS also `add_tab` and `mul_tab`, the
+    codes of a + b and a * b at [a, b] (None for larger orders).
+    """
 
     def __init__(self, p, m, modulus, exp, log, zech):
         self.p = p
@@ -357,6 +367,14 @@ class Field:
         self.exp = exp
         self.log = log
         self.zech = zech
+        self.add_tab = self.mul_tab = None
+        if self.order ** 2 <= DENSE_CELLS:
+            codes = np.arange(self.order, dtype=np.int64)
+            self.add_tab = self._zech_add(codes[:, None], codes[None, :])
+            self.mul_tab = self._zech_mul(codes[:, None], codes[None, :])
+        for table in (exp, log, zech, self.add_tab, self.mul_tab):
+            if table is not None:
+                table.flags.writeable = False
         self.zero = 0
         self.one = 1
         # exponent of -1 is (order-1)/2 in odd characteristic
@@ -486,6 +504,20 @@ class Field:
     def add_vec(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.add_tab is None:
+            return self._zech_add(a, b)
+        return self.add_tab.take(a * self.order + b)
+
+    def mul_vec(self, a, b):
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.mul_tab is None:
+            return self._zech_mul(a, b)
+        return self.mul_tab.take(a * self.order + b)
+
+    def _zech_add(self, a, b):
+        """Addition through the Zech table: `add_vec` past DENSE_CELLS, and
+        the builder and test oracle of `add_tab`."""
         a, b = np.broadcast_arrays(a, b)
         d = (b - a) % self.group_order
         z = self.zech[d]
@@ -495,9 +527,9 @@ class Field:
         out = np.where(b == 0, np.where(a == 0, 0, a), out)
         return out
 
-    def mul_vec(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+    def _zech_mul(self, a, b):
+        """Multiplication by exponent addition: `mul_vec` past DENSE_CELLS,
+        and the builder and test oracle of `mul_tab`."""
         out = (a + b - 2) % self.group_order + 1
         return np.where((a == 0) | (b == 0), 0, out)
 

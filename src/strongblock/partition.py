@@ -104,7 +104,8 @@ def build_rgroup(q, k, order_cap=None, verify_limit=10 ** 6, rng_seed=0):
         a = np.arange(q ** (k - 1) - 1, dtype=np.int64) * s_a
         b = np.arange(q ** k - 1, dtype=np.int64) * s_b
         prods = (a[:, None] + b[None, :]).ravel() % n
-        distinct = np.unique(prods)
+        # return_counts keeps np.unique off its numpy.ma import
+        distinct = np.unique(prods, return_counts=True)[0]
         if len(distinct) != r or np.any(distinct % stride != 0):
             raise AssertionError("R* closure check failed for q=%d k=%d" % (q, k))
     else:

@@ -120,7 +120,8 @@ def _section_ranks(space, mat, indptr, members):
     holding at most MARK_BATCH incidences (or one section) each."""
     sizes = np.diff(indptr)
     ranks = np.zeros(sizes.size, dtype=np.int64)
-    for size in np.unique(sizes[sizes > 0]):
+    # return_counts keeps np.unique off its numpy.ma import
+    for size in np.unique(sizes[sizes > 0], return_counts=True)[0]:
         same = np.flatnonzero(sizes == size)
         step = max(1, geometry.MARK_BATCH // int(size))
         for c in range(0, same.size, step):

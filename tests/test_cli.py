@@ -242,6 +242,24 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
         assert "Traceback" not in out.stderr
 
 
+def test_cli_runs_do_not_import_numpy_ma():
+    # a bare np.unique imports numpy.ma (about 18 ms) on its first call
+    script = ("import sys\n"
+              "from strongblock.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(strongblock.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["verify", "--input", "points_q2_k3.json", "--mode",
+                  "strong"],
+                 ["pipeline", "--q", "2", "--k", "4"]):
+        out = subprocess.run([sys.executable, "-c", script, *argv],
+                             cwd=GOLDEN, env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == "False", argv
+
+
 # Reports produced by the commands below, with the input files of
 # tests/data/golden in the working directory; they pin stdout byte for byte.
 GOLDEN_COMMANDS = [

@@ -209,22 +209,64 @@ def test_pow_consistency(gf8):
 # vectorized arithmetic agrees with scalar
 
 
-def test_vector_ops_match_scalar(gf9):
+@pytest.mark.parametrize("kernel", ["vec", "zech"])
+@pytest.mark.parametrize("name", ["gf9", "gf4096"])
+def test_vector_ops_match_scalar(request, name, kernel):
+    # "vec" is the public entry point (the dense tables of GF(9), Zech for
+    # GF(4096)); "zech" runs the Zech kernels on both fields
+    f = request.getfixturevalue(name)
+    add, mul = ((f.add_vec, f.mul_vec) if kernel == "vec"
+                else (f._zech_add, f._zech_mul))
     rng = np.random.default_rng(3)
-    a = rng.integers(0, gf9.order, 500)
-    b = rng.integers(0, gf9.order, 500)
-    add = gf9.add_vec(a, b)
-    mul = gf9.mul_vec(a, b)
-    neg = gf9.neg_vec(a)
+    a = rng.integers(0, f.order, 500)
+    b = rng.integers(0, f.order, 500)
+    a[:20], b[10:30] = 0, 0  # every zero case: 0+0, 0+b, a+0
+    sums = add(a, b)
+    prods = mul(a, b)
+    neg = f.neg_vec(a)
     for i in range(500):
-        assert int(add[i]) == gf9.add(int(a[i]), int(b[i]))
-        assert int(mul[i]) == gf9.mul(int(a[i]), int(b[i]))
-        assert int(neg[i]) == gf9.neg(int(a[i]))
+        assert int(sums[i]) == f.add(int(a[i]), int(b[i]))
+        assert int(prods[i]) == f.mul(int(a[i]), int(b[i]))
+        assert int(neg[i]) == f.neg(int(a[i]))
+    # broadcast shapes, as dot_block and rank_stack pass them
+    assert np.array_equal(add(a[:, None], b[None, :7]),
+                          f.add_vec(a[:, None], b[None, :7]))
+    assert np.array_equal(mul(a[:, None], b[None, :7]),
+                          f.mul_vec(a[:, None], b[None, :7]))
     nz = a[a != 0]
-    inv = gf9.inv_vec(nz)
-    assert np.all(gf9.mul_vec(nz, inv) == gf9.one)
+    inv = f.inv_vec(nz)
+    assert np.all(mul(nz, inv) == f.one)
     with pytest.raises(ZeroDivisionError):
-        gf9.inv_vec(np.array([0, 1]))
+        f.inv_vec(np.array([0, 1]))
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 3), (2, 6), (5, 3),
+                                 (7, 3), (2, 9)])
+def test_dense_tables_match_zech(p, m):
+    f = Field.build(p, m)
+    assert f.order ** 2 <= field_mod.DENSE_CELLS
+    a, b = np.indices((f.order, f.order))
+    assert f.add_tab.shape == f.mul_tab.shape == (f.order, f.order)
+    assert f.add_tab.dtype == f.mul_tab.dtype == np.int64
+    assert np.array_equal(f.add_tab, f._zech_add(a, b))
+    assert np.array_equal(f.mul_tab, f._zech_mul(a, b))
+    assert np.array_equal(f.add_vec(a, b), f._zech_add(a, b))
+    assert np.array_equal(f.mul_vec(a, b), f._zech_mul(a, b))
+
+
+def test_dense_tables_stop_at_gf512():
+    assert Field.build(2, 9).add_tab is not None
+    big = Field.build(2, 10)
+    assert big.order ** 2 > field_mod.DENSE_CELLS
+    assert big.add_tab is None and big.mul_tab is None
+
+
+def test_field_tables_are_read_only(gf9, gf4096):
+    tables = [gf9.exp, gf9.log, gf9.zech, gf9.add_tab, gf9.mul_tab,
+              gf4096.exp, gf4096.log, gf4096.zech]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[..., 0] = 1
 
 
 # ---------------------------------------------------------------------------
