@@ -24,7 +24,6 @@ from .partition import (
     build_bset,
     build_rgroup,
     full_partition,
-    orbit_transitivity_check,
     subgeometry_points,
 )
 from .search import (
@@ -65,7 +64,6 @@ __all__ = [
     "line_stats_weight1",
     "lower_bound_m",
     "one_mod_p_profile",
-    "orbit_transitivity_check",
     "subgeometry_points",
     "support_profiles",
     "szonyi_membership",

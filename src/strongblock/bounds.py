@@ -1,8 +1,12 @@
 """Exact integer arithmetic for the blocking-set size bounds.
 
-Everything here runs on exact integers: comparisons against the irrational
-interval endpoint are decided by sign analysis and squaring, never by
-evaluating the square root.
+A small blocking set of a plane of order p^n has its size in one of the
+intervals of Szonyi (FFA 1997), one per e.  `szonyi_membership` is the one
+trichotomy of a size against the interval of one p^e ("below", "inside",
+"above", or "no-upper-bound" when the upper endpoint is not real), and
+`interval_violation_report` applies it to |B(4,q)| for every e.  Everything
+runs on exact integers: comparisons against the irrational endpoint are
+decided by sign analysis and squaring, never by evaluating the square root.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InconclusiveE, NegativeDiscriminant
+from .errors import BudgetExceeded, InconclusiveE
 from .geometry import PointSet
 from .partition import prime_power
 
@@ -29,36 +33,28 @@ def lower_bound_m(k, q):
     return (k - 1) * (q + 1)
 
 
-def _lower_holds(plane_order, pe, size):
-    # plane_order + 1 + plane_order/(pe+2) <= size, by cross-multiplication
-    return (plane_order + 1) * (pe + 2) + plane_order <= size * (pe + 2)
+def szonyi_membership(plane_order, pe, size):
+    """Exact trichotomy of a size against the small-blocking-set interval
+    [plane_order + 1 + plane_order/(pe + 2), (A - sqrt(D))/2] of a plane of
+    order `plane_order` and a divisor p^e = `pe` of it, where
+    A = plane_order pe + 1 and D = A^2 - 4 plane_order^2 pe.
 
-
-def _upper_holds(plane_order, pe, size):
-    # size <= (A - sqrt(D)) / 2 with A = plane_order*pe + 1, D = A^2 - 4*plane_order^2*pe
+    Returns "below" or "above" when the size falls outside the interval,
+    "inside" when it is in it, and "no-upper-bound" when it meets the lower
+    endpoint but D < 0, so that the upper one is not real.  The lower test
+    cross-multiplies; the upper one compares A - 2 size >= 0 and its square
+    against D.
+    """
+    if pe < 2:
+        raise ValueError("p^e must be at least 2")
+    if (plane_order + 1) * (pe + 2) + plane_order > size * (pe + 2):
+        return "below"
     A = plane_order * pe + 1
     D = A * A - 4 * plane_order * plane_order * pe
     if D < 0:
-        raise NegativeDiscriminant("no real interval endpoint for p^e = %d" % pe)
+        return "no-upper-bound"
     t = A - 2 * size
-    return t >= 0 and t * t >= D
-
-
-def szonyi_membership(plane_order, e, size):
-    """Exact trichotomy of a size against the small-blocking-set interval.
-
-    `plane_order` is the order of the plane (p^n); `e` indexes the interval.
-    Raises NegativeDiscriminant when the upper endpoint is not real.
-    """
-    p, _h = prime_power(plane_order)
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    pe = p ** e
-    if not _lower_holds(plane_order, pe, size):
-        return "below"
-    if not _upper_holds(plane_order, pe, size):
-        return "above"
-    return "inside"
+    return "inside" if t >= 0 and t * t >= D else "above"
 
 
 @dataclass
@@ -101,21 +97,9 @@ def interval_violation_report(q, strict=True):
     size = bset_size_poly(q)
     per_e = []
     for e in range(1, 12 * h + 1):
-        pe = p ** e
-        lower = _lower_holds(plane_order, pe, size)
-        try:
-            upper = _upper_holds(plane_order, pe, size)
-        except NegativeDiscriminant:
-            status = "below" if not lower else "no-upper-bound"
-            per_e.append(IntervalVerdict(e, pe, status, excluded=not lower))
-            continue
-        if not lower:
-            status, excluded = "below", True
-        elif not upper:
-            status, excluded = "above", True
-        else:
-            status, excluded = "inside", False
-        per_e.append(IntervalVerdict(e, pe, status, excluded))
+        status = szonyi_membership(plane_order, p ** e, size)
+        per_e.append(IntervalVerdict(e, p ** e, status,
+                                     excluded=status in ("below", "above")))
     report = IntervalReport(q=q, p=p, h=h, plane_order=plane_order, size=size,
                             per_e=per_e, certified=all(v.excluded for v in per_e))
     if strict and not report.certified:

@@ -110,7 +110,7 @@ def cmd_partition(args):
 
 def cmd_search(args):
     rg = partition.build_rgroup(args.q, args.k)
-    m = args.m if args.m else rg.k - 1
+    m = rg.k - 1 if args.m is None else args.m
     res = search.find_independent_tuple(rg, m, args.strategy, seed=args.seed,
                                         max_iters=args.max_iters)
     report = {
@@ -183,7 +183,10 @@ def cmd_check_minimal(args):
 
 def _parse_q_range(text):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi or lo)
+    lo, hi = int(lo), int(hi or lo)
+    if lo > hi:
+        raise ValueError("--q-range %s is empty: %d > %d" % (text, lo, hi))
+    return lo, hi
 
 
 def cmd_bounds(args):

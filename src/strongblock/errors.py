@@ -26,10 +26,6 @@ class NotADivisor(StrongBlockError):
     """A subfield degree that does not divide the extension degree."""
 
 
-class DependentBasis(StrongBlockError):
-    """A claimed subfield basis is linearly dependent."""
-
-
 class DimensionMismatch(StrongBlockError):
     """Point/hyperplane/space dimensions do not agree."""
 
@@ -50,13 +46,5 @@ class BudgetExceeded(StrongBlockError):
     """An exhaustive scan or enumeration would exceed the configured budget."""
 
 
-class NegativeDiscriminant(StrongBlockError):
-    """The interval upper bound is not a real number for this exponent."""
-
-
 class InconclusiveE(StrongBlockError):
     """Some admissible exponent could not be excluded by the interval test."""
-
-
-class NoWitnessFound(StrongBlockError):
-    """A transitivity witness expected to exist was not found."""

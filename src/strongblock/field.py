@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    DependentBasis,
     FieldTooLarge,
     NonPrimeP,
     NonPrimitiveModulus,
@@ -385,7 +384,7 @@ class Field:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def build(p, m, modulus=None, order_cap=DEFAULT_ORDER_CAP):
+    def build(p, m, modulus=None):
         """Build GF(p^m) with a verified-primitive modulus.
 
         Defaults to the primitive polynomial with the smallest packed
@@ -395,12 +394,13 @@ class Field:
         element (`_build_tables_char2`, `_build_tables_odd`).
         """
         # a p past the cap fails the order check below, prime or not
-        if p < 2 or (p <= order_cap and factor(p) != {p: 1}):
+        if p < 2 or (p <= DEFAULT_ORDER_CAP and factor(p) != {p: 1}):
             raise NonPrimeP("p = %r is not prime" % (p,))
         if m < 1:
             raise ValueError("extension degree must be positive")
-        if p ** m > order_cap:
-            raise FieldTooLarge("order %d exceeds cap %d" % (p ** m, order_cap))
+        if p ** m > DEFAULT_ORDER_CAP:
+            raise FieldTooLarge("order %d exceeds cap %d"
+                                % (p ** m, DEFAULT_ORDER_CAP))
         if modulus is not None:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -434,17 +434,6 @@ class Field:
     def from_exp(self, i):
         """Code of g^i."""
         return i % self.group_order + 1
-
-    def exp_of(self, c):
-        if c == 0:
-            raise ZeroDivisionError("zero has no exponent")
-        return c - 1
-
-    def from_int(self, v):
-        """Code of the element whose polynomial coefficients pack to v."""
-        if v == 0:
-            return 0
-        return int(self.log[v]) + 1
 
     def elem_str(self, c):
         return "0" if c == 0 else "g^%d" % (c - 1)
@@ -596,26 +585,12 @@ class Field:
 
     # -- coordinates over a subfield ---------------------------------------
 
-    def coord_map(self, d, basis=None):
-        """Coordinate map of this field over its subfield GF(p^d).
-
-        `basis` is a sequence of m/d codes of this field, independent over the
-        subfield; defaults to the polynomial basis (1, g, g^2, ...).
-        """
-        key = (d, tuple(basis) if basis is not None else None)
-        if key in self._coord_maps:
-            return self._coord_maps[key]
-        sm = self.subfield(d)
-        e = self.m // d
-        if basis is None:
-            basis = tuple(self.from_exp(i) if i else self.one for i in range(e))
-        else:
-            basis = tuple(int(b) for b in basis)
-            if len(basis) != e:
-                raise DependentBasis("basis must have %d elements" % e)
-        cm = CoordinateMap(self, sm, basis)
-        self._coord_maps[key] = cm
-        return cm
+    def coord_map(self, d):
+        """Coordinate map of this field over its subfield GF(p^d), in the
+        polynomial basis (1, g, g^2, ...)."""
+        if d not in self._coord_maps:
+            self._coord_maps[d] = CoordinateMap(self, self.subfield(d))
+        return self._coord_maps[d]
 
     # -- misc --------------------------------------------------------------
 
@@ -645,13 +620,6 @@ class SubfieldMap:
         codes = np.asarray(codes, dtype=np.int64)
         return np.where(codes == 0, 0, (codes - 1) * self.stride + 1)
 
-    def from_parent(self, codes):
-        codes = np.asarray(codes, dtype=np.int64)
-        exps = codes - 1
-        if np.any((codes != 0) & (exps % self.stride != 0)):
-            raise ValueError("element not in subfield")
-        return np.where(codes == 0, 0, exps // self.stride + 1)
-
 
 def _matrix_inverse_mod_p(mat, p):
     """Inverse of a square integer matrix mod p, or None if singular."""
@@ -677,24 +645,26 @@ def _matrix_inverse_mod_p(mat, p):
 
 
 class CoordinateMap:
-    """Coordinates of big-field elements over a subfield, for a fixed basis."""
+    """Coordinates of big-field elements over a subfield, in the polynomial
+    basis (1, g, ..., g^(m/d - 1))."""
 
-    def __init__(self, parent, sm, basis):
+    def __init__(self, parent, sm):
         self.parent = parent
         self.submap = sm
-        self.basis = basis
         p, m, d = parent.p, parent.m, sm.d
         e = m // d
+        self.basis = tuple(parent.from_exp(i) for i in range(e))
         gamma = parent.from_exp(sm.stride)
         # columns (i,t): GF(p)-digits of basis_i * gamma^t
         cols = np.empty((m, m), dtype=np.int64)
         for i in range(e):
             for t in range(d):
-                prod = parent.mul(basis[i], parent.pow(int(gamma), t))
+                prod = parent.mul(self.basis[i], parent.pow(int(gamma), t))
                 cols[:, i * d + t] = parent.digits(np.array([prod]))[0]
         inv = _matrix_inverse_mod_p(cols, p)
         if inv is None:
-            raise DependentBasis("basis %r is dependent over GF(%d^%d)" % (basis, p, d))
+            raise AssertionError("polynomial basis is dependent over GF(%d^%d)"
+                                 % (p, d))
         self._inv = inv
         self._e, self._d = e, d
         self._pw = np.array([p ** t for t in range(d)], dtype=np.int64)

@@ -271,24 +271,6 @@ class ProjectiveSpace:
         mat = np.concatenate([mat, Pv[None, :]], axis=0)
         return [tuple(int(c) for c in row) for row in self.normalize_vec(mat)]
 
-    def lines_through_point(self, P):
-        """Yield the pencil of lines through P, each as its q+1 points.
-
-        Lines correspond to the points of the quotient space, realized on the
-        coordinate positions other than P's leading one; pairwise
-        intersections are exactly {P}.
-        """
-        P = self.normalize(P)
-        lead = next(i for i, c in enumerate(P) if c)
-        quotient = ProjectiveSpace(self.field, self.n - 1) if self.n > 1 else None
-        if quotient is None:
-            # PG(1): the only "line" is the whole space
-            yield [tuple(pt) for pt in self.points()]
-            return
-        for D in quotient.points():
-            direction = D[:lead] + (0,) + D[lead:]
-            yield self.line_through(direction, P)
-
     def __repr__(self):
         return "PG(%d, %d)" % (self.n, self.field.order)
 

@@ -4,18 +4,18 @@ the point set B(k,q) with weights.
 All exponent bookkeeping happens in the ambient field GF(q^(k(k-1))): R* is the
 set of exponents divisible by a fixed stride, each coset index in
 [0, stride) names one F_q-subgeometry of PG(k-1, q^(k-1)), and together they
-partition the point set.
+partition the point set.  `build_rgroup` certifies the stride exactly, for
+every (q, k), with one gcd.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, FieldTooLarge, NoWitnessFound
+from .errors import BudgetExceeded, FieldTooLarge
 from .field import DEFAULT_ORDER_CAP, Field, iroot, is_prime
 from .geometry import PointSet, ProjectiveSpace
 
@@ -77,49 +77,34 @@ class RGroup:
         return np.concatenate([[0], self.rstar_codes()])
 
 
-def build_rgroup(q, k, order_cap=None, verify_limit=10 ** 6, rng_seed=0):
-    """Build R* for the pair (q, k) and verify its stride.
+def build_rgroup(q, k):
+    """Build R* for the pair (q, k) and certify its stride.
 
-    For small r the product set F_{q^(k-1)}* . F_{q^k}* is enumerated in full
-    and compared against the stride description; above `verify_limit` a random
-    sample of products is checked instead.
+    F_{q^(k-1)}* and F_{q^k}* are the exponents divisible by s_a = n/(q^(k-1)-1)
+    and s_b = n/(q^k-1), n the group order, so their product set is the
+    subgroup of exponents divisible by gcd(s_a, s_b); it is R* exactly when
+    that gcd is the stride n/|R*|.
     """
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
-    if q > cap:
+    if q > DEFAULT_ORDER_CAP:
         # no such q builds a field; refuse it before testing q
-        raise FieldTooLarge("q = %d exceeds the field order cap %d" % (q, cap))
+        raise FieldTooLarge("q = %d exceeds the field order cap %d"
+                            % (q, DEFAULT_ORDER_CAP))
     p, h = prime_power(q)
     if k < 3:
         raise ValueError("construction needs k >= 3")
-    m = h * k * (k - 1)
-    field = Field.build(p, m, order_cap=cap)
+    field = Field.build(p, h * k * (k - 1))
     n = field.group_order
     r = (q ** (k - 1) - 1) * (q ** k - 1) // (q - 1)
     if n % r:
         raise AssertionError("|R*| does not divide the group order")
     stride = n // r
-    s_a = n // (q ** (k - 1) - 1)
-    s_b = n // (q ** k - 1)
-    if (q ** (k - 1) - 1) * (q ** k - 1) <= verify_limit:
-        a = np.arange(q ** (k - 1) - 1, dtype=np.int64) * s_a
-        b = np.arange(q ** k - 1, dtype=np.int64) * s_b
-        prods = (a[:, None] + b[None, :]).ravel() % n
-        # return_counts keeps np.unique off its numpy.ma import
-        distinct = np.unique(prods, return_counts=True)[0]
-        if len(distinct) != r or np.any(distinct % stride != 0):
-            raise AssertionError("R* closure check failed for q=%d k=%d" % (q, k))
-    else:
-        rng = random.Random(rng_seed)
-        for _ in range(10 ** 4):
-            e = (rng.randrange(q ** (k - 1) - 1) * s_a
-                 + rng.randrange(q ** k - 1) * s_b) % n
-            if e % stride:
-                raise AssertionError("sampled product outside R*")
+    if math.gcd(n // (q ** (k - 1) - 1), n // (q ** k - 1)) != stride:
+        raise AssertionError("R* closure check failed for q=%d k=%d" % (q, k))
     geom = field.subfield(h * (k - 1))
     return RGroup(q=q, k=k, p=p, h=h, field=field, geom=geom, r=r, stride=stride)
 
 
-def subgeometry_points(rg: RGroup, coset_index, basis=None):
+def subgeometry_points(rg: RGroup, coset_index):
     """Point set of the F_q-subgeometry named by a coset of R*.
 
     Coordinatizes the elements of g^coset * R* over GF(q^(k-1)) and returns
@@ -127,7 +112,7 @@ def subgeometry_points(rg: RGroup, coset_index, basis=None):
     """
     coset_index %= rg.stride
     codes = rg.rstar_codes() + coset_index  # exponents coset + stride*j
-    cm = rg.field.coord_map(rg.h * (rg.k - 1), basis)
+    cm = rg.field.coord_map(rg.h * (rg.k - 1))
     coords = cm.coords(codes)
     space = ProjectiveSpace(rg.geom_field, rg.k - 1)
     norm = space.normalize_vec(coords)
@@ -142,9 +127,9 @@ def subgeometry_points(rg: RGroup, coset_index, basis=None):
     return PointSet(space, pts, {pt: coset_index for pt in pts})
 
 
-def full_partition(rg: RGroup, basis=None):
+def full_partition(rg: RGroup):
     """All coset subgeometries, indexed 0..stride-1."""
-    return [subgeometry_points(rg, c, basis) for c in range(rg.stride)]
+    return [subgeometry_points(rg, c) for c in range(rg.stride)]
 
 
 def r_tuple_matrix(rg: RGroup, ncoords, budget=DEFAULT_ENUM_BUDGET):
@@ -206,58 +191,3 @@ def build_bset(rg: RGroup, budget=DEFAULT_ENUM_BUDGET):
         raise AssertionError("|B| = %d, expected %d" % (mat.shape[0], expected))
     space = ProjectiveSpace(rg.field, rg.k - 2)
     return BSet(rgroup=rg, space=space, matrix=mat, weights=weights)
-
-
-@dataclass
-class OrbitWitness:
-    source: tuple
-    target: tuple
-    sigma: tuple   # position permutation, f(v)_i = rho_i * v[sigma[i]]
-    rhos: tuple
-    verified: bool
-
-
-def orbit_transitivity_check(bset: BSet, weight, samples=100, seed=0,
-                             closure_samples=500):
-    """Exhibit stabilizer maps carrying sampled same-weight point pairs onto
-    each other, and spot-check that each map fixes B(k,q) setwise.
-
-    Raises NoWitnessFound if a verification fails, which would falsify the
-    transitivity claim.
-    """
-    rg = bset.rgroup
-    f = rg.field
-    rows = bset.matrix[bset.weights == weight]
-    if rows.shape[0] == 0:
-        raise ValueError("no points of weight %d" % weight)
-    rng = random.Random(seed)
-    n_pts = rows.shape[0]
-    kk = rg.k - 1
-    witnesses = []
-    for _ in range(samples):
-        P = tuple(int(c) for c in rows[rng.randrange(n_pts)])
-        Q = tuple(int(c) for c in rows[rng.randrange(n_pts)])
-        sp = [i for i, c in enumerate(P) if c]
-        sq = [i for i, c in enumerate(Q) if c]
-        sigma = [0] * kk
-        rest_p = [i for i in range(kk) if i not in sp]
-        rest_q = [i for i in range(kk) if i not in sq]
-        for i, j in zip(sq, sp):
-            sigma[i] = j
-        for i, j in zip(rest_q, rest_p):
-            sigma[i] = j
-        rhos = tuple(f.div(Q[i], P[sigma[i]]) if Q[i] else 1 for i in range(kk))
-        image = tuple(f.mul(rhos[i], P[sigma[i]]) for i in range(kk))
-        ok = bset.space.normalize(image) == bset.space.normalize(Q)
-        ok = ok and all(rg.in_rstar(np.array([rho])) for rho in rhos)
-        # setwise fixing on a sample of B points
-        for _ in range(min(closure_samples, len(bset))):
-            row = bset.matrix[rng.randrange(len(bset))]
-            img = tuple(f.mul(rhos[i], int(row[sigma[i]])) for i in range(kk))
-            if not bset.contains(img):
-                ok = False
-                break
-        if not ok:
-            raise NoWitnessFound("stabilizer map failed for pair %r -> %r" % (P, Q))
-        witnesses.append(OrbitWitness(P, Q, tuple(sigma), rhos, True))
-    return witnesses

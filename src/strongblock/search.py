@@ -251,7 +251,13 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
     """
     if m is None:
         m = rg.k - 1
+    if m < 2:
+        raise ValueError("an R-independent tuple needs m >= 2, not %d" % m)
     if strategy == "random":
+        if m > rg.stride:
+            raise ValueError("the random strategy samples m distinct cosets, "
+                             "but m = %d exceeds the %d cosets of R*"
+                             % (m, rg.stride))
         rng = random.Random(seed)
         for trial in range(1, max_iters + 1):
             cosets = rng.sample(range(rg.stride), m)

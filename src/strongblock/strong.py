@@ -47,7 +47,7 @@ def expected_size(q, k):
     return (k - 1) * (q ** k - 1) // (q - 1)
 
 
-def union_subgeometries(rg: RGroup, alphas, basis=None):
+def union_subgeometries(rg: RGroup, alphas):
     """Union of the subgeometries named by the cosets of the given elements.
 
     The labels record which coset each point came from; repeated cosets are
@@ -62,7 +62,7 @@ def union_subgeometries(rg: RGroup, alphas, basis=None):
     pts = []
     labels = {}
     for c in cosets:
-        sub = subgeometry_points(rg, c, basis)
+        sub = subgeometry_points(rg, c)
         pts.extend(sub.points)
         labels.update(sub.labels)
     ps = PointSet(sub.space, pts, labels)

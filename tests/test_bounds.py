@@ -12,11 +12,7 @@ from strongblock.bounds import (
     one_mod_p_profile,
     szonyi_membership,
 )
-from strongblock.errors import (
-    BudgetExceeded,
-    InconclusiveE,
-    NegativeDiscriminant,
-)
+from strongblock.errors import BudgetExceeded, InconclusiveE
 from strongblock.geometry import PointSet, ProjectiveSpace
 from strongblock.partition import prime_power, subgeometry_points
 
@@ -55,43 +51,42 @@ def test_lower_bound_m():
 def test_membership_examples():
     # |B(4,7)| overshoots the interval for every e
     size7 = bset_size_poly(7)
-    assert szonyi_membership(7 ** 12, 1, size7) == "above"
-    assert szonyi_membership(7 ** 12, 12, size7) == "above"
+    assert szonyi_membership(7 ** 12, 7, size7) == "above"
+    assert szonyi_membership(7 ** 12, 7 ** 12, size7) == "above"
     # |B(4,49)| undershoots the e = 1 interval of its 7^24 plane
-    assert szonyi_membership(49 ** 12, 1, bset_size_poly(49)) == "below"
+    assert szonyi_membership(49 ** 12, 7, bset_size_poly(49)) == "below"
     # a line is always below, a Baer subplane sits inside its interval
-    assert szonyi_membership(81, 2, 82) == "below"
-    assert szonyi_membership(81, 2, 91) == "inside"
+    assert szonyi_membership(81, 9, 82) == "below"
+    assert szonyi_membership(81, 9, 91) == "inside"
 
 
 def test_membership_validation():
     with pytest.raises(ValueError):
-        szonyi_membership(81, 0, 91)
-    with pytest.raises(NegativeDiscriminant):
-        szonyi_membership(9, 1, 13)  # p^e = 3: no real endpoint
+        szonyi_membership(81, 1, 91)  # p^0
+    # p^e = 3: the lower endpoint is met, the upper one is not real
+    assert szonyi_membership(9, 3, 13) == "no-upper-bound"
 
 
 def test_membership_is_monotone_in_size():
     order = {"below": 0, "inside": 1, "above": 2}
     last = 0
     for size in range(82, 120):
-        status = order[szonyi_membership(81, 2, size)]
+        status = order[szonyi_membership(81, 9, size)]
         assert status >= last
         last = status
     assert last == 2
 
 
-def float_membership(plane_order, e, size):
+def float_membership(plane_order, pe, size):
     """Floating-point reimplementation; rationalized to avoid cancellation."""
-    p, _ = prime_power(plane_order)
-    pe = float(p ** e)
+    pe = float(pe)
     plane = float(plane_order)
     if float(size) < plane + 1 + plane / (pe + 2):
         return "below"
     A = plane * pe + 1
     D = A * A - 4 * plane * plane * pe
     if D < 0:
-        return None
+        return "no-upper-bound"
     upper = 2 * plane * plane * pe / (A + math.sqrt(D))
     return "above" if float(size) > upper else "inside"
 
@@ -101,13 +96,8 @@ def test_exact_and_float_verdicts_agree():
         p, h = prime_power(q)
         size = bset_size_poly(q)
         for e in range(1, 12 * h + 1):
-            approx = float_membership(q ** 12, e, size)
-            try:
-                exact = szonyi_membership(q ** 12, e, size)
-            except NegativeDiscriminant:
-                assert approx is None
-                continue
-            assert exact == approx, (q, e)
+            approx = float_membership(q ** 12, p ** e, size)
+            assert szonyi_membership(q ** 12, p ** e, size) == approx, (q, e)
 
 
 def test_report_q7():

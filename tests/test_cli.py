@@ -185,6 +185,14 @@ def test_bounds_text_format(capsys):
     assert "q=7" in out and "certified" in out
 
 
+def test_bounds_reversed_range_is_usage_error(capsys):
+    # an empty range would report no rows, all of them certified
+    assert cli.main(["bounds", "--q-range", "11:7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def run_subprocess(argv, cwd):
     src = os.path.dirname(os.path.dirname(strongblock.__file__))
     env = dict(os.environ)
@@ -235,7 +243,11 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
                  ["check-minimal", "--input", "strcode.json"],
                  ["verify", "--input", "hugen.json"],
                  ["check-minimal", "--input", "hugek.txt"],
-                 ["verify", "--input", "pg40.json"]):
+                 ["verify", "--input", "pg40.json"],
+                 # m below 2, and m past the 3 cosets that a random
+                 # search at q = 2, k = 3 can draw distinct
+                 ["search", "--q", "2", "--k", "3", "--m", "0"],
+                 ["search", "--q", "2", "--k", "3", "--m", "4"]):
         out = run_subprocess(argv, tmp_path)
         assert out.returncode == 1, argv
         assert out.stderr.startswith("error: "), out.stderr
@@ -288,6 +300,10 @@ GOLDEN_COMMANDS = [
     # scaled copy of the first column
     ("check_minimal_code_zero_column_pg2_8",
      ["check-minimal", "--input", "code_zero_column_pg2_8.json"], 2),
+    ("bounds_q7_101", ["bounds", "--q-range", "7:101"], 0),
+    ("bounds_qm3_30_include_excluded",
+     ["bounds", "--q-range=-3:30", "--include-excluded"], 2),
+    ("partition_q2_k4", ["partition", "--q", "2", "--k", "4"], 0),
 ]
 
 

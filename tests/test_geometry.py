@@ -325,7 +325,8 @@ def test_pencil_through_point():
     space = ProjectiveSpace(Field.build(2, 2), 2)
     q = space.field.order
     P = space.normalize((1, 2, 3))
-    pencil = [set(line) for line in space.lines_through_point(P)]
+    pencil = list({frozenset(space.line_through(P, Q))
+                   for Q in space.points() if Q != P})
     assert len(pencil) == q + 1
     union = set()
     for line in pencil:
@@ -339,9 +340,9 @@ def test_pencil_through_point():
 
 def test_pencil_in_projective_line():
     space = ProjectiveSpace(Field.build(2, 2), 1)
-    pencil = list(space.lines_through_point((1, 0)))
-    assert len(pencil) == 1
-    assert set(pencil[0]) == set(space.points())
+    pencil = {frozenset(space.line_through((1, 0), Q))
+              for Q in space.points() if Q != (1, 0)}
+    assert pencil == {frozenset(space.points())}
 
 
 # ---------------------------------------------------------------------------
