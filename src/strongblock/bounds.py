@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import BudgetExceeded, InconclusiveE
 from .geometry import PointSet
 from .partition import prime_power
-
-LINE_BUDGET = 2 * 10 ** 7
 
 
 def bset_size_poly(q):
@@ -115,7 +114,7 @@ class ModProfile:
     holds: bool
 
 
-def one_mod_p_profile(point_set: PointSet, p, budget=LINE_BUDGET):
+def one_mod_p_profile(point_set: PointSet, p):
     """Census of line intersection sizes, and the 1 (mod p) verdict.
 
     Exhaustive over all lines of the plane the set lives in.
@@ -123,7 +122,7 @@ def one_mod_p_profile(point_set: PointSet, p, budget=LINE_BUDGET):
     space = point_set.space
     if space.n != 2:
         raise ValueError("profile is a plane operation")
-    if space.num_points > budget:
+    if space.num_points > geometry.SCAN_BUDGET:
         raise BudgetExceeded("%d lines exceed budget" % space.num_points)
     counts = np.zeros(space.num_points, dtype=np.int32)  # points per line
     for _rows, lines in space.pencils(point_set.matrix()):

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success / property holds, 1 usage error, 2 property fails with
-witness, 3 budget exceeded.  Reports are JSON (schema 1) and embed the field
+witness, 3 budget exceeded (a scan over SCAN_BUDGET, or a random search out of
+trials).  Reports are JSON (schema 1) and embed the field
 modulus and any seed, so a run can be re-verified from the report alone.
 """
 

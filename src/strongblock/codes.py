@@ -26,6 +26,7 @@ from .geometry import (
     parse_rows,
 )
 
+# the most codeword classes `support_profiles` evaluates; read at call time
 DEFAULT_CLASS_BUDGET = 10 ** 5
 # bytes per batched AND block of the minimality check: the block and one
 # gathered operand stay within a core's L2 cache
@@ -88,7 +89,7 @@ class SupportProfile:
         return frozenset(np.flatnonzero(bits[:self.n]).tolist())
 
 
-def support_profiles(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET):
+def support_profiles(G: GeneratorMatrix):
     """Evaluate one codeword per projective message class, canonical order.
 
     Class b vanishes at column j iff message hyperplane b passes through
@@ -98,7 +99,7 @@ def support_profiles(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET):
     """
     space = G.message_space()
     C = space.num_points
-    if C > budget:
+    if C > DEFAULT_CLASS_BUDGET:
         raise BudgetExceeded("%d codeword classes exceed budget" % C)
     words = (G.n + 63) // 64
     supports = np.zeros((C, words), dtype=np.uint64)
@@ -131,8 +132,7 @@ class MinimalityVerdict:
     classes_checked: int
 
 
-def check_minimal(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET,
-                  profile=None):
+def check_minimal(G: GeneratorMatrix, profile=None):
     """Minimal iff no class's support sits inside a different class's support.
 
     With Z(x) the columns at which class x vanishes, supp(a) <= supp(b) iff
@@ -145,7 +145,7 @@ def check_minimal(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET,
     with its lowest-index container, and is re-checked by scalar evaluation
     of both codewords.
     """
-    prof = profile if profile is not None else support_profiles(G, budget)
+    prof = profile if profile is not None else support_profiles(G)
     C, S = prof.class_count, prof.supports
     order = np.argsort(prof.weights, kind="stable")
     flagged = np.unpackbits(_contained(prof), count=C,
@@ -218,10 +218,9 @@ def _recheck_witness(G, contained, container):
         raise AssertionError("minimality witness re-check failed")
 
 
-def weight_distribution(G: GeneratorMatrix, budget=DEFAULT_CLASS_BUDGET,
-                        profile=None):
+def weight_distribution(G: GeneratorMatrix, profile=None):
     """Mapping weight -> number of projective codeword classes."""
-    prof = profile if profile is not None else support_profiles(G, budget)
+    prof = profile if profile is not None else support_profiles(G)
     vals, counts = np.unique(prof.weights, return_counts=True)
     return {int(v): int(c) for v, c in zip(vals, counts)}
 

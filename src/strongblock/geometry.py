@@ -25,6 +25,9 @@ from .errors import DimensionMismatch
 from .field import Field
 
 MARK_BATCH = 1 << 17  # incidences generated per vectorized pencil batch
+# the most hyperplanes, lines or R-points an exhaustive scan or enumeration
+# may cover; read at call time, so a test can lower it
+SCAN_BUDGET = 2 * 10 ** 7
 
 
 class ProjectiveSpace:
@@ -298,9 +301,6 @@ class PointSet:
 
     def matrix(self):
         return np.asarray(self.points, dtype=np.int64).reshape(-1, self.space.k)
-
-    def indices(self):
-        return self.space.point_index_vec(self.matrix())
 
     def to_json(self):
         f = self.space.field

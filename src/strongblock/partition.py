@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import BudgetExceeded, FieldTooLarge
 from .field import DEFAULT_ORDER_CAP, Field, iroot, is_prime
 from .geometry import PointSet, ProjectiveSpace
-
-DEFAULT_ENUM_BUDGET = 2 * 10 ** 7
 
 
 def prime_power(q):
@@ -132,16 +131,16 @@ def full_partition(rg: RGroup):
     return [subgeometry_points(rg, c) for c in range(rg.stride)]
 
 
-def r_tuple_matrix(rg: RGroup, ncoords, budget=DEFAULT_ENUM_BUDGET):
+def r_tuple_matrix(rg: RGroup, ncoords):
     """Normalized points of PG(ncoords-1, .) with every coordinate in R.
 
     Rows come out in canonical point-index order: leading-one blocks in
     ascending position, and within a block the ascending R codes count in
-    base r+1 as the index counts in base Q.  Raises BudgetExceeded when
-    (r+1)^ncoords is out of reach.
+    base r+1 as the index counts in base Q.  Raises BudgetExceeded when the
+    ((r+1)^ncoords - 1)/r rows exceed SCAN_BUDGET.
     """
     r = rg.r
-    if (r + 1) ** ncoords - 1 > budget * r:
+    if (r + 1) ** ncoords - 1 > geometry.SCAN_BUDGET * r:
         raise BudgetExceeded("(r+1)^%d exceeds enumeration budget" % ncoords)
     rcodes = rg.r_codes()
     blocks = []
@@ -178,13 +177,10 @@ class BSet:
         norm = self.space.normalize(coords)
         return bool(np.all(self.rgroup.in_r(np.asarray(norm, dtype=np.int64))))
 
-    def points(self):
-        return [tuple(int(c) for c in row) for row in self.matrix]
 
-
-def build_bset(rg: RGroup, budget=DEFAULT_ENUM_BUDGET):
+def build_bset(rg: RGroup):
     """Materialize B(k,q) with weight labels attached at build time."""
-    mat = r_tuple_matrix(rg, rg.k - 1, budget)
+    mat = r_tuple_matrix(rg, rg.k - 1)
     weights = np.count_nonzero(mat, axis=1)
     expected = ((rg.r + 1) ** (rg.k - 1) - 1) // rg.r
     if mat.shape[0] != expected:

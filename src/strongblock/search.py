@@ -1,5 +1,5 @@
 """R-independence decisions, searches for hyperplanes missing B(k,q), the
-coset-quotient and dual-marking blocking scans, and the weight-1 line
+coset-quotient blocking verdict, the dual-marking scan, and the weight-1 line
 statistics.
 
 Independence of (a_1, ..., a_m) is certified through the incidence of the
@@ -8,19 +8,23 @@ with all coordinates in R: a nontrivial relation exists exactly when some such
 point lies on the hyperplane.  A relation is fixed by its first m-1 entries
 (the last is the one rho_m in R that cancels their sum, if any), so
 `is_r_independent` enumerates only the R-points of PG(m-2, .): for a triple,
-1,042 at q = 3 and 5,357 at q = 4, a few milliseconds each.  Independent
-coset representatives make the union of their subgeometries a strong
-blocking set; the converse fails (at q = 2, 367 of the 703 unions of coset 0
-with two others are strong, and only 24 of those triples are independent).
+1,042 at q = 3 and 5,357 at q = 4, a few milliseconds each.  A prefix
+enumeration beyond SCAN_BUDGET raises BudgetExceeded; no verdict is guessed.
+Independent coset representatives make the union of their subgeometries a
+strong blocking set; the converse fails (at q = 2, 367 of the 703 unions of
+coset 0 with two others are strong, and only 24 of those triples are
+independent).
 
 So every blocking question here is one question: which hyperplane, if any,
-misses a point set?  For B(k,q) with k <= 4 the answer depends only on the
-cosets of the dual coordinates, and `free_cosets` reads it off the Zech
-table for all of them at once.  Otherwise `mark_lines_through` marks the
-hyperplanes through each point (`ProjectiveSpace.pencils`) in any PG(n, Q),
-and `_first_unmarked_line` returns the lowest-index survivor.  Either
-witness is re-checked off its own path: scalar incidences for a hyperplane,
-the exhaustive `is_r_independent` for a tuple.
+misses a point set?  For B(k,q) the answer depends only on the cosets of the
+dual coordinates, and `free_cosets` reads it off the Zech table for all of
+them at once; since `build_bset` refuses every k >= 5, that decides every
+B(k,q).  A tuple with more entries than R* has cosets is never independent
+(pigeonhole).  Any other point set, in any PG(n, Q), goes through
+`mark_lines_through`, which marks the hyperplanes through each point
+(`ProjectiveSpace.pencils`), and `_first_unmarked_line` returns the
+lowest-index survivor.  Each witness is re-checked off its own path: scalar
+incidences for a hyperplane, the exhaustive `is_r_independent` for a tuple.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .geometry import MARK_BATCH, ProjectiveSpace
-from .partition import BSet, DEFAULT_ENUM_BUDGET, RGroup, r_tuple_matrix
+from .partition import BSet, RGroup, r_tuple_matrix
 
 
 @dataclass
 class IndependenceVerdict:
-    status: str          # "independent" | "dependent" | "unknown"
+    status: str          # "independent" | "dependent"
     witness: tuple | None  # rho codes with sum rho_i * alpha_i = 0
     certification: str
 
@@ -68,8 +72,7 @@ def _relation_value(rg: RGroup, alphas, rhos):
     return acc
 
 
-def is_r_independent(alphas, rg: RGroup, budget=DEFAULT_ENUM_BUDGET,
-                     fallback_samples=10 ** 5, seed=0):
+def is_r_independent(alphas, rg: RGroup):
     """Decide whether the given nonzero field elements are R-independent.
 
     A nontrivial relation sum rho_i a_i = 0, scaled so that its leading rho
@@ -80,9 +83,8 @@ def is_r_independent(alphas, rg: RGroup, budget=DEFAULT_ENUM_BUDGET,
     as -1 lies in R*.  So certification enumerates the ((r+1)^(m-1) - 1)/r
     R-points of PG(m-2, .) (1,042 at q = 3, m = 3) instead of those of
     PG(m-1, .), and since each prefix admits at most one rho_m, the first
-    hit in prefix order is the first relation in canonical order.  When the
-    prefix enumeration is out of budget, only randomized refutation runs
-    and the verdict may be "unknown".
+    hit in prefix order is the first relation in canonical order.  Raises
+    BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.
     """
     alphas = tuple(int(a) for a in alphas)
     m = len(alphas)
@@ -91,18 +93,7 @@ def is_r_independent(alphas, rg: RGroup, budget=DEFAULT_ENUM_BUDGET,
     if any(a == 0 for a in alphas):
         raise ValueError("alphas must be nonzero")
     f = rg.field
-    try:
-        mat = r_tuple_matrix(rg, m - 1, budget)
-    except BudgetExceeded:
-        rng = random.Random(seed)
-        rcodes = rg.r_codes()
-        for _ in range(fallback_samples):
-            rhos = tuple(int(rcodes[rng.randrange(len(rcodes))]) for _ in range(m))
-            if all(r == 0 for r in rhos):
-                continue
-            if _relation_value(rg, alphas, rhos) == 0:
-                return IndependenceVerdict("dependent", rhos, "randomized")
-        return IndependenceVerdict("unknown", None, "randomized")
+    mat = r_tuple_matrix(rg, m - 1)
     acc = np.zeros(mat.shape[0], dtype=np.int64)
     for j in range(m - 1):
         acc = f.add_vec(acc, f.mul_vec(mat[:, j], alphas[j]))
@@ -174,15 +165,14 @@ def _first_free_tuple(rg: RGroup, m):
 # dual-marking scan over the hyperplanes of PG(n, Q)
 
 
-def mark_lines_through(space: ProjectiveSpace, mat, marks=None):
+def mark_lines_through(space: ProjectiveSpace, mat):
     """Mark, in a bitset over canonical hyperplane indices, every hyperplane
     through any of the given normalized points.  Returns the bitset.
 
     The marks are scattered batch by batch from `space.pencils`; no
     incidence is kept.
     """
-    if marks is None:
-        marks = np.zeros(space.num_points, dtype=bool)
+    marks = np.zeros(space.num_points, dtype=bool)
     for _rows, hyperplanes in space.pencils(mat):
         marks[hyperplanes] = True
     return marks
@@ -207,29 +197,22 @@ def _first_unmarked_line(space: ProjectiveSpace, mat):
     return int(free[0]), dual
 
 
-def blocking_status(bset: BSet, budget=DEFAULT_ENUM_BUDGET):
-    """Exhaustive blocking verdict for B(k,q).
+def blocking_status(bset: BSet):
+    """Exhaustive blocking verdict for B(k,q), read off the coset quotient.
 
     A hyperplane misses B exactly when its dual coordinates are
-    R-independent, so for k <= 4 the coset quotient decides it; above that
-    every hyperplane through a point of B is marked.  The witness, when
-    present, is the lowest-index hyperplane missing B, re-checked for zero
-    incidences with every point of B.
+    R-independent, so `free_cosets` decides every hyperplane of PG(k-2, Q)
+    at once; B(k,q) exists only for k <= 4 (`build_bset` refuses the rest),
+    where the quotient covers the k-1 = 2 or 3 dual coordinates.  The
+    witness, when present, is the lowest-index hyperplane missing B,
+    re-checked for zero incidences with every point of B.
     """
     space = bset.space
-    if space.n <= 2:
-        _index, dual = _first_free_tuple(bset.rgroup, space.k)
-        if dual is not None:
-            _recheck_line(space, bset.matrix, dual)
-        method = "coset-quotient"
-    else:
-        if space.num_points > budget:
-            raise BudgetExceeded("%d hyperplanes exceed scan budget"
-                                 % space.num_points)
-        _index, dual = _first_unmarked_line(space, bset.matrix)
-        method = "dual-marking-scan"
+    _index, dual = _first_free_tuple(bset.rgroup, space.k)
+    if dual is not None:
+        _recheck_line(space, bset.matrix, dual)
     return BlockingVerdict("blocking" if dual is None else "not-blocking", dual,
-                           method, lines_scanned=space.num_points)
+                           "coset-quotient", lines_scanned=space.num_points)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +220,22 @@ def blocking_status(bset: BSet, budget=DEFAULT_ENUM_BUDGET):
 
 
 def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
-                           max_iters=10 ** 4, budget=DEFAULT_ENUM_BUDGET):
+                           max_iters=10 ** 4):
     """Search for an R-independent tuple of coset representatives.
 
     Random strategy samples m distinct cosets per trial (independence is
     invariant under scaling each entry by R*, so representatives suffice)
-    and decides each with `is_r_independent`.  Exhaustive strategy returns
-    the lowest-index independent tuple of PG(m-1, .), read off the coset
-    quotient (`free_cosets`) for m <= 3 and found by marking every
-    hyperplane through the R-points above that, and certifies it with the
-    exhaustive `is_r_independent`; none means the R-coordinate points form
-    a blocking set, reported as status "not-found".
+    and decides each with `is_r_independent`; max_iters trials without a
+    hit raise BudgetExceeded, since a random miss proves nothing.
+    Exhaustive strategy returns the lowest-index independent tuple of
+    PG(m-1, .), read off the coset quotient (`free_cosets`) for m <= 3, and
+    certifies it with the exhaustive `is_r_independent`.  For m > stride
+    there is none by pigeonhole: two of the m entries share a coset of R*,
+    a_j = rho a_i, and rho a_i - a_j = 0 is an R-relation.  Either way,
+    none means the R-coordinate points form a blocking set, reported as
+    status "not-found".  Every other m >= 4 needs more than SCAN_BUDGET
+    hyperplanes (at least the 729^3 of PG(3, 729)) and raises
+    BudgetExceeded.
     """
     if m is None:
         m = rg.k - 1
@@ -262,33 +250,27 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
         for trial in range(1, max_iters + 1):
             cosets = rng.sample(range(rg.stride), m)
             alphas = tuple(rg.coset_rep(c) for c in cosets)
-            verdict = is_r_independent(alphas, rg, budget)
+            verdict = is_r_independent(alphas, rg)
             if verdict.status == "independent":
                 return SearchResult("found", alphas, "random", seed, trial,
                                     verdict.certification)
-            if verdict.status == "unknown":
-                raise BudgetExceeded("cannot certify candidates at this size")
-        return SearchResult("not-found", None, "random", seed, max_iters, "none")
+        raise BudgetExceeded("no R-independent tuple in %d random trials"
+                             % max_iters)
     if strategy == "exhaustive":
         order = rg.field.order
         lines = (order ** m - 1) // (order - 1)  # hyperplanes of PG(m-1, .)
         if m <= 3:
             index, alphas = _first_free_tuple(rg, m)
             certification = "coset-quotient"
-        elif lines > budget:
-            raise BudgetExceeded("%d hyperplanes exceed scan budget" % lines)
+        elif m > rg.stride:
+            alphas, certification = None, "pigeonhole"
         else:
-            index, alphas = _first_unmarked_line(
-                ProjectiveSpace(rg.field, m - 1), r_tuple_matrix(rg, m, budget))
-            certification = "dual-marking-scan"
+            raise BudgetExceeded("%d hyperplanes exceed scan budget" % lines)
         if alphas is None:
             return SearchResult("not-found", None, "exhaustive", None, lines,
                                 certification)
-        verdict = is_r_independent(alphas, rg, budget)
-        if verdict.status == "dependent":
+        if is_r_independent(alphas, rg).status != "independent":
             raise AssertionError("witness hyperplane is not R-independent")
-        if verdict.status != "independent":
-            raise BudgetExceeded("cannot certify the witness at this size")
         return SearchResult("found", alphas, "exhaustive", None, index + 1,
                             certification)
     raise ValueError("unknown strategy %r" % (strategy,))

@@ -8,7 +8,8 @@ hyperplane), and ranks the sections in stacks of equal size with
 whose section falls short, and is re-checked with scalar incidences and the
 scalar `rank`.  Plain blocking needs no sections: it marks the hyperplanes
 through each point (`search.mark_lines_through`), and the first unmarked one
-is the same lowest-index witness.
+is the same lowest-index witness.  Both scans refuse a space of more than
+`geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .geometry import PointSet
 from .partition import RGroup, subgeometry_points
 from .search import _first_unmarked_line
 
-DEFAULT_HYPERPLANE_BUDGET = 2 * 10 ** 7
 SECTION_CAP = 1 << 22  # incidences the strong scan sorts at once
 
 
@@ -72,11 +72,9 @@ def union_subgeometries(rg: RGroup, alphas):
     return ps
 
 
-def _check_scan(space, k, budget):
-    if k is not None and k != space.k:
-        raise ValueError("ambient dimension mismatch: k=%d, space needs %d"
-                         % (k, space.k))
-    if space.num_points > budget:
+def _check_scan(space):
+    """Raise BudgetExceeded when the hyperplanes exceed SCAN_BUDGET."""
+    if space.num_points > geometry.SCAN_BUDGET:
         raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
 
 
@@ -145,17 +143,16 @@ def _recheck_witness(point_set, index, empty):
                          index + 1)
 
 
-def verify_strong_blocking(point_set: PointSet, k=None,
-                           budget=DEFAULT_HYPERPLANE_BUDGET):
+def verify_strong_blocking(point_set: PointSet):
     """Exhaustively verify that every hyperplane section spans the hyperplane.
 
     Returns "strong", or the first offending hyperplane: "not-blocking" when
-    the section is empty, "not-strong" when its rank falls short of k-1.
-    Incidences are held about SECTION_CAP at a time, and a failure stops
-    the scan soon after its hyperplane.
+    the section is empty, "not-strong" when its rank falls short of k-1,
+    for the set's own PG(k-1, Q).  Incidences are held about SECTION_CAP at
+    a time, and a failure stops the scan soon after its hyperplane.
     """
     space = point_set.space
-    _check_scan(space, k, budget)
+    _check_scan(space)
     mat = point_set.matrix()
     for lo, indptr, members in _sections(space, mat):
         short = np.flatnonzero(
@@ -166,12 +163,11 @@ def verify_strong_blocking(point_set: PointSet, k=None,
     return StrongVerdict("strong", None, None, space.num_points)
 
 
-def verify_blocking(point_set: PointSet, k=None,
-                    budget=DEFAULT_HYPERPLANE_BUDGET):
+def verify_blocking(point_set: PointSet):
     """Exhaustively verify that every hyperplane contains a point of the set,
     by marking the hyperplanes through each point."""
     space = point_set.space
-    _check_scan(space, k, budget)
+    _check_scan(space)
     index, witness = _first_unmarked_line(space, point_set.matrix())
     if witness is None:
         return BlockingSetVerdict("blocking", None, space.num_points)

@@ -5,6 +5,7 @@ import math
 import pytest
 from sympy import factorint
 
+from strongblock import geometry
 from strongblock.bounds import (
     bset_size_poly,
     interval_violation_report,
@@ -161,10 +162,11 @@ def test_non_blocking_census_fails(gf9):
     assert not prof.holds
 
 
-def test_census_validation(gf9, rg33):
+def test_census_validation(gf9, rg33, monkeypatch):
     space3 = ProjectiveSpace(gf9, 1)
     with pytest.raises(ValueError):
         one_mod_p_profile(PointSet(space3, [(1, 0)]), 3)
     baer = subgeometry_points(rg33, 0)
+    monkeypatch.setattr(geometry, "SCAN_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        one_mod_p_profile(baer, 3, budget=10)
+        one_mod_p_profile(baer, 3)

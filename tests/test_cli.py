@@ -92,6 +92,29 @@ def test_search_budget_exceeded(capsys):
     capsys.readouterr()
 
 
+def test_search_prefix_over_budget_exits_3_at_once(tmp_path):
+    # a random sextuple trial would enumerate the 1.3e8 R-points of
+    # PG(4,4096), past SCAN_BUDGET; the first trial refuses instead of
+    # guessing a verdict
+    out = run_subprocess(["search", "--q", "2", "--k", "4", "--m", "6"],
+                         tmp_path, timeout=60)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == ("budget exceeded: (r+1)^5 exceeds enumeration "
+                          "budget\n")
+
+
+def test_search_pigeonhole_is_immediate(tmp_path):
+    # stride 3: any five nonzero entries put two in one coset of R*, so no
+    # hyperplane of PG(4,64) is marked
+    out = run_subprocess(["search", "--q", "2", "--k", "3", "--m", "5",
+                          "--strategy", "exhaustive"], tmp_path, timeout=60)
+    assert out.returncode == 2
+    doc = json.loads(out.stdout)
+    assert (doc["status"], doc["certification"], doc["trials"]) == (
+        "not-found", "pigeonhole", 17043521)
+
+
 def test_search_exhaustive_q3(capsys):
     # PG(2,3^12) has 2.8e11 lines; the coset quotient needs 531,440 lookups
     code, doc = run_json(capsys, ["search", "--q", "3", "--k", "4",
@@ -193,7 +216,7 @@ def test_bounds_reversed_range_is_usage_error(capsys):
     assert err.startswith("error: ")
 
 
-def run_subprocess(argv, cwd):
+def run_subprocess(argv, cwd, timeout=120):
     src = os.path.dirname(os.path.dirname(strongblock.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -201,7 +224,7 @@ def run_subprocess(argv, cwd):
     # a malformed input once hung here, so a hang fails the test instead
     return subprocess.run([sys.executable, "-m", "strongblock.cli", *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=timeout)
 
 
 def test_malformed_inputs_exit_1_with_message(tmp_path):
@@ -304,6 +327,16 @@ GOLDEN_COMMANDS = [
     ("bounds_qm3_30_include_excluded",
      ["bounds", "--q-range=-3:30", "--include-excluded"], 2),
     ("partition_q2_k4", ["partition", "--q", "2", "--k", "4"], 0),
+    # more entries than the 3 cosets of R*: decided by pigeonhole
+    ("search_q2_k3_m4_exhaustive",
+     ["search", "--q", "2", "--k", "3", "--m", "4", "--strategy",
+      "exhaustive"], 2),
+    # a random search out of trials proves nothing: exit 3, no report
+    ("pipeline_q2_k4_max_iters_1_seed_3",
+     ["pipeline", "--q", "2", "--k", "4", "--max-iters", "1", "--seed", "3"],
+     3),
+    ("search_q2_k4_m5_max_iters_3",
+     ["search", "--q", "2", "--k", "4", "--m", "5", "--max-iters", "3"], 3),
 ]
 
 

@@ -368,9 +368,10 @@ def test_row_transform_invariance(code45, gf8):
     assert weight_distribution(code45) == weight_distribution(G2)
 
 
-def test_budget(code45):
+def test_budget(code45, monkeypatch):
+    monkeypatch.setattr(codes_mod, "DEFAULT_CLASS_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        support_profiles(code45, budget=10)
+        support_profiles(code45)
 
 
 @pytest.mark.parametrize("format", ["json", "text"])

@@ -371,12 +371,6 @@ def test_pointset_json_roundtrip(tmp_path):
     assert back.space.field.meta() == space.field.meta()
 
 
-def test_pointset_indices_match_scalar():
-    space = ProjectiveSpace(Field.build(3, 2), 2)
-    ps = PointSet(space, [space.point_at(i) for i in (0, 5, 17, 90)])
-    assert list(ps.indices()) == [space.point_index(pt) for pt in ps.points]
-
-
 SPACE22 = ProjectiveSpace(Field.build(2, 2), 2)
 
 

@@ -1,4 +1,6 @@
-"""Source hygiene: every module-level import of a library module is used."""
+"""Source hygiene: every module-level import of a library module is used,
+and no library module holds an `assert` statement, which `python -O` strips:
+load-bearing checks are explicit raises."""
 
 import ast
 import pathlib
@@ -6,7 +8,8 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "strongblock"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(tree):
@@ -33,3 +36,19 @@ def test_module_imports_are_used(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import itertools\nimport numpy as np\nnp.zeros(1)\n")
     assert unused_imports(tree) == [(1, "itertools")]
+
+
+def assert_statements(tree):
+    """Line numbers of the `assert` statements anywhere in `tree`."""
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_has_no_assert(path):
+    assert assert_statements(ast.parse(path.read_text())) == []
+
+
+def test_assert_statement_is_reported():
+    tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'neg'\n"
+                     "    raise AssertionError('not an assert statement')\n")
+    assert assert_statements(tree) == [3]

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from strongblock import geometry
 from strongblock.errors import BudgetExceeded, FieldTooLarge
 from strongblock.field import MR_EXACT_BELOW, factor, is_prime
 from strongblock.partition import (
@@ -147,7 +148,7 @@ def test_subgeometry_structure(rg24):
     # spans the whole space
     assert sub.space.rank(sub.points) == 4
     # canonical index order and determinism
-    idx = list(sub.indices())
+    idx = list(sub.space.point_index_vec(sub.matrix()))
     assert idx == sorted(idx)
     assert sub.points == subgeometry_points(rg24, 7).points
 
@@ -166,7 +167,7 @@ def test_fano_subgeometry(rg23):
                 assert len(line & pts) == 3
 
 
-def test_r_tuple_matrix(rg23, rg24):
+def test_r_tuple_matrix(rg23, rg24, monkeypatch):
     from strongblock.geometry import ProjectiveSpace
     for rg, ncoords in ((rg23, 2), (rg24, 3)):
         mat = r_tuple_matrix(rg, ncoords)
@@ -176,8 +177,10 @@ def test_r_tuple_matrix(rg23, rg24):
         space = ProjectiveSpace(rg.field, ncoords - 1)
         idx = space.point_index_vec(mat)
         assert np.all(np.diff(idx) > 0)  # canonical order, no duplicates
-        with pytest.raises(BudgetExceeded):
-            r_tuple_matrix(rg, ncoords, budget=10)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "SCAN_BUDGET", 10)
+            with pytest.raises(BudgetExceeded):
+                r_tuple_matrix(rg, ncoords)
     assert mat.shape[0] == 11343
 
 
@@ -205,6 +208,7 @@ def test_bset_contains(bset24):
     assert not bset24.contains((1, non_r, 0))
 
 
-def test_bset_budget(rg24):
+def test_bset_budget(rg24, monkeypatch):
+    monkeypatch.setattr(geometry, "SCAN_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        build_bset(rg24, budget=100)
+        build_bset(rg24)

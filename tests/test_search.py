@@ -11,7 +11,7 @@ import pytest
 
 import strongblock
 
-from strongblock import search
+from strongblock import geometry, search
 from strongblock.errors import BudgetExceeded
 from strongblock.field import Field
 from strongblock.geometry import ProjectiveSpace
@@ -87,17 +87,20 @@ def test_independence_input_validation(rg23):
         is_r_independent((1, 0), rg23)
 
 
-def test_randomized_fallback(rg24):
-    # a pair enumerates one R-point, so only a triple can exceed the budget
+def test_over_budget_prefix_enumeration_raises(rg24, monkeypatch):
+    # a pair enumerates one R-point, so only a triple can exceed the budget;
+    # no verdict is guessed, dependent or not, and the random search stops
+    # at its first trial
     f = rg24.field
     dependent = (f.one, f.from_exp(rg24.stride), f.from_exp(2 * rg24.stride))
-    verdict = is_r_independent(dependent, rg24, budget=10, seed=3)
-    assert verdict.status == "dependent"
-    assert verdict.certification == "randomized"
     independent = find_independent_tuple(rg24, 3, "exhaustive").alphas
-    verdict = is_r_independent(independent, rg24, budget=10,
-                               fallback_samples=2000)
-    assert verdict.status == "unknown"
+    monkeypatch.setattr(geometry, "SCAN_BUDGET", 10)
+    assert is_r_independent(dependent[:2], rg24).status == "dependent"
+    for alphas in (dependent, independent):
+        with pytest.raises(BudgetExceeded):
+            is_r_independent(alphas, rg24)
+    with pytest.raises(BudgetExceeded):
+        find_independent_tuple(rg24, 3, strategy="random")
 
 
 def full_enumeration_verdict(alphas, rg):
@@ -151,7 +154,7 @@ def test_relation_recheck_needs_r_coefficients(rg24, monkeypatch):
     # a forged prefix (g^1) gives (g^1, 1), a relation of (1, g^1) whose
     # first coefficient lies outside R: the re-check refuses it
     monkeypatch.setattr(search, "r_tuple_matrix",
-                        lambda rg, n, budget: np.array([[2]], dtype=np.int64))
+                        lambda rg, n: np.array([[2]], dtype=np.int64))
     with pytest.raises(AssertionError, match="R-relation re-check failed"):
         is_r_independent((rg24.field.one, 2), rg24)
 
@@ -332,6 +335,13 @@ def test_search_strategy_validation(rg24):
     # PG(3,4096) has 6.9e10 hyperplanes
     with pytest.raises(BudgetExceeded):
         find_independent_tuple(rg24, 4, strategy="exhaustive")
+
+
+def test_random_search_out_of_trials_raises(rg23):
+    # B(3,2) meets every line of PG(2,64), so no trial can succeed, and a
+    # random miss proves nothing
+    with pytest.raises(BudgetExceeded, match="in 5 random trials"):
+        find_independent_tuple(rg23, 3, strategy="random", max_iters=5)
 
 
 # ---------------------------------------------------------------------------

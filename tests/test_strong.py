@@ -167,14 +167,13 @@ def test_empty_set(gf8):
         assert verdict.hyperplanes_checked == 1
 
 
-def test_dimension_mismatch_and_budget(rg24):
+def test_dimension_mismatch_and_budget(rg24, monkeypatch):
     sub = subgeometry_points(rg24, 0)
-    with pytest.raises(ValueError):
-        verify_strong_blocking(sub, k=5)
-    with pytest.raises(ValueError):
-        verify_blocking(sub, k=3)
+    monkeypatch.setattr(geometry, "SCAN_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        verify_strong_blocking(sub, budget=100)
+        verify_strong_blocking(sub)
+    with pytest.raises(BudgetExceeded):
+        verify_blocking(sub)
 
 
 def test_whole_space_is_strong(gf9):
