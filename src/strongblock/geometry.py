@@ -12,6 +12,11 @@ each point, MARK_BATCH incidences at a time.  N points cost
 N (Q^n - 1)/(Q - 1) incidences instead of one dual form per point and
 hyperplane.  `rank_stack` ranks a stack of equal-size hyperplane sections in
 one batched elimination; the scalar `rank` is its independent oracle.
+
+The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
+`point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
+so each field kernel sweeps the long axis.  Callers on the hot path build
+their data with the long axis last, which makes that transpose a free view.
 """
 
 from __future__ import annotations
@@ -66,13 +71,19 @@ class ProjectiveSpace:
         raise ValueError("cannot normalize the zero vector")
 
     def normalize_vec(self, mat):
-        """Row-wise normalization of an (N, n+1) code matrix."""
-        mat = np.asarray(mat, dtype=np.int64)
-        lead = np.argmax(mat != 0, axis=1)
-        lead_val = mat[np.arange(mat.shape[0]), lead]
+        """Row-wise normalization of an (N, n+1) code matrix.
+
+        The work runs on the (n+1, N) transpose, a free view when the caller
+        built the coordinates as (n+1, N) rows, so that every field kernel
+        sweeps the long axis.
+        """
+        x = np.asarray(mat, dtype=np.int64).T
+        lead_val = x[-1]
+        for coord in x[-2::-1]:
+            lead_val = np.where(coord != 0, coord, lead_val)
         if np.any(lead_val == 0):
             raise ValueError("cannot normalize the zero vector")
-        return self.field.mul_vec(mat, self.field.inv_vec(lead_val)[:, None])
+        return self.field.mul_vec(x, self.field.inv_vec(lead_val)[None, :]).T
 
     # -- canonical enumeration ---------------------------------------------
 
@@ -123,16 +134,17 @@ class ProjectiveSpace:
         return self._offsets[lead] + val
 
     def point_index_vec(self, mat):
-        """Canonical indices of the rows of a normalized (N, n+1) matrix."""
-        mat = np.asarray(mat, dtype=np.int64)
+        """Canonical indices of the rows of a normalized (N, n+1) matrix,
+        computed on its (n+1, N) transpose as `normalize_vec` is."""
+        x = np.asarray(mat, dtype=np.int64).T
         q = self.field.order
-        lead = np.argmax(mat != 0, axis=1)
-        idx = np.asarray(self._offsets, dtype=np.int64)[lead]
-        val = np.zeros(mat.shape[0], dtype=np.int64)
-        for j in range(self.k):
-            active = lead < j
-            val = np.where(active, val * q + mat[:, j], val)
-        return idx + val
+        lead = np.zeros(x.shape[1], dtype=np.int64)
+        for j in range(self.n, -1, -1):
+            lead = np.where(x[j] != 0, j, lead)
+        val = np.zeros(x.shape[1], dtype=np.int64)
+        for j in range(1, self.k):
+            val = np.where(lead < j, val * q + x[j], val)
+        return np.asarray(self._offsets, dtype=np.int64)[lead] + val
 
     # -- incidence ---------------------------------------------------------
 
@@ -181,16 +193,19 @@ class ProjectiveSpace:
             sub = ProjectiveSpace(f, n - 1)
             coeffs = sub.points_block(0, sub.num_points)
         step = max(1, MARK_BATCH // coeffs.shape[0])
+        coeffs_t = np.ascontiguousarray(coeffs.T)
+        j = np.arange(k)[:, None]
         for start in range(0, mat.shape[0], step):
             rows = mat[start:start + step]
             b = rows.shape[0]
             lead = np.argmax(rows != 0, axis=1)
-            keep = np.arange(k)[None, :] != lead[:, None]
-            duals = np.empty((b, k, coeffs.shape[0]), dtype=np.int64)
-            duals[keep] = np.tile(coeffs.T, (b, 1))
-            duals[np.arange(b), lead] = f.neg_vec(
-                self.dot_block(coeffs, rows[keep].reshape(b, n))).T
-            flat = duals.transpose(0, 2, 1).reshape(-1, k)
+            keep = j.T != lead[:, None]
+            # (k, b, C) duals, coordinate j of row r from coefficient
+            # j - (j > lead); coordinate lead is overwritten next
+            duals = coeffs_t[np.minimum(j - (j > lead), n - 1)]
+            duals[lead, np.arange(b)] = f.neg_vec(
+                self.dot_block(rows[keep].reshape(b, n), coeffs))
+            flat = duals.reshape(k, -1).T  # (b C, k), a view of (k, b C)
             yield (np.arange(start, start + b),
                    self.point_index_vec(self.normalize_vec(flat)).reshape(b, -1))
 
@@ -225,38 +240,35 @@ class ProjectiveSpace:
         return rank
 
     def rank_stack(self, stack):
-        """Ranks of the matrices of an (H, s, n+1) stack of code matrices.
+        """Ranks of the matrices of an (H, s, c) stack of code matrices.
 
-        One batched elimination in Zech codes: for each column, every matrix
-        takes its first row that is nonzero there as pivot and clears the
-        column from all its rows, the pivot row included.  The pivot row is
+        One batched elimination in Zech codes on the (c, s, H) transpose, a
+        free view when the caller built the stack that way, so each field
+        kernel sweeps the H matrices.  For each column, every matrix takes
+        its first row that is nonzero there as pivot and clears the column
+        from all its rows, the pivot row included.  The pivot row is
         independent of the cleared rows, so each pivot adds one to the rank
         and dropping it loses nothing: the rank is the number of columns
         that found a pivot.
         """
         f = self.field
-        a = np.array(stack, dtype=np.int64)
-        H, s, k = a.shape
-        ranks = np.zeros(H, dtype=np.int64)
-        if s == 0:
+        a = np.asarray(stack, dtype=np.int64).T
+        ranks = np.zeros(a.shape[-1], dtype=np.int64)
+        if a.shape[1] == 0:
             return ranks
-        mats = np.arange(H)
-        for col in range(k):
-            piv = np.argmax(a[:, :, col] != 0, axis=1)
-            lead = a[mats, piv, col]
+        mats = np.arange(a.shape[-1])
+        while True:
+            piv = np.argmax(a[0] != 0, axis=0)
+            lead = a[0, piv, mats]
             has = lead != 0
             ranks += has
-            if col + 1 == k:
-                break
+            if len(a) == 1:
+                return ranks
             # pivot row scaled to -1 in this column: adding c times it to a
             # row whose entry here is c clears the entry
             scale = f.neg_vec(f.inv_vec(np.where(has, lead, 1)))
-            prow = np.where(has[:, None],
-                            f.mul_vec(a[mats, piv, col + 1:], scale[:, None]), 0)
-            a[:, :, col + 1:] = f.add_vec(
-                a[:, :, col + 1:],
-                f.mul_vec(a[:, :, col:col + 1], prow[:, None, :]))
-        return ranks
+            prow = np.where(has, f.mul_vec(a[1:, piv, mats], scale), 0)
+            a = f.add_vec(a[1:], f.mul_vec(a[0], prow[:, None, :]))
 
     # -- lines -------------------------------------------------------------
 

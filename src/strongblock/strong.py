@@ -1,15 +1,16 @@
 """Unions of coset subgeometries and exhaustive (strong) blocking verification.
 
 A strong blocking set meets every hyperplane in a set of full rank.  The scan
-reads the pencils through the points (`ProjectiveSpace.pencils`), sorts the
-incidences by hyperplane into sections (a CSR: one run of point rows per
-hyperplane), and ranks the sections in stacks of equal size with
-`ProjectiveSpace.rank_stack`.  The witness is the lowest-index hyperplane
-whose section falls short, and is re-checked with scalar incidences and the
-scalar `rank`.  Plain blocking needs no sections: it marks the hyperplanes
-through each point (`search.mark_lines_through`), and the first unmarked one
-is the same lowest-index witness.  Both scans refuse a space of more than
-`geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded.
+reads the pencils through the points (`ProjectiveSpace.pencils`), buckets the
+incidences by hyperplane into sections with a counting sort (a CSR: one run of
+point rows per hyperplane), and ranks the sections in stacks of equal size
+with `ProjectiveSpace.rank_stack`, over the k-1 coordinates that remain when
+each hyperplane's leading one is dropped.  The witness is the lowest-index
+hyperplane whose section falls short, and is re-checked with scalar
+incidences and the scalar `rank`.  Plain blocking needs no sections: it marks
+the hyperplanes through each point (`search.mark_lines_through`), and the
+first unmarked one is the same lowest-index witness.  Both scans refuse a
+space of more than `geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .geometry import PointSet
 from .partition import RGroup, subgeometry_points
 from .search import _first_unmarked_line
 
-SECTION_CAP = 1 << 22  # incidences the strong scan sorts at once
+SECTION_CAP = 1 << 22  # incidences the strong scan buckets at once
 
 
 @dataclass
@@ -83,8 +84,10 @@ def _sections(space, mat):
     as a CSR, where the rows of `mat` on hyperplane lo+i are
     members[indptr[i]:indptr[i+1]], in ascending order.
 
-    The incidences of one window of about SECTION_CAP of them are sorted by
-    hyperplane at once.  A window of at most MARK_BATCH incidences is
+    The incidences of one window of about SECTION_CAP of them are bucketed
+    by hyperplane at once, by a counting sort: the bucket offsets come from
+    the counts, and each row's hyperplanes, which are distinct, are filled
+    in one step, row by row.  A window of at most MARK_BATCH incidences is
     handed out whole, one stack per section size; a larger one in runs of
     hyperplanes that double from one, so a failure near the start is
     ranked early.
@@ -94,15 +97,26 @@ def _sections(space, mat):
     width = -(-H // max(1, -(-incidences // SECTION_CAP)))
     for lo in range(0, H, width):
         hi = min(lo + width, H)
-        hyps, rows = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-        for pts, hyperplanes in space.pencils(mat):
+        hyps, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
+        for _rows, hyperplanes in space.pencils(mat):
             on = (hyperplanes >= lo) & (hyperplanes < hi)
             hyps.append((hyperplanes[on] - lo).astype(np.int32))
-            rows.append(np.broadcast_to(pts[:, None], on.shape)[on].astype(np.int32))
+            counts.append(np.count_nonzero(on, axis=1))
+        # each array is dropped once used: a window holds at most two int32
+        # arrays of incidence size at once, and only members while it is ranked
         hyp = np.concatenate(hyps)
+        del hyps
+        bounds = [0] + np.cumsum(np.concatenate(counts)).tolist()  # row runs
         indptr = np.zeros(hi - lo + 1, dtype=np.int64)
         np.cumsum(np.bincount(hyp, minlength=hi - lo), out=indptr[1:])
-        members = np.concatenate(rows)[np.argsort(hyp, kind="stable")]
+        cursor = indptr[:-1].copy()
+        members = np.empty(hyp.size, dtype=np.int32)
+        for row in range(len(mat)):
+            h = hyp[bounds[row]:bounds[row + 1]]
+            at = cursor[h]
+            members[at] = row
+            cursor[h] = at + 1
+        del hyp, cursor
         if members.size <= geometry.MARK_BATCH:
             yield lo, indptr, members
             continue
@@ -113,19 +127,32 @@ def _sections(space, mat):
             a = b
 
 
-def _section_ranks(space, mat, indptr, members):
-    """Rank of every section of the CSR, in stacks of equal section size
-    holding at most MARK_BATCH incidences (or one section) each."""
+def _section_ranks(space, mat, lo, indptr, members):
+    """Rank of every section of the CSR of hyperplanes lo, lo+1, ..., in
+    stacks of equal section size holding at most MARK_BATCH incidences (or
+    one section) each.
+
+    A section lies in its hyperplane u, normalized with u_l = 1 at its
+    leading position l, so x_l = -sum of u_i x_i over i != l, and dropping
+    coordinate l keeps the rank: each stack is gathered as (k-1, s, H)
+    without it and ranked through its (H, s, k-1) transpose.
+    """
+    k = space.k
     sizes = np.diff(indptr)
     ranks = np.zeros(sizes.size, dtype=np.int64)
+    coords = mat.T
+    j = np.arange(k - 1)[:, None]
+    others = j + (j >= np.arange(k))  # others[:, l]: coordinates but l
+    offsets = np.asarray(space._offsets, dtype=np.int64)
     # return_counts keeps np.unique off its numpy.ma import
     for size in np.unique(sizes[sizes > 0], return_counts=True)[0]:
         same = np.flatnonzero(sizes == size)
         step = max(1, geometry.MARK_BATCH // int(size))
         for c in range(0, same.size, step):
             h = same[c:c + step]
-            rows = members[indptr[h][:, None] + np.arange(size)]
-            ranks[h] = space.rank_stack(mat[rows])
+            rows = members[indptr[h] + np.arange(size)[:, None]]
+            lead = np.searchsorted(offsets, lo + h, side="right") - 1
+            ranks[h] = space.rank_stack(coords[others[:, None, lead], rows].T)
     return ranks
 
 
@@ -156,7 +183,7 @@ def verify_strong_blocking(point_set: PointSet):
     mat = point_set.matrix()
     for lo, indptr, members in _sections(space, mat):
         short = np.flatnonzero(
-            _section_ranks(space, mat, indptr, members) < space.k - 1)
+            _section_ranks(space, mat, lo, indptr, members) < space.k - 1)
         if short.size:
             h = int(short[0])
             return _recheck_witness(point_set, lo + h, indptr[h] == indptr[h + 1])

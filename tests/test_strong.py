@@ -255,6 +255,97 @@ def test_strong_scan_batch_sizes(monkeypatch, strong_corpus, name, value):
     assert [verify_strong_blocking(S) for S in strong_corpus] == expected
 
 
+def sections_by_stable_sort(space, mat):
+    """The windows of `strong._sections` with each window's incidences
+    bucketed by a stable argsort on the hyperplane index."""
+    H, q = space.num_points, space.field.order
+    incidences = len(mat) * ((q ** space.n - 1) // (q - 1))
+    width = -(-H // max(1, -(-incidences // strong.SECTION_CAP)))
+    for lo in range(0, H, width):
+        hi = min(lo + width, H)
+        hyps, rows = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+        for pts, hyperplanes in space.pencils(mat):
+            on = (hyperplanes >= lo) & (hyperplanes < hi)
+            hyps.append((hyperplanes[on] - lo).astype(np.int32))
+            rows.append(np.broadcast_to(pts[:, None], on.shape)[on].astype(np.int32))
+        hyp = np.concatenate(hyps)
+        indptr = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(np.bincount(hyp, minlength=hi - lo), out=indptr[1:])
+        members = np.concatenate(rows)[np.argsort(hyp, kind="stable")]
+        if members.size <= geometry.MARK_BATCH:
+            yield lo, indptr, members
+            continue
+        a = 0
+        while a < hi - lo:
+            b = min(hi - lo, max(1, 2 * a))
+            yield lo + a, indptr[a:b + 1], members
+            a = b
+
+
+@pytest.mark.parametrize("cap", [None, 200])
+def test_counting_sort_sections_match_stable_sort(monkeypatch, strong_corpus,
+                                                  cap):
+    # the corpus holds the empty set; a cap of 200 splits most scans into
+    # many windows
+    if cap is not None:
+        monkeypatch.setattr(strong, "SECTION_CAP", cap)
+    windows = 0
+    for S in strong_corpus:
+        mat = S.matrix()
+        got = list(strong._sections(S.space, mat))
+        want = list(sections_by_stable_sort(S.space, mat))
+        assert len(got) == len(want), (S.space, len(S))
+        for (lo, indptr, members), (lo2, indptr2, members2) in zip(got, want):
+            assert lo == lo2
+            assert np.array_equal(indptr, indptr2)
+            assert members.dtype == members2.dtype
+            assert np.array_equal(members, members2)
+        windows = max(windows, len(got))
+    assert windows > 10 if cap else windows == 1
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 6, 1), (3, 2, 2), (2, 3, 3), (2, 1, 4)])
+def test_section_ranks_over_k_minus_1_columns(p, m, n):
+    # random points of every hyperplane, drawn from a subspace of random
+    # dimension inside it: ranking without the hyperplane's leading
+    # coordinate gives the scalar rank of the full rows
+    space = ProjectiveSpace(Field.build(p, m), n)
+    f, k = space.field, space.k
+    rng = np.random.default_rng(23)
+    sections, expect = [], []
+    for h in range(space.num_points):
+        u = space.point_at(h)
+        lead = next(i for i, c in enumerate(u) if c)
+        basis = []  # e_i - u_i e_lead, i != lead, spans the hyperplane
+        for i in range(k):
+            if i != lead:
+                v = [0] * k
+                v[i], v[lead] = f.one, f.neg(u[i])
+                basis.append(v)
+        basis = np.asarray(basis, dtype=np.int64)
+        d = int(rng.integers(0, k))
+        span = np.zeros((d, k), dtype=np.int64)
+        for i, coef in enumerate(rng.integers(0, f.order, (d, k - 1))):
+            for c, v in zip(coef, basis):
+                span[i] = f.add_vec(span[i], f.mul_vec(c, v))
+        rows = np.zeros((int(rng.integers(0, 2 * k + 1)), k), dtype=np.int64)
+        for i, coef in enumerate(rng.integers(0, f.order, (len(rows), d))):
+            for c, v in zip(coef, span):
+                rows[i] = f.add_vec(rows[i], f.mul_vec(c, v))
+        assert all(space.dot(tuple(r), u) == 0 for r in rows.tolist())
+        sections.append(rows)
+        expect.append(space.rank([tuple(r) for r in rows.tolist()]))
+    mat = np.concatenate(sections)
+    indptr = np.zeros(len(sections) + 1, dtype=np.int64)
+    np.cumsum([len(rows) for rows in sections], out=indptr[1:])
+    members = np.arange(len(mat), dtype=np.int32)
+    ranks = strong._section_ranks(space, mat, 0, indptr, members)
+    assert ranks.tolist() == expect
+    assert {0, k - 1} <= set(expect)
+    if k > 2:
+        assert any(0 < r < k - 1 for r in expect)
+
+
 RECHECK_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
