@@ -3,12 +3,16 @@
 Elements are integer codes: code 0 is the zero element, and code c in
 [1, order-1] denotes g^(c-1) where g is the root of the (primitive) modulus.
 With this encoding, multiplication is index addition and addition is a Zech
-table lookup.  A field with at most DENSE_CELLS code pairs (every order up
-to 512, which covers the PG(3, q^3) scans for q <= 8) also holds dense
-order x order addition and multiplication tables, built once from the Zech
-kernels, so each vectorized add or mul is one table gather, with no zero
-case and no modular reduction; larger fields use the Zech kernels
-directly.  All operations come in scalar and numpy-vectorized flavours.
+table lookup.  The exp/log/zech tables are int32 (the order is capped at
+DEFAULT_ORDER_CAP = 2^25, so every code fits) and come from one
+block-doubling builder for every p and m, made of table gathers only.  A
+field with at most DENSE_CELLS code pairs (every order up to 512, which
+covers the PG(3, q^3) scans for q <= 8) also holds dense order x order
+addition and multiplication tables, built once from the Zech kernels, so
+each vectorized add or mul is one table gather, with no zero case and no
+modular reduction; larger fields use the Zech kernels directly.  All
+operations come in scalar and numpy-vectorized flavours; scalar results
+are Python integers, vectorized ones int64 arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 1 << 25
 TABLE_BLOCK = 1 << 16  # table cells per vectorized step of a table build
+CHUNK_CELLS = 1 << 14  # largest lookup table of one doubling step
 DENSE_CELLS = 1 << 18  # largest order^2 with dense add/mul tables (GF(512))
 
 # Fields are immutable, so identical build requests share one instance; a
@@ -251,99 +256,136 @@ def _doubling_steps(n):
         b += count
 
 
-def _tables_from_exp(exp, order, plus_one):
-    """(exp, log, zech), with log[exp[i]] = i and zech[i] = log[1 + g^i]
-    (`plus_one` on packed values), filled TABLE_BLOCK entries at a time so
-    that no full-size temporary is formed."""
-    log = np.full(order, -1, dtype=np.int64)
-    zech = np.empty(order - 1, dtype=np.int64)
-    for lo in range(0, order - 1, TABLE_BLOCK):
-        hi = min(lo + TABLE_BLOCK, order - 1)
-        log[exp[lo:hi]] = np.arange(lo, hi)
-    for lo in range(0, order - 1, TABLE_BLOCK):
-        zech[lo:lo + TABLE_BLOCK] = log[plus_one(exp[lo:lo + TABLE_BLOCK])]
-    return exp, log, zech
+def _ilog(n, base):
+    """The largest e with base^e <= n."""
+    e = 0
+    while base ** (e + 1) <= n:
+        e += 1
+    return e
 
 
-def _build_tables_char2(poly, m):
-    """exp/log/zech of GF(2^m), by block doubling (Huber, "Some comments on
-    Zech's logarithms", IEEE Trans. IT 1990).
+def _times_g_to_the_b(mat, p, count, cache):
+    """The map v -> v * g^B on an int32 array of packed values of GF(p^m),
+    m > 1, where row j of `mat` holds the digits of x^j g^B.
 
-    exp[B:2B] = exp[0:B] * g^B, and multiplying by g^B is GF(2)-linear on
-    the packed bits: it is the XOR of one 256-entry table per byte, built
-    from the images x^j * g^B of the m basis bits.  So each entry costs a
-    few vectorized lookups, in steps of at most TABLE_BLOCK cells.
+    The map is GF(p)-linear on the digits.  Split into c chunks of h
+    digits, each chunk value has its image in a table of p^h entries (at
+    most CHUNK_CELLS, and at most `count` past one digit, so that small
+    steps build small tables), and a block costs c gathers.  For p = 2 the
+    packed images combine by XOR.  For odd p they are stored in base
+    b = c(p-1)+1, where c digits below p add without carries, with one
+    accumulator per group of w digits, b^w <= CHUNK_CELLS (or w = 1), so no
+    sum leaves int32; a gather from a b^w-entry table reduces the group's
+    digits mod p and repacks them in base p.  `cache` keeps the reduction
+    tables, which depend on b alone, from one step to the next.
     """
-    poly_int = sum(c << i for i, c in enumerate(poly))
-    order = 1 << m
+    m = len(mat)
+    c = -(-m // max(1, _ilog(min(CHUNK_CELLS, count), p)))
+    h = -(-m // c)  # chunks of (nearly) equal width
+    chunks = [mat[t:t + h] for t in range(0, m, h)]
+    if p == 2:  # a chunk table doubles with each bit: T[v + 2^j] = T[v] ^ I_j
+        tables = []
+        for rows in chunks:
+            table = np.zeros(1, dtype=np.int32)
+            for image in (rows @ (1 << np.arange(m))).tolist():
+                table = np.concatenate([table, table ^ image])
+            tables.append(table)
+        mask = (1 << h) - 1
 
-    def times_x(v):
-        v <<= 1
-        return v ^ poly_int if v >> m else v
+        def step(v):
+            out = tables[0].take(v & mask)
+            for t in range(1, c):
+                out ^= tables[t].take(v >> t * h & mask)
+            return out
+        return step
+    digits = np.arange(p ** h)[:, None] // p ** np.arange(h) % p
+    images = [digits[:p ** len(rows), :len(rows)] @ rows % p
+              for rows in chunks]
+    base = c * (p - 1) + 1
+    w = max(1, _ilog(CHUNK_CELLS, base))
+    groups = [(g, min(g + w, m)) for g in range(0, m, w)]
+    if base not in cache:
+        digit = np.arange(base) % p
+        cache[base] = reduce = []
+        for g, hi in groups:  # value at base-b digits d: sum (d_i % p) p^i
+            red = np.zeros(1, dtype=np.int32)
+            for i in range(g, hi):
+                red = (digit[:, None] * p ** i + red).ravel()
+            reduce.append(red.astype(np.int32))
+    reduce = cache[base]
+    tables = [[(img[:, g:hi] @ base ** np.arange(hi - g)).astype(np.int32)
+               for g, hi in groups] for img in images]
+    unit = p ** h
 
-    exp = np.empty(order - 1, dtype=np.int64)
-    exp[0] = 1
-    nbytes = -(-m // 8)
-    byte = np.arange(256, dtype=np.int64)
-    rows = max(1, TABLE_BLOCK // m)
-    for b, count in _doubling_steps(order - 1):
-        image = times_x(int(exp[b - 1]))  # g^B, then x^j g^B
-        tables = np.zeros((nbytes, 256), dtype=np.int64)
-        for j in range(m):
-            tables[j // 8] ^= np.where(byte >> (j % 8) & 1, image, 0)
-            image = times_x(image)
-        for lo in range(0, count, rows):
-            x = exp[lo:min(lo + rows, count)]
-            out = tables[0][x & 255]
-            for t in range(1, nbytes):
-                out ^= tables[t][x >> (8 * t) & 255]
-            exp[b + lo:b + lo + x.size] = out
-    return _tables_from_exp(exp, order, lambda e: e ^ 1)
+    def step(v):
+        values = []  # chunk values, low to high
+        for _ in range(c - 1):
+            rest = v // unit
+            values.append(v - rest * unit)
+            v = rest
+        values.append(v)
+        out = None
+        for i, red in enumerate(reduce):
+            acc = tables[0][i].take(values[0])
+            for t in range(1, c):
+                acc += tables[t][i].take(values[t])
+            out = red.take(acc) if out is None else out + red.take(acc)
+        return out
+    return step
 
 
-def _build_tables_odd(poly, p, m):
-    """exp/log/zech of GF(p^m), p odd, by block doubling.
+def _build_tables(poly, p, m):
+    """int32 (exp, log, zech) of GF(p^m) for the monic primitive `poly`:
+    exp[i] packs the digits of g^i, log[exp[i]] = i (log[0] = -1) and
+    zech[i] = log[1 + g^i].
 
-    exp[B:2B] = exp[0:B] * g^B, applied as the m x m GF(p) matrix whose
-    row j holds the digits of x^j * g^B: unpack the digits of a block of
-    entries, multiply by the matrix, reduce mod p and repack.  The product
-    is a float64 (BLAS) matrix product: an entry sums m products of digits,
-    below m (p-1)^2, so it is exact for every field under DEFAULT_ORDER_CAP
-    (at most 2^50, at m = 1); a larger cap past the 2^53 float64 mantissa
-    is refused.
+    An order past DEFAULT_ORDER_CAP is refused before anything is
+    allocated; below it every code fits int32.  exp is built by block
+    doubling (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT
+    1990): exp[B:2B] = exp[0:B] * g^B, applied to TABLE_BLOCK entries at a
+    time by `_times_g_to_the_b`, or for m = 1 as a product mod p (below
+    2^50).  log and zech are filled TABLE_BLOCK entries at a time too, so
+    no full-size temporary is formed.
     """
     order = p ** m
-    if m * (p - 1) ** 2 >= 1 << 53:
-        raise FieldTooLarge("GF(%d^%d) digit products overflow float64"
-                            % (p, m))
+    if order > DEFAULT_ORDER_CAP:
+        raise FieldTooLarge("order %d exceeds cap %d"
+                            % (order, DEFAULT_ORDER_CAP))
 
     def times_x(d):
         lead = d[-1]
         return [(c - lead * a) % p for c, a in zip([0] + d[:-1], poly)]
 
-    def digits(packed):
-        out = np.empty(packed.shape + (m,), dtype=np.int64)
-        for i in range(m):
-            packed, out[..., i] = np.divmod(packed, p)
-        return out
-
-    exp = np.empty(order - 1, dtype=np.int64)
+    exp = np.empty(order - 1, dtype=np.int32)
     exp[0] = 1
-    pw = p ** np.arange(m, dtype=np.int64)
-    rows = max(1, TABLE_BLOCK // m)
+    cache = {}
     for b, count in _doubling_steps(order - 1):
-        image = times_x(digits(exp[b - 1]).tolist())  # g^B, then x^j g^B
-        mat = np.empty((m, m), dtype=np.float64)
-        for j in range(m):
-            mat[j] = image  # row j: digits of x^j g^B
-            image = times_x(image)
-        for lo in range(0, count, rows):
-            x = exp[lo:min(lo + rows, count)]
-            prod = (digits(x).astype(np.float64) @ mat).astype(np.int64)
-            exp[b + lo:b + lo + x.size] = prod % p @ pw
-    # 1 + g^i changes only the constant digit, mod p
-    return _tables_from_exp(exp, order,
-                            lambda e: e - e % p + (e % p + 1) % p)
+        image = times_x([int(exp[b - 1]) // p ** i % p for i in range(m)])
+        if m == 1:
+            step = lambda v, gb=image[0]: v.astype(np.int64) * gb % p
+        else:
+            rows = []
+            for _ in range(m):
+                rows.append(image)
+                image = times_x(image)
+            step = _times_g_to_the_b(np.array(rows, dtype=np.int64), p,
+                                     count, cache)
+        for lo in range(0, count, TABLE_BLOCK):
+            v = exp[lo:min(lo + TABLE_BLOCK, count)]
+            exp[b + lo:b + lo + v.size] = step(v)
+    log = np.full(order, -1, dtype=np.int32)
+    zech = np.empty(order - 1, dtype=np.int32)
+    for lo in range(0, order - 1, TABLE_BLOCK):
+        hi = min(lo + TABLE_BLOCK, order - 1)
+        np.put(log, exp[lo:hi], np.arange(lo, hi, dtype=np.int32))
+    for lo in range(0, order - 1, TABLE_BLOCK):
+        e = exp[lo:lo + TABLE_BLOCK]
+        # 1 + g^i changes only the constant digit, mod p (e - e // p * p is
+        # e % p, in the faster division by a constant)
+        plus_one = e ^ 1 if p == 2 else e + np.where(e - e // p * p == p - 1,
+                                                     1 - p, 1)
+        zech[lo:lo + TABLE_BLOCK] = log.take(plus_one)
+    return exp, log, zech
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +394,10 @@ def _build_tables_odd(poly, p, m):
 class Field:
     """Immutable handle for GF(p^m); safe for concurrent shared reads.
 
-    Its tables are read-only arrays: `exp`, `log` and `zech`, and for an
-    order with order^2 <= DENSE_CELLS also `add_tab` and `mul_tab`, the
+    Its tables are read-only arrays: the int32 `exp`, `log` and `zech`
+    (exp[i] packs the digits of g^i in base p, log inverts it with
+    log[0] = -1, zech[i] = log[1 + g^i]), and for an order with
+    order^2 <= DENSE_CELLS also the int64 `add_tab` and `mul_tab`, the
     codes of a + b and a * b at [a, b] (None for larger orders).
     """
 
@@ -389,9 +433,10 @@ class Field:
 
         Defaults to the primitive polynomial with the smallest packed
         coefficient value, so identical parameters give identical fields.
-        The exp/log/zech tables are built by block doubling, a few
-        vectorized passes over the table instead of one Python step per
-        element (`_build_tables_char2`, `_build_tables_odd`).
+        An order past DEFAULT_ORDER_CAP is refused with FieldTooLarge before
+        anything is allocated.  The exp/log/zech tables are built by block
+        doubling, a few vectorized gathers per entry instead of one Python
+        step per element (`_build_tables`).
         """
         # a p past the cap fails the order check below, prime or not
         if p < 2 or (p <= DEFAULT_ORDER_CAP and factor(p) != {p: 1}):
@@ -421,11 +466,8 @@ class Field:
         # the default and the explicit request of one modulus share a field
         f = _FIELD_CACHE.get((p, m, mod))
         if f is None:
-            if p == 2:
-                exp, log, zech = _build_tables_char2(mod, m)
-            else:
-                exp, log, zech = _build_tables_odd(mod, p, m)
-            f = _FIELD_CACHE[p, m, mod] = Field(p, m, mod, exp, log, zech)
+            f = _FIELD_CACHE[p, m, mod] = Field(p, m, mod,
+                                                *_build_tables(mod, p, m))
         _FIELD_CACHE[key] = f
         return f
 
@@ -457,7 +499,8 @@ class Field:
             return b
         if b == 0:
             return a
-        z = self.zech[(b - a) % self.group_order]
+        # a Python int: an int32 scalar would wrap in `pow`'s (a - 1) * e
+        z = int(self.zech[(b - a) % self.group_order])
         if z < 0:
             return 0
         return (a - 1 + z) % self.group_order + 1
@@ -677,8 +720,7 @@ class CoordinateMap:
         u = u.reshape(codes.shape[0], self._e, self._d)
         packed = (u * self._pw).sum(axis=2)
         sub = self.submap.sub
-        out = np.where(packed == 0, 0, sub.log[packed] + 1)
-        return out
+        return np.where(packed == 0, 0, sub.log[packed].astype(np.int64) + 1)
 
     def recompose(self, coords):
         """Inverse of :meth:`coords`; used as the round-trip oracle."""

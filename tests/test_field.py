@@ -5,6 +5,8 @@ GF(p^m): elements are coefficient tuples reduced modulo the same modulus,
 with no exponent tables involved.  Table-driven results must agree with it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,32 @@ def test_pow_consistency(gf8):
             acc = gf8.mul(acc, a)
 
 
+def model_pow(model, a, e):
+    acc = (1,) + (0,) * (model.m - 1)
+    while e:
+        if e & 1:
+            acc = model.mul(acc, a)
+        a = model.mul(a, a)
+        e >>= 1
+    return acc
+
+
+def test_scalar_add_keeps_pow_exact():
+    # the int32 Zech table must not leak an int32 scalar out of `add`:
+    # pow's (a - 1) * e would wrap for e near the group order
+    f = Field.build(3, 12)
+    model = model_for(f)
+    rng = np.random.default_rng(13)
+    for a, b in rng.integers(1, f.order, (8, 2)).tolist():
+        c = f.add(a, b)
+        assert type(c) is int
+        for e in (f.group_order - 1, f.group_order - 2, f.group_order + 5):
+            got = f.pow(f.add(a, b), e)
+            assert got == (c - 1) * e % f.group_order + 1
+            assert code_to_coeffs(f, got) == model_pow(
+                model, code_to_coeffs(f, c), e)
+
+
 # ---------------------------------------------------------------------------
 # vectorized arithmetic agrees with scalar
 
@@ -276,14 +304,14 @@ def loop_tables_char2(poly, m):
     """exp/log/zech of GF(2^m), one multiplication by x per element."""
     poly_int = sum(c << i for i, c in enumerate(poly))
     order = 1 << m
-    exp = np.empty(order - 1, dtype=np.int64)
+    exp = np.empty(order - 1, dtype=np.int32)
     x = 1
     for i in range(order - 1):
         exp[i] = x
         x <<= 1
         if x & order:
             x ^= poly_int
-    log = np.full(order, -1, dtype=np.int64)
+    log = np.full(order, -1, dtype=np.int32)
     log[exp] = np.arange(order - 1)
     return exp, log, log[exp ^ 1]
 
@@ -291,7 +319,7 @@ def loop_tables_char2(poly, m):
 def loop_tables_odd(poly, p, m):
     """exp/log/zech of GF(p^m), p odd, one multiplication by x per element."""
     order = p ** m
-    exp = np.empty(order - 1, dtype=np.int64)
+    exp = np.empty(order - 1, dtype=np.int32)
     coeffs = [1] + [0] * (m - 1)
     pw = [p ** i for i in range(m)]
     for i in range(order - 1):
@@ -301,7 +329,7 @@ def loop_tables_odd(poly, p, m):
         if lead:
             for j in range(m):
                 coeffs[j] = (coeffs[j] - lead * poly[j]) % p
-    log = np.full(order, -1, dtype=np.int64)
+    log = np.full(order, -1, dtype=np.int32)
     log[exp] = np.arange(order - 1)
     c0 = exp % p
     return exp, log, log[exp - c0 + (c0 + 1) % p]
@@ -309,12 +337,9 @@ def loop_tables_odd(poly, p, m):
 
 def assert_tables_match_loop(p, m):
     poly = field_mod._smallest_primitive_poly(p, m)
-    if p == 2:
-        got, want = (field_mod._build_tables_char2(poly, m),
-                     loop_tables_char2(poly, m))
-    else:
-        got, want = (field_mod._build_tables_odd(poly, p, m),
-                     loop_tables_odd(poly, p, m))
+    got = field_mod._build_tables(poly, p, m)
+    want = (loop_tables_char2(poly, m) if p == 2
+            else loop_tables_odd(poly, p, m))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -328,6 +353,55 @@ def test_doubling_tables_match_loop(p, m):
     assert_tables_match_loop(p, m)
 
 
+def times_x_packed(v, poly, p, m):
+    """x * v mod poly on an array of packed values, digit by digit."""
+    digits = [v // p ** i % p for i in range(m)]
+    lead = digits[-1]
+    shifted = [np.zeros_like(lead)] + digits[:-1]
+    return sum((d - lead * a) % p * p ** i
+               for i, (d, a) in enumerate(zip(shifted, poly)))
+
+
+@pytest.mark.parametrize("p,m", [(3, 12), (2, 12), (2, 20), (5, 8), (7, 6),
+                                 (65521, 1), (509, 2)])
+def test_tables_at_workload_sizes(p, m):
+    # the fields the workloads and the coset quotient build: exp is the
+    # power sequence of x (blockwise step oracle) and a permutation, log
+    # inverts it and zech is the log of 1 + g^i; all read-only int32
+    f = Field.build(p, m)
+    exp, log, zech = f.exp, f.log, f.zech
+    for table in (exp, log, zech):
+        assert table.dtype == np.int32 and not table.flags.writeable
+    assert exp[0] == 1
+    nxt = np.roll(exp, -1)  # x * g^(order-2) = g^0
+    for lo in range(0, exp.size, 1 << 16):
+        v = exp[lo:lo + (1 << 16)].astype(np.int64)
+        assert np.array_equal(times_x_packed(v, f.modulus, p, m),
+                              nxt[lo:lo + (1 << 16)])
+    assert np.array_equal(np.bincount(exp, minlength=f.order),
+                          np.r_[0, np.ones(f.group_order, dtype=np.int64)])
+    assert log[0] == -1
+    assert np.array_equal(log[exp], np.arange(f.group_order))
+    c0 = exp % p
+    plus_one = exp - c0 + (c0 + 1) % p
+    assert np.array_equal(zech, log[plus_one])
+    assert np.count_nonzero(zech < 0) == 1
+
+
+def test_table_build_peak_memory(monkeypatch):
+    # the build allocates its three tables plus block-sized temporaries
+    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
+    tracemalloc.start()
+    try:
+        f = Field.build(3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = f.exp.nbytes + f.log.nbytes + f.zech.nbytes
+    assert table_bytes == 3 * 4 * 3 ** 12 - 8
+    assert peak < table_bytes + (2 << 20)
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_doubling_tables_with_small_blocks(monkeypatch, block):
     # steps of one cell, and blocks that split every doubling step
@@ -337,9 +411,10 @@ def test_doubling_tables_with_small_blocks(monkeypatch, block):
 
 
 def test_odd_tables_refuse_digit_overflow():
-    # (p-1)^2 >= 2^53: a digit product would not be exact in float64
+    # an order past DEFAULT_ORDER_CAP, whose codes would not fit int32, is
+    # refused before any table is allocated
     with pytest.raises(FieldTooLarge):
-        field_mod._build_tables_odd((1, 1), 94906297, 1)
+        field_mod._build_tables((1, 1), 94906297, 1)
 
 
 # ---------------------------------------------------------------------------

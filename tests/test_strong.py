@@ -304,6 +304,26 @@ def test_counting_sort_sections_match_stable_sort(monkeypatch, strong_corpus,
     assert windows > 10 if cap else windows == 1
 
 
+@pytest.mark.parametrize("cap", [None, 1000])
+def test_counting_sort_sections_of_whole_pg1(monkeypatch, cap):
+    # every point of PG(1, 4096): each hyperplane (a point) holds one row,
+    # so every window is filled in one step
+    if cap is not None:
+        monkeypatch.setattr(strong, "SECTION_CAP", cap)
+    space = ProjectiveSpace(Field.build(2, 12), 1)
+    mat = space.points_block(0, space.num_points)
+    got = list(strong._sections(space, mat))
+    want = list(sections_by_stable_sort(space, mat))
+    assert len(got) == len(want) >= (5 if cap else 1)
+    for (lo, indptr, members), (lo2, indptr2, members2) in zip(got, want):
+        assert lo == lo2
+        assert np.array_equal(indptr, indptr2)
+        assert members.dtype == members2.dtype
+        assert np.array_equal(members, members2)
+    assert verify_strong_blocking(
+        PointSet(space, [tuple(r) for r in mat.tolist()])).status == "strong"
+
+
 @pytest.mark.parametrize("p,m,n", [(2, 6, 1), (3, 2, 2), (2, 3, 3), (2, 1, 4)])
 def test_section_ranks_over_k_minus_1_columns(p, m, n):
     # random points of every hyperplane, drawn from a subspace of random
