@@ -264,7 +264,7 @@ def _ilog(n, base):
     return e
 
 
-def _times_g_to_the_b(mat, p, count, cache):
+def _times_g_to_the_b(mat, p, count):
     """The map v -> v * g^B on an int32 array of packed values of GF(p^m),
     m > 1, where row j of `mat` holds the digits of x^j g^B.
 
@@ -276,8 +276,7 @@ def _times_g_to_the_b(mat, p, count, cache):
     b = c(p-1)+1, where c digits below p add without carries, with one
     accumulator per group of w digits, b^w <= CHUNK_CELLS (or w = 1), so no
     sum leaves int32; a gather from a b^w-entry table reduces the group's
-    digits mod p and repacks them in base p.  `cache` keeps the reduction
-    tables, which depend on b alone, from one step to the next.
+    digits mod p and repacks them in base p.
     """
     m = len(mat)
     c = -(-m // max(1, _ilog(min(CHUNK_CELLS, count), p)))
@@ -304,15 +303,13 @@ def _times_g_to_the_b(mat, p, count, cache):
     base = c * (p - 1) + 1
     w = max(1, _ilog(CHUNK_CELLS, base))
     groups = [(g, min(g + w, m)) for g in range(0, m, w)]
-    if base not in cache:
-        digit = np.arange(base) % p
-        cache[base] = reduce = []
-        for g, hi in groups:  # value at base-b digits d: sum (d_i % p) p^i
-            red = np.zeros(1, dtype=np.int32)
-            for i in range(g, hi):
-                red = (digit[:, None] * p ** i + red).ravel()
-            reduce.append(red.astype(np.int32))
-    reduce = cache[base]
+    digit = np.arange(base) % p
+    reduce = []
+    for g, hi in groups:  # value at base-b digits d: sum (d_i % p) p^i
+        red = np.zeros(1, dtype=np.int32)
+        for i in range(g, hi):
+            red = (digit[:, None] * p ** i + red).ravel()
+        reduce.append(red.astype(np.int32))
     tables = [[(img[:, g:hi] @ base ** np.arange(hi - g)).astype(np.int32)
                for g, hi in groups] for img in images]
     unit = p ** h
@@ -339,8 +336,8 @@ def _build_tables(poly, p, m):
     exp[i] packs the digits of g^i, log[exp[i]] = i (log[0] = -1) and
     zech[i] = log[1 + g^i].
 
-    An order past DEFAULT_ORDER_CAP is refused before anything is
-    allocated; below it every code fits int32.  exp is built by block
+    `Field.build` refuses an order past DEFAULT_ORDER_CAP before it gets
+    here; below the cap every code fits int32.  exp is built by block
     doubling (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT
     1990): exp[B:2B] = exp[0:B] * g^B, applied to TABLE_BLOCK entries at a
     time by `_times_g_to_the_b`, or for m = 1 as a product mod p (below
@@ -348,9 +345,6 @@ def _build_tables(poly, p, m):
     no full-size temporary is formed.
     """
     order = p ** m
-    if order > DEFAULT_ORDER_CAP:
-        raise FieldTooLarge("order %d exceeds cap %d"
-                            % (order, DEFAULT_ORDER_CAP))
 
     def times_x(d):
         lead = d[-1]
@@ -358,7 +352,6 @@ def _build_tables(poly, p, m):
 
     exp = np.empty(order - 1, dtype=np.int32)
     exp[0] = 1
-    cache = {}
     for b, count in _doubling_steps(order - 1):
         image = times_x([int(exp[b - 1]) // p ** i % p for i in range(m)])
         if m == 1:
@@ -369,7 +362,7 @@ def _build_tables(poly, p, m):
                 rows.append(image)
                 image = times_x(image)
             step = _times_g_to_the_b(np.array(rows, dtype=np.int64), p,
-                                     count, cache)
+                                     count)
         for lo in range(0, count, TABLE_BLOCK):
             v = exp[lo:min(lo + TABLE_BLOCK, count)]
             exp[b + lo:b + lo + v.size] = step(v)

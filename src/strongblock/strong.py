@@ -87,11 +87,10 @@ def _sections(space, mat):
     The incidences of one window of about SECTION_CAP of them are bucketed
     by hyperplane at once, by a counting sort: the bucket offsets come from
     the counts, and each row's hyperplanes, which are distinct, are filled
-    in one step, row by row; a window in which no section holds two rows
-    (every window of PG(1, Q)) is filled in one step.  A window of at most
-    MARK_BATCH incidences is handed out whole, one stack per section size;
-    a larger one in runs of hyperplanes that double from one, so a failure
-    near the start is ranked early.
+    in one step, row by row.  A window of at most MARK_BATCH incidences is
+    handed out whole, one stack per section size; a larger one in runs of
+    hyperplanes that double from one, so a failure near the start is
+    ranked early.
     """
     H, q = space.num_points, space.field.order
     incidences = len(mat) * ((q ** space.n - 1) // (q - 1))
@@ -107,26 +106,17 @@ def _sections(space, mat):
         # arrays of incidence size at once, and only members while it is ranked
         hyp = np.concatenate(hyps)
         del hyps
-        counts = np.concatenate(counts)  # incidences per row
-        sizes = np.bincount(hyp, minlength=hi - lo)
+        bounds = [0] + np.cumsum(np.concatenate(counts)).tolist()  # row runs
         indptr = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        one_row_each = sizes.max(initial=0) <= 1  # as in PG(1, Q)
-        del sizes
+        np.cumsum(np.bincount(hyp, minlength=hi - lo), out=indptr[1:])
+        cursor = indptr[:-1].copy()
         members = np.empty(hyp.size, dtype=np.int32)
-        if one_row_each:
-            members[indptr[hyp]] = np.repeat(
-                np.arange(len(mat), dtype=np.int32), counts)
-        else:
-            bounds = [0] + np.cumsum(counts).tolist()  # row runs
-            cursor = indptr[:-1].copy()
-            for row in range(len(mat)):
-                h = hyp[bounds[row]:bounds[row + 1]]
-                at = cursor[h]
-                members[at] = row
-                cursor[h] = at + 1
-            del cursor
-        del hyp, counts
+        for row in range(len(mat)):
+            h = hyp[bounds[row]:bounds[row + 1]]
+            at = cursor[h]
+            members[at] = row
+            cursor[h] = at + 1
+        del hyp, cursor
         if members.size <= geometry.MARK_BATCH:
             yield lo, indptr, members
             continue

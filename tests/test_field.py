@@ -411,10 +411,11 @@ def test_doubling_tables_with_small_blocks(monkeypatch, block):
 
 
 def test_odd_tables_refuse_digit_overflow():
-    # an order past DEFAULT_ORDER_CAP, whose codes would not fit int32, is
-    # refused before any table is allocated
+    # the same p, m and modulus through Field.build: an order past
+    # DEFAULT_ORDER_CAP, whose codes would not fit int32, is refused before
+    # the modulus is checked or any table is allocated
     with pytest.raises(FieldTooLarge):
-        field_mod._build_tables((1, 1), 94906297, 1)
+        Field.build(94906297, 1, (1, 1))
 
 
 # ---------------------------------------------------------------------------

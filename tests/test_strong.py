@@ -306,8 +306,7 @@ def test_counting_sort_sections_match_stable_sort(monkeypatch, strong_corpus,
 
 @pytest.mark.parametrize("cap", [None, 1000])
 def test_counting_sort_sections_of_whole_pg1(monkeypatch, cap):
-    # every point of PG(1, 4096): each hyperplane (a point) holds one row,
-    # so every window is filled in one step
+    # every point of PG(1, 4096): each hyperplane (a point) holds one row
     if cap is not None:
         monkeypatch.setattr(strong, "SECTION_CAP", cap)
     space = ProjectiveSpace(Field.build(2, 12), 1)
