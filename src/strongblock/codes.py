@@ -94,8 +94,9 @@ def support_profiles(G: GeneratorMatrix):
 
     Class b vanishes at column j iff message hyperplane b passes through
     column j, so Z(b) is read off the pencils of the columns, 64 columns
-    (one support word) at a time.  Incidence is scale-invariant, so the
-    columns are normalized first; a zero column vanishes on every class.
+    (one support word) at a time.  `pencils` takes the columns as they are
+    (incidence is scale-invariant); a zero column, which lies on no pencil,
+    vanishes on every class.
     """
     space = G.message_space()
     C = space.num_points
@@ -111,8 +112,7 @@ def support_profiles(G: GeneratorMatrix):
         # zero columns and the padding past column n vanish everywhere
         vanish = np.ones((C, 64), dtype=bool)
         vanish[:, live] = False
-        for rows, msgs in space.pencils(
-                space.normalize_vec(cols[64 * w + live])):
+        for rows, msgs in space.pencils(cols[64 * w + live]):
             vanish[msgs, live[rows, None]] = True
         nz = ~vanish
         weights += nz.sum(axis=1)

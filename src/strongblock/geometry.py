@@ -10,8 +10,13 @@ Every exhaustive scan reads incidences from one generator,
 `ProjectiveSpace.pencils`: the canonical indices of the hyperplanes through
 each point, MARK_BATCH incidences at a time.  N points cost
 N (Q^n - 1)/(Q - 1) incidences instead of one dual form per point and
-hyperplane.  `rank_stack` ranks a stack of equal-size hyperplane sections in
-one batched elimination; the scalar `rank` is its independent oracle.
+hyperplane, and each incidence is solved for in closed form from the
+point's last nonzero coordinate, about one field addition apiece, with no
+dual form, normalization or index search; `dot_block` and `points_block`
+stay as its oracles.  MARK_BATCH = 2^15 keeps a pencil batch (256 KiB of
+int64 indices) and a rank stack in cache.  `rank_stack` ranks a stack of
+equal-size hyperplane sections in one batched elimination; the scalar
+`rank` is its independent oracle.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
@@ -29,7 +34,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .field import Field
 
-MARK_BATCH = 1 << 17  # incidences generated per vectorized pencil batch
+MARK_BATCH = 1 << 15  # incidences generated per vectorized pencil batch
 # the most hyperplanes, lines or R-points an exhaustive scan or enumeration
 # may cover; read at call time, so a test can lower it
 SCAN_BUDGET = 2 * 10 ** 7
@@ -176,38 +181,66 @@ class ProjectiveSpace:
         return acc
 
     def pencils(self, mat):
-        """Yield (rows, hyperplanes) over the incidences of normalized points.
+        """Yield (rows, hyperplanes) over the incidences of nonzero points.
 
         `rows` holds consecutive row indices into the (N, n+1) matrix `mat`
         and hyperplanes[i] the canonical indices of every hyperplane through
-        row rows[i]: at most MARK_BATCH incidences per batch, or one row's
-        pencil if that is larger.  The hyperplanes through P, whose leading
-        one sits at position l, are the duals c of PG(n-1) in canonical
-        order with -(c . P') inserted at position l, where P' is P without
-        position l.
+        row rows[i], in no particular order: at most MARK_BATCH incidences
+        per batch, or one row's pencil if that is larger.  The rows need
+        not be normalized; a zero row raises ValueError.
+
+        The indices are solved for, not searched.  Let z be the position of
+        the last nonzero coordinate of a row P.  A hyperplane u whose
+        leading one sits at j > z contains P, so block j is the index range
+        offs[j] .. offs[j+1]-1; none of block z does; and for j < z, u . P
+        = 0 fixes u_z = c (P_j + sum_{j<i<z} u_i P_i) with c = -1/P_z and
+        leaves the other digits free, so the index is offs[j] + d Q^(n-z+1)
+        + u_z Q^(n-z) + t for d the base-Q value of (u_{j+1}, ..., u_{z-1})
+        and t in [0, Q^(n-z)).  Over all d, u_z is the outer sum of the
+        vectors c P_i x (every code) on top of c P_j: about one field
+        addition per incidence.
         """
-        f, n, k = self.field, self.n, self.k
-        if n == 1:
-            coeffs = np.ones((1, 1), dtype=np.int64)  # PG(0) is one point
-        else:
-            sub = ProjectiveSpace(f, n - 1)
-            coeffs = sub.points_block(0, sub.num_points)
-        step = max(1, MARK_BATCH // coeffs.shape[0])
-        coeffs_t = np.ascontiguousarray(coeffs.T)
-        j = np.arange(k)[:, None]
-        for start in range(0, mat.shape[0], step):
-            rows = mat[start:start + step]
+        f, n, q = self.field, self.n, self.field.order
+        x = np.asarray(mat, dtype=np.int64)
+        offs = self._offsets
+        width = offs[-1] - offs[1]  # hyperplanes through a point
+        codes = np.arange(q, dtype=np.int64)
+        step = max(1, MARK_BATCH // width)
+        for start in range(0, x.shape[0], step):
+            rows = x[start:start + step]
             b = rows.shape[0]
-            lead = np.argmax(rows != 0, axis=1)
-            keep = j.T != lead[:, None]
-            # (k, b, C) duals, coordinate j of row r from coefficient
-            # j - (j > lead); coordinate lead is overwritten next
-            duals = coeffs_t[np.minimum(j - (j > lead), n - 1)]
-            duals[lead, np.arange(b)] = f.neg_vec(
-                self.dot_block(rows[keep].reshape(b, n), coeffs))
-            flat = duals.reshape(k, -1).T  # (b C, k), a view of (k, b C)
-            yield (np.arange(start, start + b),
-                   self.point_index_vec(self.normalize_vec(flat)).reshape(b, -1))
+            nonzero = rows != 0
+            if not np.all(np.any(nonzero, axis=1)):
+                raise ValueError("the zero vector is not a point")
+            last = n - np.argmax(nonzero[:, ::-1], axis=1)
+            out = np.empty((b, width), dtype=np.int64)
+            for z in range(self.k):
+                sel = np.flatnonzero(last == z)
+                if sel.size == 0:
+                    continue
+                # c P_i for i < z, with c = -1/P_z, and c P_i u_i for every u_i
+                cp = f.mul_vec(rows[sel, :z],
+                               f.neg_vec(f.inv_vec(rows[sel, z]))[:, None])
+                terms = f.mul_vec(cp[:, :, None], codes)
+                tail = q ** (n - z)
+                col = 0
+                for j in range(z):
+                    uz = cp[:, j:j + 1]  # u_z over d, one digit at a time
+                    for i in range(j + 1, z):
+                        uz = f.add_vec(uz[:, :, None], terms[:, i, None, :])
+                        uz = uz.reshape(sel.size, -1)
+                    base = offs[j] + np.arange(0, uz.shape[1] * q * tail,
+                                               q * tail)
+                    block = ((base + uz * tail)[:, :, None]
+                             + np.arange(tail)).reshape(sel.size, -1)
+                    out[sel, col:col + block.shape[1]] = block
+                    col += block.shape[1]
+                col_end = col + offs[-1] - offs[z + 1]
+                if col_end != width:
+                    raise AssertionError("pencil of %d hyperplanes, expected "
+                                         "%d" % (col_end, width))
+                out[sel, col:] = np.arange(offs[z + 1], offs[-1])
+            yield np.arange(start, start + b), out
 
     # -- rank --------------------------------------------------------------
 

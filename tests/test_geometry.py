@@ -1,5 +1,7 @@
 """Projective space tests: enumeration, incidence, rank, lines, point sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,93 @@ def test_point_hyperplane_duality_symmetric():
         i, j = rng.integers(0, space.num_points, 2)
         P, H = space.point_at(int(i)), space.point_at(int(j))
         assert space.incidence(P, H) == space.incidence(H, P)
+
+
+def pencil_rows(space, rng):
+    """Nonzero rows with every last-nonzero position z: a scaled unit vector
+    and two random rows for each z, then all of them again scaled by random
+    nonzero codes, so most rows are not normalized."""
+    f, k = space.field, space.k
+    rows = []
+    for z in range(k):
+        unit = np.zeros(k, dtype=np.int64)
+        unit[z] = rng.integers(1, f.order)
+        rows.append(unit)
+        for _ in range(2):
+            row = rng.integers(0, f.order, k)
+            row[z] = rng.integers(1, f.order)
+            row[z + 1:] = 0
+            rows.append(row)
+    rows = np.asarray(rows)
+    scale = rng.integers(1, f.order, (rows.shape[0], 1))
+    return np.concatenate([rows, f.mul_vec(rows, scale)])
+
+
+def pencils_by_row(space, mat):
+    out = [None] * len(mat)
+    for rows, hyperplanes in space.pencils(mat):
+        assert hyperplanes.shape == (rows.size, (space.num_points - 1)
+                                     // space.field.order)
+        for r, h in zip(rows.tolist(), hyperplanes):
+            out[r] = np.sort(h)
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, None])
+@pytest.mark.parametrize("p,m,n", [(2, 6, 1), (3, 2, 2), (2, 3, 3), (2, 1, 4)])
+def test_pencils_match_dot_block(monkeypatch, batch, p, m, n):
+    # the closed form against every dual form, with one row per batch and
+    # with the default batch
+    if batch is not None:
+        monkeypatch.setattr(geometry, "MARK_BATCH", batch)
+    space = ProjectiveSpace(Field.build(p, m), n)
+    mat = pencil_rows(space, np.random.default_rng(n))
+    duals = space.points_block(0, space.num_points)
+    values = space.dot_block(duals, mat)
+    for j, got in enumerate(pencils_by_row(space, mat)):
+        assert np.array_equal(got, np.flatnonzero(values[:, j] == 0))
+
+
+@pytest.mark.parametrize("batch", [1, None])
+def test_pencils_on_the_zech_path(monkeypatch, batch):
+    # PG(2,4096) adds through the Zech table; its 16.8M dual forms are too
+    # many to scan here, so each pencil is checked as a set of (Q^n-1)/(Q-1)
+    # distinct hyperplanes that all contain the row, which are all of them
+    if batch is not None:
+        monkeypatch.setattr(geometry, "MARK_BATCH", batch)
+    space = ProjectiveSpace(Field.build(2, 12), 2)
+    mat = pencil_rows(space, np.random.default_rng(12))
+    for j, got in enumerate(pencils_by_row(space, mat)):
+        assert got.size == space.field.order + 1
+        assert np.all(np.diff(got) > 0)
+        duals = np.asarray([space.point_at(int(h)) for h in got])
+        assert not np.any(space.dot_block(duals, mat[j:j + 1]))
+
+
+def test_pencils_refuse_the_zero_row():
+    space = ProjectiveSpace(Field.build(2, 2), 2)
+    with pytest.raises(ValueError):
+        list(space.pencils(np.asarray([[1, 2, 3], [0, 0, 0]])))
+
+
+@pytest.mark.parametrize("scan,limit_mb", [("strong", 5), ("supports", 6)])
+def test_pencil_scans_peak_memory(rg34, scan, limit_mb):
+    # the q = 3 pipeline's scans of a 120-point union in PG(3,27): pencil
+    # batches and rank stacks of MARK_BATCH incidences, not whole windows
+    union = union_subgeometries(
+        rg34, find_independent_tuple(rg34, 3, strategy="random", seed=1).alphas)
+    code = generator_from_points(union)
+    run = {"strong": lambda: verify_strong_blocking(union),
+           "supports": lambda: support_profiles(code)}[scan]
+    run()  # first use of any lazily built state is not the scan's cost
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(union) == 120
+    assert peak < limit_mb << 20
 
 
 # ---------------------------------------------------------------------------
