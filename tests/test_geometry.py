@@ -264,8 +264,8 @@ def test_pencils_match_dot_block(monkeypatch, batch, p, m, n):
 @pytest.mark.parametrize("batch", [1, None])
 def test_pencils_on_the_zech_path(monkeypatch, batch):
     # PG(2,4096) adds through the Zech table; its 16.8M dual forms are too
-    # many to scan here, so each pencil is checked as a set of (Q^n-1)/(Q-1)
-    # distinct hyperplanes that all contain the row, which are all of them
+    # many to scan here, so each pencil is checked as Q + 1 distinct lines
+    # that all contain the row, which are all the lines through it
     if batch is not None:
         monkeypatch.setattr(geometry, "MARK_BATCH", batch)
     space = ProjectiveSpace(Field.build(2, 12), 2)
@@ -285,8 +285,8 @@ def test_pencils_refuse_the_zero_row():
 
 @pytest.mark.parametrize("scan,limit_mb", [("strong", 5), ("supports", 6)])
 def test_pencil_scans_peak_memory(rg34, scan, limit_mb):
-    # the q = 3 pipeline's scans of a 120-point union in PG(3,27): pencil
-    # batches and rank stacks of MARK_BATCH incidences, not whole windows
+    # the q = 3 pipeline's two pencil scans of a 120-point union in
+    # PG(3,27), whose temporaries are sized by MARK_BATCH incidences
     union = union_subgeometries(
         rg34, find_independent_tuple(rg34, 3, strategy="random", seed=1).alphas)
     code = generator_from_points(union)
