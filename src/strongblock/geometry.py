@@ -218,16 +218,20 @@ class ProjectiveSpace:
                 sel = np.flatnonzero(last == z)
                 if sel.size == 0:
                     continue
-                # c P_i for i < z, with c = -1/P_z, and c P_i u_i for every u_i
+                # c P_i for i < z, with c = -1/P_z, and c P_i u_i for every
+                # u_i and the free digits 0 < i < z only: (s, z-1, Q), so
+                # under n MARK_BATCH entries, and none on the line (z <= 1)
                 cp = f.mul_vec(rows[sel, :z],
                                f.neg_vec(f.inv_vec(rows[sel, z]))[:, None])
-                terms = f.mul_vec(cp[:, :, None], codes)
+                if z > 1:
+                    terms = f.mul_vec(cp[:, 1:, None], codes)
                 tail = q ** (n - z)
                 col = 0
                 for j in range(z):
                     uz = cp[:, j:j + 1]  # u_z over d, one digit at a time
                     for i in range(j + 1, z):
-                        uz = f.add_vec(uz[:, :, None], terms[:, i, None, :])
+                        uz = f.add_vec(uz[:, :, None],
+                                       terms[:, i - 1, None, :])
                         uz = uz.reshape(sel.size, -1)
                     base = offs[j] + np.arange(0, uz.shape[1] * q * tail,
                                                q * tail)

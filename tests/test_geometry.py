@@ -303,6 +303,25 @@ def test_pencil_scans_peak_memory(rg34, scan, limit_mb):
     assert peak < limit_mb << 20
 
 
+@pytest.mark.parametrize("scan,limit_mb", [("pencils", 2), ("strong", 3)])
+def test_line_pencil_scans_peak_memory(scan, limit_mb):
+    # every point of PG(1,4096): each pencil is one hyperplane, so a batch
+    # holds thousands of rows, and nothing may be sized by rows x Q
+    space = ProjectiveSpace(Field.build(2, 12), 1)
+    mat = space.points_block(0, space.num_points)
+    points = PointSet(space, [tuple(r) for r in mat.tolist()])
+    run = {"pencils": lambda: sum(h.size for _, h in space.pencils(mat)),
+           "strong": lambda: verify_strong_blocking(points)}[scan]
+    run()  # first use of any lazily built state is not the scan's cost
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb << 20
+
+
 # ---------------------------------------------------------------------------
 # rank
 
