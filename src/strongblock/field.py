@@ -416,7 +416,6 @@ class Field:
         # exponent of -1 is (order-1)/2 in odd characteristic
         self.neg_one = 1 if p == 2 else self.group_order // 2 + 1
         self._coord_maps = {}
-        self._subfields = {}
 
     # -- construction ------------------------------------------------------
 
@@ -588,15 +587,10 @@ class Field:
 
         Returns a :class:`SubfieldMap` whose `sub` field uses the minimal
         polynomial of gamma as modulus, so small-field exponent j corresponds
-        to big-field exponent j*stride.
+        to big-field exponent j*stride.  For d = m, gamma = g has this
+        field's modulus, so `sub` is this field, from `Field.build`'s cache.
         """
-        if d in self._subfields:
-            return self._subfields[d]
         s = self.subfield_stride(d)
-        if d == self.m:
-            sm = SubfieldMap(self, self, d, 1)
-            self._subfields[d] = sm
-            return sm
         gamma = self.from_exp(s)
         # minimal polynomial of gamma: product of (x - gamma^(p^t))
         poly = [self.one]  # coefficients in this field, low-to-high
@@ -615,9 +609,7 @@ class Field:
                 raise AssertionError("minimal polynomial coefficient outside GF(p)")
             coeffs.append(v)
         sub = Field.build(self.p, d, tuple(coeffs))
-        sm = SubfieldMap(self, sub, d, s)
-        self._subfields[d] = sm
-        return sm
+        return SubfieldMap(self, sub, d, s)
 
     # -- coordinates over a subfield ---------------------------------------
 

@@ -22,9 +22,9 @@ them at once; since `build_bset` refuses every k >= 5, that decides every
 B(k,q).  A tuple with more entries than R* has cosets is never independent
 (pigeonhole).  Any other point set, in any PG(n, Q), goes through
 `mark_lines_through`, which marks the hyperplanes through each point
-(`ProjectiveSpace.pencils`), and `_first_unmarked_line` returns the
-lowest-index survivor.  Each witness is re-checked off its own path: scalar
-incidences for a hyperplane, the exhaustive `is_r_independent` for a tuple.
+(`ProjectiveSpace.pencils`); `strong.verify_blocking` takes the lowest-index
+survivor.  Each witness is re-checked off its own path: scalar incidences for
+a hyperplane, the exhaustive `is_r_independent` for a tuple.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import BudgetExceeded
-from .geometry import MARK_BATCH, ProjectiveSpace
+from .geometry import ProjectiveSpace
 from .partition import BSet, RGroup, r_tuple_matrix
 
 
@@ -43,7 +44,6 @@ from .partition import BSet, RGroup, r_tuple_matrix
 class IndependenceVerdict:
     status: str          # "independent" | "dependent"
     witness: tuple | None  # rho codes with sum rho_i * alpha_i = 0
-    certification: str
 
 
 @dataclass
@@ -106,8 +106,8 @@ def is_r_independent(alphas, rg: RGroup):
         if (_relation_value(rg, alphas, rhos) != 0
                 or not np.all(rg.in_r(rhos))):
             raise AssertionError("R-relation re-check failed")
-        return IndependenceVerdict("dependent", rhos, "exhaustive-bset-incidence")
-    return IndependenceVerdict("independent", None, "exhaustive-bset-incidence")
+        return IndependenceVerdict("dependent", rhos)
+    return IndependenceVerdict("independent", None)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def free_cosets(rg: RGroup, m):
     free[0, :] = free[:, 0] = False
     np.fill_diagonal(free, False)
     rstar = np.arange(rg.r, dtype=np.int64) * s  # exponents of R*
-    step = max(1, MARK_BATCH // rg.r)
+    step = max(1, geometry.MARK_BATCH // rg.r)
     for lo in range(1, s, step):
         cb = np.arange(lo, min(lo + step, s), dtype=np.int64)[:, None]
         free[cb, (cb + f.zech[(rstar - cb) % f.group_order]) % s] = False
@@ -180,21 +180,9 @@ def mark_lines_through(space: ProjectiveSpace, mat):
 
 def _recheck_line(space: ProjectiveSpace, mat, dual):
     """Raise unless the hyperplane `dual` misses every row of `mat`, checked
-    with scalar incidences, off the marking and quotient paths."""
+    with scalar incidences, off the quotient path."""
     if any(space.incidence(row, dual) for row in mat.tolist()):
         raise AssertionError("witness line re-check failed")
-
-
-def _first_unmarked_line(space: ProjectiveSpace, mat):
-    """(index, dual coordinates) of the lowest-index hyperplane through no
-    row of `mat`, or (None, None) when every hyperplane is marked.
-    """
-    free = np.flatnonzero(~mark_lines_through(space, mat))
-    if free.size == 0:
-        return None, None
-    dual = space.point_at(int(free[0]))
-    _recheck_line(space, mat, dual)
-    return int(free[0]), dual
 
 
 def blocking_status(bset: BSet):
@@ -253,7 +241,7 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
             verdict = is_r_independent(alphas, rg)
             if verdict.status == "independent":
                 return SearchResult("found", alphas, "random", seed, trial,
-                                    verdict.certification)
+                                    "exhaustive-bset-incidence")
         raise BudgetExceeded("no R-independent tuple in %d random trials"
                              % max_iters)
     if strategy == "exhaustive":

@@ -14,7 +14,7 @@ from strongblock.errors import DimensionMismatch
 from strongblock.field import Field
 from strongblock.geometry import PointSet, ProjectiveSpace
 from strongblock.partition import subgeometry_points
-from strongblock.search import find_independent_tuple
+from strongblock.search import find_independent_tuple, free_cosets
 from strongblock.strong import (
     union_subgeometries,
     verify_blocking,
@@ -103,7 +103,8 @@ def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
         prof = support_profiles(code45)
         return ([verify_strong_blocking(S) for S in sets],
                 [verify_blocking(S) for S in sets],
-                prof.supports, prof.weights, one_mod_p_profile(baer, 3).census)
+                prof.supports, prof.weights, one_mod_p_profile(baer, 3).census,
+                free_cosets(rg24, 3))
 
     default = scans()
     strong, blocking = default[0], default[1]
@@ -114,8 +115,10 @@ def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
     assert strong[1].witness == strong[2].witness == blocking[2].witness == H
     assert strong[1].hyperplanes_checked == 101
     assert blocking[2].hyperplanes_checked == 101
-    # pencil batches of one point, rank stacks of one section, and strong
-    # scan windows of a few hyperplanes
+    # both scans give one verdict for the set that misses H
+    assert strong[2] == blocking[2]
+    # pencil batches of one point, rank stacks of one section, strong scan
+    # windows of a few hyperplanes, and coset quotient blocks of one coset
     monkeypatch.setattr(geometry, "MARK_BATCH", 7)
     monkeypatch.setattr("strongblock.strong.SECTION_CAP", 2000)
     small = scans()
@@ -123,6 +126,7 @@ def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
     assert np.array_equal(small[2], default[2])
     assert np.array_equal(small[3], default[3])
     assert small[4] == default[4]
+    assert np.array_equal(small[5], default[5])
 
 
 def test_canonical_order_is_monotone_in_lead():

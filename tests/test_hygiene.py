@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import of a library module is used,
-and no library module holds an `assert` statement, which `python -O` strips:
-load-bearing checks are explicit raises."""
+no library module imports a private name of a sibling module, and no library
+module holds an `assert` statement, which `python -O` strips: load-bearing
+checks are explicit raises."""
 
 import ast
 import pathlib
@@ -36,6 +37,35 @@ def test_module_imports_are_used(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import itertools\nimport numpy as np\nnp.zeros(1)\n")
     assert unused_imports(tree) == [(1, "itertools")]
+
+
+def private_imports(tree):
+    """(line, name) of every leading-underscore name that an import in `tree`
+    takes from a sibling module: a relative import, or one from the
+    `strongblock` package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "strongblock"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_no_private_name(path):
+    assert private_imports(ast.parse(path.read_text())) == []
+
+
+def test_private_import_is_reported():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from ._util import _hidden, shown\n"
+                     "from . import _module\n"
+                     "from strongblock.search import _helper\n"
+                     "from os import _exit\n"
+                     "def f():\n    from .geometry import _offsets\n")
+    assert private_imports(tree) == [(2, "_hidden"), (3, "_module"),
+                                     (4, "_helper"), (7, "_offsets")]
 
 
 def assert_statements(tree):

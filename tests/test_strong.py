@@ -394,11 +394,15 @@ RECHECK_SCRIPT = textwrap.dedent("""
         0, np.zeros(space.num_points + 1, dtype=np.int64),
         np.zeros(0, dtype=np.int32))])
     expect_error("emptiness", lambda: strong.verify_strong_blocking(pair))
+    # no hyperplane marked: the plane's first hyperplane looks missed
+    strong.mark_lines_through = lambda space, mat: np.zeros(
+        space.num_points, dtype=bool)
+    expect_error("marks", lambda: strong.verify_blocking(plane))
 """)
 
 
 def test_strong_recheck_survives_python_O():
-    # forged batched ranks and sections must be refused under python -O
+    # forged batched ranks, sections and marks must be refused under python -O
     src = os.path.dirname(os.path.dirname(strongblock.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -409,4 +413,5 @@ def test_strong_recheck_survives_python_O():
         "optimize 1",
         "rank raised: strong witness re-check failed",
         "emptiness raised: strong witness re-check failed",
+        "marks raised: strong witness re-check failed",
     ]
