@@ -3,7 +3,6 @@
 from .bounds import (
     bset_size_poly,
     interval_violation_report,
-    lower_bound_m,
     one_mod_p_profile,
     szonyi_membership,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "interval_violation_report",
     "is_r_independent",
     "line_stats_weight1",
-    "lower_bound_m",
     "one_mod_p_profile",
     "subgeometry_points",
     "support_profiles",

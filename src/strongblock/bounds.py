@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
-from .errors import BudgetExceeded, InconclusiveE
+from .errors import InconclusiveE
 from .geometry import PointSet
 from .partition import prime_power
 
@@ -25,11 +24,6 @@ def bset_size_poly(q):
     """|B(4,q)| as a polynomial in q."""
     return (q**12 + 2*q**11 + 3*q**10 + 2*q**9 - q**8 - 4*q**7 - 3*q**6
             - q**5 + 2*q**4 + 2*q**3 - q + 1)
-
-
-def lower_bound_m(k, q):
-    """Lower bound (k-1)(q+1) on the length of a minimal [n,k] code over GF(q)."""
-    return (k - 1) * (q + 1)
 
 
 def szonyi_membership(plane_order, pe, size):
@@ -122,8 +116,7 @@ def one_mod_p_profile(point_set: PointSet, p):
     space = point_set.space
     if space.n != 2:
         raise ValueError("profile is a plane operation")
-    if space.num_points > geometry.SCAN_BUDGET:
-        raise BudgetExceeded("%d lines exceed budget" % space.num_points)
+    space.check_scan()
     counts = np.zeros(space.num_points, dtype=np.int32)  # points per line
     for _rows, lines in space.pencils(point_set.matrix()):
         np.add.at(counts, lines.ravel(), 1)

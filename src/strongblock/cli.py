@@ -100,11 +100,6 @@ def cmd_partition(args):
         "is_partition": len(union) == space.num_points
         and sum(len(ps) for ps in parts) == len(union),
     }
-    if args.points:
-        gf = rg.geom_field
-        report["points"] = {
-            str(c): [_elems(gf, pt) for pt in ps.points]
-            for c, ps in enumerate(parts)}
     _emit(report, args)
     return 0 if report["is_partition"] else 2
 
@@ -242,8 +237,6 @@ def build_parser():
     p = sub.add_parser("partition", help="coset subgeometry partition report")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--points", action="store_true",
-                   help="include full point lists per coset")
     p.add_argument("--out")
     p.set_defaults(func=cmd_partition)
 

@@ -251,11 +251,11 @@ def export_code(G: GeneratorMatrix, path, format="json"):
         raise ValueError("unknown format %r" % (format,))
 
 
-def import_code(path, format=None):
-    if format is None:
-        format = "json" if str(path).endswith(".json") else "text"
+def import_code(path):
+    """Read a matrix written by export_code, JSON when the path ends in
+    ".json" and text otherwise."""
     with open(path) as fh:
-        if format == "json":
+        if str(path).endswith(".json"):
             meta, k, n, rows = json_fields(json.load(fh), path, field=dict,
                                            k=int, n=int, entries=list)
             f = field_from_json(meta, path)
@@ -272,6 +272,8 @@ def import_code(path, format=None):
             if len(rows) != k:
                 raise ValueError("%s: expected %d code rows, found %d"
                                  % (path, k, len(rows)))
+    if any(isinstance(row, list) and len(row) != n for row in rows):
+        raise ValueError("%s: every code row needs n = %d entries" % (path, n))
     entries = np.asarray(parse_rows(f, rows, path), dtype=np.int64)
     if entries.shape != (k, n):
         raise ValueError("matrix shape mismatch in %s" % path)

@@ -415,7 +415,6 @@ class Field:
         self.one = 1
         # exponent of -1 is (order-1)/2 in odd characteristic
         self.neg_one = 1 if p == 2 else self.group_order // 2 + 1
-        self._coord_maps = {}
 
     # -- construction ------------------------------------------------------
 
@@ -435,6 +434,9 @@ class Field:
             raise NonPrimeP("p = %r is not prime" % (p,))
         if m < 1:
             raise ValueError("extension degree must be positive")
+        if m > DEFAULT_ORDER_CAP.bit_length():  # p^m >= 2^m > the cap
+            raise FieldTooLarge("GF(%d^%d) exceeds the order cap %d"
+                                % (p, m, DEFAULT_ORDER_CAP))
         if p ** m > DEFAULT_ORDER_CAP:
             raise FieldTooLarge("order %d exceeds cap %d"
                                 % (p ** m, DEFAULT_ORDER_CAP))
@@ -610,15 +612,6 @@ class Field:
             coeffs.append(v)
         sub = Field.build(self.p, d, tuple(coeffs))
         return SubfieldMap(self, sub, d, s)
-
-    # -- coordinates over a subfield ---------------------------------------
-
-    def coord_map(self, d):
-        """Coordinate map of this field over its subfield GF(p^d), in the
-        polynomial basis (1, g, g^2, ...)."""
-        if d not in self._coord_maps:
-            self._coord_maps[d] = CoordinateMap(self, self.subfield(d))
-        return self._coord_maps[d]
 
     # -- misc --------------------------------------------------------------
 

@@ -16,7 +16,12 @@ dual form, normalization or index search; `dot_block` and `points_block`
 stay as its oracles.  MARK_BATCH = 2^15 keeps a pencil batch (256 KiB of
 int64 indices) and a rank stack in cache.  `rank_stack` ranks a stack of
 equal-size hyperplane sections in one batched elimination; the scalar
-`rank` is its independent oracle.
+`rank` is its independent oracle.  Three more decisions of the scans have
+one home here: `check_scan` refuses a space of more than SCAN_BUDGET
+hyperplanes before a scan allocates, `section` finds the points on a
+witness hyperplane by scalar incidences for every re-check, and `leads`
+reads the leading-one position off canonical indices, so the index layout
+stays in this module.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch
 from .field import Field
 
 MARK_BATCH = 1 << 15  # incidences generated per vectorized pencil batch
@@ -62,6 +67,13 @@ class ProjectiveSpace:
         for lead in range(n + 1):
             offs.append(offs[-1] + q ** (n - lead))
         self._offsets = offs
+
+    def check_scan(self):
+        """Raise BudgetExceeded when the hyperplanes exceed SCAN_BUDGET; every
+        exhaustive hyperplane scan calls it before it allocates."""
+        if self.num_points > SCAN_BUDGET:
+            raise BudgetExceeded("%d hyperplanes exceed scan budget"
+                                 % self.num_points)
 
     # -- normalization -----------------------------------------------------
 
@@ -117,10 +129,9 @@ class ProjectiveSpace:
         if not 0 <= start <= stop <= self.num_points:
             raise IndexError("point index out of range")
         q = self.field.order
-        offs = np.asarray(self._offsets, dtype=np.int64)
         idx = np.arange(start, stop, dtype=np.int64)
-        lead = np.searchsorted(offs, idx, side="right") - 1
-        rem = idx - offs[lead]
+        lead = self.leads(idx)
+        rem = idx - np.asarray(self._offsets, dtype=np.int64)[lead]
         out = np.zeros((idx.size, self.k), dtype=np.int64)
         # base-q digits after the leading one; positions up to it decode to 0
         for j in range(self.n, 0, -1):
@@ -128,6 +139,10 @@ class ProjectiveSpace:
             rem //= q
         out[np.arange(idx.size), lead] = 1
         return out
+
+    def leads(self, indices):
+        """Position of the leading one of each canonical index."""
+        return np.searchsorted(self._offsets, indices, side="right") - 1
 
     def point_index(self, coords):
         coords = self.normalize(coords)
@@ -165,6 +180,11 @@ class ProjectiveSpace:
     def incidence(self, point, hyperplane):
         """True iff the dual form vanishes at the point."""
         return self.dot(point, hyperplane) == 0
+
+    def section(self, points, dual):
+        """The points on the hyperplane `dual`, found by scalar incidences:
+        the re-check of every scan witness, off the batched paths."""
+        return [pt for pt in points if self.incidence(pt, dual)]
 
     def dot_block(self, duals, pts):
         """(A, B) code matrix of dual-form values for A duals and B points.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BudgetExceeded, FieldTooLarge
-from .field import DEFAULT_ORDER_CAP, Field, iroot, is_prime
+from .field import DEFAULT_ORDER_CAP, CoordinateMap, Field, iroot, is_prime
 from .geometry import PointSet, ProjectiveSpace
 
 
@@ -44,13 +44,13 @@ class RGroup:
     p: int
     h: int
     field: Field                 # GF(q^(k(k-1)))
-    geom: object                 # SubfieldMap onto GF(q^(k-1))
+    coords: CoordinateMap        # coordinates over GF(q^(k-1))
     r: int                       # |R*|
     stride: int                  # cosets of R* <-> residues mod stride
 
     @property
     def geom_field(self):
-        return self.geom.sub
+        return self.coords.submap.sub
 
     def in_rstar(self, codes):
         codes = np.asarray(codes, dtype=np.int64)
@@ -99,8 +99,9 @@ def build_rgroup(q, k):
     stride = n // r
     if math.gcd(n // (q ** (k - 1) - 1), n // (q ** k - 1)) != stride:
         raise AssertionError("R* closure check failed for q=%d k=%d" % (q, k))
-    geom = field.subfield(h * (k - 1))
-    return RGroup(q=q, k=k, p=p, h=h, field=field, geom=geom, r=r, stride=stride)
+    coords = CoordinateMap(field, field.subfield(h * (k - 1)))
+    return RGroup(q=q, k=k, p=p, h=h, field=field, coords=coords, r=r,
+                  stride=stride)
 
 
 def subgeometry_points(rg: RGroup, coset_index):
@@ -111,10 +112,8 @@ def subgeometry_points(rg: RGroup, coset_index):
     """
     coset_index %= rg.stride
     codes = rg.rstar_codes() + coset_index  # exponents coset + stride*j
-    cm = rg.field.coord_map(rg.h * (rg.k - 1))
-    coords = cm.coords(codes)
     space = ProjectiveSpace(rg.geom_field, rg.k - 1)
-    norm = space.normalize_vec(coords)
+    norm = space.normalize_vec(rg.coords.coords(codes))
     idx = space.point_index_vec(norm)
     order = np.argsort(idx)
     keep = np.concatenate([[True], np.diff(idx[order]) != 0])

@@ -21,10 +21,12 @@ dual coordinates, and `free_cosets` reads it off the Zech table for all of
 them at once; since `build_bset` refuses every k >= 5, that decides every
 B(k,q).  A tuple with more entries than R* has cosets is never independent
 (pigeonhole).  Any other point set, in any PG(n, Q), goes through
-`mark_lines_through`, which marks the hyperplanes through each point
+`mark_lines_through`, which checks the scan budget
+(`ProjectiveSpace.check_scan`) and marks the hyperplanes through each point
 (`ProjectiveSpace.pencils`); `strong.verify_blocking` takes the lowest-index
-survivor.  Each witness is re-checked off its own path: scalar incidences for
-a hyperplane, the exhaustive `is_r_independent` for a tuple.
+survivor.  Each witness is re-checked off its own path: scalar incidences
+(`ProjectiveSpace.section`) for a hyperplane, the exhaustive
+`is_r_independent` for a tuple.
 """
 
 from __future__ import annotations
@@ -169,20 +171,15 @@ def mark_lines_through(space: ProjectiveSpace, mat):
     """Mark, in a bitset over canonical hyperplane indices, every hyperplane
     through any of the given normalized points.  Returns the bitset.
 
-    The marks are scattered batch by batch from `space.pencils`; no
-    incidence is kept.
+    A space past SCAN_BUDGET hyperplanes raises BudgetExceeded before the
+    bitset is allocated.  The marks are scattered batch by batch from
+    `space.pencils`; no incidence is kept.
     """
+    space.check_scan()
     marks = np.zeros(space.num_points, dtype=bool)
     for _rows, hyperplanes in space.pencils(mat):
         marks[hyperplanes] = True
     return marks
-
-
-def _recheck_line(space: ProjectiveSpace, mat, dual):
-    """Raise unless the hyperplane `dual` misses every row of `mat`, checked
-    with scalar incidences, off the quotient path."""
-    if any(space.incidence(row, dual) for row in mat.tolist()):
-        raise AssertionError("witness line re-check failed")
 
 
 def blocking_status(bset: BSet):
@@ -197,8 +194,8 @@ def blocking_status(bset: BSet):
     """
     space = bset.space
     _index, dual = _first_free_tuple(bset.rgroup, space.k)
-    if dual is not None:
-        _recheck_line(space, bset.matrix, dual)
+    if dual is not None and space.section(bset.matrix.tolist(), dual):
+        raise AssertionError("witness line re-check failed")
     return BlockingVerdict("blocking" if dual is None else "not-blocking", dual,
                            "coset-quotient", lines_scanned=space.num_points)
 

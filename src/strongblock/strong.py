@@ -3,15 +3,18 @@
 A strong blocking set meets every hyperplane in a set of full rank.  The scan
 reads the pencils through the points (`ProjectiveSpace.pencils`), buckets the
 incidences by hyperplane into sections with a counting sort (a CSR: one run of
-point rows per hyperplane), and ranks the sections in stacks of equal size
-with `ProjectiveSpace.rank_stack`, over the k-1 coordinates that remain when
-each hyperplane's leading one is dropped.  The witness is the lowest-index
-hyperplane whose section falls short, and is re-checked with scalar
-incidences and the scalar `rank`.  Plain blocking needs no sections: it marks
-the hyperplanes through each point (`search.mark_lines_through`), and the
-first unmarked one is the same lowest-index witness, returned as the same
-`StrongVerdict` through the same re-check.  Both scans refuse a space of more
-than `geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded.
+point rows per hyperplane), hands them out in runs whose incidence budget
+starts at MARK_BATCH and doubles, and ranks the sections in stacks of equal
+size with `ProjectiveSpace.rank_stack`, over the k-1 coordinates that remain
+when each hyperplane's leading one (`ProjectiveSpace.leads`) is dropped.  The
+witness is the lowest-index hyperplane whose section falls short, and is
+re-checked off the scan path with `ProjectiveSpace.section` (scalar
+incidences) and the scalar `rank`.  Plain blocking needs no sections: it
+marks the hyperplanes through each point (`search.mark_lines_through`), and
+the first unmarked one is the same lowest-index witness, returned as the
+same `StrongVerdict` through the same re-check.  Both scans refuse a space
+of more than `geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded, from
+`ProjectiveSpace.check_scan`, before they allocate.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import BudgetExceeded, RepeatedCoset
+from .errors import RepeatedCoset
 from .geometry import PointSet
 from .partition import RGroup, subgeometry_points
 from .search import mark_lines_through
@@ -69,12 +72,6 @@ def union_subgeometries(rg: RGroup, alphas):
     return ps
 
 
-def _check_scan(space):
-    """Raise BudgetExceeded when the hyperplanes exceed SCAN_BUDGET."""
-    if space.num_points > geometry.SCAN_BUDGET:
-        raise BudgetExceeded("%d hyperplanes exceed scan budget" % space.num_points)
-
-
 def _sections(space, mat):
     """Yield (lo, indptr, members): the sections of hyperplanes lo, lo+1, ...
     as a CSR, where the rows of `mat` on hyperplane lo+i are
@@ -83,13 +80,14 @@ def _sections(space, mat):
     The incidences of one window of about SECTION_CAP of them are bucketed
     by hyperplane at once, by a counting sort: the bucket offsets come from
     the counts, and each row's hyperplanes, which are distinct, are filled
-    in one step, row by row.  A window of at most MARK_BATCH incidences is
-    handed out whole, one stack per section size; a larger one in runs of
-    hyperplanes that double from one, so a failure near the start is
-    ranked early.  The runs also bound the per-run arrays and rank stacks:
-    ranking whole windows instead saved 2-5 ms but raised the tracemalloc
-    peak of the q = 3 strong scan from 2.68 to 5.05 MB, and from 16.6 to
-    19.5 MB on a 255-point set in PG(3,64).
+    in one step, row by row.  A window is handed out in runs of whole
+    sections whose incidence budget starts at MARK_BATCH and doubles (a
+    section past its budget is a run of its own), so a failure near the
+    start is ranked early, a window of at most MARK_BATCH incidences is one
+    run, and the runs bound the per-run arrays and rank stacks.  The q = 3
+    strong scan (90,840 incidences) takes 2 runs and peaks at 4.0 MB under
+    tracemalloc; a 255-point set in PG(3,64) (1.06M) takes 6 runs and
+    16.6 MB.  Ranking whole windows peaked at 5.05 and 19.5 MB.
     """
     H, q = space.num_points, space.field.order
     incidences = len(mat) * ((q ** space.n - 1) // (q - 1))
@@ -116,14 +114,12 @@ def _sections(space, mat):
             members[at] = row
             cursor[h] = at + 1
         del hyp, cursor
-        if members.size <= geometry.MARK_BATCH:
-            yield lo, indptr, members
-            continue
-        a = 0
+        a, budget = 0, geometry.MARK_BATCH
         while a < hi - lo:
-            b = min(hi - lo, max(1, 2 * a))
+            b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + budget,
+                                               "right")) - 1)
             yield lo + a, indptr[a:b + 1], members
-            a = b
+            a, budget = b, 2 * budget
 
 
 def _section_ranks(space, mat, lo, indptr, members):
@@ -142,7 +138,6 @@ def _section_ranks(space, mat, lo, indptr, members):
     coords = mat.T
     j = np.arange(k - 1)[:, None]
     others = j + (j >= np.arange(k))  # others[:, l]: coordinates but l
-    offsets = np.asarray(space._offsets, dtype=np.int64)
     # return_counts keeps np.unique off its numpy.ma import
     for size in np.unique(sizes[sizes > 0], return_counts=True)[0]:
         same = np.flatnonzero(sizes == size)
@@ -150,7 +145,7 @@ def _section_ranks(space, mat, lo, indptr, members):
         for c in range(0, same.size, step):
             h = same[c:c + step]
             rows = members[indptr[h] + np.arange(size)[:, None]]
-            lead = np.searchsorted(offsets, lo + h, side="right") - 1
+            lead = space.leads(lo + h)
             ranks[h] = space.rank_stack(coords[others[:, None, lead], rows].T)
     return ranks
 
@@ -161,7 +156,7 @@ def _recheck_witness(point_set, index, empty):
     the scan path: scalar incidences with every point, then the scalar rank."""
     space = point_set.space
     dual = space.point_at(index)
-    section = [pt for pt in point_set.points if space.incidence(pt, dual)]
+    section = space.section(point_set.points, dual)
     rank = space.rank(section, space.k - 1)
     if rank >= space.k - 1 or (not section) != empty:
         raise AssertionError("strong witness re-check failed")
@@ -178,7 +173,7 @@ def verify_strong_blocking(point_set: PointSet):
     a time, and a failure stops the scan soon after its hyperplane.
     """
     space = point_set.space
-    _check_scan(space)
+    space.check_scan()
     mat = point_set.matrix()
     for lo, indptr, members in _sections(space, mat):
         short = np.flatnonzero(
@@ -197,7 +192,6 @@ def verify_blocking(point_set: PointSet):
     hyperplane, re-checked as an empty section like a strong scan witness.
     """
     space = point_set.space
-    _check_scan(space)
     free = np.flatnonzero(~mark_lines_through(space, point_set.matrix()))
     if free.size == 0:
         return StrongVerdict("blocking", None, None, space.num_points)

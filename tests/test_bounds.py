@@ -9,7 +9,6 @@ from strongblock import geometry
 from strongblock.bounds import (
     bset_size_poly,
     interval_violation_report,
-    lower_bound_m,
     one_mod_p_profile,
     szonyi_membership,
 )
@@ -38,11 +37,6 @@ def test_size_is_in_small_blocking_regime():
     # 2|B| < 3(q^12 + 1), the hypothesis of the interval law
     for q in odd_prime_powers(7, 101):
         assert 2 * bset_size_poly(q) < 3 * (q ** 12 + 1)
-
-
-def test_lower_bound_m():
-    assert lower_bound_m(4, 8) == 27
-    assert lower_bound_m(3, 4) == 10
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,22 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
         assert "Traceback" not in out.stderr
 
 
+def test_huge_field_and_ragged_code_rows_exit_1(tmp_path):
+    pair = json.loads((GOLDEN / "pair_pg3_8.json").read_text())
+    pair["field"] = {"p": 3, "m": 10 ** 8, "modulus": [1, 1]}
+    (tmp_path / "hugem.json").write_text(json.dumps(pair))
+    code = json.loads((GOLDEN / "code_pair_pg3_8.json").read_text())
+    code["entries"][1].append("0")
+    (tmp_path / "ragged.json").write_text(json.dumps(code))
+    for argv, message in (
+            (["verify", "--input", "hugem.json"], "GF(3^100000000) exceeds"),
+            (["check-minimal", "--input", "ragged.json"],
+             "ragged.json: every code row needs n = 2 entries")):
+        out = run_subprocess(argv, tmp_path, timeout=30)
+        assert out.returncode == 1, argv
+        assert out.stderr.startswith("error: ") and message in out.stderr
+
+
 def test_cli_runs_do_not_import_numpy_ma():
     # a bare np.unique imports numpy.ma (about 18 ms) on its first call
     script = ("import sys\n"

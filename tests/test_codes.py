@@ -1,7 +1,9 @@
 """Tests for generator matrices, supports, minimality, and code export."""
 
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -381,6 +383,24 @@ def test_export_import_roundtrip(code45, tmp_path, format):
     back = import_code(path)
     assert back == code45
     assert back.field is code45.field  # same memoized field instance
+
+
+@pytest.mark.parametrize("format", ["json", "text"])
+def test_import_rejects_ragged_rows(code45, tmp_path, format):
+    path = tmp_path / ("code." + ("json" if format == "json" else "txt"))
+    export_code(code45, path, format)
+    # drop the last entry of the first row
+    if format == "json":
+        doc = json.loads(path.read_text())
+        doc["entries"][0].pop()
+        path.write_text(json.dumps(doc))
+    else:
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="%s: every code row needs n = 45"
+                       % re.escape(str(path))):
+        import_code(path)
 
 
 def test_export_unknown_format(code45, tmp_path):

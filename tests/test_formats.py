@@ -70,6 +70,6 @@ def test_code_export_import_roundtrip(tmp_path_factory, data, format):
     G = GeneratorMatrix(field=f, k=k, n=n, entries=entries)
     path = tmp_path_factory.getbasetemp() / ("code." + format)
     export_code(G, path, format)
-    back = import_code(path, format)
+    back = import_code(path)
     assert back == G
     assert back.field is f and back.entries.dtype == np.int64

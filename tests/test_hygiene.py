@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import of a library module is used,
-no library module imports a private name of a sibling module, and no library
-module holds an `assert` statement, which `python -O` strips: load-bearing
-checks are explicit raises."""
+no library module imports a private name of a sibling module or reads a
+private attribute of an object other than `self`, and no library module
+holds an `assert` statement, which `python -O` strips: load-bearing checks
+are explicit raises."""
 
 import ast
 import pathlib
@@ -66,6 +67,29 @@ def test_private_import_is_reported():
                      "def f():\n    from .geometry import _offsets\n")
     assert private_imports(tree) == [(2, "_hidden"), (3, "_module"),
                                      (4, "_helper"), (7, "_offsets")]
+
+
+def private_attribute_reads(tree):
+    """(line, name) of every read of a leading-underscore attribute, dunders
+    aside, of anything but `self`."""
+    return sorted(
+        (n.lineno, n.attr) for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        and n.attr.startswith("_") and not n.attr.endswith("__")
+        and not (isinstance(n.value, ast.Name) and n.value.id == "self"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_reads_no_private_attribute(path):
+    assert private_attribute_reads(ast.parse(path.read_text())) == []
+
+
+def test_private_attribute_read_is_reported():
+    tree = ast.parse("def f(self, space, mod):\n"
+                     "    self._cache = space._offsets\n"
+                     "    other._x = self._y + mod._helper()\n"
+                     "    return type(space).__name__, np.asarray(self._z)\n")
+    assert private_attribute_reads(tree) == [(2, "_offsets"), (3, "_helper")]
 
 
 def assert_statements(tree):

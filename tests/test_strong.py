@@ -272,36 +272,67 @@ def sections_by_stable_sort(space, mat):
         indptr = np.zeros(hi - lo + 1, dtype=np.int64)
         np.cumsum(np.bincount(hyp, minlength=hi - lo), out=indptr[1:])
         members = np.concatenate(rows)[np.argsort(hyp, kind="stable")]
-        if members.size <= geometry.MARK_BATCH:
-            yield lo, indptr, members
-            continue
-        a = 0
+        # runs of whole sections under an incidence budget that doubles
+        a, budget = 0, geometry.MARK_BATCH
         while a < hi - lo:
-            b = min(hi - lo, max(1, 2 * a))
+            b = a + 1
+            while b < hi - lo and indptr[b + 1] - indptr[a] <= budget:
+                b += 1
             yield lo + a, indptr[a:b + 1], members
-            a = b
+            a, budget = b, 2 * budget
+
+
+def checked_sections(space, mat):
+    """Compare the runs of `strong._sections` with the stable-sort oracle,
+    and check that the runs of each window (they share its members) tile it
+    in order, the i-th of them holding at most MARK_BATCH 2^i incidences
+    unless it is a single section.  Returns the number of windows, the most
+    runs of one window, and whether some single section exceeds its
+    budget."""
+    got = list(strong._sections(space, mat))
+    want = list(sections_by_stable_sort(space, mat))
+    assert len(got) == len(want), (space, len(mat))
+    start, end, members, windows, most, oversized = 0, 0, None, 0, 0, False
+    for (lo, indptr, run_members), (lo2, indptr2, members2) in zip(got, want):
+        assert lo == lo2
+        assert np.array_equal(indptr, indptr2)
+        assert run_members.dtype == members2.dtype
+        assert np.array_equal(run_members, members2)
+        assert lo == start and indptr.size >= 2
+        if run_members is not members:  # the first run of a window
+            assert members is None or end == members.size
+            members, i, end, windows = run_members, 0, 0, windows + 1
+        assert indptr[0] == end
+        over = indptr[-1] - indptr[0] > geometry.MARK_BATCH << i
+        assert not over or indptr.size == 2
+        oversized |= over
+        start, end, i = lo + indptr.size - 1, indptr[-1], i + 1
+        most = max(most, i)
+    assert start == space.num_points and end == members.size
+    return windows, most, oversized
 
 
 @pytest.mark.parametrize("cap", [None, 200])
 def test_counting_sort_sections_match_stable_sort(monkeypatch, strong_corpus,
                                                   cap):
     # the corpus holds the empty set; a cap of 200 splits most scans into
-    # many windows
+    # many windows, each of them one run
     if cap is not None:
         monkeypatch.setattr(strong, "SECTION_CAP", cap)
-    windows = 0
-    for S in strong_corpus:
-        mat = S.matrix()
-        got = list(strong._sections(S.space, mat))
-        want = list(sections_by_stable_sort(S.space, mat))
-        assert len(got) == len(want), (S.space, len(S))
-        for (lo, indptr, members), (lo2, indptr2, members2) in zip(got, want):
-            assert lo == lo2
-            assert np.array_equal(indptr, indptr2)
-            assert members.dtype == members2.dtype
-            assert np.array_equal(members, members2)
-        windows = max(windows, len(got))
+    counts = [checked_sections(S.space, S.matrix()) for S in strong_corpus]
+    windows = max(c[0] for c in counts)
+    assert max(c[1] for c in counts) == 1
     assert windows > 10 if cap else windows == 1
+
+
+def test_counting_sort_sections_split_into_runs(monkeypatch, strong_corpus):
+    # a MARK_BATCH of 8 splits the one window of each scan into runs, the
+    # first of them single sections of more than their budget
+    monkeypatch.setattr(geometry, "MARK_BATCH", 8)
+    counts = [checked_sections(S.space, S.matrix()) for S in strong_corpus]
+    assert max(c[0] for c in counts) == 1
+    assert max(c[1] for c in counts) > 5
+    assert any(c[2] for c in counts)
 
 
 @pytest.mark.parametrize("cap", [None, 1000])
