@@ -159,6 +159,8 @@ def cmd_export_code(args):
 
 def cmd_check_minimal(args):
     G = codes.import_code(args.input)
+    if G.k < 2:  # the message space PG(k-1, Q) needs k >= 2
+        raise ValueError("%s: k must be at least 2" % args.input)
     prof = codes.support_profiles(G)
     mv = codes.check_minimal(G, profile=prof)
     report = {

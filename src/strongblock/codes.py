@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, RankDeficient, ZeroColumn
+from .errors import BudgetExceeded, RankDeficient
 from .field import Field
 from .geometry import (
     PointSet,
@@ -58,16 +58,14 @@ class GeneratorMatrix:
 def generator_from_points(point_set: PointSet):
     """Generator matrix whose columns are the given points, input order.
 
-    Requires the points to span the space; normalized points can never give a
-    zero column, but the invariant is checked all the same.
+    Requires the points to span the space; a `PointSet` holds normalized
+    points only, so no column is zero.
     """
     if len(point_set) == 0:
         raise RankDeficient("empty point set")
     space = point_set.space
     k = space.k
     entries = point_set.matrix().T.copy()
-    if np.any(np.all(entries == 0, axis=0)):
-        raise ZeroColumn("zero column in generator matrix")
     if space.rank(point_set.points, k) < k:
         raise RankDeficient("columns span a proper subspace")
     return GeneratorMatrix(field=space.field, k=k, n=entries.shape[1],
@@ -258,23 +256,26 @@ def import_code(path):
         if str(path).endswith(".json"):
             meta, k, n, rows = json_fields(json.load(fh), path, field=dict,
                                            k=int, n=int, entries=list)
-            f = field_from_json(meta, path)
         else:
-            head = [int(v) for v in fh.readline().split()]
+            try:
+                head = [int(v) for v in fh.readline().split()]
+            except ValueError:  # a token that is not an integer
+                head = []
             if len(head) < 2 or len(head) != head[1] + 5:
                 raise ValueError("%s: header must be p, m, the m+1 modulus "
                                  "coefficients, k, n" % path)
-            p, m, modulus, (k, n) = head[0], head[1], head[2:-2], head[-2:]
-            f = Field.build(p, m, tuple(modulus))
-            if k < 1 or n < 1:
-                raise ValueError("%s: k and n must be positive" % path)
+            meta = {"p": head[0], "m": head[1], "modulus": head[2:-2]}
+            k, n = head[-2:]
+            rows = None
+        if k < 1 or n < 1:
+            raise ValueError("%s: k and n must be positive" % path)
+        f = field_from_json(meta, path)
+        if rows is None:
             rows = [line.split() for line in itertools.islice(fh, k)]
-            if len(rows) != k:
-                raise ValueError("%s: expected %d code rows, found %d"
-                                 % (path, k, len(rows)))
+    if len(rows) != k:
+        raise ValueError("%s: expected %d code rows, found %d"
+                         % (path, k, len(rows)))
     if any(isinstance(row, list) and len(row) != n for row in rows):
         raise ValueError("%s: every code row needs n = %d entries" % (path, n))
     entries = np.asarray(parse_rows(f, rows, path), dtype=np.int64)
-    if entries.shape != (k, n):
-        raise ValueError("matrix shape mismatch in %s" % path)
     return GeneratorMatrix(field=f, k=k, n=n, entries=entries)

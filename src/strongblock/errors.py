@@ -38,10 +38,6 @@ class RankDeficient(StrongBlockError):
     """A point set that must span the whole space does not."""
 
 
-class ZeroColumn(StrongBlockError):
-    """A generator matrix column is the zero vector."""
-
-
 class BudgetExceeded(StrongBlockError):
     """An exhaustive scan or enumeration would exceed the configured budget."""
 

@@ -17,8 +17,6 @@ are Python integers, vectorized ones int64 arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -479,7 +477,10 @@ class Field:
         if s == "0":
             return 0
         if s.startswith("g^"):
-            return self.from_exp(int(s[2:]))
+            try:
+                return self.from_exp(int(s[2:]))
+            except ValueError:  # "g^x", or an exponent of 5000 digits
+                pass
         raise ValueError("cannot parse field element %r" % (s,))
 
     def meta(self):
@@ -571,47 +572,11 @@ class Field:
     # -- subfields ---------------------------------------------------------
 
     def subfield_stride(self, d):
-        """Exponent stride of GF(p^d) inside this field.
-
-        The nonzero subfield elements are exactly the powers g^(j*s); each
-        claimed member is verified against the Frobenius fixed-point test.
-        """
+        """Exponent stride s = (p^m - 1)/(p^d - 1) of GF(p^d) inside this
+        field: its nonzero elements are the powers g^(j*s)."""
         if d < 1 or self.m % d != 0:
             raise NotADivisor("%d does not divide %d" % (d, self.m))
-        s = self.group_order // (self.p ** d - 1)
-        exps = np.arange(self.p ** d - 1, dtype=np.int64) * s
-        if np.any((exps * self.p ** d) % self.group_order != exps):
-            raise AssertionError("Frobenius test failed for subfield degree %d" % d)
-        return s
-
-    def subfield(self, d):
-        """Embedded-subfield view GF(p^d), generated by gamma = g^stride.
-
-        Returns a :class:`SubfieldMap` whose `sub` field uses the minimal
-        polynomial of gamma as modulus, so small-field exponent j corresponds
-        to big-field exponent j*stride.  For d = m, gamma = g has this
-        field's modulus, so `sub` is this field, from `Field.build`'s cache.
-        """
-        s = self.subfield_stride(d)
-        gamma = self.from_exp(s)
-        # minimal polynomial of gamma: product of (x - gamma^(p^t))
-        poly = [self.one]  # coefficients in this field, low-to-high
-        conj = gamma
-        for _ in range(d):
-            new = [0] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                new[i + 1] = self.add(new[i + 1], c)
-                new[i] = self.add(new[i], self.mul(self.neg(conj), c))
-            poly = new
-            conj = self.pow(conj, self.p)
-        coeffs = []
-        for c in poly:
-            v = 0 if c == 0 else int(self.exp[c - 1])
-            if v >= self.p:
-                raise AssertionError("minimal polynomial coefficient outside GF(p)")
-            coeffs.append(v)
-        sub = Field.build(self.p, d, tuple(coeffs))
-        return SubfieldMap(self, sub, d, s)
+        return self.group_order // (self.p ** d - 1)
 
     # -- misc --------------------------------------------------------------
 
@@ -626,20 +591,6 @@ class Field:
 
     def __repr__(self):
         return "Field(GF(%d^%d), modulus=%s)" % (self.p, self.m, list(self.modulus))
-
-
-@dataclass(frozen=True)
-class SubfieldMap:
-    """Embedding of a small field into a big one via exponent stride."""
-
-    parent: Field
-    sub: Field
-    d: int
-    stride: int
-
-    def to_parent(self, codes):
-        codes = np.asarray(codes, dtype=np.int64)
-        return np.where(codes == 0, 0, (codes - 1) * self.stride + 1)
 
 
 def _matrix_inverse_mod_p(mat, p):
@@ -666,44 +617,62 @@ def _matrix_inverse_mod_p(mat, p):
 
 
 class CoordinateMap:
-    """Coordinates of big-field elements over a subfield, in the polynomial
-    basis (1, g, ..., g^(m/d - 1))."""
+    """The subfield GF(p^d) of a field GF(p^m) and the coordinates of the
+    field's elements over it, in the basis (1, g, ..., g^(m/d - 1)).
 
-    def __init__(self, parent, sm):
+    The subfield `sub` is generated by gamma = g^stride and has gamma's
+    minimal polynomial as modulus, so subfield exponent j is big-field
+    exponent j*stride (`to_parent`).  One mod-p inverse gives both the
+    coordinates and that modulus: it inverts the m x m matrix whose column
+    (i, t) holds the GF(p)-digits of g^i gamma^t, i < m/d, t < d.  gamma^d
+    lies in the subfield, so its coordinates fall in the i = 0 block and
+    read gamma^d = sum c_t gamma^t: the minimal polynomial is
+    x^d - sum c_t x^t, which `Field.build` verifies as irreducible and
+    primitive.  For d = m, gamma = g has the parent's modulus, so `sub` is
+    the parent, from `Field.build`'s cache.
+    """
+
+    def __init__(self, parent, d):
+        p, m = parent.p, parent.m
         self.parent = parent
-        self.submap = sm
-        p, m, d = parent.p, parent.m, sm.d
+        self.d = d
+        self.stride = parent.subfield_stride(d)
         e = m // d
         self.basis = tuple(parent.from_exp(i) for i in range(e))
-        gamma = parent.from_exp(sm.stride)
-        # columns (i,t): GF(p)-digits of basis_i * gamma^t
-        cols = np.empty((m, m), dtype=np.int64)
-        for i in range(e):
-            for t in range(d):
-                prod = parent.mul(self.basis[i], parent.pow(int(gamma), t))
-                cols[:, i * d + t] = parent.digits(np.array([prod]))[0]
-        inv = _matrix_inverse_mod_p(cols, p)
+        # column i*d + t: the digits of g^i gamma^t = g^(i + t*stride)
+        exps = np.arange(e)[:, None] + np.arange(d) * self.stride
+        inv = _matrix_inverse_mod_p(
+            parent.digits(parent.from_exp(exps.ravel())).T, p)
         if inv is None:
             raise AssertionError("polynomial basis is dependent over GF(%d^%d)"
                                  % (p, d))
+        power = inv @ parent.digits([parent.from_exp(d * self.stride)])[0] % p
+        if power[d:].any():
+            raise AssertionError("gamma^%d lies outside GF(%d^%d)" % (d, p, d))
+        self.sub = Field.build(p, d, [-int(c) for c in power[:d]] + [1])
         self._inv = inv
-        self._e, self._d = e, d
+        self._e = e
         self._pw = np.array([p ** t for t in range(d)], dtype=np.int64)
+
+    def to_parent(self, codes):
+        """Big-field codes of subfield codes."""
+        codes = np.asarray(codes, dtype=np.int64)
+        return np.where(codes == 0, 0, (codes - 1) * self.stride + 1)
 
     def coords(self, codes):
         """(N, m/d) array of subfield codes with sum(c_i * basis_i) = code."""
         codes = np.atleast_1d(np.asarray(codes, dtype=np.int64))
         dig = self.parent.digits(codes)  # (N, m)
         u = dig @ self._inv.T % self.parent.p  # (N, m), grouped (i, t)
-        u = u.reshape(codes.shape[0], self._e, self._d)
+        u = u.reshape(codes.shape[0], self._e, self.d)
         packed = (u * self._pw).sum(axis=2)
-        sub = self.submap.sub
-        return np.where(packed == 0, 0, sub.log[packed].astype(np.int64) + 1)
+        return np.where(packed == 0, 0,
+                        self.sub.log[packed].astype(np.int64) + 1)
 
     def recompose(self, coords):
         """Inverse of :meth:`coords`; used as the round-trip oracle."""
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        big = self.submap.to_parent(coords)
+        big = self.to_parent(coords)
         acc = np.zeros(coords.shape[0], dtype=np.int64)
         for i, b in enumerate(self.basis):
             acc = self.parent.add_vec(acc, self.parent.mul_vec(big[:, i], b))

@@ -407,8 +407,13 @@ class PointSet:
 
     @staticmethod
     def load(path):
+        """The point set of a JSON file; a malformed one raises ValueError
+        naming the path."""
         with open(path) as fh:
-            return PointSet.from_json(json.load(fh))
+            try:
+                return PointSet.from_json(json.load(fh))
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (path, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -453,4 +458,7 @@ def parse_rows(field, rows, where):
                for row in rows):
         raise ValueError("%s: rows must be arrays of field element strings"
                          % where)
-    return [[field.parse_elem(s) for s in row] for row in rows]
+    try:
+        return [[field.parse_elem(s) for s in row] for row in rows]
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None

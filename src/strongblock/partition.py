@@ -5,7 +5,8 @@ All exponent bookkeeping happens in the ambient field GF(q^(k(k-1))): R* is the
 set of exponents divisible by a fixed stride, each coset index in
 [0, stride) names one F_q-subgeometry of PG(k-1, q^(k-1)), and together they
 partition the point set.  `build_rgroup` certifies the stride exactly, for
-every (q, k), with one gcd.
+every (q, k), with one gcd, and keeps the `CoordinateMap` over
+GF(q^(k-1)); `subgeometry_points` coordinatizes one code per point.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ class RGroup:
 
     q: int
     k: int
-    p: int
-    h: int
     field: Field                 # GF(q^(k(k-1)))
     coords: CoordinateMap        # coordinates over GF(q^(k-1))
     r: int                       # |R*|
@@ -50,7 +49,7 @@ class RGroup:
 
     @property
     def geom_field(self):
-        return self.coords.submap.sub
+        return self.coords.sub
 
     def in_rstar(self, codes):
         codes = np.asarray(codes, dtype=np.int64)
@@ -99,29 +98,32 @@ def build_rgroup(q, k):
     stride = n // r
     if math.gcd(n // (q ** (k - 1) - 1), n // (q ** k - 1)) != stride:
         raise AssertionError("R* closure check failed for q=%d k=%d" % (q, k))
-    coords = CoordinateMap(field, field.subfield(h * (k - 1)))
-    return RGroup(q=q, k=k, p=p, h=h, field=field, coords=coords, r=r,
-                  stride=stride)
+    return RGroup(q=q, k=k, field=field,
+                  coords=CoordinateMap(field, h * (k - 1)), r=r, stride=stride)
 
 
 def subgeometry_points(rg: RGroup, coset_index):
     """Point set of the F_q-subgeometry named by a coset of R*.
 
-    Coordinatizes the elements of g^coset * R* over GF(q^(k-1)) and returns
-    the (q^k-1)/(q-1) distinct projective points, labelled with the coset.
+    g^c R* = g^c K* L*, with K = F_{q^(k-1)} the coordinate field and
+    L = F_{q^k}, and L* meets K* in F_q*.  So the points of coset c are the
+    K*-classes of g^(c + s i), s = n/(q^k - 1) for the group order n,
+    i < (q^k - 1)/(q - 1): one code per point.  They are coordinatized over K, returned in canonical
+    index order and labelled with the coset.
     """
     coset_index %= rg.stride
-    codes = rg.rstar_codes() + coset_index  # exponents coset + stride*j
-    space = ProjectiveSpace(rg.geom_field, rg.k - 1)
+    q, k = rg.q, rg.k
+    step = rg.field.group_order // (q ** k - 1)
+    codes = rg.field.from_exp(
+        coset_index + step * np.arange((q ** k - 1) // (q - 1)))
+    space = ProjectiveSpace(rg.geom_field, k - 1)
     norm = space.normalize_vec(rg.coords.coords(codes))
     idx = space.point_index_vec(norm)
     order = np.argsort(idx)
-    keep = np.concatenate([[True], np.diff(idx[order]) != 0])
-    pts = [tuple(int(c) for c in row) for row in norm[order][keep]]
-    expected = (rg.q ** rg.k - 1) // (rg.q - 1)
-    if len(pts) != expected:
-        raise AssertionError("subgeometry has %d points, expected %d"
-                             % (len(pts), expected))
+    if np.any(np.diff(idx[order]) == 0):
+        raise AssertionError("two codes of coset %d give one point"
+                             % coset_index)
+    pts = [tuple(int(c) for c in row) for row in norm[order]]
     return PointSet(space, pts, {pt: coset_index for pt in pts})
 
 

@@ -255,6 +255,21 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
     pair["n"], pair["points"] = 40, [["0"] * 40 + ["g^0"]]
     del pair["labels"]
     (tmp_path / "pg40.json").write_text(json.dumps(pair))
+    # an element or a header token that does not parse, and a space of
+    # dimension 0
+    (tmp_path / "xhead.txt").write_text("2 3 1 1 0 1 x 2\n")
+    pair = json.loads((GOLDEN / "pair_pg3_8.json").read_text())
+    pair["points"][0][0] = "g^x"
+    (tmp_path / "gx.json").write_text(json.dumps(pair))
+    pair["points"][0][0] = "h"
+    (tmp_path / "h.json").write_text(json.dumps(pair))
+    pair["n"], pair["points"] = 0, [["g^0"]]
+    (tmp_path / "n0.json").write_text(json.dumps(pair))
+    code = json.loads((GOLDEN / "code_pair_pg3_8.json").read_text())
+    code["entries"][0][0] = "g^x"
+    (tmp_path / "gxcode.json").write_text(json.dumps(code))
+    code["k"], code["entries"] = 1, code["entries"][1:]
+    (tmp_path / "k1.json").write_text(json.dumps(code))
     for argv in (["verify", "--input", "nopoints.json"],
                  ["check-minimal", "--input", "noentries.json"],
                  ["check-minimal", "--input", "short.txt"],
@@ -267,6 +282,12 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
                  ["verify", "--input", "hugen.json"],
                  ["check-minimal", "--input", "hugek.txt"],
                  ["verify", "--input", "pg40.json"],
+                 ["check-minimal", "--input", "xhead.txt"],
+                 ["verify", "--input", "gx.json"],
+                 ["verify", "--input", "h.json"],
+                 ["verify", "--input", "n0.json"],
+                 ["check-minimal", "--input", "gxcode.json"],
+                 ["check-minimal", "--input", "k1.json"],
                  # m below 2, and m past the 3 cosets that a random
                  # search at q = 2, k = 3 can draw distinct
                  ["search", "--q", "2", "--k", "3", "--m", "0"],
@@ -275,6 +296,10 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
         assert out.returncode == 1, argv
         assert out.stderr.startswith("error: "), out.stderr
         assert "Traceback" not in out.stderr
+        # a file that does not parse is named once; rank2.json parses, and
+        # its fault is the rank of the code
+        if "--input" in argv and argv[-1] != "rank2.json":
+            assert out.stderr.count(argv[-1]) == 1, out.stderr
 
 
 def test_huge_field_and_ragged_code_rows_exit_1(tmp_path):

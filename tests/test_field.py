@@ -541,23 +541,23 @@ def test_subfield_strides(gf4096):
 
 
 def test_subfield_is_field_homomorphism(gf4096):
-    sm = gf4096.subfield(4)
-    sub = sm.sub
+    cm = field_mod.CoordinateMap(gf4096, 4)
+    sub = cm.sub
     assert sub.order == 16
     codes = np.arange(sub.order, dtype=np.int64)
-    big = sm.to_parent(codes)
+    big = cm.to_parent(codes)
     for a in range(sub.order):
         for b in range(sub.order):
             s = sub.add(a, b)
             t = sub.mul(a, b)
-            assert int(sm.to_parent(np.array([s]))[0]) == gf4096.add(
+            assert int(cm.to_parent(np.array([s]))[0]) == gf4096.add(
                 int(big[a]), int(big[b]))
-            assert int(sm.to_parent(np.array([t]))[0]) == gf4096.mul(
+            assert int(cm.to_parent(np.array([t]))[0]) == gf4096.mul(
                 int(big[a]), int(big[b]))
 
 
 def test_coords_roundtrip_and_bijection(gf4096):
-    cm = field_mod.CoordinateMap(gf4096, gf4096.subfield(4))
+    cm = field_mod.CoordinateMap(gf4096, 4)
     codes = np.arange(gf4096.order, dtype=np.int64)
     coords = cm.coords(codes)
     assert coords.shape == (4096, 3)
@@ -567,8 +567,8 @@ def test_coords_roundtrip_and_bijection(gf4096):
 
 
 def test_coords_of_basis_elements(gf4096):
-    cm = field_mod.CoordinateMap(gf4096, gf4096.subfield(4))
-    sub_one = cm.submap.sub.one
+    cm = field_mod.CoordinateMap(gf4096, 4)
+    sub_one = cm.sub.one
     for i, b in enumerate(cm.basis):
         row = cm.coords(np.array([b]))[0]
         expect = [0, 0, 0]
@@ -578,21 +578,54 @@ def test_coords_of_basis_elements(gf4096):
 
 
 def test_coords_linear_over_subfield(gf4096):
-    cm = field_mod.CoordinateMap(gf4096, gf4096.subfield(4))
-    sm = cm.submap
+    cm = field_mod.CoordinateMap(gf4096, 4)
     rng = np.random.default_rng(11)
     a = rng.integers(0, gf4096.order, 200)
     b = rng.integers(0, gf4096.order, 200)
-    lam = rng.integers(1, sm.sub.order, 200)
+    lam = rng.integers(1, cm.sub.order, 200)
     # additivity
     lhs = cm.coords(gf4096.add_vec(a, b))
-    rhs = sm.sub.add_vec(cm.coords(a), cm.coords(b))
+    rhs = cm.sub.add_vec(cm.coords(a), cm.coords(b))
     assert np.array_equal(lhs, rhs)
     # scaling by subfield elements
-    big_lam = sm.to_parent(lam)
+    big_lam = cm.to_parent(lam)
     lhs = cm.coords(gf4096.mul_vec(a, big_lam))
-    rhs = sm.sub.mul_vec(cm.coords(a), lam[:, None])
+    rhs = cm.sub.mul_vec(cm.coords(a), lam[:, None])
     assert np.array_equal(lhs, rhs)
+
+
+def minimal_polynomial_by_conjugates(f, d):
+    """Coefficients (low to high) of prod_t (x - gamma^(p^t)), t < d, the
+    minimal polynomial of gamma = g^s, s = (p^m - 1)/(p^d - 1), expanded by
+    scalar products in f itself."""
+    gamma = f.from_exp(f.group_order // (f.p ** d - 1))
+    poly, conj = [f.one], gamma
+    for _ in range(d):
+        new = [0] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            new[i + 1] = f.add(new[i + 1], c)
+            new[i] = f.add(new[i], f.mul(f.neg(conj), c))
+        poly, conj = new, f.pow(conj, f.p)
+    coeffs = [0 if c == 0 else int(f.exp[c - 1]) for c in poly]
+    assert all(c < f.p for c in coeffs)  # every coefficient lies in GF(p)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 6), (2, 12), (2, 20),
+                                 (3, 4), (3, 6), (3, 12), (5, 4), (7, 2),
+                                 (13, 2), (4093, 1)])
+def test_subfield_modulus_from_the_inverse(p, m):
+    # the modulus read off gamma^d's coordinates against the expansion over
+    # its conjugates, for every d | m, d = 1 and d = m included
+    f = Field.build(p, m)
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        cm = field_mod.CoordinateMap(f, d)
+        assert cm.stride == (p ** m - 1) // (p ** d - 1)
+        assert cm.sub.modulus == minimal_polynomial_by_conjugates(f, d)
+        if d == m:
+            assert cm.sub is f
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,24 @@
 """Source hygiene: every module-level import of a library module is used,
 no library module imports a private name of a sibling module or reads a
-private attribute of an object other than `self`, and no library module
+private attribute of an object other than `self`, no library module
 holds an `assert` statement, which `python -O` strips: load-bearing checks
-are explicit raises."""
+are explicit raises, and every name that README.md quotes exists."""
 
+import argparse
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
+import re
 
 import pytest
 
+import strongblock
+from strongblock import cli
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "strongblock"
+README = SRC.parent.parent / "README.md"
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -106,3 +115,82 @@ def test_assert_statement_is_reported():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'neg'\n"
                      "    raise AssertionError('not an assert statement')\n")
     assert assert_statements(tree) == [3]
+
+
+def readme_roots():
+    """Name -> object: the package, its modules, and every public
+    module-level name that the package defines (classes, functions,
+    constants), not the ones it imports from elsewhere."""
+    roots = {"strongblock": strongblock}
+    for path in MODULES:
+        module = importlib.import_module("strongblock." + path.stem)
+        roots[path.stem] = module
+        roots.update((name, obj) for name, obj in vars(module).items()
+                     if not name.startswith("_") and not inspect.ismodule(obj)
+                     and getattr(obj, "__module__", "strongblock")
+                     .startswith("strongblock"))
+    return roots
+
+
+def members(obj):
+    """Attribute names of `obj`, dataclass fields included."""
+    names = set(dir(obj))
+    if dataclasses.is_dataclass(obj):
+        names |= {f.name for f in dataclasses.fields(obj)}
+    return names
+
+
+def resolves(token, roots):
+    """True if a dotted name starts at a root and each later part is a
+    member; a bare name may also be a member of any package class."""
+    head, *rest = token.split(".")
+    if head not in roots:
+        return not rest and any(head in members(obj)
+                                for obj in roots.values()
+                                if inspect.isclass(obj))
+    obj = roots[head]
+    for part in rest:
+        if part not in members(obj):
+            return False
+        obj = getattr(obj, part, None)
+    return True
+
+
+def cli_flags():
+    """Every option string of every subcommand of the command line."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {flag for parser in sub.choices.values()
+            for action in parser._actions for flag in action.option_strings}
+
+
+def stale_readme_names(text):
+    """The backticked names of a README text, outside fenced blocks, that
+    name nothing: a `--flag` that no subcommand takes, or an identifier
+    that resolves to no strongblock module, function, class, attribute or
+    dataclass field.  Call parentheses are stripped, and a span holding a
+    space (a command line, say) is skipped."""
+    roots, flags = readme_roots(), cli_flags()
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    stale = []
+    for span in re.findall(r"`([^`]+)`", text):
+        token = re.sub(r"\(.*\)$", "", " ".join(span.split()))
+        if " " in token:
+            continue
+        if not (token in flags if token.startswith("--")
+                else resolves(token, roots)):
+            stale.append(token)
+    return stale
+
+
+def test_readme_names_resolve():
+    assert stale_readme_names(README.read_text()) == []
+
+
+def test_stale_readme_name_is_reported():
+    text = ("`Field.coord_map` and `Field.build`, `RGroup.coords`, `rank`,\n"
+            "`strongblock.field`, `codes.AND_BYTES`, `iroot(n, h)`, `--q`,\n"
+            "`--no-such-flag`, `verify --mode\nblocking`, `np.zeros`\n"
+            "```sh\nstrongblock `no_such_name`\n```\n")
+    assert stale_readme_names(text) == ["Field.coord_map", "--no-such-flag",
+                                        "np.zeros"]

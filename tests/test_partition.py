@@ -8,6 +8,7 @@ import pytest
 from strongblock import geometry
 from strongblock.errors import BudgetExceeded, FieldTooLarge
 from strongblock.field import MR_EXACT_BELOW, factor, is_prime
+from strongblock.geometry import ProjectiveSpace
 from strongblock.partition import (
     build_bset,
     build_rgroup,
@@ -151,6 +152,28 @@ def test_subgeometry_structure(rg24):
     idx = list(sub.space.point_index_vec(sub.matrix()))
     assert idx == sorted(idx)
     assert sub.points == subgeometry_points(rg24, 7).points
+
+
+def points_of_all_of_the_coset(rg, c):
+    """The points of coset c from every one of its |R*| codes: coordinatized,
+    normalized, de-duplicated and sorted by canonical index."""
+    space = ProjectiveSpace(rg.geom_field, rg.k - 1)
+    norm = space.normalize_vec(rg.coords.coords(rg.rstar_codes() + c))
+    _, first = np.unique(space.point_index_vec(norm), return_index=True)
+    return [tuple(int(x) for x in row) for row in norm[first]]
+
+
+@pytest.mark.parametrize("qk,cosets", [((2, 4), None), ((3, 3), None),
+                                       ((3, 4), 20)])
+def test_one_code_per_point_matches_all_of_rstar(qk, cosets):
+    rg = build_rgroup(*qk)
+    rng = np.random.default_rng(5)
+    picks = (range(rg.stride) if cosets is None
+             else rng.choice(rg.stride, cosets, replace=False).tolist())
+    for c in picks:
+        sub = subgeometry_points(rg, c)
+        assert sub.points == points_of_all_of_the_coset(rg, c)
+        assert sub.labels == {pt: c for pt in sub.points}
 
 
 def test_fano_subgeometry(rg23):
