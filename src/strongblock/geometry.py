@@ -14,7 +14,9 @@ hyperplane, and each incidence is solved for in closed form from the
 point's last nonzero coordinate, about one field addition apiece, with no
 dual form, normalization or index search; `dot_block` and `points_block`
 stay as its oracles.  MARK_BATCH = 2^15 keeps a pencil batch (256 KiB of
-int64 indices) and a rank stack in cache.  `rank_stack` ranks a stack of
+int64 indices) and a rank stack in cache.  `line_pencils` solves for the
+planes of PG(3, Q) through lines the same way, from each line's reduced
+echelon basis, for the strong scan's secant lines.  `rank_stack` ranks a stack of
 equal-size hyperplane sections in one batched elimination; the scalar
 `rank` is its independent oracle.  Three more decisions of the scans have
 one home here: `check_scan` refuses a space of more than SCAN_BUDGET
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch, StrongBlockError
 from .field import Field
 
 MARK_BATCH = 1 << 15  # incidences generated per vectorized pencil batch
@@ -266,6 +268,56 @@ class ProjectiveSpace:
                 out[sel, col:] = np.arange(offs[z + 1], offs[-1])
             yield np.arange(start, start + b), out
 
+    def line_pencils(self, first, second):
+        """Yield (lines, hyperplanes) over the planes of PG(3, Q) through
+        lines.
+
+        Line i is spanned by the distinct points first[i] and second[i],
+        rows of two (L, 4) matrices, normalized or not.  `lines` holds
+        consecutive line indices and hyperplanes[i] the canonical indices
+        of the Q + 1 planes through line lines[i]: at most MARK_BATCH
+        indices per batch, or one line's if that is larger.  Equal points
+        raise ValueError.
+
+        Each line is brought to its reduced echelon basis a, b, with pivots
+        l1 < l2 (a_l1 = b_l2 = 1, a_l2 = b_l1 = 0) and free columns
+        f1 < f2.  A dual u contains it iff u.a = u.b = 0, so the planes are
+        u = s e_f1 + t e_f2 - (s a_f1 + t a_f2) e_l1 - (s b_f1 + t b_f2) e_l2
+        over (s, t) = (1, t) and (0, 1).
+        """
+        if self.n != 3:
+            raise ValueError("line pencils are planes of PG(3, Q), not "
+                             "hyperplanes of PG(%d, Q)" % self.n)
+        f, q = self.field, self.field.order
+        s = np.append(np.ones(q, dtype=np.int64), 0)
+        t = np.append(np.arange(q, dtype=np.int64), 1)
+        first = np.asarray(first, dtype=np.int64)
+        second = np.asarray(second, dtype=np.int64)
+        cols = np.arange(4)[:, None]
+        step = max(1, MARK_BATCH // (q + 1))
+        for start in range(0, first.shape[0], step):
+            a = self.normalize_vec(first[start:start + step]).T  # (4, b)
+            b = self.normalize_vec(second[start:start + step]).T
+            lines = np.arange(a.shape[1])
+            la, lb = np.argmax(a != 0, axis=0), np.argmax(b != 0, axis=0)
+            a, b = np.where(lb < la, b, a), np.where(lb < la, a, b)
+            # equal leads: b - a clears b's lead (equal points give the zero
+            # vector, which normalize_vec refuses)
+            b = np.where(la == lb, f.add_vec(b, f.neg_vec(a)), b)
+            b = self.normalize_vec(b.T).T
+            l1, l2 = np.minimum(la, lb), np.argmax(b != 0, axis=0)
+            a = f.add_vec(a, f.mul_vec(f.neg_vec(a[l2, lines]), b))
+            f1, f2 = np.sort(np.where((cols != l1) & (cols != l2), cols, 4),
+                             axis=0)[:2]
+            u = np.empty((4, lines.size, q + 1), dtype=np.int64)
+            u[f1, lines], u[f2, lines] = s, t
+            for pivot, row in ((l1, a), (l2, b)):
+                u[pivot, lines] = f.neg_vec(f.add_vec(
+                    f.mul_vec(row[f1, lines, None], s),
+                    f.mul_vec(row[f2, lines, None], t)))
+            hyps = self.point_index_vec(self.normalize_vec(u.reshape(4, -1).T))
+            yield start + lines, hyps.reshape(lines.size, q + 1)
+
     # -- rank --------------------------------------------------------------
 
     def rank(self, pts, target=None):
@@ -408,18 +460,26 @@ class PointSet:
     @staticmethod
     def load(path):
         """The point set of a JSON file; a malformed one raises ValueError
-        naming the path."""
+        naming the path, and a field that `Field.build` refuses its own
+        error, naming the path."""
         with open(path) as fh:
             try:
                 return PointSet.from_json(json.load(fh))
-            except ValueError as exc:
-                raise ValueError("%s: %s" % (path, exc)) from None
+            except (ValueError, StrongBlockError) as exc:
+                raise _named(exc, path) from None
 
 
 # ---------------------------------------------------------------------------
 # reading input files
 
 _JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _named(exc, where):
+    """`exc` again with `where` before its message: a StrongBlockError keeps
+    its type, a ValueError (a JSON syntax error, say) is a plain one."""
+    kind = type(exc) if isinstance(exc, StrongBlockError) else ValueError
+    return kind("%s: %s" % (where, exc))
 
 
 def json_fields(doc, where, **kinds):
@@ -443,13 +503,18 @@ def json_fields(doc, where, **kinds):
 
 
 def field_from_json(meta, where):
-    """The field of a `Field.meta()` description read from a file."""
+    """The field of a `Field.meta()` description read from a file; what
+    `Field.build` refuses (a reducible or non-primitive modulus, a p that
+    is not prime, a field past the order cap) is raised naming `where`."""
     p, m, modulus = json_fields(meta, "%s field" % where,
                                 p=int, m=int, modulus=list)
     if not all(isinstance(c, int) for c in modulus):
         raise ValueError("%s: field modulus must be an array of integers"
                          % where)
-    return Field.build(p, m, tuple(modulus))
+    try:
+        return Field.build(p, m, tuple(modulus))
+    except (ValueError, StrongBlockError) as exc:
+        raise _named(exc, where) from None
 
 
 def parse_rows(field, rows, where):

@@ -1,19 +1,33 @@
 """Unions of coset subgeometries and exhaustive (strong) blocking verification.
 
-A strong blocking set meets every hyperplane in a set of full rank.  The scan
-reads the pencils through the points (`ProjectiveSpace.pencils`), buckets the
-incidences by hyperplane into sections with a counting sort (a CSR: one run of
-point rows per hyperplane), hands them out in runs whose incidence budget
-starts at MARK_BATCH and doubles, and ranks the sections in stacks of equal
-size with `ProjectiveSpace.rank_stack`, over the k-1 coordinates that remain
-when each hyperplane's leading one (`ProjectiveSpace.leads`) is dropped.  The
-witness is the lowest-index hyperplane whose section falls short, and is
-re-checked off the scan path with `ProjectiveSpace.section` (scalar
-incidences) and the scalar `rank`.  Plain blocking needs no sections: it
-marks the hyperplanes through each point (`search.mark_lines_through`), and
-the first unmarked one is the same lowest-index witness, returned as the
-same `StrongVerdict` through the same re-check.  Both scans refuse a space
-of more than `geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded, from
+A strong blocking set meets every hyperplane in a set of full rank k-1.  For
+k <= 3, and for k = 4 when (N - 1)(Q + 7) <= 6 (Q^2 + Q + 1)
+(`_counts_decide`), the scan ranks no section: it counts the points on every hyperplane in one pass over
+the pencils through the points (`ProjectiveSpace.pencils`) and decides from
+the counts and the secant lines.  That is exact, because a rank-(k-1)
+section needs k-1 points and two distinct points are independent: for
+k <= 3 a hyperplane is short iff it holds at most k-2 points, and for k = 4
+a section of three or more points is short iff it is collinear, so H is
+short iff it holds at most 2 points or it contains a secant line of m >= 3
+points and holds exactly m.  The secant lines come from the N (N-1) ordered
+pairs of points (`_rich_lines`), and only the Q+1 hyperplanes through each
+line of three or more points are visited (`ProjectiveSpace.line_pencils`).
+The rule keeps the pairs and those hyperplanes, at most N (N-1)(Q+1)/6,
+within the N (Q^2 + Q + 1) incidences of the rank path, which every other
+set takes (k >= 5, and dense k = 4 sets):
+the incidences are bucketed by hyperplane into sections with a counting
+sort (a CSR: one run of point rows per hyperplane), handed out in runs
+whose incidence budget starts at MARK_BATCH and doubles, and ranked in
+stacks of equal size with `ProjectiveSpace.rank_stack`, over the k-1
+coordinates that remain when each hyperplane's leading one
+(`ProjectiveSpace.leads`) is dropped.  On either path the witness is the
+lowest-index hyperplane whose section falls short, and is re-checked off
+the scan path with `ProjectiveSpace.section` (scalar incidences) and the
+scalar `rank`.  Plain blocking needs no sections: it marks the hyperplanes
+through each point (`search.mark_lines_through`), and the first unmarked
+one is the same lowest-index witness, returned as the same `StrongVerdict`
+through the same re-check.  Both scans refuse a space of more than
+`geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded, from
 `ProjectiveSpace.check_scan`, before they allocate.
 """
 
@@ -164,23 +178,120 @@ def _recheck_witness(point_set, index, empty):
                          index + 1)
 
 
+def _counts_decide(space, size):
+    """True when section counts and secant lines decide the strong scan:
+    k <= 3, or k = 4 with (N - 1)(Q + 7) <= 6 (Q^2 + Q + 1).
+
+    For k = 4 the count path works through N (N - 1) ordered pairs and the
+    Q + 1 hyperplanes through each secant line of three or more points, of
+    which there are at most N (N - 1)/6 (each holds at least three of
+    the N (N - 1)/2 pairs): N (N - 1)(1 + (Q + 1)/6) in all, which the rule
+    keeps within the N (Q^2 + Q + 1) incidences that `_sections` buckets.
+    """
+    q = space.field.order
+    return space.k <= 3 or (
+        space.k == 4 and (size - 1) * (q + 7) <= 6 * (q * q + q + 1))
+
+
+def _rich_lines(space, mat):
+    """Yield (first, second, size) over the secant lines of the rows of
+    `mat` in PG(3, Q) that hold at least three of them, each line once:
+    its lowest row, its next row, and its number of rows.
+
+    The rows are worked through in blocks of about MARK_BATCH pairs, one
+    yield per block.  For a row P with leading one at l, every other row R
+    gives R - R_l P, which is 0 at l, so two rows R, R' on one line through
+    P give the same point up to a nonzero scale (R' = c R + d P), and a
+    different line a different point: the canonical index of that point
+    keys the line through P.  P owns the line when it is below every other
+    row of its key, and the line then holds that key's rows and P.
+    """
+    f, k, H = space.field, space.k, space.num_points
+    n = len(mat)
+    if n < 3:
+        return
+    x = mat.T
+    lead = np.argmax(x != 0, axis=0)
+    j = np.arange(n - 1)
+    step = max(1, geometry.MARK_BATCH // (n - 1))
+    for start in range(0, n, step):
+        p = np.arange(start, min(start + step, n))
+        r = j + (j >= p[:, None])  # (b, N-1): the rows but P
+        d = f.add_vec(x[:, r], f.mul_vec(f.neg_vec(x[lead[p, None], r]),
+                                         x[:, p, None]))
+        keys = space.point_index_vec(space.normalize_vec(d.reshape(k, -1).T))
+        # a stable sort on (P, key) keeps each group's rows ascending
+        pair = (p[:, None] - start) * H + keys.reshape(r.shape)
+        order = np.argsort(pair, axis=None, kind="stable")
+        pair = pair.ravel()[order]
+        head = np.flatnonzero(np.concatenate([[True], pair[1:] != pair[:-1]]))
+        size = np.diff(np.append(head, pair.size)) + 1
+        owner = start + pair[head] // H
+        second = r.ravel()[order[head]]
+        own = (size >= 3) & (second > owner)
+        yield owner[own], second[own], size[own]
+
+
+def _short_by_counts(space, mat):
+    """(short, counts): which hyperplanes of PG(k-1, Q), k <= 4, have a
+    section of rank below k-1, and how many rows of `mat` each holds.
+
+    A section of rank k-1 needs k-1 points, and two distinct points are
+    independent, so for k <= 3 a hyperplane is short exactly when it holds
+    at most k-2 points.  For k = 4 a section of three or more points is
+    short exactly when it is collinear, S n H = S n l for a line l in H
+    through two of its points: H is short iff it holds at most 2 points or
+    it contains a secant line l of m >= 3 points and holds exactly m.  The
+    counts come from one pass over the pencils, and only the hyperplanes
+    through the rich lines of `_rich_lines` are visited; each line's
+    hyperplanes hold N + Q m incidences in all, since every row off l lies
+    on exactly one of them, which checks the counts and the lines.
+    """
+    if space.k > 4:
+        raise ValueError("section counts decide PG(k-1, Q) for k <= 4 only")
+    counts = np.zeros(space.num_points, dtype=np.int64)
+    for _rows, hyperplanes in space.pencils(mat):
+        np.add.at(counts, hyperplanes.ravel(), 1)
+    short = counts <= space.k - 2
+    if space.k < 4:
+        return short, counts
+    for first, second, size in _rich_lines(space, mat):
+        total = len(mat) + space.field.order * size
+        for i, hyperplanes in space.line_pencils(mat[first], mat[second]):
+            on = counts[hyperplanes]
+            if np.any(on.sum(axis=1) != total[i]):
+                raise AssertionError("secant line counts do not add up")
+            short[hyperplanes[on == size[i, None]]] = True
+    return short, counts
+
+
 def verify_strong_blocking(point_set: PointSet):
     """Exhaustively verify that every hyperplane section spans the hyperplane.
 
     Returns "strong", or the first offending hyperplane: "not-blocking" when
     the section is empty, "not-strong" when its rank falls short of k-1,
-    for the set's own PG(k-1, Q).  Incidences are held about SECTION_CAP at
-    a time, and a failure stops the scan soon after its hyperplane.
+    for the set's own PG(k-1, Q).  Where `_counts_decide`, the section
+    counts and secant lines of `_short_by_counts` decide every hyperplane;
+    otherwise incidences are held about SECTION_CAP at a time and ranked,
+    and a failure stops the scan soon after its hyperplane.
     """
     space = point_set.space
     space.check_scan()
     mat = point_set.matrix()
-    for lo, indptr, members in _sections(space, mat):
-        short = np.flatnonzero(
-            _section_ranks(space, mat, lo, indptr, members) < space.k - 1)
-        if short.size:
-            h = int(short[0])
-            return _recheck_witness(point_set, lo + h, indptr[h] == indptr[h + 1])
+    if _counts_decide(space, len(mat)):
+        short, counts = _short_by_counts(space, mat)
+        hits = np.flatnonzero(short)
+        if hits.size:
+            h = int(hits[0])
+            return _recheck_witness(point_set, h, counts[h] == 0)
+    else:
+        for lo, indptr, members in _sections(space, mat):
+            short = np.flatnonzero(
+                _section_ranks(space, mat, lo, indptr, members) < space.k - 1)
+            if short.size:
+                h = int(short[0])
+                return _recheck_witness(point_set, lo + h,
+                                        indptr[h] == indptr[h + 1])
     return StrongVerdict("strong", None, None, space.num_points)
 
 

@@ -270,6 +270,12 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
     (tmp_path / "gxcode.json").write_text(json.dumps(code))
     code["k"], code["entries"] = 1, code["entries"][1:]
     (tmp_path / "k1.json").write_text(json.dumps(code))
+    # a modulus that Field.build refuses, x^3 + x = x (x + 1)^2 over GF(2)
+    pair["n"], pair["points"] = 3, [["g^0", "0", "0", "0"]]
+    pair["field"]["modulus"] = [0, 1, 0, 1]
+    (tmp_path / "reducible.json").write_text(json.dumps(pair))
+    code["field"]["modulus"] = [0, 1, 0, 1]
+    (tmp_path / "reduciblecode.json").write_text(json.dumps(code))
     for argv in (["verify", "--input", "nopoints.json"],
                  ["check-minimal", "--input", "noentries.json"],
                  ["check-minimal", "--input", "short.txt"],
@@ -288,6 +294,8 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
                  ["verify", "--input", "n0.json"],
                  ["check-minimal", "--input", "gxcode.json"],
                  ["check-minimal", "--input", "k1.json"],
+                 ["verify", "--input", "reducible.json"],
+                 ["check-minimal", "--input", "reduciblecode.json"],
                  # m below 2, and m past the 3 cosets that a random
                  # search at q = 2, k = 3 can draw distinct
                  ["search", "--q", "2", "--k", "3", "--m", "0"],
@@ -378,6 +386,20 @@ GOLDEN_COMMANDS = [
      3),
     ("search_q2_k4_m5_max_iters_3",
      ["search", "--q", "2", "--k", "4", "--m", "5", "--max-iters", "3"], 3),
+    # the strong scan's two paths: collinear_pg3_8.json (28 points) is
+    # decided by section counts and secant lines and first fails at plane
+    # 19, whose 3 points are collinear; points_q2_k4.json is `pipeline --q 2
+    # --points-out` (45 points of PG(3,8), strong) and dense_pg3_4.json 60
+    # of the 85 points of PG(3,4), both past the secant-line rule, and
+    # points_pg4_2.json is 16 points of PG(4,2)
+    ("verify_strong_points_q2_k4",
+     ["verify", "--input", "points_q2_k4.json", "--mode", "strong"], 0),
+    ("verify_strong_collinear_pg3_8",
+     ["verify", "--input", "collinear_pg3_8.json", "--mode", "strong"], 2),
+    ("verify_strong_dense_pg3_4",
+     ["verify", "--input", "dense_pg3_4.json", "--mode", "strong"], 2),
+    ("verify_strong_points_pg4_2",
+     ["verify", "--input", "points_pg4_2.json", "--mode", "strong"], 2),
 ]
 
 

@@ -287,6 +287,69 @@ def test_pencils_refuse_the_zero_row():
         list(space.pencils(np.asarray([[1, 2, 3], [0, 0, 0]])))
 
 
+def line_pairs(space, rng):
+    """(first, second): pairs of distinct points among `pencil_rows`, most of
+    them unnormalized, with every pair of last-nonzero positions and so
+    also pairs of equal leading position."""
+    rows = pencil_rows(space, rng)
+    keys = space.point_index_vec(space.normalize_vec(rows))
+    i, j = np.triu_indices(len(rows), 1)
+    keep = keys[i] != keys[j]
+    return rows[i[keep]], rows[j[keep]]
+
+
+def line_pencils_by_line(space, first, second):
+    out = [None] * len(first)
+    for lines, hyperplanes in space.line_pencils(first, second):
+        assert hyperplanes.shape == (lines.size, space.field.order + 1)
+        for i, h in zip(lines.tolist(), hyperplanes):
+            out[i] = np.sort(h)
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, None])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 3), (3, 2)])
+def test_line_pencils_match_dot_block(monkeypatch, batch, p, m):
+    # the planes through each line against every dual form, with one line
+    # per batch and with the default batch
+    if batch is not None:
+        monkeypatch.setattr(geometry, "MARK_BATCH", batch)
+    space = ProjectiveSpace(Field.build(p, m), 3)
+    first, second = line_pairs(space, np.random.default_rng(p ** m))
+    duals = space.points_block(0, space.num_points)
+    on_first = space.dot_block(duals, first) == 0
+    on_second = space.dot_block(duals, second) == 0
+    got = line_pencils_by_line(space, first, second)
+    assert len(got) == len(first) > 50
+    for i, h in enumerate(got):
+        assert np.array_equal(h, np.flatnonzero(on_first[:, i]
+                                                & on_second[:, i]))
+
+
+def test_line_pencils_on_the_zech_path():
+    # PG(3,4096) adds through the Zech table: each line's Q + 1 hyperplanes
+    # are distinct and contain both of its points
+    space = ProjectiveSpace(Field.build(2, 12), 3)
+    first, second = line_pairs(space, np.random.default_rng(12))
+    for i, got in enumerate(line_pencils_by_line(space, first, second)):
+        assert got.size == space.field.order + 1
+        assert np.all(np.diff(got) > 0)
+        duals = np.asarray([space.point_at(int(h)) for h in got])
+        assert not np.any(space.dot_block(duals, first[i:i + 1]))
+        assert not np.any(space.dot_block(duals, second[i:i + 1]))
+
+
+def test_line_pencils_refuse_equal_points_and_other_spaces():
+    space = ProjectiveSpace(Field.build(2, 2), 3)
+    with pytest.raises(ValueError):
+        list(space.line_pencils([[1, 2, 3, 0]], [[2, 3, 1, 0]]))
+    for n in (2, 4):
+        other = ProjectiveSpace(Field.build(2, 2), n)
+        e = np.eye(n + 1, dtype=np.int64)
+        with pytest.raises(ValueError):
+            list(other.line_pencils(e[:1], e[1:2]))
+
+
 @pytest.mark.parametrize("scan,limit_mb", [("strong", 5), ("supports", 6)])
 def test_pencil_scans_peak_memory(rg34, scan, limit_mb):
     # the q = 3 pipeline's two pencil scans of a 120-point union in

@@ -396,6 +396,122 @@ def test_section_ranks_over_k_minus_1_columns(p, m, n):
         assert any(0 < r < k - 1 for r in expect)
 
 
+# ---------------------------------------------------------------------------
+# section counts and secant lines against the ranks
+
+
+@pytest.fixture(scope="module")
+def planted_sets():
+    """k <= 4 sets that put the secant-line rule to work: the points of a
+    random line or plane plus 0-4 random points, and unions of 1-3 coset
+    subgeometries, at (q, k) = (2, 4), (3, 4), (2, 3), (3, 3)."""
+    from strongblock.partition import build_rgroup
+    rng = np.random.default_rng(18)
+    sets = []
+    for p, m, n in [(2, 2, 3), (3, 1, 3), (2, 3, 3), (3, 2, 2)]:
+        space = ProjectiveSpace(Field.build(p, m), n)
+        for extra in range(5):
+            for flat in ("line", "plane"):
+                if flat == "plane" and n == 2:
+                    continue
+                a, b, c = (space.point_at(int(i)) for i in
+                           rng.choice(space.num_points, 3, replace=False))
+                pts = space.line_through(a, b)
+                if flat == "plane":
+                    pts = [x for x in space.points()
+                           if space.rank([a, b, c, x]) < 4]
+                pts += [space.point_at(int(i)) for i in
+                        rng.choice(space.num_points, extra, replace=False)]
+                sets.append(PointSet(space, pts))
+    for q, k in [(2, 4), (3, 4), (2, 3), (3, 3)]:
+        rg = build_rgroup(q, k)
+        for count in (1, 2, 3):
+            cosets = rng.choice(rg.stride, count, replace=False)
+            pts = []
+            for c in cosets:
+                pts += subgeometry_points(rg, int(c)).points
+            sets.append(PointSet(subgeometry_points(rg, 0).space, pts))
+    return sets
+
+
+def test_count_path_matches_section_oracle(strong_corpus, planted_sets):
+    # every k <= 4 corpus set and planted set, on whichever path the rule
+    # picks, against the scalar oracle; both paths and both verdicts occur
+    seen = set()
+    for S in [S for S in strong_corpus if S.space.k <= 4] + planted_sets:
+        v = verify_strong_blocking(S)
+        assert v == strong_oracle(S), (S.space, len(S))
+        counts = strong._counts_decide(S.space, len(S))
+        seen.add((counts, v.status))
+        if counts and S.space.k == 4 and v.status == "not-strong":
+            on = section(S, v.witness)
+            if len(on) >= 3:
+                seen.add("collinear witness")
+    assert {(True, "strong"), (True, "not-strong"), (True, "not-blocking"),
+            (False, "strong"), (False, "not-strong"),
+            "collinear witness"} <= seen
+
+
+def rank_mask(space, mat):
+    """Which hyperplanes have a section of rank below k-1, from `_sections`
+    and `_section_ranks`, over every window and run."""
+    short = np.zeros(space.num_points, dtype=bool)
+    for lo, indptr, members in strong._sections(space, mat):
+        ranks = strong._section_ranks(space, mat, lo, indptr, members)
+        short[lo:lo + ranks.size] = ranks < space.k - 1
+    return short
+
+
+def test_count_mask_matches_rank_mask(strong_corpus, planted_sets):
+    # the whole short mask, not only the first witness, on sets from both
+    # sides of the rule
+    sides = set()
+    for S in [S for S in strong_corpus if S.space.k <= 4] + planted_sets:
+        mat = S.matrix()
+        short, counts = strong._short_by_counts(S.space, mat)
+        assert np.array_equal(short, rank_mask(S.space, mat)), (S.space,
+                                                                len(S))
+        duals = S.space.points_block(0, S.space.num_points)
+        assert np.array_equal(counts, np.count_nonzero(
+            S.space.dot_block(duals, mat) == 0, axis=1))
+        sides.add(strong._counts_decide(S.space, len(S)))
+    assert sides == {True, False}
+
+
+def test_count_path_refuses_k_5():
+    space = ProjectiveSpace(Field.build(2, 1), 4)
+    with pytest.raises(ValueError):
+        strong._short_by_counts(space, space.points_block(0, 5))
+
+
+def test_corrupted_counts_or_lines_trip_the_line_check(gf8, monkeypatch):
+    # a line of PG(3,8) and two more points: one rich line, whose nine
+    # planes must hold N + Q m = 11 + 8 * 9 incidences
+    space = ProjectiveSpace(gf8, 3)
+    line = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    S = PointSet(space, line + [(0, 0, 1, 0), (0, 0, 0, 1)])
+    lines = [np.stack(block).tolist()
+             for block in strong._rich_lines(space, S.matrix())]
+    assert lines == [[[0], [1], [9]]]
+    assert verify_strong_blocking(S).status == "not-strong"
+    real_pencils = space.pencils
+
+    def first_row_dropped(mat):
+        for i, (rows, hyperplanes) in enumerate(real_pencils(mat)):
+            yield (rows[1:], hyperplanes[1:]) if i == 0 else (rows, hyperplanes)
+
+    with monkeypatch.context() as m:
+        m.setattr(space, "pencils", first_row_dropped)
+        with pytest.raises(AssertionError, match="do not add up"):
+            verify_strong_blocking(S)
+    real_lines = strong._rich_lines
+    monkeypatch.setattr(strong, "_rich_lines", lambda space, mat: (
+        (first, second, size + 1)
+        for first, second, size in real_lines(space, mat)))
+    with pytest.raises(AssertionError, match="do not add up"):
+        verify_strong_blocking(S)
+
+
 RECHECK_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
@@ -412,28 +528,42 @@ RECHECK_SCRIPT = textwrap.dedent("""
             print(name, "passed silently")
 
     print("optimize", sys.flags.optimize)
+    # PG(2,4) takes the section-count path
     space = ProjectiveSpace(Field.build(2, 2), 2)
     plane = PointSet(space, list(space.points()))
+    real_counts = strong._short_by_counts
+    strong._short_by_counts = lambda space, mat: (
+        np.ones(space.num_points, dtype=bool), real_counts(space, mat)[1])
+    expect_error("counts", lambda: strong.verify_strong_blocking(plane))
+    # hyperplane 0 (x0 = 0) meets the pair in one point: short, not empty
+    pair = PointSet(space, [(1, 0, 0), (0, 1, 0)])
+    strong._short_by_counts = lambda space, mat: (
+        real_counts(space, mat)[0], np.zeros(space.num_points, dtype=np.int64))
+    expect_error("count emptiness", lambda: strong.verify_strong_blocking(pair))
+    strong._short_by_counts = real_counts
+    # PG(4,2) takes the rank path
+    space = ProjectiveSpace(Field.build(2, 1), 4)
+    whole = PointSet(space, list(space.points()))
     real_rank = ProjectiveSpace.rank_stack
     ProjectiveSpace.rank_stack = lambda self, stack: np.zeros(
         len(stack), dtype=np.int64)
-    expect_error("rank", lambda: strong.verify_strong_blocking(plane))
+    expect_error("rank", lambda: strong.verify_strong_blocking(whole))
     ProjectiveSpace.rank_stack = real_rank
-    # hyperplane 0 (x0 = 0) meets the pair in one point: short, not empty
-    pair = PointSet(space, [(1, 0, 0), (0, 1, 0)])
+    pair = PointSet(space, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
     strong._sections = lambda space, mat: iter([(
         0, np.zeros(space.num_points + 1, dtype=np.int64),
         np.zeros(0, dtype=np.int32))])
     expect_error("emptiness", lambda: strong.verify_strong_blocking(pair))
-    # no hyperplane marked: the plane's first hyperplane looks missed
+    # no hyperplane marked: the first hyperplane looks missed
     strong.mark_lines_through = lambda space, mat: np.zeros(
         space.num_points, dtype=bool)
-    expect_error("marks", lambda: strong.verify_blocking(plane))
+    expect_error("marks", lambda: strong.verify_blocking(whole))
 """)
 
 
 def test_strong_recheck_survives_python_O():
-    # forged batched ranks, sections and marks must be refused under python -O
+    # forged section counts, batched ranks, sections and marks must be
+    # refused under python -O
     src = os.path.dirname(os.path.dirname(strongblock.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -442,6 +572,8 @@ def test_strong_recheck_survives_python_O():
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
         "optimize 1",
+        "counts raised: strong witness re-check failed",
+        "count emptiness raised: strong witness re-check failed",
         "rank raised: strong witness re-check failed",
         "emptiness raised: strong witness re-check failed",
         "marks raised: strong witness re-check failed",
