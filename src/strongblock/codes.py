@@ -4,8 +4,10 @@ Codewords are enumerated by projective message classes (one representative
 per scalar class), since minimality is scalar-invariant.  Supports live in
 packed machine-word bitsets keyed by column order.  The minimality check
 inverts them into a zero-set index, one bitset per column of the classes
-that vanish there, since supp(a) <= supp(b) iff Z(b) <= Z(a), and ANDs
-the bitsets of each zero set in batches of classes with equal |Z(b)|.
+that vanish there, since supp(a) <= supp(b) iff Z(b) <= Z(a).  A proper
+containment needs |Z(a)| > |Z(b)|, so with the classes ranked by |Z| the
+AND of b's zero set runs over the classes with larger zero sets only, and
+one sort of the support rows finds the equal supports.
 """
 
 from __future__ import annotations
@@ -28,9 +30,13 @@ from .geometry import (
 
 # the most codeword classes `support_profiles` evaluates; read at call time
 DEFAULT_CLASS_BUDGET = 10 ** 5
-# bytes per batched AND block of the minimality check: the block and one
-# gathered operand stay within a core's L2 cache
+# bytes per batched AND block of the minimality check, with the unpacked
+# zero sets of its classes: the block and one gathered operand stay within
+# a core's L2 cache
 AND_BYTES = 1 << 20
+# set bits of each byte value
+_ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8)
 
 
 @dataclass
@@ -78,7 +84,8 @@ class SupportProfile:
 
     n: int
     class_count: int
-    supports: np.ndarray  # (C, words) uint64, column j -> word j//64 bit j%64
+    # (C, words) uint64, column j -> word j//64 bit j%64; bits past n are 0
+    supports: np.ndarray
     weights: np.ndarray   # (C,) int64
 
     def support_set(self, class_index):
@@ -135,13 +142,15 @@ def check_minimal(G: GeneratorMatrix, profile=None):
 
     With Z(x) the columns at which class x vanishes, supp(a) <= supp(b) iff
     Z(b) <= Z(a), so the classes contained in b are the AND over j in Z(b)
-    of the bitsets "classes that vanish at column j" (all classes when Z(b)
-    is empty).  One such AND per class b, minus b itself, flags every
-    contained class at a cost of (zero incidences) x C/8 bytes instead of
-    the C^2 x n/8 of comparing all pairs; `_contained` batches the ANDs by
-    |Z(b)|.  The witness is the first flagged class in stable weight order
-    with its lowest-index container, and is re-checked by scalar evaluation
-    of both codewords.
+    of the bitsets "classes that vanish at column j".  `_contained` takes
+    that AND only over the classes with |Z(a)| > |Z(b)|, the only ones a
+    different support can properly contain, and flags equal supports by one
+    sort.  That costs the sum over b of |Z(b)| x |{a : |Z(a)| > |Z(b)|}|/8
+    bytes, never more than the (zero incidences) x C/8 of ANDing over all
+    classes and nothing when every zero set has one size, instead of the
+    C^2 x n/8 of comparing all pairs.  The witness is the first flagged
+    class in stable weight order with its lowest-index container, and is
+    re-checked by scalar evaluation of both codewords.
     """
     prof = profile if profile is not None else support_profiles(G)
     C, S = prof.class_count, prof.supports
@@ -165,43 +174,75 @@ def _contained(prof):
     """Packed bitset (little bit order) of the classes whose support sits
     inside the support of another class.
 
-    The zero sets of a chunk of classes are read off the support bitsets in
-    one pass, and the classes of the chunk with equal |Z(b)| = s are ANDed
-    together: s row gathers of the zero-set index into one (G, width) block,
-    then each class's own bit is cleared and the block is OR-reduced.  The
-    OR does not depend on the order of the classes, and every block stays
-    within AND_BYTES, so no (C, n) or (C, width) array is formed.
+    For a != b, supp(a) <= supp(b) iff Z(b) is a proper subset of Z(a),
+    so |Z(a)| > |Z(b)|, or Z(a) = Z(b).  The classes are ranked by |Z|,
+    largest first (stable), the zero-set index is built over that ranking,
+    and each container b ANDs its |Z(b)| index rows over the prefix of
+    ranks with strictly larger zero sets only, rounded up to a byte; b's own
+    bit is cleared where it falls inside, and any other class of the
+    rounded byte is flagged only by an equal support, a containment too.
+    One sort of the support rows then flags every equal support.  The sizes
+    are read off the first n bits of the supports, never off
+    `prof.weights`, and every AND block stays within AND_BYTES, so no
+    (C, n) or (C, width) array is formed.  An empty Z(b) contains every
+    class, so it also sets the padding bits past C.
     """
-    C, S, n = prof.class_count, prof.supports, prof.n
-    # vanish[j]: bit c set iff class c vanishes at column j; built 512
-    # bytes (4096 classes) at a time
-    width = (C + 7) // 8
-    vanish = np.empty((n, width), dtype=np.uint8)
-    for lo in range(0, width, 512):
-        bits = np.unpackbits(S[8 * lo:8 * (lo + 512)].view(np.uint8), axis=1,
-                             count=n, bitorder="little")
-        vanish[:, lo:lo + 512] = np.packbits(bits.T == 0, axis=1,
+    C, n = prof.class_count, prof.n
+    # columns past n never count, even where a forged profile sets them
+    S = prof.supports & np.packbits(
+        np.arange(64 * prof.supports.shape[1]) < n,
+        bitorder="little").view(np.uint64)
+    z = n - _ONES[S.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    rank = np.argsort(-z, kind="stable")
+    # return_counts keeps np.unique off its numpy.ma import
+    sizes, counts = np.unique(z, return_counts=True)
+    # larger[i]: the classes with |Z| > sizes[i], ranks 0 .. larger[i] - 1
+    larger = C - np.cumsum(counts)
+    # vanish[j]: bit r set iff class rank[r] vanishes at column j, over the
+    # ranks some container reads; built 512 bytes (4096 ranks) at a time
+    vwidth = (int(larger[0]) + 7) // 8
+    vanish = np.empty((n, vwidth), dtype=np.uint8)
+    for lo in range(0, vwidth, 512):
+        zero = np.unpackbits(~S[rank[8 * lo:8 * min(lo + 512, vwidth)]].view(
+            np.uint8), axis=1, count=n, bitorder="little")
+        vanish[:, lo:lo + 512] = np.packbits(zero.T, axis=1,
                                              bitorder="little")
-    contained = np.zeros(width, dtype=np.uint8)
-    chunk = max(1, AND_BYTES // max(width, n))
-    for lo in range(0, C, chunk):
-        zero = np.unpackbits(S[lo:lo + chunk].view(np.uint8), axis=1,
-                             count=n, bitorder="little") == 0
-        rows, cols = np.nonzero(zero)  # row-major: each Z(b) ascends
-        sizes = np.bincount(rows, minlength=zero.shape[0])
-        starts = np.cumsum(sizes) - sizes
-        # return_counts keeps np.unique off its numpy.ma import
-        for s in np.unique(sizes, return_counts=True)[0].tolist():
-            group = np.flatnonzero(sizes == s)
-            zb = cols[starts[group, None] + np.arange(s)]
-            # an empty Z(b) leaves all ones: b contains every class
-            inside = np.full((group.size, width), 0xFF, dtype=np.uint8)
-            for t in range(s):
-                inside &= vanish[zb[:, t]]
-            b = lo + group
-            inside[np.arange(group.size), b >> 3] &= ~(1 << (b & 7)).astype(
-                np.uint8)
-            contained |= np.bitwise_or.reduce(inside, axis=0)
+    hits = np.zeros(vwidth, dtype=np.uint8)  # rank order
+    for s, lo, end in zip(sizes.tolist(), larger.tolist(),
+                          (larger + counts).tolist()):
+        pw = (lo + 7) // 8
+        if pw == 0:
+            continue
+        # the block, one gathered operand and the unpacked zero sets
+        chunk = max(1, AND_BYTES // (2 * pw + n))
+        for r0 in range(lo, end, chunk):
+            r = np.arange(r0, min(r0 + chunk, end))
+            zero = np.unpackbits(~S[rank[r]].view(np.uint8), axis=1, count=n,
+                                 bitorder="little")
+            # row-major, so each row of zb is one Z(b) in ascending order
+            zb = np.flatnonzero(zero)
+            zb %= n
+            zb = zb.reshape(r.size, s)
+            if s == 0:  # b contains every larger class
+                inside = np.full((r.size, pw), 0xFF, dtype=np.uint8)
+            else:
+                inside = vanish[zb[:, 0], :pw]
+            for t in range(1, s):
+                inside &= vanish[zb[:, t], :pw]
+            own = r[r < 8 * pw]
+            inside[own - r0, own >> 3] &= ~(1 << (own & 7)).astype(np.uint8)
+            hits[:pw] |= np.bitwise_or.reduce(inside, axis=0)
+    flagged = np.zeros(C, dtype=bool)
+    flagged[rank[:8 * vwidth]] = np.unpackbits(
+        hits, count=min(C, 8 * vwidth), bitorder="little")
+    # equal supports are neighbours once the rows are sorted word by word
+    by_row = np.lexsort(S.T)
+    sorted_rows = S[by_row]
+    same = np.all(sorted_rows[1:] == sorted_rows[:-1], axis=1)
+    flagged[by_row[1:][same]] = flagged[by_row[:-1][same]] = True
+    contained = np.packbits(flagged, bitorder="little")
+    if sizes[0] == 0 and C % 8:
+        contained[-1] |= 0xFF << C % 8 & 0xFF
     return contained
 
 

@@ -33,6 +33,25 @@ TABLE_BLOCK = 1 << 16  # table cells per vectorized step of a table build
 CHUNK_CELLS = 1 << 14  # largest lookup table of one doubling step
 DENSE_CELLS = 1 << 18  # largest order^2 with dense add/mul tables (GF(512))
 
+# The smallest primitive modulus (as `_smallest_primitive_poly` returns it,
+# low-to-high, monic) of every GF(p^(h k (k-1))) that `build_rgroup` builds
+# under DEFAULT_ORDER_CAP, q = p^h and k >= 3; `Field.build` certifies the
+# entry it takes with one `_is_primitive` call instead of the search.
+DEFAULT_MODULI = {
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (2, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (7, 6): (5, 1, 3, 0, 0, 0, 1),
+    (2, 18): (1, 1, 1, 0, 0, 1) + (0,) * 12 + (1,),
+    (3, 12): (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (11, 6): (8, 2, 1, 0, 0, 0, 1),
+    (13, 6): (2, 2, 1, 0, 0, 0, 1),
+    (2, 24): (1, 1, 0, 1, 1) + (0,) * 19 + (1,),
+    (17, 6): (12, 1, 0, 0, 0, 0, 1),
+    (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
+}
+
 # Fields are immutable, so identical build requests share one instance; a
 # default-modulus field is keyed both under None and under its modulus.
 _FIELD_CACHE: dict = {}
@@ -421,7 +440,9 @@ class Field:
         """Build GF(p^m) with a verified-primitive modulus.
 
         Defaults to the primitive polynomial with the smallest packed
-        coefficient value, so identical parameters give identical fields.
+        coefficient value, so identical parameters give identical fields:
+        read from DEFAULT_MODULI and certified by one `_is_primitive` call
+        for the fields `build_rgroup` builds, searched for otherwise.
         An order past DEFAULT_ORDER_CAP is refused with FieldTooLarge before
         anything is allocated.  The exp/log/zech tables are built by block
         doubling, a few vectorized gathers per entry instead of one Python
@@ -445,7 +466,12 @@ class Field:
         key = (p, m, modulus)
         if key in _FIELD_CACHE:  # only verified moduli are ever cached
             return _FIELD_CACHE[key]
-        if modulus is None:
+        if modulus is None and (p, m) in DEFAULT_MODULI:
+            mod = DEFAULT_MODULI[p, m]
+            if not _is_primitive(mod, p):
+                raise AssertionError("default modulus %r of GF(%d^%d) is "
+                                     "not primitive" % (mod, p, m))
+        elif modulus is None:
             mod = _smallest_primitive_poly(p, m)
         else:
             mod = modulus

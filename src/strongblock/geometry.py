@@ -440,11 +440,12 @@ class PointSet:
     def from_json(doc):
         where = "points JSON"
         meta, n, rows = json_fields(doc, where, field=dict, n=int, points=list)
+        f = field_from_json(meta, where)
+        space = ProjectiveSpace(f, n)  # refuses n < 1 before rows use it
         if any(isinstance(row, list) and len(row) != n + 1 for row in rows):
             raise ValueError("%s: every point needs n + 1 = %d coordinates"
                              % (where, n + 1))
-        f = field_from_json(meta, where)
-        ps = PointSet(ProjectiveSpace(f, n), parse_rows(f, rows, where))
+        ps = PointSet(space, parse_rows(f, rows, where))
         if "labels" in doc:
             for key, tag in json_fields(doc, where, labels=dict)[0].items():
                 if not (key.isdigit() and int(key) < len(ps)):

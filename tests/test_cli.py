@@ -265,6 +265,8 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
     (tmp_path / "h.json").write_text(json.dumps(pair))
     pair["n"], pair["points"] = 0, [["g^0"]]
     (tmp_path / "n0.json").write_text(json.dumps(pair))
+    pair["n"] = -1
+    (tmp_path / "nminus1.json").write_text(json.dumps(pair))
     code = json.loads((GOLDEN / "code_pair_pg3_8.json").read_text())
     code["entries"][0][0] = "g^x"
     (tmp_path / "gxcode.json").write_text(json.dumps(code))
@@ -292,6 +294,7 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
                  ["verify", "--input", "gx.json"],
                  ["verify", "--input", "h.json"],
                  ["verify", "--input", "n0.json"],
+                 ["verify", "--input", "nminus1.json"],
                  ["check-minimal", "--input", "gxcode.json"],
                  ["check-minimal", "--input", "k1.json"],
                  ["verify", "--input", "reducible.json"],
@@ -308,6 +311,8 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
         # its fault is the rank of the code
         if "--input" in argv and argv[-1] != "rank2.json":
             assert out.stderr.count(argv[-1]) == 1, out.stderr
+        if argv[-1] in ("n0.json", "nminus1.json"):
+            assert "projective dimension must be at least 1" in out.stderr
 
 
 def test_huge_field_and_ragged_code_rows_exit_1(tmp_path):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import strongblock
 from strongblock import codes as codes_mod
 from strongblock.codes import (
     GeneratorMatrix,
+    SupportProfile,
     check_minimal,
     export_code,
     generator_from_points,
@@ -267,10 +269,21 @@ def test_batched_containment_matches_per_class_loop(code45, gf8, monkeypatch,
     space = ProjectiveSpace(gf8, 3)
     line_plus_two = PointSet(space, space.line_through(
         (1, 0, 0, 0), (0, 1, 0, 0)) + [(0, 0, 1, 0), (0, 0, 0, 1)])
+    # 500 random points of PG(2,64): 4161 classes, 4148 of them with more
+    # than one zero, so the containers with one zero read the zero-set
+    # index past its first build step
+    plane = ProjectiveSpace(Field.build(2, 6), 2)
+    picks = np.random.default_rng(64).choice(plane.num_points, 500,
+                                             replace=False)
+    random_plane = PointSet(plane, [plane.point_at(int(i)) for i in picks])
     cases = [code45, generator_from_points(line_plus_two),
              import_code(GOLDEN / "code_pair_pg3_8.json"),
              import_code(GOLDEN / "code_zero_column_pg2_8.json"),
              GeneratorMatrix(field=Field.build(2, 2), k=3, n=3,
+                             entries=np.eye(3, dtype=np.int64)),
+             generator_from_points(random_plane),
+             # 13 classes; (1, 1, 0) and (1, 2, 0) share the support {0, 1}
+             GeneratorMatrix(field=Field.build(3, 1), k=3, n=3,
                              entries=np.eye(3, dtype=np.int64))]
     seen = set()
     for G in cases:
@@ -283,9 +296,68 @@ def test_batched_containment_matches_per_class_loop(code45, gf8, monkeypatch,
         assert (got.status, got.witness, got.classes_checked) == \
             (want.status, want.witness, want.classes_checked)
         seen.add(got.status)
-        if np.any(prof.weights == G.n):
+        C, z = prof.class_count, G.n - prof.weights
+        sizes, counts = np.unique(z, return_counts=True)
+        # containers of size sizes[i] AND over ranks 0 .. larger[i] - 1,
+        # and the first of them has rank larger[i]
+        larger = C - np.cumsum(counts)
+        _, first, copies = np.unique(prof.supports, axis=0, return_index=True,
+                                     return_counts=True)
+        if sizes[0] == 0:
             seen.add("empty zero set")
-    assert seen == {"minimal", "not-minimal", "empty zero set"}
+        if sizes.size >= 4:
+            seen.add("several zero-set sizes")
+        if np.any((copies > 1) & (z[first] > sizes[0])):
+            seen.add("equal supports above a smaller zero set")
+        if C % 8 and np.any(larger % 8):
+            seen.add("own bit in the rounded prefix")
+        if np.any((sizes > 0) & (larger > 8 * 512)):
+            seen.add("index past one build step")
+    assert seen == {"minimal", "not-minimal", "empty zero set",
+                    "several zero-set sizes",
+                    "equal supports above a smaller zero set",
+                    "own bit in the rounded prefix",
+                    "index past one build step"}
+
+
+def test_containment_reads_the_first_n_bits_only(code45):
+    # a profile handed to check_minimal may set the bits past column n
+    prof = support_profiles(code45)
+    forged = SupportProfile(
+        n=prof.n, class_count=prof.class_count, weights=prof.weights,
+        supports=prof.supports | np.uint64(2 ** 64 - 2 ** prof.n))
+    assert np.array_equal(codes_mod._contained(forged), loop_contained(prof))
+    assert check_minimal(code45, profile=forged).status == "minimal"
+
+
+# tracemalloc peaks on the [120,4]_27 pipeline code, as measured (run alone)
+# before the containment pass ANDed over larger zero sets only, plus 64 KiB
+# for temporaries that move between numpy versions: support_profiles
+# 4,546,120 bytes, and check_minimal on the finished profile 2,408,568.
+# A (C, n) bool array of the 20,440 classes and 120 columns is 2.45 MB
+PROFILE_PEAK_BYTES = 4_546_120 + (64 << 10)
+MINIMALITY_PEAK_BYTES = 2_408_568 + (64 << 10)
+
+
+def test_minimality_peak_memory(rg34):
+    # the union of `pipeline --q 3 --seed 1006`
+    union = union_subgeometries(
+        rg34, [rg34.field.from_exp(e) for e in (506, 393, 389)])
+    G = generator_from_points(union)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prof = support_profiles(G)
+        profile_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        verdict = check_minimal(G, profile=prof)
+        minimality_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (G.n, verdict.status) == (120, "minimal")
+    assert profile_peak <= PROFILE_PEAK_BYTES
+    assert minimality_peak <= MINIMALITY_PEAK_BYTES
 
 
 RECHECK_SCRIPT = textwrap.dedent("""

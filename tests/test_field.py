@@ -460,6 +460,45 @@ def test_filtered_modulus_search_matches_unfiltered():
             unfiltered_smallest_primitive_poly(p, m), (p, m)
 
 
+def rgroup_fields():
+    """Every (p, h k (k-1)) that `build_rgroup(q, k)` builds, q = p^h and
+    k >= 3, under the order cap: q^(k (k-1)) <= DEFAULT_ORDER_CAP."""
+    cap = field_mod.DEFAULT_ORDER_CAP
+    pairs = set()
+    for q in range(2, field_mod.iroot(cap, 6) + 1):
+        if len(factor(q)) > 1:
+            continue
+        (p, h), = factor(q).items()
+        k = 3
+        while q ** (k * (k - 1)) <= cap:
+            pairs.add((p, h * k * (k - 1)))
+            k += 1
+    return pairs
+
+
+def test_default_moduli_are_the_smallest_primitive():
+    assert set(field_mod.DEFAULT_MODULI) == rgroup_fields()
+    assert len(field_mod.DEFAULT_MODULI) == 12
+    for (p, m), mod in field_mod.DEFAULT_MODULI.items():
+        assert mod == field_mod._smallest_primitive_poly(p, m), (p, m)
+
+
+def test_default_modulus_is_certified_not_searched(monkeypatch):
+    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
+    monkeypatch.setattr(field_mod, "_smallest_primitive_poly", None)
+    checked = []
+    is_primitive = field_mod._is_primitive
+    monkeypatch.setattr(field_mod, "_is_primitive", lambda mod, p: (
+        checked.append(mod) or is_primitive(mod, p)))
+    assert Field.build(3, 6).modulus == field_mod.DEFAULT_MODULI[3, 6]
+    assert checked == [field_mod.DEFAULT_MODULI[3, 6]]
+    # x^6 + x^3 + 1 is irreducible over GF(2) but x has order 9
+    monkeypatch.setitem(field_mod.DEFAULT_MODULI, (2, 6),
+                        (1, 0, 0, 1, 0, 0, 1))
+    with pytest.raises(AssertionError, match="not primitive"):
+        Field.build(2, 6)
+
+
 def test_modulus_filters_reject_only_imprimitive_candidates():
     # every monic candidate: one whose (-1)^m f(0) is not a generator of
     # GF(p)*, or (for m > 1) with a root in GF(p), is never primitive
