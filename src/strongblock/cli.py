@@ -22,7 +22,7 @@ SCHEMA = 1
 def _emit(doc, args):
     doc["schema"] = SCHEMA
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -217,66 +217,67 @@ def cmd_bounds(args):
     return 0 if all_ok else 2
 
 
+def _options(*specs):
+    """A parent parser, without help, of the (flag, keywords) options that
+    several subcommands share, so each is defined once."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in specs:
+        parent.add_argument(flag, **kwargs)
+    return parent
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="strongblock",
         description="Strong blocking sets as unions of subgeometries, "
                     "and minimal linear codes.")
     sub = ap.add_subparsers(dest="command", required=True)
+    out = _options(("--out", {}))
+    rgroup = _options(("--q", {"type": int, "required": True}),
+                      ("--k", {"type": int, "default": 4}))
+    search_opts = _options(
+        ("--seed", {"type": int, "default": 1}),
+        ("--strategy", {"choices": ["random", "exhaustive"],
+                        "default": "random"}),
+        ("--max-iters", {"type": int, "default": 10 ** 4}))
+    source = _options(("--input", {"required": True}))
 
-    p = sub.add_parser("pipeline", help="field -> R* -> tuple -> union -> "
+    p = sub.add_parser("pipeline", parents=[rgroup, search_opts, out],
+                       help="field -> R* -> tuple -> union -> "
                        "strong verification -> minimal code")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--strategy", choices=["random", "exhaustive"],
-                   default="random")
-    p.add_argument("--max-iters", type=int, default=10 ** 4)
     p.add_argument("--points-out", help="also save the union as points JSON")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("partition", help="coset subgeometry partition report")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--out")
+    p = sub.add_parser("partition", parents=[rgroup, out],
+                       help="coset subgeometry partition report")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("search", help="search for an R-independent tuple")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=4)
+    p = sub.add_parser("search", parents=[rgroup, search_opts, out],
+                       help="search for an R-independent tuple")
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--strategy", choices=["random", "exhaustive"],
-                   default="random")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-iters", type=int, default=10 ** 4)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify", help="verify a points file")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", parents=[source, out],
+                       help="verify a points file")
     p.add_argument("--mode", choices=["strong", "blocking"], default="strong")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export-code", help="points file -> generator matrix")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("export-code", parents=[source, out],
+                       help="points file -> generator matrix")
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_export_code)
 
-    p = sub.add_parser("check-minimal", help="minimality of a stored code")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("check-minimal", parents=[source, out],
+                       help="minimality of a stored code")
     p.set_defaults(func=cmd_check_minimal)
 
-    p = sub.add_parser("bounds", help="interval violation certification")
+    p = sub.add_parser("bounds", parents=[out],
+                       help="interval violation certification")
     p.add_argument("--q-range", required=True, help="e.g. 7:1000")
     p.add_argument("--include-excluded", action="store_true",
                    help="also report q = 9, which the argument cannot certify")
     p.add_argument("--format", choices=["text", "json"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
     return ap
 

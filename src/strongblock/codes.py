@@ -119,9 +119,10 @@ def support_profiles(G: GeneratorMatrix):
         vanish[:, live] = False
         for rows, msgs in space.pencils(cols[64 * w + live]):
             vanish[msgs, live[rows, None]] = True
-        nz = ~vanish
-        weights += nz.sum(axis=1)
-        supports[:, w] = np.packbits(nz, axis=1, bitorder="little").view(
+        # one bool array per word: the support bits are the vanish bits
+        # flipped, 0 for zero columns and padding
+        weights += 64 - np.count_nonzero(vanish, axis=1)
+        supports[:, w] = ~np.packbits(vanish, axis=1, bitorder="little").view(
             np.uint64)[:, 0]
     if np.any(weights == 0):
         raise RankDeficient("a nonzero message gives the zero codeword: "

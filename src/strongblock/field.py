@@ -52,10 +52,6 @@ DEFAULT_MODULI = {
     (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
 }
 
-# Fields are immutable, so identical build requests share one instance; a
-# default-modulus field is keyed both under None and under its modulus.
-_FIELD_CACHE: dict = {}
-
 
 def factor(n):
     """Prime factorization {prime: exponent} of a positive integer.
@@ -437,16 +433,19 @@ class Field:
 
     @staticmethod
     def build(p, m, modulus=None):
-        """Build GF(p^m) with a verified-primitive modulus.
+        """A new GF(p^m) with a verified-primitive modulus.
 
         Defaults to the primitive polynomial with the smallest packed
-        coefficient value, so identical parameters give identical fields:
+        coefficient value, so identical parameters give equal fields:
         read from DEFAULT_MODULI and certified by one `_is_primitive` call
-        for the fields `build_rgroup` builds, searched for otherwise.
-        An order past DEFAULT_ORDER_CAP is refused with FieldTooLarge before
-        anything is allocated.  The exp/log/zech tables are built by block
-        doubling, a few vectorized gathers per entry instead of one Python
-        step per element (`_build_tables`).
+        for the fields `build_rgroup` builds, searched for otherwise.  An
+        explicit modulus is checked for irreducibility and primitivity.
+        Nothing is cached: each call builds its own tables, and a caller
+        that shares a field holds it.  An order past DEFAULT_ORDER_CAP is
+        refused with FieldTooLarge before anything is allocated.  The
+        exp/log/zech tables are built by block doubling, a few vectorized
+        gathers per entry instead of one Python step per element
+        (`_build_tables`).
         """
         # a p past the cap fails the order check below, prime or not
         if p < 2 or (p <= DEFAULT_ORDER_CAP and factor(p) != {p: 1}):
@@ -463,31 +462,20 @@ class Field:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-        key = (p, m, modulus)
-        if key in _FIELD_CACHE:  # only verified moduli are ever cached
-            return _FIELD_CACHE[key]
-        if modulus is None and (p, m) in DEFAULT_MODULI:
-            mod = DEFAULT_MODULI[p, m]
-            if not _is_primitive(mod, p):
-                raise AssertionError("default modulus %r of GF(%d^%d) is "
-                                     "not primitive" % (mod, p, m))
-        elif modulus is None:
-            mod = _smallest_primitive_poly(p, m)
-        else:
-            mod = modulus
-            if not _is_irreducible(mod, p):
+            if not _is_irreducible(modulus, p):
                 raise ReducibleModulus("modulus %r factors over GF(%d)"
-                                       % (mod, p))
-            if not _is_primitive(mod, p):
+                                       % (modulus, p))
+            if not _is_primitive(modulus, p):
                 raise NonPrimitiveModulus(
-                    "modulus %r is irreducible but not primitive" % (mod,))
-        # the default and the explicit request of one modulus share a field
-        f = _FIELD_CACHE.get((p, m, mod))
-        if f is None:
-            f = _FIELD_CACHE[p, m, mod] = Field(p, m, mod,
-                                                *_build_tables(mod, p, m))
-        _FIELD_CACHE[key] = f
-        return f
+                    "modulus %r is irreducible but not primitive" % (modulus,))
+        elif (p, m) in DEFAULT_MODULI:
+            modulus = DEFAULT_MODULI[p, m]
+            if not _is_primitive(modulus, p):
+                raise AssertionError("default modulus %r of GF(%d^%d) is "
+                                     "not primitive" % (modulus, p, m))
+        else:
+            modulus = _smallest_primitive_poly(p, m)
+        return Field(p, m, modulus, *_build_tables(modulus, p, m))
 
     # -- element codecs ----------------------------------------------------
 
@@ -655,7 +643,7 @@ class CoordinateMap:
     read gamma^d = sum c_t gamma^t: the minimal polynomial is
     x^d - sum c_t x^t, which `Field.build` verifies as irreducible and
     primitive.  For d = m, gamma = g has the parent's modulus, so `sub` is
-    the parent, from `Field.build`'s cache.
+    a second build equal to the parent.
     """
 
     def __init__(self, parent, d):

@@ -210,8 +210,8 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
 
     Random strategy samples m distinct cosets per trial (independence is
     invariant under scaling each entry by R*, so representatives suffice)
-    and decides each with `is_r_independent`; max_iters trials without a
-    hit raise BudgetExceeded, since a random miss proves nothing.
+    and decides each with `is_r_independent`; max_iters >= 1 trials without
+    a hit raise BudgetExceeded, since a random miss proves nothing.
     Exhaustive strategy returns the lowest-index independent tuple of
     PG(m-1, .), read off the coset quotient (`free_cosets`) for m <= 3, and
     certifies it with the exhaustive `is_r_independent`.  For m > stride
@@ -231,6 +231,9 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
             raise ValueError("the random strategy samples m distinct cosets, "
                              "but m = %d exceeds the %d cosets of R*"
                              % (m, rg.stride))
+        if max_iters < 1:
+            raise ValueError("max_iters must be at least 1, not %d"
+                             % max_iters)
         rng = random.Random(seed)
         for trial in range(1, max_iters + 1):
             cosets = rng.sample(range(rg.stride), m)

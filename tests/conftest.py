@@ -1,5 +1,6 @@
 """Shared fixtures.  Heavy objects (fields, R-groups, B sets) are session
-scoped; Field.build memoizes per process, so cross-module reuse is cheap."""
+scoped: Field.build builds a new field on every call, so a test that
+shares one takes it from here."""
 
 import pytest
 

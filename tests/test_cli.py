@@ -11,6 +11,7 @@ import pytest
 
 import strongblock
 from strongblock import cli
+from strongblock.field import Field
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -83,6 +84,15 @@ def test_search_report(capsys):
     assert doc["status"] == "found"
     assert len(doc["alphas"]) == 3
     assert doc["certification"] == "exhaustive-bset-incidence"
+
+
+@pytest.mark.parametrize("max_iters", ["0", "-5"])
+def test_max_iters_below_1_is_usage_error(capsys, max_iters):
+    # no trial at all is a usage error, not a search out of trials (exit 3)
+    assert cli.main(["pipeline", "--q", "2", "--max-iters", max_iters]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: max_iters must be at least 1, not %s\n" % max_iters
 
 
 def test_search_budget_exceeded(capsys):
@@ -159,7 +169,6 @@ def test_verify_and_code_roundtrip(tmp_path, capsys):
 
 
 def test_verify_rejects_weak_set(tmp_path, capsys):
-    from strongblock.field import Field
     from strongblock.geometry import PointSet, ProjectiveSpace
     space = ProjectiveSpace(Field.build(2, 3), 3)
     line = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
@@ -416,3 +425,28 @@ def test_golden_reports(name, argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / (name + ".out")).read_bytes()
+
+
+def test_each_command_builds_each_field_once(tmp_path, monkeypatch, capsys):
+    # Field.build caches nothing, and needs no cache while no command builds
+    # one field (p, m and modulus) twice
+    for data in GOLDEN.glob("*.json"):
+        shutil.copy(data, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = Field.__init__
+
+    def counted_init(self, p, m, modulus, *tables):
+        built.append((p, m, tuple(modulus)))
+        init(self, p, m, modulus, *tables)
+
+    monkeypatch.setattr(Field, "__init__", counted_init)
+    q3 = ("pipeline_q3_seed_1006", ["pipeline", "--q", "3", "--seed", "1006"],
+          0)
+    for name, argv, code in GOLDEN_COMMANDS + [q3]:
+        built.clear()
+        assert cli.main(argv) == code, name
+        assert len(built) == len(set(built)), (name, built)
+    # GF(3^12), where R* lives, and GF(3^3), the coordinate field
+    assert sorted((p, m) for p, m, _ in built) == [(3, 3), (3, 12)]
+    capsys.readouterr()

@@ -454,7 +454,7 @@ def test_export_import_roundtrip(code45, tmp_path, format):
     export_code(code45, path, format)
     back = import_code(path)
     assert back == code45
-    assert back.field is code45.field  # same memoized field instance
+    assert back.field.meta() == code45.field.meta()
 
 
 @pytest.mark.parametrize("format", ["json", "text"])

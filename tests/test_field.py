@@ -75,23 +75,23 @@ def test_default_modulus_gf4096(gf4096):
     assert gf4096.modulus == (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1)
 
 
-def test_build_is_memoized(gf8):
-    assert Field.build(2, 3) is gf8
-    assert Field.build(2, 3, (1, 1, 0, 1)) is not None
+def assert_same_field(f, g):
+    assert f.meta() == g.meta()
+    for name in ("exp", "log", "zech"):
+        assert np.array_equal(getattr(f, name), getattr(g, name)), name
+
+
+def test_each_build_is_a_new_field():
+    # nothing is cached: two requests give two equal fields
+    f, g = Field.build(3, 12), Field.build(3, 12)
+    assert f is not g
+    assert_same_field(f, g)
 
 
 @pytest.mark.parametrize("p,m", [(3, 12), (5, 3)])
-def test_default_and_explicit_modulus_share_one_field(monkeypatch, p, m):
-    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
+def test_default_and_explicit_modulus_share_one_field(p, m):
     f = Field.build(p, m)
-    assert Field.build(p, m, f.modulus) is f
-    # the other order, and a cached explicit modulus is not re-verified
-    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
-    g = Field.build(p, m, f.modulus)
-    assert Field.build(p, m) is g
-    monkeypatch.setattr(field_mod, "_is_irreducible", None)
-    monkeypatch.setattr(field_mod, "_is_primitive", None)
-    assert Field.build(p, m, f.modulus) is g
+    assert_same_field(Field.build(p, m, f.modulus), f)
 
 
 def test_exp_table_matches_polynomial_model(gf8, gf9):
@@ -398,9 +398,8 @@ def test_tables_at_workload_sizes(p, m):
     assert np.count_nonzero(zech < 0) == 1
 
 
-def test_table_build_peak_memory(monkeypatch):
+def test_table_build_peak_memory():
     # the build allocates its three tables plus block-sized temporaries
-    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
     tracemalloc.start()
     try:
         f = Field.build(3, 12)
@@ -484,7 +483,6 @@ def test_default_moduli_are_the_smallest_primitive():
 
 
 def test_default_modulus_is_certified_not_searched(monkeypatch):
-    monkeypatch.setattr(field_mod, "_FIELD_CACHE", {})
     monkeypatch.setattr(field_mod, "_smallest_primitive_poly", None)
     checked = []
     is_primitive = field_mod._is_primitive
@@ -664,7 +662,7 @@ def test_subfield_modulus_from_the_inverse(p, m):
         assert cm.stride == (p ** m - 1) // (p ** d - 1)
         assert cm.sub.modulus == minimal_polynomial_by_conjugates(f, d)
         if d == m:
-            assert cm.sub is f
+            assert_same_field(cm.sub, f)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 no library module imports a private name of a sibling module or reads a
 private attribute of an object other than `self`, no library module
 holds an `assert` statement, which `python -O` strips: load-bearing checks
-are explicit raises, and every name that README.md quotes exists."""
+are explicit raises, no library module calls a numpy function that the
+declared floor (numpy>=1.24) lacks, and every name that README.md quotes
+exists."""
 
 import argparse
 import ast
@@ -115,6 +117,37 @@ def test_assert_statement_is_reported():
     tree = ast.parse("def f(x):\n    if x:\n        assert x > 0, 'neg'\n"
                      "    raise AssertionError('not an assert statement')\n")
     assert assert_statements(tree) == [3]
+
+
+# module attributes that numpy 2.0 added (the array API names among them);
+# array methods of the same names, such as `.astype`, are older
+NUMPY2_ONLY = {"bitwise_count", "concat", "permute_dims", "matrix_transpose",
+               "vecdot", "isdtype", "astype", "unique_values", "unique_counts",
+               "unique_inverse", "unique_all", "cumulative_sum"}
+
+
+def numpy2_only_attributes(tree):
+    """(line, name) of every `np.<name>` or `numpy.<name>` in `tree` that
+    numpy 1.24, the floor that pyproject.toml declares, does not have."""
+    return sorted(
+        (n.lineno, n.attr) for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in ("np", "numpy") and n.attr in NUMPY2_ONLY)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_keeps_the_numpy_floor(path):
+    assert numpy2_only_attributes(ast.parse(path.read_text())) == []
+
+
+def test_numpy2_only_attribute_is_reported():
+    tree = ast.parse("import numpy as np\n"
+                     "w = np.bitwise_count(a).sum() + a.astype(np.int64)\n"
+                     "c = np.concatenate([np.concat([a]), np.unique(a)])\n"
+                     "u = np.unique_counts(a), numpy.vecdot(a, a)\n")
+    assert numpy2_only_attributes(tree) == [
+        (2, "bitwise_count"), (3, "concat"), (4, "unique_counts"),
+        (4, "vecdot")]
 
 
 def readme_roots():

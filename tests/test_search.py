@@ -342,6 +342,13 @@ def test_random_search_out_of_trials_raises(rg23):
         find_independent_tuple(rg23, 3, strategy="random", max_iters=5)
 
 
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_random_search_needs_a_trial(rg23, max_iters):
+    # no trial at all is a usage error, not a search out of trials
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        find_independent_tuple(rg23, 3, strategy="random", max_iters=max_iters)
+
+
 # ---------------------------------------------------------------------------
 # weight-1 line statistics
 

@@ -14,7 +14,11 @@ from strongblock import geometry, strong
 from strongblock.errors import BudgetExceeded, RepeatedCoset
 from strongblock.field import Field
 from strongblock.geometry import PointSet, ProjectiveSpace
-from strongblock.partition import full_partition, subgeometry_points
+from strongblock.partition import (
+    build_rgroup,
+    full_partition,
+    subgeometry_points,
+)
 from strongblock.search import find_independent_tuple, free_cosets
 from strongblock.strong import (
     StrongVerdict,
@@ -476,6 +480,26 @@ def test_count_mask_matches_rank_mask(strong_corpus, planted_sets):
             S.space.dot_block(duals, mat) == 0, axis=1))
         sides.add(strong._counts_decide(S.space, len(S)))
     assert sides == {True, False}
+
+
+def test_rank_path_on_a_k5_union_stops_at_the_first_short_run(monkeypatch):
+    # four subgeometries of B(2, 5), 124 points of PG(4, 16), take the rank
+    # path; their one window of 541,756 incidences is handed out in 5 runs,
+    # and the first short section, hyperplane 15 of rank 3, lies in the
+    # first, so only that run is ranked
+    rg = build_rgroup(2, 5)
+    S = union_subgeometries(rg, [rg.coset_rep(c) for c in (0, 7, 100, 1000)])
+    assert (len(S), S.space.n, S.space.field.order) == (124, 4, 16)
+    runs = len(list(strong._sections(S.space, S.matrix())))
+    ranked = []
+    section_ranks = strong._section_ranks
+    monkeypatch.setattr(strong, "_section_ranks", lambda *args: (
+        ranked.append(args[2]) or section_ranks(*args)))
+    v = verify_strong_blocking(S)
+    assert (v.status, v.hyperplanes_checked, v.witness_rank) == (
+        "not-strong", 16, 3)
+    assert (len(ranked), runs) == (1, 5)
+    assert v == strong_oracle(S)
 
 
 def test_count_path_refuses_k_5():
