@@ -13,17 +13,24 @@ N (Q^n - 1)/(Q - 1) incidences instead of one dual form per point and
 hyperplane, and each incidence is solved for in closed form from the
 point's last nonzero coordinate, about one field addition apiece, with no
 dual form, normalization or index search; `dot_block` and `points_block`
-stay as its oracles.  MARK_BATCH = 2^15 keeps a pencil batch (256 KiB of
-int64 indices) and a rank stack in cache.  `line_pencils` solves for the
-planes of PG(3, Q) through lines the same way, from each line's reduced
-echelon basis, for the strong scan's secant lines.  `rank_stack` ranks a stack of
-equal-size hyperplane sections in one batched elimination; the scalar
-`rank` is its independent oracle.  Three more decisions of the scans have
-one home here: `check_scan` refuses a space of more than SCAN_BUDGET
-hyperplanes before a scan allocates, `section` finds the points on a
-witness hyperplane by scalar incidences for every re-check, and `leads`
-reads the leading-one position off canonical indices, so the index layout
-stays in this module.
+stay as its oracles.  `line_pencils` solves for the planes of PG(3, Q)
+through lines the same way, from each line's reduced echelon basis, for
+the strong scan's secant lines.  `rank_stack` ranks a stack of equal-size
+hyperplane sections in one batched elimination; the scalar `rank` is its
+independent oracle.  Three more decisions of the scans have one home here:
+`check_scan` refuses a space of more than SCAN_BUDGET hyperplanes before a
+scan allocates, `section` finds the points on a witness hyperplane by
+polynomial digits for every re-check, off every table the scans add with,
+and `leads` reads the leading-one position off canonical indices, so the
+index layout stays in this module.
+
+Every batched kernel follows one working-set rule: each batch holds about
+MARK_BATCH = 2^15 field values per temporary array (256 KiB of int64),
+whatever the array's shape, so a batch stays in cache and the peak is
+bounded before allocation.  A kernel sizes its batch by the values per
+item: one per incidence for `pencils` and `search.free_cosets`, 4 (Q + 1)
+per line for `line_pencils`, k (N - 1) per point for the strong scan's
+secant pass and (k - 1) s per section of size s for its rank stacks.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
@@ -41,7 +48,7 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, StrongBlockError
 from .field import Field
 
-MARK_BATCH = 1 << 15  # incidences generated per vectorized pencil batch
+MARK_BATCH = 1 << 15  # field values per temporary array of a batched kernel
 # the most hyperplanes, lines or R-points an exhaustive scan or enumeration
 # may cover; read at call time, so a test can lower it
 SCAN_BUDGET = 2 * 10 ** 7
@@ -184,9 +191,32 @@ class ProjectiveSpace:
         return self.dot(point, hyperplane) == 0
 
     def section(self, points, dual):
-        """The points on the hyperplane `dual`, found by scalar incidences:
-        the re-check of every scan witness, off the batched paths."""
-        return [pt for pt in points if self.incidence(pt, dual)]
+        """The points, as tuples, on the hyperplane `dual`, found by
+        polynomial digits: the re-check of every scan witness, off the
+        batched paths.
+
+        Each product x_i u_i is an exponent addition looked up in `exp`,
+        which packs its m base-p digits, and a point lies on the hyperplane
+        iff every digit of sum_i x_i u_i, the sum of the products' digits,
+        is 0 mod p.  No Zech or dense table and no `add_vec` is read, so the
+        re-check shares no addition with any scan kernel.
+        """
+        f = self.field
+        u = np.asarray(dual, dtype=np.int64)
+        x = np.asarray(points, dtype=np.int64)
+        if u.shape != (self.k,):
+            raise DimensionMismatch("expected %d coordinates" % self.k)
+        if x.size == 0:
+            return []
+        if x.ndim != 2 or x.shape[1] != self.k:
+            raise DimensionMismatch("expected %d coordinates" % self.k)
+        packed = np.where((x == 0) | (u == 0), 0,
+                          f.exp[(x + u - 2) % f.group_order])
+        on = np.ones(len(x), dtype=bool)
+        for _ in range(f.m):
+            packed, digit = np.divmod(packed, f.p)
+            on &= digit.sum(axis=1) % f.p == 0
+        return [tuple(row) for row in x[on].tolist()]
 
     def dot_block(self, duals, pts):
         """(A, B) code matrix of dual-form values for A duals and B points.
@@ -275,8 +305,9 @@ class ProjectiveSpace:
         Line i is spanned by the distinct points first[i] and second[i],
         rows of two (L, 4) matrices, normalized or not.  `lines` holds
         consecutive line indices and hyperplanes[i] the canonical indices
-        of the Q + 1 planes through line lines[i]: at most MARK_BATCH
-        indices per batch, or one line's if that is larger.  Equal points
+        of the Q + 1 planes through line lines[i].  Each line's planes
+        take 4 (Q + 1) coordinates, so a batch holds at most MARK_BATCH
+        coordinates per array, or one line's if that is more.  Equal points
         raise ValueError.
 
         Each line is brought to its reduced echelon basis a, b, with pivots
@@ -294,7 +325,7 @@ class ProjectiveSpace:
         first = np.asarray(first, dtype=np.int64)
         second = np.asarray(second, dtype=np.int64)
         cols = np.arange(4)[:, None]
-        step = max(1, MARK_BATCH // (q + 1))
+        step = max(1, MARK_BATCH // (4 * (q + 1)))
         for start in range(0, first.shape[0], step):
             a = self.normalize_vec(first[start:start + step]).T  # (4, b)
             b = self.normalize_vec(second[start:start + step]).T

@@ -24,9 +24,11 @@ B(k,q).  A tuple with more entries than R* has cosets is never independent
 `mark_lines_through`, which checks the scan budget
 (`ProjectiveSpace.check_scan`) and marks the hyperplanes through each point
 (`ProjectiveSpace.pencils`); `strong.verify_blocking` takes the lowest-index
-survivor.  Each witness is re-checked off its own path: scalar incidences
-(`ProjectiveSpace.section`) for a hyperplane, the exhaustive
-`is_r_independent` for a tuple.
+survivor.  Each witness is re-checked off its own path: incidences by
+polynomial digits (`ProjectiveSpace.section`) for a hyperplane, the
+exhaustive `is_r_independent` for a tuple.  The batched passes,
+`free_cosets` and the pencils, hold about MARK_BATCH values per array, one
+per lookup or incidence.
 """
 
 from __future__ import annotations
@@ -190,11 +192,12 @@ def blocking_status(bset: BSet):
     at once; B(k,q) exists only for k <= 4 (`build_bset` refuses the rest),
     where the quotient covers the k-1 = 2 or 3 dual coordinates.  The
     witness, when present, is the lowest-index hyperplane missing B,
-    re-checked for zero incidences with every point of B.
+    re-checked by `ProjectiveSpace.section` for zero incidences with every
+    point of B.
     """
     space = bset.space
     _index, dual = _first_free_tuple(bset.rgroup, space.k)
-    if dual is not None and space.section(bset.matrix.tolist(), dual):
+    if dual is not None and space.section(bset.matrix, dual):
         raise AssertionError("witness line re-check failed")
     return BlockingVerdict("blocking" if dual is None else "not-blocking", dual,
                            "coset-quotient", lines_scanned=space.num_points)

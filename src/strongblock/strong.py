@@ -22,11 +22,13 @@ stacks of equal size with `ProjectiveSpace.rank_stack`, over the k-1
 coordinates that remain when each hyperplane's leading one
 (`ProjectiveSpace.leads`) is dropped.  On either path the witness is the
 lowest-index hyperplane whose section falls short, and is re-checked off
-the scan path with `ProjectiveSpace.section` (scalar incidences) and the
-scalar `rank`.  Plain blocking needs no sections: it marks the hyperplanes
-through each point (`search.mark_lines_through`), and the first unmarked
-one is the same lowest-index witness, returned as the same `StrongVerdict`
-through the same re-check.  Both scans refuse a space of more than
+the scan path with `ProjectiveSpace.section` (polynomial digits, no Zech or
+dense table) and the scalar `rank`.  Both paths hold about MARK_BATCH field
+values per temporary array, the one working-set rule of `geometry`.  Plain
+blocking needs no sections: it marks the hyperplanes through each point
+(`search.mark_lines_through`), and the first unmarked one is the same
+lowest-index witness, returned as the same `StrongVerdict` through the same
+re-check.  Both scans refuse a space of more than
 `geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded, from
 `ProjectiveSpace.check_scan`, before they allocate.
 """
@@ -140,8 +142,8 @@ def _sections(space, mat):
 
 def _section_ranks(space, mat, lo, indptr, members):
     """Rank of every section of the CSR of hyperplanes lo, lo+1, ..., in
-    stacks of equal section size holding at most MARK_BATCH incidences (or
-    one section) each.
+    stacks of equal section size s holding at most MARK_BATCH field values
+    (or one section) each: k-1 coordinates of s points per section.
 
     A section lies in its hyperplane u, normalized with u_l = 1 at its
     leading position l, so x_l = -sum of u_i x_i over i != l, and dropping
@@ -157,7 +159,7 @@ def _section_ranks(space, mat, lo, indptr, members):
     # return_counts keeps np.unique off its numpy.ma import
     for size in np.unique(sizes[sizes > 0], return_counts=True)[0]:
         same = np.flatnonzero(sizes == size)
-        step = max(1, geometry.MARK_BATCH // int(size))
+        step = max(1, geometry.MARK_BATCH // ((k - 1) * int(size)))
         for c in range(0, same.size, step):
             h = same[c:c + step]
             rows = members[indptr[h] + np.arange(size)[:, None]]
@@ -169,7 +171,8 @@ def _section_ranks(space, mat, lo, indptr, members):
 def _recheck_witness(point_set, index, empty):
     """Verdict for the failing hyperplane `index`, whose section a scan found
     `empty` (unmarked, or with no rows) or short of rank k-1, re-derived off
-    the scan path: scalar incidences with every point, then the scalar rank."""
+    the scan path: the digit incidences of `ProjectiveSpace.section` with
+    every point, then the scalar rank."""
     space = point_set.space
     dual = space.point_at(index)
     section = space.section(point_set.points, dual)
@@ -200,13 +203,15 @@ def _rich_lines(space, mat):
     `mat` in PG(3, Q) that hold at least three of them, each line once:
     its lowest row, its next row, and its number of rows.
 
-    The rows are worked through in blocks of about MARK_BATCH pairs, one
-    yield per block.  For a row P with leading one at l, every other row R
-    gives R - R_l P, which is 0 at l, so two rows R, R' on one line through
-    P give the same point up to a nonzero scale (R' = c R + d P), and a
-    different line a different point: the canonical index of that point
-    keys the line through P.  P owns the line when it is below every other
-    row of its key, and the line then holds that key's rows and P.
+    The rows are worked through in blocks of about MARK_BATCH field
+    values, one yield per block: a row pairs with the N - 1 others, and
+    each pair carries k coordinates.  For a row P with leading one at l,
+    every other row R gives R - R_l P, which is 0 at l, so two rows R, R'
+    on one line through P give the same point up to a nonzero scale
+    (R' = c R + d P), and a different line a different point: the
+    canonical index of that point keys the line through P.  P owns the
+    line when it is below every other row of its key, and the line then
+    holds that key's rows and P.
     """
     f, k, H = space.field, space.k, space.num_points
     n = len(mat)
@@ -215,7 +220,7 @@ def _rich_lines(space, mat):
     x = mat.T
     lead = np.argmax(x != 0, axis=0)
     j = np.arange(n - 1)
-    step = max(1, geometry.MARK_BATCH // (n - 1))
+    step = max(1, geometry.MARK_BATCH // (k * (n - 1)))
     for start in range(0, n, step):
         p = np.arange(start, min(start + step, n))
         r = j + (j >= p[:, None])  # (b, N-1): the rows but P

@@ -2,9 +2,11 @@
 scoped: Field.build builds a new field on every call, so a test that
 shares one takes it from here."""
 
+import numpy as np
 import pytest
 
 from strongblock.field import Field
+from strongblock.geometry import PointSet, ProjectiveSpace
 from strongblock.partition import build_bset, build_rgroup
 
 
@@ -56,3 +58,12 @@ def bset23(rg23):
 @pytest.fixture(scope="session")
 def bset24(rg24):
     return build_bset(rg24)
+
+
+@pytest.fixture(scope="session")
+def random_pg3_64():
+    """A seeded random 255-point set of PG(3,64): the size of the q = 4
+    union, and like it decided from section counts and secant lines."""
+    space = ProjectiveSpace(Field.build(2, 6), 3)
+    idx = np.random.default_rng(7).choice(space.num_points, 255, replace=False)
+    return PointSet(space, [space.point_at(int(i)) for i in idx])

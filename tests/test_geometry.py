@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongblock import geometry
+from strongblock import geometry, strong
 from strongblock.bounds import one_mod_p_profile
 from strongblock.codes import generator_from_points, support_profiles
 from strongblock.errors import DimensionMismatch
@@ -220,6 +220,52 @@ def test_point_hyperplane_duality_symmetric():
         assert space.incidence(P, H) == space.incidence(H, P)
 
 
+def points_with_zeros(space, dual, rng, count):
+    """Random points, about a third of their coordinates zero, and the first
+    half of them moved onto the hyperplane `dual` by solving for its first
+    nonzero coordinate with scalar field operations."""
+    f = space.field
+    pts = rng.integers(0, f.order, (count, space.k))
+    pts[rng.random(pts.shape) < 0.3] = 0
+    j = next(i for i, c in enumerate(dual) if c)
+    for row in pts[:count // 2]:
+        acc = 0
+        for i in range(space.k):
+            if i != j:
+                acc = f.add(acc, f.mul(int(row[i]), dual[i]))
+        row[j] = f.div(f.neg(acc), dual[j])
+    return [tuple(int(c) for c in row) for row in pts if np.any(row)]
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 12, 2), (3, 3, 3), (2, 3, 3),
+                                   (7, 1, 1), (2, 1, 4)])
+def test_section_matches_scalar_incidences(p, m, n):
+    # the digit sums against the scalar Zech incidences: Zech past
+    # GF(512), odd p, dense tables, m = 1 and a prime field in PG(4, 2)
+    space = ProjectiveSpace(Field.build(p, m), n)
+    rng = np.random.default_rng(p ** m + n)
+    hits = 0
+    for _ in range(20):
+        dual = rng.integers(0, space.field.order, space.k)
+        dual[rng.random(space.k) < 0.3] = 0
+        if not np.any(dual):
+            continue
+        dual = tuple(int(c) for c in dual)
+        pts = points_with_zeros(space, dual, rng, 60)
+        expected = [pt for pt in pts if space.incidence(pt, dual)]
+        assert space.section(pts, dual) == expected
+        assert space.section(np.asarray(pts), dual) == expected
+        hits += len(expected)
+    assert hits >= 200
+    ones = (1,) * space.k
+    assert space.section([], ones) == []
+    for wrong in (ones + (1,), ones[:-1]):
+        with pytest.raises(DimensionMismatch):
+            space.section(pts, wrong)
+        with pytest.raises(DimensionMismatch):
+            space.section([], wrong)
+
+
 def pencil_rows(space, rng):
     """Nonzero rows with every last-nonzero position z: a scaled unit vector
     and two random rows for each z, then all of them again scaled by random
@@ -387,6 +433,24 @@ def test_line_pencil_scans_peak_memory(scan, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb << 20
+
+
+def test_count_path_peak_memory(random_pg3_64):
+    # 255 points of PG(3,64) take the count path, whose secant pass works
+    # on (4, rows, 254) blocks and whose line pencils on (4, lines, 65)
+    # ones: each holds about MARK_BATCH field values, so the peak is the
+    # 2.1 MB of section counts and a few batches, not 10 MB of blocks sized
+    # by rows alone.  GF(64) is the only field built.
+    assert strong._counts_decide(random_pg3_64.space, len(random_pg3_64))
+    # first use of any lazily built state is not the scan's cost
+    verify_strong_blocking(random_pg3_64)
+    tracemalloc.start()
+    try:
+        verify_strong_blocking(random_pg3_64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 # ---------------------------------------------------------------------------

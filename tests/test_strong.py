@@ -502,6 +502,31 @@ def test_rank_path_on_a_k5_union_stops_at_the_first_short_run(monkeypatch):
     assert v == strong_oracle(S)
 
 
+@pytest.mark.parametrize("batch", [1, 259])
+def test_count_path_batch_invariance(monkeypatch, strong_corpus,
+                                     random_pg3_64, batch):
+    # below k (N - 1) field values a secant-pass block holds one row, and
+    # below 4 (Q + 1) = 260 a line-pencil batch of PG(3,64) holds one line:
+    # the same secant lines, counts and short hyperplanes come out
+    sets = [S for S in strong_corpus if S.space.k <= 4] + [random_pg3_64]
+
+    def count_path(S):
+        mat = S.matrix()
+        lines = {(int(a), int(b), int(m))
+                 for block in strong._rich_lines(S.space, mat)
+                 for a, b, m in zip(*block)} if S.space.k == 4 else None
+        return lines, strong._short_by_counts(S.space, mat)
+
+    expected = [count_path(S) for S in sets]
+    assert len(expected[-1][0]) > 0
+    monkeypatch.setattr(geometry, "MARK_BATCH", batch)
+    for S, (lines, (short, counts)) in zip(sets, expected):
+        got_lines, (got_short, got_counts) = count_path(S)
+        assert got_lines == lines, (S.space, len(S))
+        assert np.array_equal(got_short, short), (S.space, len(S))
+        assert np.array_equal(got_counts, counts), (S.space, len(S))
+
+
 def test_count_path_refuses_k_5():
     space = ProjectiveSpace(Field.build(2, 1), 4)
     with pytest.raises(ValueError):
