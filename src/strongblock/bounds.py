@@ -7,6 +7,7 @@ trichotomy of a size against the interval of one p^e ("below", "inside",
 `interval_violation_report` applies it to |B(4,q)| for every e.  Everything
 runs on exact integers: comparisons against the irrational endpoint are
 decided by sign analysis and squaring, never by evaluating the square root.
+The 1 (mod p) line census reads `ProjectiveSpace.hyperplane_counts`.
 """
 
 from __future__ import annotations
@@ -116,10 +117,7 @@ def one_mod_p_profile(point_set: PointSet, p):
     space = point_set.space
     if space.n != 2:
         raise ValueError("profile is a plane operation")
-    space.check_scan()
-    counts = np.zeros(space.num_points, dtype=np.int32)  # points per line
-    for _rows, lines in space.pencils(point_set.matrix()):
-        np.add.at(counts, lines.ravel(), 1)
+    counts = space.hyperplane_counts(point_set.matrix())  # points per line
     vals, cts = np.unique(counts, return_counts=True)
     census = {int(v): int(c) for v, c in zip(vals, cts)}
     holds = all(v % p == 1 for v in census)

@@ -12,17 +12,18 @@ each point, MARK_BATCH incidences at a time.  N points cost
 N (Q^n - 1)/(Q - 1) incidences instead of one dual form per point and
 hyperplane, and each incidence is solved for in closed form from the
 point's last nonzero coordinate, about one field addition apiece, with no
-dual form, normalization or index search; `dot_block` and `points_block`
-stay as its oracles.  `line_pencils` solves for the planes of PG(3, Q)
-through lines the same way, from each line's reduced echelon basis, for
-the strong scan's secant lines.  `rank_stack` ranks a stack of equal-size
-hyperplane sections in one batched elimination; the scalar `rank` is its
-independent oracle.  Three more decisions of the scans have one home here:
-`check_scan` refuses a space of more than SCAN_BUDGET hyperplanes before a
-scan allocates, `section` finds the points on a witness hyperplane by
-polynomial digits for every re-check, off every table the scans add with,
-and `leads` reads the leading-one position off canonical indices, so the
-index layout stays in this module.
+dual form, normalization or index search; `dot_block` stays as its
+oracle.  `line_pencils` solves for the planes of PG(3, Q) through lines
+the same way, from each line's reduced echelon basis, for the strong
+scan's secant lines.  `rank_stack` ranks a stack of equal-size hyperplane
+sections in one batched elimination; the scalar `rank` is its independent
+oracle.  Six more facts of the scans have one home here: `check_scan`
+refuses a space past SCAN_BUDGET hyperplanes before a scan allocates;
+`section` finds the points on a witness hyperplane by polynomial digits,
+off every table the scans add with; `canonical_points` decodes the
+canonical order over any base (the R-tuples of `partition` too) and
+`leads` reads leading positions off indices; `hyperplane_counts` counts
+the points on every hyperplane; `secant_keys` keys the lines through a point.
 
 Every batched kernel follows one working-set rule: each batch holds about
 MARK_BATCH = 2^15 field values per temporary array (256 KiB of int64),
@@ -40,6 +41,7 @@ their data with the long axis last, which makes that transpose a free view.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -54,28 +56,51 @@ MARK_BATCH = 1 << 15  # field values per temporary array of a batched kernel
 SCAN_BUDGET = 2 * 10 ** 7
 
 
+def _block_offsets(n, base):
+    """Starts of the leading-one blocks of the canonical order of PG(n, .)
+    over `base` digits, and the total; a total of 2^63 or more raises
+    ValueError before base^n is formed."""
+    sizes = [1]  # blocks, the last leading position first
+    for _ in range(n):
+        sizes.append(sizes[-1] * base)
+        if sum(sizes) >= 1 << 63:
+            raise ValueError("PG(%d, %d) has 2^63 or more points, past "
+                             "the int64 canonical indices" % (n, base))
+    return [0, *itertools.accumulate(reversed(sizes))]
+
+
+def canonical_points(n, base, start=0, stop=None):
+    """Rows start..stop-1 of the canonical order of PG(n, .) over `base`
+    digits: a leading one at ascending positions, zeros before it, and the
+    base-`base` digits of the index within its block after it.  With the
+    field order as base these are the points of PG(n, Q)."""
+    offs = _block_offsets(n, base)
+    stop = offs[-1] if stop is None else stop
+    if not 0 <= start <= stop <= offs[-1]:
+        raise IndexError("point index out of range")
+    out = np.zeros((stop - start, n + 1), dtype=np.int64)
+    for lead in range(n + 1):  # the part of each block in start..stop-1
+        lo, hi = max(start, offs[lead]), min(stop, offs[lead + 1])
+        if lo < hi:
+            block = out[lo - start:hi - start]
+            block[:, lead] = 1
+            rem = np.arange(lo - offs[lead], hi - offs[lead], dtype=np.int64)
+            for j in range(n, lead, -1):
+                rem, block[:, j] = np.divmod(rem, base)
+    return out
+
+
 class ProjectiveSpace:
     """PG(n, Q) for the given field handle; immutable."""
 
     def __init__(self, field: Field, n: int):
         if n < 1:
             raise ValueError("projective dimension must be at least 1")
-        q = field.order
-        count = 1  # points of PG(i, q), grown one dimension at a time
-        for _ in range(n):
-            count = count * q + 1
-            if count >= 1 << 63:
-                raise ValueError("PG(%d, %d) has 2^63 or more points, past "
-                                 "the int64 canonical indices" % (n, q))
+        self._offsets = _block_offsets(n, field.order)
         self.field = field
         self.n = n
         self.k = n + 1  # ambient vector space dimension
-        self.num_points = (q ** (n + 1) - 1) // (q - 1)
-        # block offsets of the canonical order, by leading-one position
-        offs = [0]
-        for lead in range(n + 1):
-            offs.append(offs[-1] + q ** (n - lead))
-        self._offsets = offs
+        self.num_points = self._offsets[-1]
 
     def check_scan(self):
         """Raise BudgetExceeded when the hyperplanes exceed SCAN_BUDGET; every
@@ -132,22 +157,6 @@ class ProjectiveSpace:
                 return tuple(coords)
             index -= block
         raise IndexError("point index out of range")
-
-    def points_block(self, start, stop):
-        """(stop-start, n+1) coordinates of the points start..stop-1."""
-        if not 0 <= start <= stop <= self.num_points:
-            raise IndexError("point index out of range")
-        q = self.field.order
-        idx = np.arange(start, stop, dtype=np.int64)
-        lead = self.leads(idx)
-        rem = idx - np.asarray(self._offsets, dtype=np.int64)[lead]
-        out = np.zeros((idx.size, self.k), dtype=np.int64)
-        # base-q digits after the leading one; positions up to it decode to 0
-        for j in range(self.n, 0, -1):
-            out[:, j] = rem % q
-            rem //= q
-        out[np.arange(idx.size), lead] = 1
-        return out
 
     def leads(self, indices):
         """Position of the leading one of each canonical index."""
@@ -298,6 +307,17 @@ class ProjectiveSpace:
                 out[sel, col:] = np.arange(offs[z + 1], offs[-1])
             yield np.arange(start, start + b), out
 
+    def hyperplane_counts(self, mat):
+        """Rows of `mat` on each hyperplane, by canonical index, from one
+        pass over the pencils after `check_scan`.  int32 holds a count (at
+        most the rows, so at most SCAN_BUDGET for a point set), and an
+        np.int32 increment keeps `np.add.at` on its fast path."""
+        self.check_scan()
+        counts = np.zeros(self.num_points, dtype=np.int32)
+        for _rows, hyperplanes in self.pencils(mat):
+            np.add.at(counts, hyperplanes.ravel(), np.int32(1))
+        return counts
+
     def line_pencils(self, first, second):
         """Yield (lines, hyperplanes) over the planes of PG(3, Q) through
         lines.
@@ -411,6 +431,20 @@ class ProjectiveSpace:
             a = f.add_vec(a[1:], f.mul_vec(a[0], prow[:, None, :]))
 
     # -- lines -------------------------------------------------------------
+
+    def secant_keys(self, mat, p, r):
+        """(b, s) keys of the lines through rows p (b,) of `mat` and rows
+        r (b, s), equal in a row for rows on one line through its P.  With
+        P's leading one at l, each R gives R - R_l P, 0 at l: rows on one
+        line through P give one point up to scale (R' = c R + d P), and
+        other lines other points.  Its canonical index is the key, worked
+        out on the (k, N) transpose of `mat`, as in `normalize_vec`."""
+        f, x = self.field, np.asarray(mat, dtype=np.int64).T
+        lead = np.argmax(x[:, p] != 0, axis=0)
+        d = f.add_vec(x[:, r], f.mul_vec(f.neg_vec(x[lead[:, None], r]),
+                                         x[:, p, None]))
+        d = self.normalize_vec(d.reshape(self.k, -1).T)
+        return self.point_index_vec(d).reshape(np.shape(r))
 
     def line_through(self, P, Q):
         """The q+1 points of the line spanned by two distinct points."""

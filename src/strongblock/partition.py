@@ -6,7 +6,8 @@ set of exponents divisible by a fixed stride, each coset index in
 [0, stride) names one F_q-subgeometry of PG(k-1, q^(k-1)), and together they
 partition the point set.  `build_rgroup` certifies the stride exactly, for
 every (q, k), with one gcd, and keeps the `CoordinateMap` over
-GF(q^(k-1)); `subgeometry_points` coordinatizes one code per point.
+GF(q^(k-1)); `subgeometry_points` coordinatizes one code per point, and
+`r_tuple_matrix` indexes the R codes by `geometry.canonical_points`.
 """
 
 from __future__ import annotations
@@ -133,29 +134,15 @@ def full_partition(rg: RGroup):
 
 
 def r_tuple_matrix(rg: RGroup, ncoords):
-    """Normalized points of PG(ncoords-1, .) with every coordinate in R.
-
-    Rows come out in canonical point-index order: leading-one blocks in
-    ascending position, and within a block the ascending R codes count in
-    base r+1 as the index counts in base Q.  Raises BudgetExceeded when the
-    ((r+1)^ncoords - 1)/r rows exceed SCAN_BUDGET.
+    """Normalized points of PG(ncoords-1, .) with every coordinate in R, in
+    canonical index order: the ascending R codes (0, then the field's one)
+    indexed by the base-(r+1) digits of `geometry.canonical_points`.  Raises
+    BudgetExceeded when the ((r+1)^ncoords - 1)/r rows exceed SCAN_BUDGET.
     """
     r = rg.r
     if (r + 1) ** ncoords - 1 > geometry.SCAN_BUDGET * r:
         raise BudgetExceeded("(r+1)^%d exceeds enumeration budget" % ncoords)
-    rcodes = rg.r_codes()
-    blocks = []
-    for lead in range(ncoords):
-        free = ncoords - lead - 1
-        n_rows = (r + 1) ** free
-        block = np.zeros((n_rows, ncoords), dtype=np.int64)
-        block[:, lead] = 1
-        rows = np.arange(n_rows)
-        for j in range(free):
-            div = (r + 1) ** (free - 1 - j)
-            block[:, lead + 1 + j] = rcodes[(rows // div) % (r + 1)]
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+    return rg.r_codes()[geometry.canonical_points(ncoords - 1, r + 1)]
 
 
 @dataclass

@@ -28,7 +28,8 @@ survivor.  Each witness is re-checked off its own path: incidences by
 polynomial digits (`ProjectiveSpace.section`) for a hyperplane, the
 exhaustive `is_r_independent` for a tuple.  The batched passes,
 `free_cosets` and the pencils, hold about MARK_BATCH values per array, one
-per lookup or incidence.
+per lookup or incidence.  The weight-1 line statistics key the lines
+through a point by `ProjectiveSpace.secant_keys`, as the strong scan does.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
     none means the R-coordinate points form a blocking set, reported as
     status "not-found".  Every other m >= 4 needs more than SCAN_BUDGET
     hyperplanes (at least the 729^3 of PG(3, 729)) and raises
-    BudgetExceeded.
+    BudgetExceeded; a PG(m-1, .) of 2^63 points or more raises ValueError.
     """
     if m is None:
         m = rg.k - 1
@@ -248,8 +249,7 @@ def find_independent_tuple(rg: RGroup, m=None, strategy="random", seed=1,
         raise BudgetExceeded("no R-independent tuple in %d random trials"
                              % max_iters)
     if strategy == "exhaustive":
-        order = rg.field.order
-        lines = (order ** m - 1) // (order - 1)  # hyperplanes of PG(m-1, .)
+        lines = ProjectiveSpace(rg.field, m - 1).num_points
         if m <= 3:
             index, alphas = _first_free_tuple(rg, m)
             certification = "coset-quotient"
@@ -283,38 +283,27 @@ class LineStats:
 def line_stats_weight1(bset: BSet, point=None):
     """Classify all lines through a weight-1 point of B(k,q) in the plane.
 
-    Computes, for every other point of B, the line it spans with P (as a
-    cross-product dual), and histograms the pencil.  Lines through P meeting
-    no further B point are tangents.
+    Keys, for every other point of B, the line it spans with P
+    (`ProjectiveSpace.secant_keys`), and histograms the pencil.  Lines
+    through P meeting no further B point are tangents.
     """
     if bset.space.n != 2:
         raise ValueError("line statistics implemented for the plane case k=4")
     space = bset.space
-    f = space.field
     if point is None:
         P = tuple(int(c) for c in bset.matrix[bset.weights == 1][0])
     else:
         P = space.normalize(point)
         if not bset.contains(P) or sum(1 for c in P if c) != 1:
             raise ValueError("point must be a weight-1 member of B")
-    mat = bset.matrix
-    self_row = np.all(mat == np.asarray(P, dtype=np.int64), axis=1)
-    others = mat[~self_row]
-    Pv = np.asarray(P, dtype=np.int64)
-
-    def cross(u_mat, v):
-        def minor(i, j):
-            return f.add_vec(f.mul_vec(u_mat[:, i], v[j]),
-                             f.neg_vec(f.mul_vec(u_mat[:, j], v[i])))
-        return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=1)
-
-    duals = cross(others, Pv)
-    idx = space.point_index_vec(space.normalize_vec(duals))
-    uniq, counts = np.unique(idx, return_counts=True)
+    self_row = np.all(bset.matrix == np.asarray(P, dtype=np.int64), axis=1)
+    keys = space.secant_keys(bset.matrix, np.flatnonzero(self_row),
+                             np.flatnonzero(~self_row)[None, :])
+    uniq, counts = np.unique(keys, return_counts=True)
     sizes = counts + 1  # plus P itself
     census = {}
     for s in sizes:
         census[int(s)] = census.get(int(s), 0) + 1
-    q1 = f.order + 1
+    q1 = space.field.order + 1
     return LineStats(point=P, lines_total=q1, secant_count=int(uniq.size),
                      secant_sizes=census, tangent_count=q1 - int(uniq.size))

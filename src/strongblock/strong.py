@@ -2,33 +2,35 @@
 
 A strong blocking set meets every hyperplane in a set of full rank k-1.  For
 k <= 3, and for k = 4 when (N - 1)(Q + 7) <= 6 (Q^2 + Q + 1)
-(`_counts_decide`), the scan ranks no section: it counts the points on every hyperplane in one pass over
-the pencils through the points (`ProjectiveSpace.pencils`) and decides from
-the counts and the secant lines.  That is exact, because a rank-(k-1)
-section needs k-1 points and two distinct points are independent: for
-k <= 3 a hyperplane is short iff it holds at most k-2 points, and for k = 4
-a section of three or more points is short iff it is collinear, so H is
-short iff it holds at most 2 points or it contains a secant line of m >= 3
-points and holds exactly m.  The secant lines come from the N (N-1) ordered
-pairs of points (`_rich_lines`), and only the Q+1 hyperplanes through each
-line of three or more points are visited (`ProjectiveSpace.line_pencils`).
-The rule keeps the pairs and those hyperplanes, at most N (N-1)(Q+1)/6,
-within the N (Q^2 + Q + 1) incidences of the rank path, which every other
-set takes (k >= 5, and dense k = 4 sets):
-the incidences are bucketed by hyperplane into sections with a counting
-sort (a CSR: one run of point rows per hyperplane), handed out in runs
-whose incidence budget starts at MARK_BATCH and doubles, and ranked in
-stacks of equal size with `ProjectiveSpace.rank_stack`, over the k-1
-coordinates that remain when each hyperplane's leading one
-(`ProjectiveSpace.leads`) is dropped.  On either path the witness is the
-lowest-index hyperplane whose section falls short, and is re-checked off
-the scan path with `ProjectiveSpace.section` (polynomial digits, no Zech or
-dense table) and the scalar `rank`.  Both paths hold about MARK_BATCH field
-values per temporary array, the one working-set rule of `geometry`.  Plain
-blocking needs no sections: it marks the hyperplanes through each point
+(`_counts_decide`), the scan ranks no section: it counts the points on
+every hyperplane (`ProjectiveSpace.hyperplane_counts`, one pass over the
+pencils) and decides from the counts and the secant lines.  That is
+exact, because a rank-(k-1) section needs k-1 points and two distinct
+points are independent: for k <= 3 a hyperplane is short iff it holds at
+most k-2 points, and for k = 4 a section of three or more points is short
+iff it is collinear, so H is short iff it holds at most 2 points or it
+contains a secant line of m >= 3 points and holds exactly m.  The secant
+lines come from the N (N-1) ordered pairs of points (`_rich_lines`, keyed
+by `ProjectiveSpace.secant_keys`), and only the Q+1 hyperplanes through
+each line of three or more points are visited
+(`ProjectiveSpace.line_pencils`).  The rule keeps the pairs and those
+hyperplanes, at most N (N-1)(Q+1)/6, within the N (Q^2 + Q + 1)
+incidences of the rank path, which every other set takes (k >= 5, and
+dense k = 4 sets): the incidences are bucketed by hyperplane into
+sections with a counting sort (a CSR: one run of point rows per
+hyperplane), handed out in runs whose incidence budget starts at
+MARK_BATCH and doubles, and ranked in stacks of equal size with
+`ProjectiveSpace.rank_stack`, over the k-1 coordinates that remain when
+each hyperplane's leading one (`ProjectiveSpace.leads`) is dropped.  On
+either path the witness is the lowest-index hyperplane whose section
+falls short, and is re-checked off the scan path with
+`ProjectiveSpace.section` (polynomial digits, no Zech or dense table) and
+the scalar `rank`.  Both paths hold about MARK_BATCH field values per
+temporary array, the one working-set rule of `geometry`.  Plain blocking
+needs no sections: it marks the hyperplanes through each point
 (`search.mark_lines_through`), and the first unmarked one is the same
-lowest-index witness, returned as the same `StrongVerdict` through the same
-re-check.  Both scans refuse a space of more than
+lowest-index witness, returned as the same `StrongVerdict` through the
+same re-check.  Both scans refuse a space of more than
 `geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded, from
 `ProjectiveSpace.check_scan`, before they allocate.
 """
@@ -205,30 +207,21 @@ def _rich_lines(space, mat):
 
     The rows are worked through in blocks of about MARK_BATCH field
     values, one yield per block: a row pairs with the N - 1 others, and
-    each pair carries k coordinates.  For a row P with leading one at l,
-    every other row R gives R - R_l P, which is 0 at l, so two rows R, R'
-    on one line through P give the same point up to a nonzero scale
-    (R' = c R + d P), and a different line a different point: the
-    canonical index of that point keys the line through P.  P owns the
-    line when it is below every other row of its key, and the line then
-    holds that key's rows and P.
+    each pair carries k coordinates.  `ProjectiveSpace.secant_keys` keys
+    the line through a row P and each other row.  P owns the line when it
+    is below every other row of its key, and the line then holds that
+    key's rows and P.
     """
-    f, k, H = space.field, space.k, space.num_points
-    n = len(mat)
+    H, n = space.num_points, len(mat)
     if n < 3:
         return
-    x = mat.T
-    lead = np.argmax(x != 0, axis=0)
     j = np.arange(n - 1)
-    step = max(1, geometry.MARK_BATCH // (k * (n - 1)))
+    step = max(1, geometry.MARK_BATCH // (space.k * (n - 1)))
     for start in range(0, n, step):
         p = np.arange(start, min(start + step, n))
         r = j + (j >= p[:, None])  # (b, N-1): the rows but P
-        d = f.add_vec(x[:, r], f.mul_vec(f.neg_vec(x[lead[p, None], r]),
-                                         x[:, p, None]))
-        keys = space.point_index_vec(space.normalize_vec(d.reshape(k, -1).T))
         # a stable sort on (P, key) keeps each group's rows ascending
-        pair = (p[:, None] - start) * H + keys.reshape(r.shape)
+        pair = (p[:, None] - start) * H + space.secant_keys(mat, p, r)
         order = np.argsort(pair, axis=None, kind="stable")
         pair = pair.ravel()[order]
         head = np.flatnonzero(np.concatenate([[True], pair[1:] != pair[:-1]]))
@@ -256,9 +249,7 @@ def _short_by_counts(space, mat):
     """
     if space.k > 4:
         raise ValueError("section counts decide PG(k-1, Q) for k <= 4 only")
-    counts = np.zeros(space.num_points, dtype=np.int64)
-    for _rows, hyperplanes in space.pencils(mat):
-        np.add.at(counts, hyperplanes.ravel(), 1)
+    counts = space.hyperplane_counts(mat)
     short = counts <= space.k - 2
     if space.k < 4:
         return short, counts

@@ -125,6 +125,16 @@ def test_search_pigeonhole_is_immediate(tmp_path):
         "not-found", "pigeonhole", 17043521)
 
 
+def test_search_past_int64_indices_exits_1(tmp_path):
+    # PG(4999,64) has 2^63 or more points, past the int64 canonical
+    # indices: refused with a message before 64^5000 is formed
+    out = run_subprocess(["search", "--q", "2", "--k", "3", "--m", "5000",
+                          "--strategy", "exhaustive"], tmp_path, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "2^63" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_search_exhaustive_q3(capsys):
     # PG(2,3^12) has 2.8e11 lines; the coset quotient needs 531,440 lookups
     code, doc = run_json(capsys, ["search", "--q", "3", "--k", "4",

@@ -26,7 +26,7 @@ from strongblock.codes import (
 )
 from strongblock.errors import BudgetExceeded, RankDeficient
 from strongblock.field import Field
-from strongblock.geometry import PointSet, ProjectiveSpace
+from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
 from strongblock.search import find_independent_tuple
 from strongblock.strong import union_subgeometries, verify_strong_blocking
 
@@ -86,7 +86,7 @@ def test_support_profiles_against_direct_evaluation(code45):
 def dot_block_profile(G):
     """Supports and weights from every message's dual form on every column."""
     space = G.message_space()
-    msgs = space.points_block(0, space.num_points)
+    msgs = canonical_points(space.n, space.field.order)
     nz = space.dot_block(msgs, G.entries.T) != 0
     words = (G.n + 63) // 64
     nz = np.concatenate(

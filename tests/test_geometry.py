@@ -1,5 +1,6 @@
 """Projective space tests: enumeration, incidence, rank, lines, point sets."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from strongblock import geometry, strong
 from strongblock.bounds import one_mod_p_profile
 from strongblock.codes import generator_from_points, support_profiles
-from strongblock.errors import DimensionMismatch
+from strongblock.errors import BudgetExceeded, DimensionMismatch
 from strongblock.field import Field
-from strongblock.geometry import PointSet, ProjectiveSpace
+from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
 from strongblock.partition import subgeometry_points
 from strongblock.search import find_independent_tuple, free_cosets
 from strongblock.strong import (
@@ -70,21 +71,55 @@ def test_index_roundtrip_sampled_big_plane():
 
 
 @pytest.mark.parametrize("params", [(2, 2, 2), (2, 3, 3), (3, 2, 2)])
-def test_points_block_matches_point_at(params):
+def test_canonical_points_match_point_at(params):
     p, m, n = params
     space = ProjectiveSpace(Field.build(p, m), n)
+    q = space.field.order
     ref = np.asarray([space.point_at(i) for i in range(space.num_points)],
                      dtype=np.int64)
-    assert np.array_equal(space.points_block(0, space.num_points), ref)
+    assert np.array_equal(canonical_points(n, q), ref)
     for off in space._offsets:
         # ranges straddling each leading-one boundary, and empty ranges
         lo, hi = max(off - 3, 0), min(off + 3, space.num_points)
-        assert np.array_equal(space.points_block(lo, hi), ref[lo:hi])
-        assert space.points_block(off, off).shape == (0, n + 1)
+        assert np.array_equal(canonical_points(n, q, lo, hi), ref[lo:hi])
+        assert canonical_points(n, q, off, off).shape == (0, n + 1)
     with pytest.raises(IndexError):
         space.point_at(space.num_points)
     with pytest.raises(IndexError):
-        space.points_block(0, space.num_points + 1)
+        canonical_points(n, q, 0, space.num_points + 1)
+
+
+def product_order(n, base):
+    """The canonical order of PG(n, .) over `base` digits, built with
+    itertools.product: a leading one at each position in turn, zeros before
+    it, every digit tuple after it in lexicographic order."""
+    rows = [(0,) * lead + (1,) + digits for lead in range(n + 1)
+            for digits in itertools.product(range(base), repeat=n - lead)]
+    return np.asarray(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("base", [2, 5, 6, 8, 9, 10])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_points_match_product_order(n, base):
+    # bases that are no field order (5, 6, 10) and field orders (2, 8, 9)
+    ref = product_order(n, base)
+    total = len(ref)
+    got = canonical_points(n, base)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref)
+    # the first row of each leading-one block, read off the oracle's rows
+    lead = np.argmax(ref != 0, axis=1)
+    starts = [i for i in range(total) if i == 0 or lead[i] != lead[i - 1]]
+    assert len(starts) == n + 1
+    for b in starts + [total]:
+        for lo in range(max(b - 3, 0), b + 1):
+            for hi in range(b, min(b + 3, total) + 1):
+                assert np.array_equal(canonical_points(n, base, lo, hi),
+                                      ref[lo:hi])
+        assert canonical_points(n, base, b, b).shape == (0, n + 1)
+    for lo, hi in [(0, total + 1), (total + 1, None), (-1, 2), (3, 2)]:
+        with pytest.raises(IndexError):
+            canonical_points(n, base, lo, hi)
 
 
 def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
@@ -305,7 +340,7 @@ def test_pencils_match_dot_block(monkeypatch, batch, p, m, n):
         monkeypatch.setattr(geometry, "MARK_BATCH", batch)
     space = ProjectiveSpace(Field.build(p, m), n)
     mat = pencil_rows(space, np.random.default_rng(n))
-    duals = space.points_block(0, space.num_points)
+    duals = canonical_points(space.n, space.field.order)
     values = space.dot_block(duals, mat)
     for j, got in enumerate(pencils_by_row(space, mat)):
         assert np.array_equal(got, np.flatnonzero(values[:, j] == 0))
@@ -362,7 +397,7 @@ def test_line_pencils_match_dot_block(monkeypatch, batch, p, m):
         monkeypatch.setattr(geometry, "MARK_BATCH", batch)
     space = ProjectiveSpace(Field.build(p, m), 3)
     first, second = line_pairs(space, np.random.default_rng(p ** m))
-    duals = space.points_block(0, space.num_points)
+    duals = canonical_points(space.n, space.field.order)
     on_first = space.dot_block(duals, first) == 0
     on_second = space.dot_block(duals, second) == 0
     got = line_pencils_by_line(space, first, second)
@@ -421,7 +456,7 @@ def test_line_pencil_scans_peak_memory(scan, limit_mb):
     # every point of PG(1,4096): each pencil is one hyperplane, so a batch
     # holds thousands of rows, and nothing may be sized by rows x Q
     space = ProjectiveSpace(Field.build(2, 12), 1)
-    mat = space.points_block(0, space.num_points)
+    mat = canonical_points(space.n, space.field.order)
     points = PointSet(space, [tuple(r) for r in mat.tolist()])
     run = {"pencils": lambda: sum(h.size for _, h in space.pencils(mat)),
            "strong": lambda: verify_strong_blocking(points)}[scan]
@@ -439,8 +474,8 @@ def test_count_path_peak_memory(random_pg3_64):
     # 255 points of PG(3,64) take the count path, whose secant pass works
     # on (4, rows, 254) blocks and whose line pencils on (4, lines, 65)
     # ones: each holds about MARK_BATCH field values, so the peak is the
-    # 2.1 MB of section counts and a few batches, not 10 MB of blocks sized
-    # by rows alone.  GF(64) is the only field built.
+    # 1.05 MB of int32 section counts and a few batches, not 10 MB of
+    # blocks sized by rows alone.  GF(64) is the only field built.
     assert strong._counts_decide(random_pg3_64.space, len(random_pg3_64))
     # first use of any lazily built state is not the scan's cost
     verify_strong_blocking(random_pg3_64)
@@ -451,6 +486,42 @@ def test_count_path_peak_memory(random_pg3_64):
     finally:
         tracemalloc.stop()
     assert peak < 5 << 20
+
+
+def random_rows(space, rng, size):
+    """`size` distinct points of the space, each scaled by a random nonzero
+    code, so not normalized."""
+    f = space.field
+    idx = rng.choice(space.num_points, size, replace=False)
+    pts = canonical_points(space.n, f.order)[idx]
+    return f.mul_vec(pts, rng.integers(1, f.order, (size, 1)))
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 6, 1), (3, 2, 2), (2, 3, 3), (2, 2, 4)])
+def test_hyperplane_counts_match_dot_block(p, m, n):
+    space = ProjectiveSpace(Field.build(p, m), n)
+    rng = np.random.default_rng(p * m + n)
+    duals = canonical_points(n, space.field.order)
+    for size in (1, 7, 40):
+        mat = random_rows(space, rng, size)
+        counts = space.hyperplane_counts(mat)
+        assert counts.dtype == np.int32
+        assert np.array_equal(
+            counts, (space.dot_block(duals, mat) == 0).sum(axis=1))
+
+
+def test_hyperplane_counts_refuse_before_allocating(monkeypatch):
+    # PG(2,256) has 65,793 lines, so its counter alone would take 257 KiB
+    space = ProjectiveSpace(Field.build(2, 8), 2)
+    monkeypatch.setattr(geometry, "SCAN_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            space.hyperplane_counts(np.asarray([[1, 0, 0]]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +653,56 @@ def test_pencil_in_projective_line():
     pencil = {frozenset(space.line_through((1, 0), Q))
               for Q in space.points() if Q != (1, 0)}
     assert pencil == {frozenset(space.points())}
+
+
+def cross_keys(space, others, P):
+    """Canonical index of the cross product of each row of `others` with P
+    in PG(2, Q): the dual of the line through them."""
+    f = space.field
+
+    def minor(i, j):
+        return f.add_vec(f.mul_vec(others[:, i], P[j]),
+                         f.neg_vec(f.mul_vec(others[:, j], P[i])))
+
+    duals = np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=1)
+    return space.point_index_vec(space.normalize_vec(duals))
+
+
+def same_key(keys):
+    return np.equal.outer(keys, keys)
+
+
+@pytest.mark.parametrize("p,m,size", [(2, 2, 15), (3, 2, 40), (2, 6, 300)])
+def test_secant_keys_match_cross_products(p, m, size):
+    space = ProjectiveSpace(Field.build(p, m), 2)
+    rng = np.random.default_rng(size)
+    idx = np.sort(rng.choice(space.num_points, size, replace=False))
+    mat = canonical_points(2, space.field.order)[idx]
+    rows = np.arange(size)
+    for i in rng.choice(size, 6, replace=False):
+        r = rows[rows != i]
+        keys = space.secant_keys(mat, np.asarray([i]), r[None, :])
+        assert keys.shape == (1, size - 1)
+        oracle = cross_keys(space, mat[r], mat[i])
+        assert np.array_equal(same_key(keys[0]), same_key(oracle))
+
+
+def test_secant_keys_match_line_through(gf8):
+    # PG(3,8): random points, plus all of one line so that keys repeat
+    space = ProjectiveSpace(gf8, 3)
+    rng = np.random.default_rng(3)
+    pts = {space.point_at(int(i))
+           for i in rng.choice(space.num_points, 30, replace=False)}
+    pts |= set(space.line_through((1, 0, 0, 0), (0, 1, 0, 0)))
+    mat = np.asarray(sorted(pts), dtype=np.int64)
+    rows = np.arange(len(mat))
+    p = rng.choice(len(mat), 8, replace=False)
+    r = np.stack([rows[rows != i] for i in p])
+    keys = space.secant_keys(mat, p, r)
+    for i, ks, rs in zip(p, keys, r):
+        lines = [frozenset(space.line_through(mat[i], mat[j])) for j in rs]
+        assert np.array_equal(same_key(ks), np.asarray(
+            [[a == b for b in lines] for a in lines]))
 
 
 # ---------------------------------------------------------------------------

@@ -227,3 +227,31 @@ def test_stale_readme_name_is_reported():
             "```sh\nstrongblock `no_such_name`\n```\n")
     assert stale_readme_names(text) == ["Field.coord_map", "--no-such-flag",
                                         "np.zeros"]
+
+
+def add_at_lines(tree):
+    """Line numbers of the `np.add.at` (or `numpy.add.at`) references in
+    `tree`."""
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "at"
+        and isinstance(n.value, ast.Attribute) and n.value.attr == "add"
+        and isinstance(n.value.value, ast.Name)
+        and n.value.value.id in ("np", "numpy"))
+
+
+def test_one_count_pass():
+    # the per-hyperplane counts have one home,
+    # `ProjectiveSpace.hyperplane_counts`, so the scatter loop and its
+    # int32 fast path cannot fork again
+    users = [p.name for p in SOURCES if add_at_lines(ast.parse(p.read_text()))]
+    assert users == ["geometry.py"]
+
+
+def test_add_at_reference_is_reported():
+    tree = ast.parse("import numpy as np\n"
+                     "np.add.at(c, i, 1)\n"
+                     "numpy.add.at(c, i, np.int32(1))\n"
+                     "c.add.at(i)\n"
+                     "# np.add.at in a comment\n")
+    assert add_at_lines(tree) == [2, 3]

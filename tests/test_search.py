@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -325,6 +326,15 @@ def test_random_search_reproducible(rg24):
     res3 = find_independent_tuple(rg24, 3, strategy="random", seed=2)
     assert res3.status == "found"
     assert is_r_independent(res3.alphas, rg24).status == "independent"
+
+
+def test_exhaustive_search_refuses_unindexable_space_at_once(rg23):
+    # PG(10^12 - 1, 64) has 2^63 or more points: the space refuses it
+    # before 64^(10^12), or even a count of it, is formed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"2\^63"):
+        find_independent_tuple(rg23, 10 ** 12, "exhaustive")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_search_strategy_validation(rg24):

@@ -13,7 +13,7 @@ import strongblock
 from strongblock import geometry, strong
 from strongblock.errors import BudgetExceeded, RepeatedCoset
 from strongblock.field import Field
-from strongblock.geometry import PointSet, ProjectiveSpace
+from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
 from strongblock.partition import (
     build_rgroup,
     full_partition,
@@ -198,7 +198,8 @@ def strong_oracle(point_set):
     target = space.k - 1
     mat = point_set.matrix()
     for start in range(0, space.num_points, 4096):
-        duals = space.points_block(start, min(start + 4096, space.num_points))
+        duals = canonical_points(space.n, space.field.order, start,
+                                 min(start + 4096, space.num_points))
         incident = space.dot_block(duals, mat) == 0
         for row, on in enumerate(incident):
             section = [point_set.points[j] for j in np.flatnonzero(on)]
@@ -345,7 +346,7 @@ def test_counting_sort_sections_of_whole_pg1(monkeypatch, cap):
     if cap is not None:
         monkeypatch.setattr(strong, "SECTION_CAP", cap)
     space = ProjectiveSpace(Field.build(2, 12), 1)
-    mat = space.points_block(0, space.num_points)
+    mat = canonical_points(space.n, space.field.order)
     got = list(strong._sections(space, mat))
     want = list(sections_by_stable_sort(space, mat))
     assert len(got) == len(want) >= (5 if cap else 1)
@@ -475,7 +476,7 @@ def test_count_mask_matches_rank_mask(strong_corpus, planted_sets):
         short, counts = strong._short_by_counts(S.space, mat)
         assert np.array_equal(short, rank_mask(S.space, mat)), (S.space,
                                                                 len(S))
-        duals = S.space.points_block(0, S.space.num_points)
+        duals = canonical_points(S.space.n, S.space.field.order)
         assert np.array_equal(counts, np.count_nonzero(
             S.space.dot_block(duals, mat) == 0, axis=1))
         sides.add(strong._counts_decide(S.space, len(S)))
@@ -530,7 +531,8 @@ def test_count_path_batch_invariance(monkeypatch, strong_corpus,
 def test_count_path_refuses_k_5():
     space = ProjectiveSpace(Field.build(2, 1), 4)
     with pytest.raises(ValueError):
-        strong._short_by_counts(space, space.points_block(0, 5))
+        strong._short_by_counts(
+            space, canonical_points(space.n, space.field.order, 0, 5))
 
 
 def test_corrupted_counts_or_lines_trip_the_line_check(gf8, monkeypatch):
