@@ -33,9 +33,12 @@ def _elems(field, codes_seq):
     return [field.elem_str(int(c)) for c in codes_seq]
 
 
-def cmd_pipeline(args):
+def _construct(args):
+    """The pipeline's construction phase: R* in GF(q^(k(k-1))), the search
+    and the union.  Returns (report, S), S None when the search finds no
+    tuple.  S lives in PG(k-1, q^(k-1)) and holds no reference to the big
+    field, so its tables are freed when this returns, before the scans."""
     rg = partition.build_rgroup(args.q, args.k)
-    f = rg.field
     res = search.find_independent_tuple(rg, rg.k - 1, args.strategy,
                                         seed=args.seed,
                                         max_iters=args.max_iters)
@@ -43,17 +46,23 @@ def cmd_pipeline(args):
         "command": "pipeline",
         "q": args.q, "k": args.k, "seed": args.seed,
         "strategy": args.strategy,
-        "field": f.meta(),
+        "field": rg.field.meta(),
         "r": rg.r, "stride": rg.stride,
         "search": {"status": res.status, "trials": res.trials,
                    "certification": res.certification},
     }
     if res.status != "found":
         report["search"]["finding"] = "no R-independent tuple: B IS a blocking set"
+        return report, None
+    report["search"]["alphas"] = _elems(rg.field, res.alphas)
+    return report, strong.union_subgeometries(rg, res.alphas)
+
+
+def cmd_pipeline(args):
+    report, S = _construct(args)
+    if S is None:
         _emit(report, args)
         return 2
-    report["search"]["alphas"] = _elems(f, res.alphas)
-    S = strong.union_subgeometries(rg, res.alphas)
     sv = strong.verify_strong_blocking(S)
     report["union"] = {"size": len(S),
                        "expected_size": strong.expected_size(args.q, args.k)}

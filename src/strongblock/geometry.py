@@ -32,6 +32,8 @@ bounded before allocation.  A kernel sizes its batch by the values per
 item: one per incidence for `pencils` and `search.free_cosets`, 4 (Q + 1)
 per line for `line_pencils`, k (N - 1) per point for the strong scan's
 secant pass and (k - 1) s per section of size s for its rank stacks.
+The field table build keeps within it too: `field.TABLE_BLOCK` = 2^14
+cells per step, so each of its temporaries holds at most 128 KiB of int64.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
@@ -435,14 +437,16 @@ class ProjectiveSpace:
     def secant_keys(self, mat, p, r):
         """(b, s) keys of the lines through rows p (b,) of `mat` and rows
         r (b, s), equal in a row for rows on one line through its P.  With
-        P's leading one at l, each R gives R - R_l P, 0 at l: rows on one
-        line through P give one point up to scale (R' = c R + d P), and
-        other lines other points.  Its canonical index is the key, worked
-        out on the (k, N) transpose of `mat`, as in `normalize_vec`."""
+        P normalized, its leading one at l, each R gives R - R_l P, 0 at l:
+        rows on one line through P give one point up to scale
+        (R' = c R + d P), and other lines other points, whatever the scale
+        of the rows P and R.  Its canonical index is the key, worked out on
+        the (k, N) transpose of `mat`, as in `normalize_vec`."""
         f, x = self.field, np.asarray(mat, dtype=np.int64).T
-        lead = np.argmax(x[:, p] != 0, axis=0)
+        pt = self.normalize_vec(x[:, p].T).T
+        lead = np.argmax(pt != 0, axis=0)
         d = f.add_vec(x[:, r], f.mul_vec(f.neg_vec(x[lead[:, None], r]),
-                                         x[:, p, None]))
+                                         pt[:, :, None]))
         d = self.normalize_vec(d.reshape(self.k, -1).T)
         return self.point_index_vec(d).reshape(np.shape(r))
 

@@ -6,11 +6,12 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import strongblock
-from strongblock import cli
+from strongblock import cli, partition, strong
 from strongblock.field import Field
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -372,6 +373,8 @@ def test_cli_runs_do_not_import_numpy_ma():
 # tests/data/golden in the working directory; they pin stdout byte for byte.
 GOLDEN_COMMANDS = [
     ("pipeline_q2_k3", ["pipeline", "--q", "2", "--k", "3", "--seed", "1"], 0),
+    ("pipeline_q2_k4_seed_1",
+     ["pipeline", "--q", "2", "--k", "4", "--seed", "1"], 0),
     ("search_q2_k3_exhaustive",
      ["search", "--q", "2", "--k", "3", "--strategy", "exhaustive"], 0),
     ("search_q2_k3_m3_exhaustive",
@@ -435,6 +438,29 @@ def test_golden_reports(name, argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / (name + ".out")).read_bytes()
+
+
+def test_pipeline_frees_the_big_field_before_the_scans(monkeypatch, capsys):
+    # GF(q^(k(k-1))) serves the construction only: once the union is built
+    # its tables are unreachable, and refcounting alone frees them
+    fields = []
+    build = partition.build_rgroup
+    verify = strong.verify_strong_blocking
+
+    def kept_build(*args):
+        rg = build(*args)
+        fields.append(weakref.ref(rg.field))
+        return rg
+
+    def checked_verify(S):
+        assert [ref() for ref in fields] == [None]
+        return verify(S)
+
+    monkeypatch.setattr(partition, "build_rgroup", kept_build)
+    monkeypatch.setattr(strong, "verify_strong_blocking", checked_verify)
+    code, out = run(capsys, ["pipeline", "--q", "2", "--k", "4", "--seed", "1"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "pipeline_q2_k4_seed_1.out").read_bytes()
 
 
 def test_each_command_builds_each_field_once(tmp_path, monkeypatch, capsys):

@@ -399,7 +399,8 @@ def test_tables_at_workload_sizes(p, m):
 
 
 def test_table_build_peak_memory():
-    # the build allocates its three tables plus block-sized temporaries
+    # the build allocates its three tables plus block-sized temporaries:
+    # TABLE_BLOCK = 2^14 cells hold at most 128 KiB of int64 apiece
     tracemalloc.start()
     try:
         f = Field.build(3, 12)
@@ -408,7 +409,7 @@ def test_table_build_peak_memory():
         tracemalloc.stop()
     table_bytes = f.exp.nbytes + f.log.nbytes + f.zech.nbytes
     assert table_bytes == 3 * 4 * 3 ** 12 - 8
-    assert peak < table_bytes + (2 << 20)
+    assert peak < table_bytes + (3 << 18)
 
 
 @pytest.mark.parametrize("block", [1, 7])

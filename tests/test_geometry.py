@@ -705,6 +705,34 @@ def test_secant_keys_match_line_through(gf8):
             [[a == b for b in lines] for a in lines]))
 
 
+def test_secant_keys_of_a_scaled_point_on_one_line(gf8):
+    # PG(2,8): P = (3,0,0) is (1,0,0) up to scale, so the 8 other points of
+    # a line through it share one key
+    space = ProjectiveSpace(gf8, 2)
+    line = space.line_through((1, 0, 0), (0, 1, 0))
+    others = [pt for pt in line if pt != (1, 0, 0)]
+    mat = np.asarray([(3, 0, 0)] + others, dtype=np.int64)
+    keys = space.secant_keys(mat, np.asarray([0]), np.arange(1, 9)[None, :])
+    assert np.unique(keys).size == 1
+
+
+def test_secant_keys_ignore_the_scale_of_p(gf8):
+    # PG(3,8): random nonzero scalings of the rows P give the keys of the
+    # normalized rows
+    space = ProjectiveSpace(gf8, 3)
+    rng = np.random.default_rng(8)
+    idx = rng.choice(space.num_points, 40, replace=False)
+    mat = canonical_points(3, 8)[np.sort(idx)]
+    rows = np.arange(len(mat))
+    p = rng.choice(len(mat), 10, replace=False)
+    r = np.stack([rows[rows != i] for i in p])
+    scaled = mat.copy()
+    scaled[p] = gf8.mul_vec(mat[p], rng.integers(1, 8, size=(10, 1)))
+    assert not np.array_equal(scaled[p], mat[p])
+    assert np.array_equal(space.secant_keys(scaled, p, r),
+                          space.secant_keys(mat, p, r))
+
+
 # ---------------------------------------------------------------------------
 # point sets
 
