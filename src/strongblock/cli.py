@@ -58,6 +58,20 @@ def _construct(args):
     return report, strong.union_subgeometries(rg, res.alphas)
 
 
+def _minimality(G):
+    """(verdict, fields) of the minimality check of code G, from one support
+    profile: the verdict of `check_minimal`, and the report fields that
+    `pipeline` and `check-minimal` share, the weight distribution and any
+    witness."""
+    prof = codes.support_profiles(G)
+    mv = codes.check_minimal(G, profile=prof)
+    dist = codes.weight_distribution(G, profile=prof)
+    fields = {"weight_distribution": {str(w): c for w, c in dist.items()}}
+    if mv.witness is not None:
+        fields["witness"] = [_elems(G.field, w) for w in mv.witness]
+    return mv, fields
+
+
 def cmd_pipeline(args):
     report, S = _construct(args)
     if S is None:
@@ -71,17 +85,9 @@ def cmd_pipeline(args):
     if sv.witness is not None:
         report["strong"]["witness"] = _elems(S.space.field, sv.witness)
     G = codes.generator_from_points(S)
-    prof = codes.support_profiles(G)
-    mv = codes.check_minimal(G, profile=prof)
-    report["code"] = {
-        "parameters": [G.n, G.k],
-        "field_order": G.field.order,
-        "minimal": mv.status,
-        "weight_distribution": {str(w): c for w, c in
-                                codes.weight_distribution(G, profile=prof).items()},
-    }
-    if mv.witness is not None:
-        report["code"]["witness"] = [_elems(G.field, w) for w in mv.witness]
+    mv, minimality = _minimality(G)
+    report["code"] = {"parameters": [G.n, G.k], "field_order": G.field.order,
+                      "minimal": mv.status, **minimality}
     if args.points_out:
         S.save(args.points_out)
         report["points_file"] = args.points_out
@@ -170,21 +176,11 @@ def cmd_check_minimal(args):
     G = codes.import_code(args.input)
     if G.k < 2:  # the message space PG(k-1, Q) needs k >= 2
         raise ValueError("%s: k must be at least 2" % args.input)
-    prof = codes.support_profiles(G)
-    mv = codes.check_minimal(G, profile=prof)
-    report = {
-        "command": "check-minimal",
-        "input": args.input,
-        "field": G.field.meta(),
-        "parameters": [G.n, G.k],
-        "classes": prof.class_count,
-        "status": mv.status,
-        "weight_distribution": {str(w): c for w, c in
-                                codes.weight_distribution(G, profile=prof).items()},
-    }
-    if mv.witness is not None:
-        report["witness"] = [_elems(G.field, w) for w in mv.witness]
-    _emit(report, args)
+    mv, minimality = _minimality(G)
+    _emit({"command": "check-minimal", "input": args.input,
+           "field": G.field.meta(), "parameters": [G.n, G.k],
+           "classes": G.message_space().num_points, "status": mv.status,
+           **minimality}, args)
     return 0 if mv.status == "minimal" else 2
 
 

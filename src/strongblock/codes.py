@@ -7,7 +7,8 @@ inverts them into a zero-set index, one bitset per column of the classes
 that vanish there, since supp(a) <= supp(b) iff Z(b) <= Z(a).  A proper
 containment needs |Z(a)| > |Z(b)|, so with the classes ranked by |Z| the
 AND of b's zero set runs over the classes with larger zero sets only, and
-one sort of the support rows finds the equal supports.
+one sort of the support rows finds the equal supports.  A witness support
+is re-checked as the columns off the mask of `ProjectiveSpace.section`.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def check_minimal(G: GeneratorMatrix, profile=None):
     classes and nothing when every zero set has one size, instead of the
     C^2 x n/8 of comparing all pairs.  The witness is the first flagged
     class in stable weight order with its lowest-index container, and is
-    re-checked by scalar evaluation of both codewords.
+    re-checked by the incidence masks of `_recheck_witness`.
     """
     prof = profile if profile is not None else support_profiles(G)
     C, S = prof.class_count, prof.supports
@@ -248,12 +249,12 @@ def _contained(prof):
 
 
 def _recheck_witness(G, contained, container):
-    """Scalar re-evaluation of a minimality witness, off the bitset path."""
+    """Re-evaluation of a minimality witness off the bitset path: a
+    message's support is the columns off its hyperplane's section mask."""
     space = G.message_space()
-    cols = [tuple(int(c) for c in col) for col in G.entries.T]
-    sa, sb = ({j for j, col in enumerate(cols) if space.dot(msg, col)}
+    sa, sb = (~space.section(G.entries.T, msg)
               for msg in (contained, container))
-    if (not sa or not sa <= sb
+    if (not sa.any() or (sa & ~sb).any()
             or space.normalize(contained) == space.normalize(container)):
         raise AssertionError("minimality witness re-check failed")
 

@@ -6,9 +6,9 @@ With this encoding, multiplication is index addition and addition is a Zech
 table lookup.  The exp/log/zech tables are int32 (the order is capped at
 DEFAULT_ORDER_CAP = 2^25, so every code fits) and come from one
 block-doubling builder for every p and m, made of table gathers only.  It
-works TABLE_BLOCK = 2^14 cells at a time, as many as CHUNK_CELLS, the
-largest lookup table of a doubling step, so each temporary holds at most
-128 KiB of int64 and stays in cache: the build of GF(3^12) peaks 0.57 MiB
+works TABLE_BLOCK = 2^14 cells at a time, and no lookup table of a
+doubling step holds more, so each temporary holds at most 128 KiB of
+int64 and stays in cache: the build of GF(3^12) peaks 0.57 MiB
 above its tables, where 2^16-cell blocks took 1.2 MiB and were no faster.  A
 field with at most DENSE_CELLS code pairs (every order up to 512, which
 covers the PG(3, q^3) scans for q <= 8) also holds dense order x order
@@ -33,8 +33,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 1 << 25
-TABLE_BLOCK = 1 << 14  # table cells per vectorized step of a table build
-CHUNK_CELLS = 1 << 14  # largest lookup table of one doubling step
+TABLE_BLOCK = 1 << 14  # cells per table-build step and per chunk table
 DENSE_CELLS = 1 << 18  # largest order^2 with dense add/mul tables (GF(512))
 
 # The smallest primitive modulus (as `_smallest_primitive_poly` returns it,
@@ -287,16 +286,16 @@ def _times_g_to_the_b(mat, p, count):
 
     The map is GF(p)-linear on the digits.  Split into c chunks of h
     digits, each chunk value has its image in a table of p^h entries (at
-    most CHUNK_CELLS, and at most `count` past one digit, so that small
+    most TABLE_BLOCK, and at most `count` past one digit, so that small
     steps build small tables), and a block costs c gathers.  For p = 2 the
     packed images combine by XOR.  For odd p they are stored in base
     b = c(p-1)+1, where c digits below p add without carries, with one
-    accumulator per group of w digits, b^w <= CHUNK_CELLS (or w = 1), so no
+    accumulator per group of w digits, b^w <= TABLE_BLOCK (or w = 1), so no
     sum leaves int32; a gather from a b^w-entry table reduces the group's
     digits mod p and repacks them in base p.
     """
     m = len(mat)
-    c = -(-m // max(1, _ilog(min(CHUNK_CELLS, count), p)))
+    c = -(-m // max(1, _ilog(min(TABLE_BLOCK, count), p)))
     h = -(-m // c)  # chunks of (nearly) equal width
     chunks = [mat[t:t + h] for t in range(0, m, h)]
     if p == 2:  # a chunk table doubles with each bit: T[v + 2^j] = T[v] ^ I_j
@@ -318,7 +317,7 @@ def _times_g_to_the_b(mat, p, count):
     images = [digits[:p ** len(rows), :len(rows)] @ rows % p
               for rows in chunks]
     base = c * (p - 1) + 1
-    w = max(1, _ilog(CHUNK_CELLS, base))
+    w = max(1, _ilog(TABLE_BLOCK, base))
     groups = [(g, min(g + w, m)) for g in range(0, m, w)]
     digit = np.arange(base) % p
     reduce = []
@@ -359,10 +358,10 @@ def _build_tables(poly, p, m):
     1990): exp[B:2B] = exp[0:B] * g^B, applied to TABLE_BLOCK entries at a
     time by `_times_g_to_the_b`, or for m = 1 as a product mod p (below
     2^50).  log and zech are filled TABLE_BLOCK entries at a time too, so
-    no full-size temporary is formed.  TABLE_BLOCK = 2^14 = CHUNK_CELLS
-    keeps each block's temporaries at 128 KiB of int64 at most, within
-    the working-set rule of `geometry`'s batched kernels; smaller blocks
-    are no faster, and larger ones only raise the peak.
+    no full-size temporary is formed.  TABLE_BLOCK = 2^14, the chunk table
+    cap too, keeps each block's temporaries at 128 KiB of int64 at most,
+    within the working-set rule of `geometry`'s batched kernels; smaller
+    blocks are no faster, and larger ones only raise the peak.
     """
     order = p ** m
 

@@ -19,11 +19,12 @@ scan's secant lines.  `rank_stack` ranks a stack of equal-size hyperplane
 sections in one batched elimination; the scalar `rank` is its independent
 oracle.  Six more facts of the scans have one home here: `check_scan`
 refuses a space past SCAN_BUDGET hyperplanes before a scan allocates;
-`section` finds the points on a witness hyperplane by polynomial digits,
-off every table the scans add with; `canonical_points` decodes the
-canonical order over any base (the R-tuples of `partition` too) and
-`leads` reads leading positions off indices; `hyperplane_counts` counts
-the points on every hyperplane; `secant_keys` keys the lines through a point.
+`section` masks the points on a hyperplane by polynomial digits, off
+every addition table, for every witness re-check; `canonical_points`
+decodes the canonical order over any base (the R-tuples of `partition`
+too) and `leads` reads leading positions off indices; `hyperplane_counts`
+counts the points on every hyperplane; `secant_keys` keys the lines
+through a point.
 
 Every batched kernel follows one working-set rule: each batch holds about
 MARK_BATCH = 2^15 field values per temporary array (256 KiB of int64),
@@ -202,15 +203,15 @@ class ProjectiveSpace:
         return self.dot(point, hyperplane) == 0
 
     def section(self, points, dual):
-        """The points, as tuples, on the hyperplane `dual`, found by
-        polynomial digits: the re-check of every scan witness, off the
-        batched paths.
+        """Bool mask of the points on the hyperplane `dual`, found by
+        polynomial digits: the one incidence evaluation of every witness
+        re-check, off the batched paths.
 
         Each product x_i u_i is an exponent addition looked up in `exp`,
         which packs its m base-p digits, and a point lies on the hyperplane
         iff every digit of sum_i x_i u_i, the sum of the products' digits,
-        is 0 mod p.  No Zech or dense table and no `add_vec` is read, so the
-        re-check shares no addition with any scan kernel.
+        is 0 mod p.  No Zech or dense table and no `add_vec` or `Field.add`
+        is read: no re-check shares an addition with what it re-checks.
         """
         f = self.field
         u = np.asarray(dual, dtype=np.int64)
@@ -218,7 +219,7 @@ class ProjectiveSpace:
         if u.shape != (self.k,):
             raise DimensionMismatch("expected %d coordinates" % self.k)
         if x.size == 0:
-            return []
+            return np.zeros(0, dtype=bool)
         if x.ndim != 2 or x.shape[1] != self.k:
             raise DimensionMismatch("expected %d coordinates" % self.k)
         packed = np.where((x == 0) | (u == 0), 0,
@@ -227,7 +228,7 @@ class ProjectiveSpace:
         for _ in range(f.m):
             packed, digit = np.divmod(packed, f.p)
             on &= digit.sum(axis=1) % f.p == 0
-        return [tuple(row) for row in x[on].tolist()]
+        return on
 
     def dot_block(self, duals, pts):
         """(A, B) code matrix of dual-form values for A duals and B points.
@@ -514,13 +515,17 @@ class PointSet:
         if any(isinstance(row, list) and len(row) != n + 1 for row in rows):
             raise ValueError("%s: every point needs n + 1 = %d coordinates"
                              % (where, n + 1))
-        ps = PointSet(space, parse_rows(f, rows, where))
-        if "labels" in doc:
+        rows = parse_rows(f, rows, where)
+        ps = PointSet(space, rows)
+        if "labels" in doc:  # a key indexes the file's rows, repeats and all
             for key, tag in json_fields(doc, where, labels=dict)[0].items():
-                if not (key.isdigit() and int(key) < len(ps)):
+                if not (key.isdigit() and int(key) < len(rows)):
                     raise ValueError("%s: label key %r is not a point index"
                                      % (where, key))
-                ps.labels[ps.points[int(key)]] = tag
+                pt = space.normalize(rows[int(key)])
+                if ps.labels.setdefault(pt, tag) != tag:
+                    raise ValueError("%s: rows of one point carry the labels "
+                                     "%r and %r" % (where, ps.labels[pt], tag))
         return ps
 
     def save(self, path):

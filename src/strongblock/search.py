@@ -24,9 +24,9 @@ B(k,q).  A tuple with more entries than R* has cosets is never independent
 `mark_lines_through`, which checks the scan budget
 (`ProjectiveSpace.check_scan`) and marks the hyperplanes through each point
 (`ProjectiveSpace.pencils`); `strong.verify_blocking` takes the lowest-index
-survivor.  Each witness is re-checked off its own path: incidences by
-polynomial digits (`ProjectiveSpace.section`) for a hyperplane, the
-exhaustive `is_r_independent` for a tuple.  The batched passes,
+survivor.  Each witness is re-checked off its own path: by the mask of
+`ProjectiveSpace.section` for a hyperplane missing B and for a relation's
+rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
 `free_cosets` and the pencils, hold about MARK_BATCH values per array, one
 per lookup or incidence.  The weight-1 line statistics key the lines
 through a point by `ProjectiveSpace.secant_keys`, as the strong scan does.
@@ -69,14 +69,6 @@ class SearchResult:
     certification: str
 
 
-def _relation_value(rg: RGroup, alphas, rhos):
-    f = rg.field
-    acc = 0
-    for a, rho in zip(alphas, rhos):
-        acc = f.add(acc, f.mul(a, rho))
-    return acc
-
-
 def is_r_independent(alphas, rg: RGroup):
     """Decide whether the given nonzero field elements are R-independent.
 
@@ -89,7 +81,9 @@ def is_r_independent(alphas, rg: RGroup):
     R-points of PG(m-2, .) (1,042 at q = 3, m = 3) instead of those of
     PG(m-1, .), and since each prefix admits at most one rho_m, the first
     hit in prefix order is the first relation in canonical order.  Raises
-    BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.
+    BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.  A
+    relation is re-checked as the point rhos on the hyperplane alphas of
+    PG(m-1, Q), which the budget keeps under 2^63 points.
     """
     alphas = tuple(int(a) for a in alphas)
     m = len(alphas)
@@ -108,8 +102,8 @@ def is_r_independent(alphas, rg: RGroup):
         s = int(acc[hits[0]])
         rho_m = f.div(f.neg(s), last) if s else 0
         rhos = tuple(int(c) for c in mat[hits[0]]) + (rho_m,)
-        if (_relation_value(rg, alphas, rhos) != 0
-                or not np.all(rg.in_r(rhos))):
+        on = ProjectiveSpace(f, m - 1).section([rhos], alphas)
+        if not on[0] or not np.all(rg.in_r(rhos)):
             raise AssertionError("R-relation re-check failed")
         return IndependenceVerdict("dependent", rhos)
     return IndependenceVerdict("independent", None)
@@ -198,7 +192,7 @@ def blocking_status(bset: BSet):
     """
     space = bset.space
     _index, dual = _first_free_tuple(bset.rgroup, space.k)
-    if dual is not None and space.section(bset.matrix, dual):
+    if dual is not None and space.section(bset.matrix, dual).any():
         raise AssertionError("witness line re-check failed")
     return BlockingVerdict("blocking" if dual is None else "not-blocking", dual,
                            "coset-quotient", lines_scanned=space.num_points)

@@ -23,16 +23,15 @@ MARK_BATCH and doubles, and ranked in stacks of equal size with
 `ProjectiveSpace.rank_stack`, over the k-1 coordinates that remain when
 each hyperplane's leading one (`ProjectiveSpace.leads`) is dropped.  On
 either path the witness is the lowest-index hyperplane whose section
-falls short, and is re-checked off the scan path with
-`ProjectiveSpace.section` (polynomial digits, no Zech or dense table) and
-the scalar `rank`.  Both paths hold about MARK_BATCH field values per
-temporary array, the one working-set rule of `geometry`.  Plain blocking
-needs no sections: it marks the hyperplanes through each point
-(`search.mark_lines_through`), and the first unmarked one is the same
-lowest-index witness, returned as the same `StrongVerdict` through the
-same re-check.  Both scans refuse a space of more than
-`geometry.SCAN_BUDGET` hyperplanes with BudgetExceeded, from
-`ProjectiveSpace.check_scan`, before they allocate.
+falls short, and is re-checked off the scan path with the mask of
+`ProjectiveSpace.section` (no addition table) and the scalar `rank`.
+Both paths hold about MARK_BATCH field values per temporary array, the
+one working-set rule of `geometry`.  Plain blocking needs no sections: it
+marks the hyperplanes through each point (`search.mark_lines_through`),
+and the first unmarked one is the same lowest-index witness, returned as
+the same `StrongVerdict` through the same re-check.  Both scans refuse a
+space of more than `geometry.SCAN_BUDGET` hyperplanes with
+BudgetExceeded, from `ProjectiveSpace.check_scan`, before they allocate.
 """
 
 from __future__ import annotations
@@ -173,13 +172,14 @@ def _section_ranks(space, mat, lo, indptr, members):
 def _recheck_witness(point_set, index, empty):
     """Verdict for the failing hyperplane `index`, whose section a scan found
     `empty` (unmarked, or with no rows) or short of rank k-1, re-derived off
-    the scan path: the digit incidences of `ProjectiveSpace.section` with
-    every point, then the scalar rank."""
+    the scan path: the mask of `ProjectiveSpace.section`, then the scalar
+    rank of a nonempty section's rows."""
     space = point_set.space
     dual = space.point_at(index)
-    section = space.section(point_set.points, dual)
-    rank = space.rank(section, space.k - 1)
-    if rank >= space.k - 1 or (not section) != empty:
+    mat = point_set.matrix()
+    on = space.section(mat, dual)
+    rank = 0 if empty else space.rank(mat[on].tolist(), space.k - 1)
+    if rank >= space.k - 1 or on.any() == empty:
         raise AssertionError("strong witness re-check failed")
     return StrongVerdict("not-blocking" if empty else "not-strong", dual, rank,
                          index + 1)

@@ -414,7 +414,8 @@ def test_table_build_peak_memory():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_doubling_tables_with_small_blocks(monkeypatch, block):
-    # steps of one cell, and blocks that split every doubling step
+    # steps of one cell, and blocks that split every doubling step; the
+    # chunk tables shrink with TABLE_BLOCK, to one digit at block 1
     monkeypatch.setattr(field_mod, "TABLE_BLOCK", block)
     for p, m in ((2, 9), (3, 5), (5, 3)):
         assert_tables_match_loop(p, m)

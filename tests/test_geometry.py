@@ -287,13 +287,13 @@ def test_section_matches_scalar_incidences(p, m, n):
             continue
         dual = tuple(int(c) for c in dual)
         pts = points_with_zeros(space, dual, rng, 60)
-        expected = [pt for pt in pts if space.incidence(pt, dual)]
-        assert space.section(pts, dual) == expected
-        assert space.section(np.asarray(pts), dual) == expected
-        hits += len(expected)
+        expected = np.array([space.incidence(pt, dual) for pt in pts])
+        assert np.array_equal(space.section(pts, dual), expected)
+        assert np.array_equal(space.section(np.asarray(pts), dual), expected)
+        hits += int(expected.sum())  # incident points, not points tried
     assert hits >= 200
     ones = (1,) * space.k
-    assert space.section([], ones) == []
+    assert space.section([], ones).shape == (0,)
     for wrong in (ones + (1,), ones[:-1]):
         with pytest.raises(DimensionMismatch):
             space.section(pts, wrong)
@@ -757,6 +757,24 @@ def test_pointset_json_roundtrip(tmp_path):
     assert back.points == ps.points
     assert back.labels == ps.labels
     assert back.space.field.meta() == space.field.meta()
+
+
+def test_pointset_labels_index_the_file_rows():
+    # rows (1,0,0), (g,0,0), (0,1,0): the first two are one point, and the
+    # keys still name the rows they were written against
+    space = ProjectiveSpace(Field.build(2, 2), 2)
+    doc = PointSet(space, []).to_json()
+    doc["points"] = [["g^0", "0", "0"], ["g^1", "0", "0"], ["0", "g^0", "0"]]
+    doc["labels"] = {"0": "b", "1": "b", "2": "c"}
+    ps = PointSet.from_json(doc)
+    assert ps.points == [(1, 0, 0), (0, 1, 0)]
+    assert ps.labels == {(1, 0, 0): "b", (0, 1, 0): "c"}
+    doc["labels"] = {"0": "a", "1": "b"}  # one point, two tags
+    with pytest.raises(ValueError, match="carry the labels 'a' and 'b'"):
+        PointSet.from_json(doc)
+    doc["labels"] = {"3": "past the last row"}
+    with pytest.raises(ValueError, match="not a point index"):
+        PointSet.from_json(doc)
 
 
 SPACE22 = ProjectiveSpace(Field.build(2, 2), 2)

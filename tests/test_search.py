@@ -6,12 +6,14 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 
 import numpy as np
 import pytest
 
 import strongblock
 
+from strongblock import field as field_mod
 from strongblock import geometry, search
 from strongblock.errors import BudgetExceeded
 from strongblock.field import Field
@@ -156,6 +158,31 @@ def test_relation_recheck_needs_r_coefficients(rg24, monkeypatch):
                         lambda rg, n: np.array([[2]], dtype=np.int64))
     with pytest.raises(AssertionError, match="R-relation re-check failed"):
         is_r_independent((rg24.field.one, 2), rg24)
+
+
+def test_relation_space_fits_int64_indices():
+    # is_r_independent re-checks a relation in PG(m-1, Q): for every (q, k)
+    # that build_rgroup builds, the largest m whose prefixes r_tuple_matrix
+    # admits leaves that space under the 2^63 points ProjectiveSpace allows
+    cap = field_mod.DEFAULT_ORDER_CAP
+    spaces = 0
+    for q in range(2, field_mod.iroot(cap, 6) + 1):
+        if len(field_mod.factor(q)) > 1:
+            continue
+        k = 3
+        while q ** (k * (k - 1)) <= cap:
+            r = (q ** (k - 1) - 1) * (q ** k - 1) // (q - 1)
+            # m: the longest tuple, m - 1 prefix coordinates admitted, m not
+            m = 2
+            while (r + 1) ** m - 1 <= geometry.SCAN_BUDGET * r:
+                m += 1
+            with pytest.raises(BudgetExceeded):
+                r_tuple_matrix(types.SimpleNamespace(r=r), m)
+            assert geometry._block_offsets(m - 1, q ** (k * (k - 1)))[-1] \
+                < 1 << 63, (q, k, m)
+            spaces += 1
+            k += 1
+    assert spaces == 15
 
 
 def test_scaling_invariance_of_independence(rg24):
@@ -395,6 +422,7 @@ RECHECK_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
     from strongblock import search
+    from strongblock.geometry import ProjectiveSpace
     from strongblock.partition import build_bset, build_rgroup
 
     def expect_error(name, call):
@@ -408,10 +436,12 @@ RECHECK_SCRIPT = textwrap.dedent("""
     print("optimize", sys.flags.optimize)
     rg23, rg24 = build_rgroup(2, 3), build_rgroup(2, 4)
     one = rg23.field.one
-    real_relation = search._relation_value
-    search._relation_value = lambda rg, alphas, rhos: 1
+    # a forged kernel puts no point on any hyperplane
+    real_section = ProjectiveSpace.section
+    ProjectiveSpace.section = lambda self, points, dual: np.zeros(
+        len(points), dtype=bool)
     expect_error("relation", lambda: search.is_r_independent((one, one), rg23))
-    search._relation_value = real_relation
+    ProjectiveSpace.section = real_section
     # a forged quotient calls every coset pair free: its first witness,
     # (1, 1, 1), meets B and is dependent
     search.free_cosets = (
