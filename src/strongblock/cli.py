@@ -21,12 +21,16 @@ SCHEMA = 1
 
 def _emit(doc, args):
     doc["schema"] = SCHEMA
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
+
+
+def _write(text, args):
+    """Every report's one writer: to the --out file if given, else stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _elems(field, codes_seq):
@@ -165,9 +169,9 @@ def cmd_verify(args):
 def cmd_export_code(args):
     ps = PointSet.load(args.input)
     G = codes.generator_from_points(ps)
-    codes.export_code(G, args.output, args.format)
+    codes.export_code(G, args.output)
     _emit({"command": "export-code", "input": args.input,
-           "output": args.output, "format": args.format,
+           "output": args.output, "format": codes.code_format(args.output),
            "parameters": [G.n, G.k], "field": G.field.meta()}, args)
     return 0
 
@@ -212,11 +216,11 @@ def cmd_bounds(args):
         })
         all_ok = all_ok and rep.certified
     if args.format == "text":
-        for row in rows:
-            print("q=%-5d p=%-3d h=%-2d |B|=%d  %s" % (
-                row["q"], row["p"], row["h"], row["bset_size"],
-                "certified" if row["certified"]
-                else "NOT certified (e=%r)" % row["inconclusive_e"]))
+        _write("".join("q=%-5d p=%-3d h=%-2d |B|=%d  %s\n" % (
+            row["q"], row["p"], row["h"], row["bset_size"],
+            "certified" if row["certified"]
+            else "NOT certified (e=%r)" % row["inconclusive_e"])
+            for row in rows), args)
     else:
         _emit({"command": "bounds", "q_range": [lo, hi], "rows": rows}, args)
     return 0 if all_ok else 2
@@ -269,8 +273,7 @@ def build_parser():
 
     p = sub.add_parser("export-code", parents=[source, out],
                        help="points file -> generator matrix")
-    p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--output", required=True, help="JSON if *.json, else text")
     p.set_defaults(func=cmd_export_code)
 
     p = sub.add_parser("check-minimal", parents=[source, out],

@@ -9,6 +9,8 @@ containment needs |Z(a)| > |Z(b)|, so with the classes ranked by |Z| the
 AND of b's zero set runs over the classes with larger zero sets only, and
 one sort of the support rows finds the equal supports.  A witness support
 is re-checked as the columns off the mask of `ProjectiveSpace.section`.
+A code file's name picks its format, for export and import alike
+(`code_format`), and `import_code` reads it through `read_file`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .geometry import (
     field_from_json,
     json_fields,
     parse_rows,
+    read_file,
 )
 
 # the most codeword classes `support_profiles` evaluates; read at call time
@@ -270,55 +273,55 @@ def weight_distribution(G: GeneratorMatrix, profile=None):
 # import/export
 
 
-def export_code(G: GeneratorMatrix, path, format="json"):
-    """Write the matrix so that import_code round-trips bit-exactly."""
+def code_format(path):
+    """The format of a code file: "json" for a ".json" name, else "text"."""
+    return "json" if str(path).endswith(".json") else "text"
+
+
+def export_code(G: GeneratorMatrix, path):
+    """Write the matrix in its `code_format`, so that import_code
+    round-trips it bit-exactly."""
     f = G.field
-    if format == "json":
-        doc = {
-            "field": f.meta(),
-            "k": G.k,
-            "n": G.n,
-            "entries": [[f.elem_str(int(c)) for c in row] for row in G.entries],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-    elif format == "text":
-        with open(path, "w") as fh:
+    with open(path, "w") as fh:
+        if code_format(path) == "json":
+            json.dump({"field": f.meta(), "k": G.k, "n": G.n,
+                       "entries": [[f.elem_str(int(c)) for c in row]
+                                   for row in G.entries]}, fh, indent=1)
+        else:
             header = [f.p, f.m, *f.modulus, G.k, G.n]
             fh.write(" ".join(str(v) for v in header) + "\n")
             for row in G.entries:
                 fh.write(" ".join(f.elem_str(int(c)) for c in row) + "\n")
-    else:
-        raise ValueError("unknown format %r" % (format,))
 
 
 def import_code(path):
-    """Read a matrix written by export_code, JSON when the path ends in
-    ".json" and text otherwise."""
-    with open(path) as fh:
-        if str(path).endswith(".json"):
-            meta, k, n, rows = json_fields(json.load(fh), path, field=dict,
-                                           k=int, n=int, entries=list)
-        else:
-            try:
-                head = [int(v) for v in fh.readline().split()]
-            except ValueError:  # a token that is not an integer
-                head = []
-            if len(head) < 2 or len(head) != head[1] + 5:
-                raise ValueError("%s: header must be p, m, the m+1 modulus "
-                                 "coefficients, k, n" % path)
-            meta = {"p": head[0], "m": head[1], "modulus": head[2:-2]}
-            k, n = head[-2:]
-            rows = None
-        if k < 1 or n < 1:
-            raise ValueError("%s: k and n must be positive" % path)
-        f = field_from_json(meta, path)
-        if rows is None:
-            rows = [line.split() for line in itertools.islice(fh, k)]
+    """Read a matrix written by export_code, in its `code_format`, through
+    `read_file`."""
+    return read_file(path, lambda fh: _parse_code(fh, code_format(path)))
+
+
+def _parse_code(fh, fmt):
+    if fmt == "json":
+        meta, k, n, rows = json_fields(json.load(fh), "code JSON", field=dict,
+                                       k=int, n=int, entries=list)
+    else:
+        try:
+            head = [int(v) for v in fh.readline().split()]
+        except ValueError:  # a token that is not an integer
+            head = []
+        if len(head) < 2 or len(head) != head[1] + 5:
+            raise ValueError("header must be p, m, the m+1 modulus "
+                             "coefficients, k, n")
+        meta = {"p": head[0], "m": head[1], "modulus": head[2:-2]}
+        k, n = head[-2:]
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be positive")
+    f = field_from_json(meta)
+    if fmt == "text":
+        rows = [line.split() for line in itertools.islice(fh, k)]
     if len(rows) != k:
-        raise ValueError("%s: expected %d code rows, found %d"
-                         % (path, k, len(rows)))
+        raise ValueError("expected %d code rows, found %d" % (k, len(rows)))
     if any(isinstance(row, list) and len(row) != n for row in rows):
-        raise ValueError("%s: every code row needs n = %d entries" % (path, n))
-    entries = np.asarray(parse_rows(f, rows, path), dtype=np.int64)
+        raise ValueError("every code row needs n = %d entries" % n)
+    entries = np.asarray(parse_rows(f, rows), dtype=np.int64)
     return GeneratorMatrix(field=f, k=k, n=n, entries=entries)

@@ -13,18 +13,19 @@ N (Q^n - 1)/(Q - 1) incidences instead of one dual form per point and
 hyperplane, and each incidence is solved for in closed form from the
 point's last nonzero coordinate, about one field addition apiece, with no
 dual form, normalization or index search; `dot_block` stays as its
-oracle.  `line_pencils` solves for the planes of PG(3, Q) through lines
-the same way, from each line's reduced echelon basis, for the strong
-scan's secant lines.  `rank_stack` ranks a stack of equal-size hyperplane
-sections in one batched elimination; the scalar `rank` is its independent
-oracle.  Six more facts of the scans have one home here: `check_scan`
-refuses a space past SCAN_BUDGET hyperplanes before a scan allocates;
-`section` masks the points on a hyperplane by polynomial digits, off
-every addition table, for every witness re-check; `canonical_points`
-decodes the canonical order over any base (the R-tuples of `partition`
-too) and `leads` reads leading positions off indices; `hyperplane_counts`
-counts the points on every hyperplane; `secant_keys` keys the lines
-through a point.
+oracle, and sums the prefix products of `search.is_r_independent`.
+`line_pencils` solves for the planes of PG(3, Q) through lines the same
+way, from each line's reduced echelon basis, for the strong scan's secant
+lines.  `rank_stack` ranks a stack of equal-size hyperplane sections in
+one batched elimination; the scalar `rank` is its independent oracle.
+Six more facts of the scans have one home here: `check_scan` refuses a
+space past SCAN_BUDGET hyperplanes before a scan allocates; `section`
+masks the points on a hyperplane by polynomial digits, off every
+addition table, for every witness re-check; `canonical_points` decodes
+the canonical order over any base (the R-tuples of `partition` too) and
+`leads` reads leading positions off indices; `hyperplane_counts` counts
+the points on every hyperplane; `secant_keys` keys the lines through a
+point.
 
 Every batched kernel follows one working-set rule: each batch holds about
 MARK_BATCH = 2^15 field values per temporary array (256 KiB of int64),
@@ -40,6 +41,9 @@ The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
 so each field kernel sweeps the long axis.  Callers on the hot path build
 their data with the long axis last, which makes that transpose a free view.
+
+Every input file is read by `read_file`, which names the path once in each
+fault its parser raises; `PointSet.load` and `codes.import_code` use it.
 """
 
 from __future__ import annotations
@@ -510,12 +514,12 @@ class PointSet:
     def from_json(doc):
         where = "points JSON"
         meta, n, rows = json_fields(doc, where, field=dict, n=int, points=list)
-        f = field_from_json(meta, where)
+        f = field_from_json(meta)
         space = ProjectiveSpace(f, n)  # refuses n < 1 before rows use it
         if any(isinstance(row, list) and len(row) != n + 1 for row in rows):
             raise ValueError("%s: every point needs n + 1 = %d coordinates"
                              % (where, n + 1))
-        rows = parse_rows(f, rows, where)
+        rows = parse_rows(f, rows)
         ps = PointSet(space, rows)
         if "labels" in doc:  # a key indexes the file's rows, repeats and all
             for key, tag in json_fields(doc, where, labels=dict)[0].items():
@@ -534,14 +538,8 @@ class PointSet:
 
     @staticmethod
     def load(path):
-        """The point set of a JSON file; a malformed one raises ValueError
-        naming the path, and a field that `Field.build` refuses its own
-        error, naming the path."""
-        with open(path) as fh:
-            try:
-                return PointSet.from_json(json.load(fh))
-            except (ValueError, StrongBlockError) as exc:
-                raise _named(exc, path) from None
+        """The point set of a JSON file, read by `read_file`."""
+        return read_file(path, lambda fh: PointSet.from_json(json.load(fh)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +548,17 @@ class PointSet:
 _JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
 
 
-def _named(exc, where):
-    """`exc` again with `where` before its message: a StrongBlockError keeps
-    its type, a ValueError (a JSON syntax error, say) is a plain one."""
-    kind = type(exc) if isinstance(exc, StrongBlockError) else ValueError
-    return kind("%s: %s" % (where, exc))
+def read_file(path, parse):
+    """`parse(fh)` of the file at `path`, opened as UTF-8 text, with the
+    path once before the message of each fault: a ValueError (a JSON syntax
+    error or a byte that is not UTF-8 too) as a plain one, a
+    StrongBlockError (a field that `Field.build` refuses) of its own type."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except (ValueError, StrongBlockError) as exc:
+        kind = type(exc) if isinstance(exc, StrongBlockError) else ValueError
+        raise kind("%s: %s" % (path, exc)) from None
 
 
 def json_fields(doc, where, **kinds):
@@ -577,28 +581,18 @@ def json_fields(doc, where, **kinds):
     return values
 
 
-def field_from_json(meta, where):
+def field_from_json(meta):
     """The field of a `Field.meta()` description read from a file; what
-    `Field.build` refuses (a reducible or non-primitive modulus, a p that
-    is not prime, a field past the order cap) is raised naming `where`."""
-    p, m, modulus = json_fields(meta, "%s field" % where,
-                                p=int, m=int, modulus=list)
+    `Field.build` refuses (a reducible modulus, say) raises its own error."""
+    p, m, modulus = json_fields(meta, "field", p=int, m=int, modulus=list)
     if not all(isinstance(c, int) for c in modulus):
-        raise ValueError("%s: field modulus must be an array of integers"
-                         % where)
-    try:
-        return Field.build(p, m, tuple(modulus))
-    except (ValueError, StrongBlockError) as exc:
-        raise _named(exc, where) from None
+        raise ValueError("field modulus must be an array of integers")
+    return Field.build(p, m, tuple(modulus))
 
 
-def parse_rows(field, rows, where):
+def parse_rows(field, rows):
     """Field codes of rows of element strings ("0", "g^e")."""
     if not all(isinstance(row, list) and all(isinstance(s, str) for s in row)
                for row in rows):
-        raise ValueError("%s: rows must be arrays of field element strings"
-                         % where)
-    try:
-        return [[field.parse_elem(s) for s in row] for row in rows]
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (where, exc)) from None
+        raise ValueError("rows must be arrays of field element strings")
+    return [[field.parse_elem(s) for s in row] for row in rows]

@@ -81,9 +81,9 @@ def is_r_independent(alphas, rg: RGroup):
     R-points of PG(m-2, .) (1,042 at q = 3, m = 3) instead of those of
     PG(m-1, .), and since each prefix admits at most one rho_m, the first
     hit in prefix order is the first relation in canonical order.  Raises
-    BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.  A
-    relation is re-checked as the point rhos on the hyperplane alphas of
-    PG(m-1, Q), which the budget keeps under 2^63 points.
+    BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.  The
+    sums (one `dot_block` row) and a relation's re-check (rhos on the
+    hyperplane alphas) run in PG(m-1, Q), under 2^63 points by the budget.
     """
     alphas = tuple(int(a) for a in alphas)
     m = len(alphas)
@@ -93,16 +93,15 @@ def is_r_independent(alphas, rg: RGroup):
         raise ValueError("alphas must be nonzero")
     f = rg.field
     mat = r_tuple_matrix(rg, m - 1)
-    acc = np.zeros(mat.shape[0], dtype=np.int64)
-    for j in range(m - 1):
-        acc = f.add_vec(acc, f.mul_vec(mat[:, j], alphas[j]))
+    space = ProjectiveSpace(f, m - 1)
+    acc = space.dot_block([alphas[:-1]], mat)[0]
     last = alphas[-1]
     hits = np.flatnonzero((acc == 0) | ((acc - last) % rg.stride == 0))
     if hits.size:
         s = int(acc[hits[0]])
         rho_m = f.div(f.neg(s), last) if s else 0
         rhos = tuple(int(c) for c in mat[hits[0]]) + (rho_m,)
-        on = ProjectiveSpace(f, m - 1).section([rhos], alphas)
+        on = space.section([rhos], alphas)
         if not on[0] or not np.all(rg.in_r(rhos)):
             raise AssertionError("R-relation re-check failed")
         return IndependenceVerdict("dependent", rhos)

@@ -179,6 +179,22 @@ def test_verify_and_code_roundtrip(tmp_path, capsys):
     assert doc["classes"] == 21
 
 
+@pytest.mark.parametrize("name", ["code.json", "code.txt", "code.dat"])
+def test_export_then_check_minimal_for_any_name(name, tmp_path, capsys,
+                                                monkeypatch):
+    # the file name picks the format on both sides: a name that is not
+    # .json is written and read as text
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(GOLDEN / "points_q2_k3.json", tmp_path)
+    code, doc = run_json(capsys, ["export-code", "--input", "points_q2_k3.json",
+                                  "--output", name])
+    assert code == 0
+    assert doc["format"] == ("json" if name.endswith(".json") else "text")
+    code, doc = run_json(capsys, ["check-minimal", "--input", name])
+    assert code == 0 and doc["status"] == "minimal"
+    assert doc["parameters"] == [14, 3]
+
+
 def test_verify_rejects_weak_set(tmp_path, capsys):
     from strongblock.geometry import PointSet, ProjectiveSpace
     space = ProjectiveSpace(Field.build(2, 3), 3)
@@ -226,6 +242,16 @@ def test_bounds_text_format(capsys):
                              "text"])
     assert code == 0
     assert "q=7" in out and "certified" in out
+
+
+def test_bounds_text_format_writes_out_file(tmp_path, capsys):
+    # --out takes the text table as it takes every JSON report
+    argv = ["bounds", "--q-range", "7:13", "--format", "text"]
+    code, shown = run(capsys, argv)
+    out = tmp_path / "bounds.txt"
+    assert cli.main(argv + ["--out", str(out)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == shown
 
 
 def test_bounds_reversed_range_is_usage_error(capsys):
@@ -333,6 +359,21 @@ def test_malformed_inputs_exit_1_with_message(tmp_path):
             assert out.stderr.count(argv[-1]) == 1, out.stderr
         if argv[-1] in ("n0.json", "nminus1.json"):
             assert "projective dimension must be at least 1" in out.stderr
+
+
+def test_unreadable_code_files_name_the_path_once(tmp_path):
+    # a text export under a .json name is a JSON syntax error, and a byte
+    # that is not UTF-8 a decoding error: both come back naming the file
+    shutil.copy(GOLDEN / "points_q2_k3.json", tmp_path)
+    assert run_subprocess(["export-code", "--input", "points_q2_k3.json",
+                           "--output", "code.txt"], tmp_path).returncode == 0
+    (tmp_path / "code.txt").rename(tmp_path / "textcode.json")
+    (tmp_path / "latin1.txt").write_bytes(b"2 3 1 1 0 1 3 14\n\xe9\n")
+    for name in ("textcode.json", "latin1.txt"):
+        out = run_subprocess(["check-minimal", "--input", name], tmp_path)
+        assert out.returncode == 1, name
+        assert out.stderr.startswith("error: " + name + ": "), out.stderr
+        assert out.stderr.count(name) == 1, out.stderr
 
 
 def test_huge_field_and_ragged_code_rows_exit_1(tmp_path):

@@ -451,7 +451,7 @@ def test_budget(code45, monkeypatch):
 @pytest.mark.parametrize("format", ["json", "text"])
 def test_export_import_roundtrip(code45, tmp_path, format):
     path = tmp_path / ("code." + ("json" if format == "json" else "txt"))
-    export_code(code45, path, format)
+    export_code(code45, path)
     back = import_code(path)
     assert back == code45
     assert back.field.meta() == code45.field.meta()
@@ -460,7 +460,7 @@ def test_export_import_roundtrip(code45, tmp_path, format):
 @pytest.mark.parametrize("format", ["json", "text"])
 def test_import_rejects_ragged_rows(code45, tmp_path, format):
     path = tmp_path / ("code." + ("json" if format == "json" else "txt"))
-    export_code(code45, path, format)
+    export_code(code45, path)
     # drop the last entry of the first row
     if format == "json":
         doc = json.loads(path.read_text())
@@ -473,8 +473,3 @@ def test_import_rejects_ragged_rows(code45, tmp_path, format):
     with pytest.raises(ValueError, match="%s: every code row needs n = 45"
                        % re.escape(str(path))):
         import_code(path)
-
-
-def test_export_unknown_format(code45, tmp_path):
-    with pytest.raises(ValueError):
-        export_code(code45, tmp_path / "x", "csv")

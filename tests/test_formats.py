@@ -69,7 +69,7 @@ def test_code_export_import_roundtrip(tmp_path_factory, data, format):
     entries = int32_codes(data.draw, f, k, n)
     G = GeneratorMatrix(field=f, k=k, n=n, entries=entries)
     path = tmp_path_factory.getbasetemp() / ("code." + format)
-    export_code(G, path, format)
+    export_code(G, path)
     back = import_code(path)
     assert back == G
     assert back.field.meta() == f.meta()

@@ -255,3 +255,53 @@ def test_add_at_reference_is_reported():
                      "c.add.at(i)\n"
                      "# np.add.at in a comment\n")
     assert add_at_lines(tree) == [2, 3]
+
+
+def file_readers(tree):
+    """(line, function) of every `open` call in `tree` that may read: no
+    mode, a mode that is not a string literal, or one without "w", "a" or
+    "x"; the function is the innermost one around the call."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "open"
+                    or getattr(child.func, "attr", None) == "open"):
+                mode = child.args[1:2] + [kw.value for kw in child.keywords
+                                          if kw.arg == "mode"]
+                if not (mode and isinstance(mode[0], ast.Constant)
+                        and set("wax") & set(str(mode[0].value))):
+                    found.append((child.lineno, where))
+            visit(child, where)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_one_file_reader():
+    # every input file is read by `geometry.read_file`, which names the
+    # path once in each fault, so no loader can drop or double the name
+    readers = [(p.name, where) for p in SOURCES
+               for _, where in file_readers(ast.parse(p.read_text()))]
+    assert readers == [("geometry.py", "read_file")]
+
+
+def test_stray_file_reader_is_reported():
+    tree = ast.parse("def read_file(path, parse):\n"
+                     "    with open(path, encoding='utf-8') as fh:\n"
+                     "        return parse(fh)\n"
+                     "def save(path, mode):\n"
+                     "    open(path, 'w').write('x')\n"
+                     "    open(path, mode='a')\n"
+                     "    open(path, mode)\n"
+                     "def load(path):\n"
+                     "    def inner():\n"
+                     "        return path.open('rb')\n"
+                     "    return open(path, mode='r+'), inner\n"
+                     "data = open('x').read()\n")
+    assert file_readers(tree) == [(2, "read_file"), (7, "save"),
+                                  (10, "inner"), (11, "load"), (12, None)]
