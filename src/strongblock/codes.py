@@ -7,7 +7,7 @@ inverts them into a zero-set index, one bitset per column of the classes
 that vanish there, since supp(a) <= supp(b) iff Z(b) <= Z(a).  A proper
 containment needs |Z(a)| > |Z(b)|, so with the classes ranked by |Z| the
 AND of b's zero set runs over the classes with larger zero sets only, and
-one sort of the support rows finds the equal supports.  A witness support
+one exact key per support row finds the equal supports.  A witness support
 is re-checked as the columns off the mask of `ProjectiveSpace.section`.
 A code file's name picks its format, for export and import alike
 (`code_format`), and `import_code` reads it through `read_file`.
@@ -150,12 +150,13 @@ def check_minimal(G: GeneratorMatrix, profile=None):
     of the bitsets "classes that vanish at column j".  `_contained` takes
     that AND only over the classes with |Z(a)| > |Z(b)|, the only ones a
     different support can properly contain, and flags equal supports by one
-    sort.  That costs the sum over b of |Z(b)| x |{a : |Z(a)| > |Z(b)|}|/8
-    bytes, never more than the (zero incidences) x C/8 of ANDing over all
-    classes and nothing when every zero set has one size, instead of the
-    C^2 x n/8 of comparing all pairs.  The witness is the first flagged
-    class in stable weight order with its lowest-index container, and is
-    re-checked by the incidence masks of `_recheck_witness`.
+    exact key per support row.  That costs the sum over b of
+    |Z(b)| x |{a : |Z(a)| > |Z(b)|}|/8 bytes, never more than the
+    (zero incidences) x C/8 of ANDing over all classes and nothing when
+    every zero set has one size, instead of the C^2 x n/8 of comparing all
+    pairs.  The witness is the first flagged class in stable weight order
+    with its lowest-index container, and is re-checked by the incidence
+    masks of `_recheck_witness`.
     """
     prof = profile if profile is not None else support_profiles(G)
     C, S = prof.class_count, prof.supports
@@ -186,7 +187,8 @@ def _contained(prof):
     ranks with strictly larger zero sets only, rounded up to a byte; b's own
     bit is cleared where it falls inside, and any other class of the
     rounded byte is flagged only by an equal support, a containment too.
-    One sort of the support rows then flags every equal support.  The sizes
+    `_repeated_rows` flags every equal support, before the index is built,
+    so that its sorts and the index are never alive together.  The sizes
     are read off the first n bits of the supports, never off
     `prof.weights`, and every AND block stays within AND_BYTES, so no
     (C, n) or (C, width) array is formed.  An empty Z(b) contains every
@@ -197,6 +199,7 @@ def _contained(prof):
     S = prof.supports & np.packbits(
         np.arange(64 * prof.supports.shape[1]) < n,
         bitorder="little").view(np.uint64)
+    flagged = _repeated_rows(S)
     z = n - _ONES[S.view(np.uint8)].sum(axis=1, dtype=np.int64)
     rank = np.argsort(-z, kind="stable")
     # return_counts keeps np.unique off its numpy.ma import
@@ -237,18 +240,38 @@ def _contained(prof):
             own = r[r < 8 * pw]
             inside[own - r0, own >> 3] &= ~(1 << (own & 7)).astype(np.uint8)
             hits[:pw] |= np.bitwise_or.reduce(inside, axis=0)
-    flagged = np.zeros(C, dtype=bool)
-    flagged[rank[:8 * vwidth]] = np.unpackbits(
-        hits, count=min(C, 8 * vwidth), bitorder="little")
-    # equal supports are neighbours once the rows are sorted word by word
-    by_row = np.lexsort(S.T)
-    sorted_rows = S[by_row]
-    same = np.all(sorted_rows[1:] == sorted_rows[:-1], axis=1)
-    flagged[by_row[1:][same]] = flagged[by_row[:-1][same]] = True
+    flagged[rank[:8 * vwidth]] |= np.unpackbits(
+        hits, count=min(C, 8 * vwidth), bitorder="little").astype(bool)
     contained = np.packbits(flagged, bitorder="little")
     if sizes[0] == 0 and C % 8:
         contained[-1] |= 0xFF << C % 8 & 0xFF
     return contained
+
+
+def _repeated_rows(S):
+    """Bool mask of the rows of a (C, words) array that equal another row.
+
+    The rows fold into one exact key, word by word: the dense rank (below
+    C) of the rows so far, times C, plus the dense rank of the next word,
+    ranked again so that it never reaches C^2 (10^10 under
+    DEFAULT_CLASS_BUDGET).  Equal keys are equal rows.
+    """
+    key = _dense_rank(S[:, 0])
+    for word in S.T[1:]:
+        key = _dense_rank(key * len(S) + _dense_rank(word))
+    return np.bincount(key)[key] > 1
+
+
+def _dense_rank(x):
+    """int64 rank of each entry of the 1-D x among its distinct values, by
+    one unstable sort."""
+    order = np.argsort(x)
+    x = x[order]
+    ranks = np.zeros(x.size, dtype=np.int64)
+    np.cumsum(x[1:] != x[:-1], out=ranks[1:])
+    out = np.empty_like(ranks)
+    out[order] = ranks
+    return out
 
 
 def _recheck_witness(G, contained, container):

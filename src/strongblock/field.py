@@ -3,23 +3,30 @@
 Elements are integer codes: code 0 is the zero element, and code c in
 [1, order-1] denotes g^(c-1) where g is the root of the (primitive) modulus.
 With this encoding, multiplication is index addition and addition is a Zech
-table lookup.  The exp/log/zech tables are int32 (the order is capped at
-DEFAULT_ORDER_CAP = 2^25, so every code fits) and come from one
-block-doubling builder for every p and m, made of table gathers only.  It
-works TABLE_BLOCK = 2^14 cells at a time, and no lookup table of a
-doubling step holds more, so each temporary holds at most 128 KiB of
-int64 and stays in cache: the build of GF(3^12) peaks 0.57 MiB
-above its tables, where 2^16-cell blocks took 1.2 MiB and were no faster.  A
-field with at most DENSE_CELLS code pairs (every order up to 512, which
-covers the PG(3, q^3) scans for q <= 8) also holds dense order x order
-addition and multiplication tables, built once from the Zech kernels, so
-each vectorized add or mul is one table gather, with no zero case and no
-modular reduction; larger fields use the Zech kernels directly.  All
-operations come in scalar and numpy-vectorized flavours; scalar results
-are Python integers, vectorized ones int64 arrays.
+table lookup.  A field keeps two int32 tables, exp and zech (the order is
+capped at DEFAULT_ORDER_CAP = 2^25, so every code fits), from one
+block-doubling builder for every p and m, made of table gathers only.  The
+log that zech is built through is transient: the builder drops it and
+rebuilds exp by a second doubling pass, so at most two order-size tables
+are ever alive, and a field scatters its log from exp again only when
+something reads it.  The builder works TABLE_BLOCK = 2^14 cells at a
+time, and no lookup table of a doubling step holds more, so each
+temporary holds at most 128 KiB of int64 and stays in cache.  The build of
+GF(3^12) peaks (tracemalloc) 0.63 MiB above its two tables, at 4.68 MiB
+against the 6.66 MiB of holding exp, log and zech, and the second pass
+takes it from 0.028 s to 0.039 s.  A field with at most DENSE_CELLS code
+pairs (every order up to 512, which covers the PG(3, q^3) scans for
+q <= 8) also holds dense order x order addition and multiplication tables,
+built once from the Zech kernels, so each vectorized add or mul is one
+table gather, with no zero case and no modular reduction; larger fields
+use the Zech kernels directly.  All operations come in scalar and
+numpy-vectorized flavours; scalar results are Python integers, vectorized
+ones int64 arrays.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -319,13 +326,13 @@ def _times_g_to_the_b(mat, p, count):
     base = c * (p - 1) + 1
     w = max(1, _ilog(TABLE_BLOCK, base))
     groups = [(g, min(g + w, m)) for g in range(0, m, w)]
-    digit = np.arange(base) % p
+    digit = np.arange(base, dtype=np.int32) % p
     reduce = []
     for g, hi in groups:  # value at base-b digits d: sum (d_i % p) p^i
         red = np.zeros(1, dtype=np.int32)
         for i in range(g, hi):
             red = (digit[:, None] * p ** i + red).ravel()
-        reduce.append(red.astype(np.int32))
+        reduce.append(red)
     tables = [[(img[:, g:hi] @ base ** np.arange(hi - g)).astype(np.int32)
                for g, hi in groups] for img in images]
     unit = p ** h
@@ -347,31 +354,22 @@ def _times_g_to_the_b(mat, p, count):
     return step
 
 
-def _build_tables(poly, p, m):
-    """int32 (exp, log, zech) of GF(p^m) for the monic primitive `poly`:
-    exp[i] packs the digits of g^i, log[exp[i]] = i (log[0] = -1) and
-    zech[i] = log[1 + g^i].
+def _exp_table(poly, p, m):
+    """int32 exp of GF(p^m) for the monic primitive `poly`: exp[i] packs the
+    digits of g^i.
 
-    `Field.build` refuses an order past DEFAULT_ORDER_CAP before it gets
-    here; below the cap every code fits int32.  exp is built by block
-    doubling (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT
-    1990): exp[B:2B] = exp[0:B] * g^B, applied to TABLE_BLOCK entries at a
-    time by `_times_g_to_the_b`, or for m = 1 as a product mod p (below
-    2^50).  log and zech are filled TABLE_BLOCK entries at a time too, so
-    no full-size temporary is formed.  TABLE_BLOCK = 2^14, the chunk table
-    cap too, keeps each block's temporaries at 128 KiB of int64 at most,
-    within the working-set rule of `geometry`'s batched kernels; smaller
-    blocks are no faster, and larger ones only raise the peak.
+    Block doubling (Huber, "Some comments on Zech's logarithms", IEEE
+    Trans. IT 1990): exp[B:2B] = exp[0:B] * g^B, applied to TABLE_BLOCK
+    entries at a time by `_times_g_to_the_b`, or for m = 1 as a product
+    mod p (below 2^50).
     """
-    order = p ** m
-
     def times_x(d):
         lead = d[-1]
         return [(c - lead * a) % p for c, a in zip([0] + d[:-1], poly)]
 
-    exp = np.empty(order - 1, dtype=np.int32)
+    exp = np.empty(p ** m - 1, dtype=np.int32)
     exp[0] = 1
-    for b, count in _doubling_steps(order - 1):
+    for b, count in _doubling_steps(exp.size):
         image = times_x([int(exp[b - 1]) // p ** i % p for i in range(m)])
         if m == 1:
             step = lambda v, gb=image[0]: v.astype(np.int64) * gb % p
@@ -385,19 +383,48 @@ def _build_tables(poly, p, m):
         for lo in range(0, count, TABLE_BLOCK):
             v = exp[lo:min(lo + TABLE_BLOCK, count)]
             exp[b + lo:b + lo + v.size] = step(v)
-    log = np.full(order, -1, dtype=np.int32)
-    zech = np.empty(order - 1, dtype=np.int32)
-    for lo in range(0, order - 1, TABLE_BLOCK):
-        hi = min(lo + TABLE_BLOCK, order - 1)
+    return exp
+
+
+def _log_table(exp):
+    """int32 log with log[exp[i]] = i and log[0] = -1, scattered
+    TABLE_BLOCK entries at a time."""
+    log = np.full(exp.size + 1, -1, dtype=np.int32)
+    for lo in range(0, exp.size, TABLE_BLOCK):
+        hi = min(lo + TABLE_BLOCK, exp.size)
         np.put(log, exp[lo:hi], np.arange(lo, hi, dtype=np.int32))
-    for lo in range(0, order - 1, TABLE_BLOCK):
-        e = exp[lo:lo + TABLE_BLOCK]
+    return log
+
+
+def _build_tables(poly, p, m):
+    """int32 (exp, zech) of GF(p^m) for the monic primitive `poly`:
+    exp[i] packs the digits of g^i and zech[i] = log[1 + g^i].
+
+    `Field.build` refuses an order past DEFAULT_ORDER_CAP before it gets
+    here; below the cap every code fits int32.  At most two order-size
+    tables are alive at once: exp is built by `_exp_table`, log is
+    scattered from it by `_log_table`, zech is written over exp's own
+    buffer one block at a time (block i reads only its own exp cells and
+    log), log is dropped, and a second `_exp_table` pass rebuilds exp, the
+    one cost of the scheme (about 0.011 s of GF(3^12)'s 0.039 s).  Every
+    pass works TABLE_BLOCK entries at a time, so no full-size temporary is
+    formed.  TABLE_BLOCK = 2^14, the
+    chunk table cap too, keeps each block's temporaries at 128 KiB of int64
+    at most, within the working-set rule of `geometry`'s batched kernels;
+    smaller blocks are no faster, and larger ones only raise the peak.
+    """
+    zech = _exp_table(poly, p, m)
+    log = _log_table(zech)
+    for lo in range(0, zech.size, TABLE_BLOCK):
+        # exp cells still: only the blocks before this one hold zech
+        e = zech[lo:lo + TABLE_BLOCK]
         # 1 + g^i changes only the constant digit, mod p (e - e // p * p is
         # e % p, in the faster division by a constant)
         plus_one = e ^ 1 if p == 2 else e + np.where(e - e // p * p == p - 1,
                                                      1 - p, 1)
         zech[lo:lo + TABLE_BLOCK] = log.take(plus_one)
-    return exp, log, zech
+    del log
+    return _exp_table(poly, p, m), zech
 
 
 # ---------------------------------------------------------------------------
@@ -406,28 +433,29 @@ def _build_tables(poly, p, m):
 class Field:
     """Immutable handle for GF(p^m); safe for concurrent shared reads.
 
-    Its tables are read-only arrays: the int32 `exp`, `log` and `zech`
-    (exp[i] packs the digits of g^i in base p, log inverts it with
-    log[0] = -1, zech[i] = log[1 + g^i]), and for an order with
-    order^2 <= DENSE_CELLS also the int64 `add_tab` and `mul_tab`, the
-    codes of a + b and a * b at [a, b] (None for larger orders).
+    Its tables are read-only arrays.  Two are resident: the int32 `exp`
+    and `zech` (exp[i] packs the digits of g^i in base p,
+    zech[i] = log[1 + g^i]), and for an order with order^2 <= DENSE_CELLS
+    also the int64 `add_tab` and `mul_tab`, the codes of a + b and a * b
+    at [a, b] (None for larger orders).  The int32 `log` (log[exp[i]] = i,
+    log[0] = -1) is built from exp on its first read and kept: arithmetic
+    never reads it, so a big field whose log nothing reads never holds it.
     """
 
-    def __init__(self, p, m, modulus, exp, log, zech):
+    def __init__(self, p, m, modulus, exp, zech):
         self.p = p
         self.m = m
         self.order = p ** m
         self.group_order = self.order - 1
         self.modulus = tuple(modulus)
         self.exp = exp
-        self.log = log
         self.zech = zech
         self.add_tab = self.mul_tab = None
         if self.order ** 2 <= DENSE_CELLS:
             codes = np.arange(self.order, dtype=np.int64)
             self.add_tab = self._zech_add(codes[:, None], codes[None, :])
             self.mul_tab = self._zech_mul(codes[:, None], codes[None, :])
-        for table in (exp, log, zech, self.add_tab, self.mul_tab):
+        for table in (exp, zech, self.add_tab, self.mul_tab):
             if table is not None:
                 table.flags.writeable = False
         self.zero = 0
@@ -449,7 +477,7 @@ class Field:
         Nothing is cached: each call builds its own tables, and a caller
         that shares a field holds it.  An order past DEFAULT_ORDER_CAP is
         refused with FieldTooLarge before anything is allocated.  The
-        exp/log/zech tables are built by block doubling, a few vectorized
+        exp and zech tables are built by block doubling, a few vectorized
         gathers per entry instead of one Python step per element
         (`_build_tables`).
         """
@@ -482,6 +510,15 @@ class Field:
         else:
             modulus = _smallest_primitive_poly(p, m)
         return Field(p, m, modulus, *_build_tables(modulus, p, m))
+
+    @functools.cached_property
+    def log(self):
+        """The read-only int32 log, log[exp[i]] = i and log[0] = -1,
+        scattered from exp on the first read (`_log_table`) and then kept.
+        Two first reads at once may each build it; the tables are equal."""
+        log = _log_table(self.exp)
+        log.flags.writeable = False
+        return log
 
     # -- element codecs ----------------------------------------------------
 

@@ -260,12 +260,9 @@ def loop_contained(prof):
     return contained
 
 
-@pytest.mark.parametrize("and_bytes", [None, 1])
-def test_batched_containment_matches_per_class_loop(code45, gf8, monkeypatch,
-                                                    and_bytes):
-    # and_bytes = 1: every class is its own batch
-    if and_bytes is not None:
-        monkeypatch.setattr(codes_mod, "AND_BYTES", and_bytes)
+@pytest.fixture(scope="module")
+def containment_codes(code45, gf8):
+    """The codes the containment pass is checked on."""
     space = ProjectiveSpace(gf8, 3)
     line_plus_two = PointSet(space, space.line_through(
         (1, 0, 0, 0), (0, 1, 0, 0)) + [(0, 0, 1, 0), (0, 0, 0, 1)])
@@ -276,17 +273,25 @@ def test_batched_containment_matches_per_class_loop(code45, gf8, monkeypatch,
     picks = np.random.default_rng(64).choice(plane.num_points, 500,
                                              replace=False)
     random_plane = PointSet(plane, [plane.point_at(int(i)) for i in picks])
-    cases = [code45, generator_from_points(line_plus_two),
-             import_code(GOLDEN / "code_pair_pg3_8.json"),
-             import_code(GOLDEN / "code_zero_column_pg2_8.json"),
-             GeneratorMatrix(field=Field.build(2, 2), k=3, n=3,
-                             entries=np.eye(3, dtype=np.int64)),
-             generator_from_points(random_plane),
-             # 13 classes; (1, 1, 0) and (1, 2, 0) share the support {0, 1}
-             GeneratorMatrix(field=Field.build(3, 1), k=3, n=3,
-                             entries=np.eye(3, dtype=np.int64))]
+    return [code45, generator_from_points(line_plus_two),
+            import_code(GOLDEN / "code_pair_pg3_8.json"),
+            import_code(GOLDEN / "code_zero_column_pg2_8.json"),
+            GeneratorMatrix(field=Field.build(2, 2), k=3, n=3,
+                            entries=np.eye(3, dtype=np.int64)),
+            generator_from_points(random_plane),
+            # 13 classes; (1, 1, 0) and (1, 2, 0) share the support {0, 1}
+            GeneratorMatrix(field=Field.build(3, 1), k=3, n=3,
+                            entries=np.eye(3, dtype=np.int64))]
+
+
+@pytest.mark.parametrize("and_bytes", [None, 1])
+def test_batched_containment_matches_per_class_loop(containment_codes,
+                                                    monkeypatch, and_bytes):
+    # and_bytes = 1: every class is its own batch
+    if and_bytes is not None:
+        monkeypatch.setattr(codes_mod, "AND_BYTES", and_bytes)
     seen = set()
-    for G in cases:
+    for G in containment_codes:
         prof = support_profiles(G)
         assert np.array_equal(codes_mod._contained(prof), loop_contained(prof))
         got = check_minimal(G, profile=prof)
@@ -318,6 +323,43 @@ def test_batched_containment_matches_per_class_loop(code45, gf8, monkeypatch,
                     "equal supports above a smaller zero set",
                     "own bit in the rounded prefix",
                     "index past one build step"}
+
+
+def lexsort_repeated_rows(S):
+    """Reference equal-support flags: the rows sorted word by word by
+    `np.lexsort`, and each pair of equal neighbours flagged."""
+    by_row = np.lexsort(S.T)
+    sorted_rows = S[by_row]
+    same = np.all(sorted_rows[1:] == sorted_rows[:-1], axis=1)
+    flagged = np.zeros(len(S), dtype=bool)
+    flagged[by_row[1:][same]] = flagged[by_row[:-1][same]] = True
+    return flagged
+
+
+def test_repeated_rows_match_lexsort(containment_codes):
+    rng = np.random.default_rng(28)
+    seen = set()
+    for G in containment_codes:
+        S = support_profiles(G).supports
+        # forged: rows copied over others, then over a third of the rows
+        # one word copied from another row, equal rows and rows equal in
+        # one word only alike
+        copied = S.copy()
+        copied[rng.choice(len(S), len(S) // 3)] = S[rng.choice(len(S),
+                                                              len(S) // 3)]
+        word = copied.copy()
+        rows = rng.choice(len(S), len(S) // 3)
+        w = rng.integers(S.shape[1])
+        word[rows, w] = copied[rng.choice(len(S), rows.size), w]
+        for supports in (S, copied, word):
+            flagged = codes_mod._repeated_rows(supports)
+            assert np.array_equal(flagged, lexsort_repeated_rows(supports))
+            if flagged.any():
+                seen.add("equal supports")
+            if len(np.unique(supports[:, 0])) < len(np.unique(supports,
+                                                              axis=0)):
+                seen.add("rows equal in a word, unequal in another")
+    assert seen == {"equal supports", "rows equal in a word, unequal in another"}
 
 
 def test_containment_reads_the_first_n_bits_only(code45):

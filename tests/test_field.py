@@ -22,6 +22,9 @@ from strongblock.errors import (
 )
 from strongblock import field as field_mod
 from strongblock.field import Field, factor
+from strongblock.partition import build_rgroup
+from strongblock.search import find_independent_tuple
+from strongblock.strong import union_subgeometries
 
 
 class PolyModel:
@@ -346,11 +349,13 @@ def loop_tables_odd(poly, p, m):
 
 
 def assert_tables_match_loop(p, m):
+    # the builder's (exp, zech), and the log that a field scatters from exp
+    # on its first read
     poly = field_mod._smallest_primitive_poly(p, m)
-    got = field_mod._build_tables(poly, p, m)
-    want = (loop_tables_char2(poly, m) if p == 2
-            else loop_tables_odd(poly, p, m))
-    for a, b in zip(got, want):
+    exp, log, zech = (loop_tables_char2(poly, m) if p == 2
+                      else loop_tables_odd(poly, p, m))
+    got = field_mod._build_tables(poly, p, m) + (Field.build(p, m).log,)
+    for a, b in zip(got, (exp, zech, log)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -399,17 +404,33 @@ def test_tables_at_workload_sizes(p, m):
 
 
 def test_table_build_peak_memory():
-    # the build allocates its three tables plus block-sized temporaries:
-    # TABLE_BLOCK = 2^14 cells hold at most 128 KiB of int64 apiece
+    # the build holds at most two order-size tables at once, the transient
+    # log included, plus block-sized temporaries: TABLE_BLOCK = 2^14 cells
+    # hold at most 128 KiB of int64 apiece
     tracemalloc.start()
     try:
         f = Field.build(3, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table_bytes = f.exp.nbytes + f.log.nbytes + f.zech.nbytes
-    assert table_bytes == 3 * 4 * 3 ** 12 - 8
+    table_bytes = f.exp.nbytes + f.zech.nbytes
+    assert table_bytes == 2 * 4 * (3 ** 12 - 1)
     assert peak < table_bytes + (3 << 18)
+
+
+def test_pipeline_leaves_the_big_log_unbuilt():
+    # the search, the union and its coordinates read exp, zech and the
+    # subfield's log, never the log of GF(3^12)
+    rg = build_rgroup(3, 4)
+    res = find_independent_tuple(rg, 3, strategy="random", seed=1)
+    union_subgeometries(rg, res.alphas)
+    f = rg.field
+    assert "log" not in vars(f)
+    log = f.log
+    assert log.dtype == np.int32 and not log.flags.writeable
+    assert log[0] == -1
+    assert np.array_equal(log[f.exp], np.arange(f.group_order))
+    assert f.log is log
 
 
 @pytest.mark.parametrize("block", [1, 7])

@@ -3,8 +3,10 @@ no library module imports a private name of a sibling module or reads a
 private attribute of an object other than `self`, no library module
 holds an `assert` statement, which `python -O` strips: load-bearing checks
 are explicit raises, no library module calls a numpy function that the
-declared floor (numpy>=1.24) lacks, and every name that README.md quotes
-exists."""
+declared floor (numpy>=1.24) lacks, every name that README.md quotes
+exists, only `geometry` calls `np.add.at`, only `geometry.read_file`
+opens a file to read, and only `CoordinateMap.coords` reads a field's
+`log`, on its subfield."""
 
 import argparse
 import ast
@@ -257,28 +259,32 @@ def test_add_at_reference_is_reported():
     assert add_at_lines(tree) == [2, 3]
 
 
+def walk_in_functions(tree):
+    """(node, function) for every node of `tree`; the function is the name
+    of the innermost one around the node, None at module level."""
+    stack = [(tree, None)]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield child, where
+            stack.append((child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where))
+
+
 def file_readers(tree):
     """(line, function) of every `open` call in `tree` that may read: no
     mode, a mode that is not a string literal, or one without "w", "a" or
     "x"; the function is the innermost one around the call."""
     found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call) and (
-                    getattr(child.func, "id", None) == "open"
-                    or getattr(child.func, "attr", None) == "open"):
-                mode = child.args[1:2] + [kw.value for kw in child.keywords
-                                          if kw.arg == "mode"]
-                if not (mode and isinstance(mode[0], ast.Constant)
-                        and set("wax") & set(str(mode[0].value))):
-                    found.append((child.lineno, where))
-            visit(child, where)
-
-    visit(tree, None)
+    for node, where in walk_in_functions(tree):
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "open"
+                or getattr(node.func, "attr", None) == "open"):
+            mode = node.args[1:2] + [kw.value for kw in node.keywords
+                                     if kw.arg == "mode"]
+            if not (mode and isinstance(mode[0], ast.Constant)
+                    and set("wax") & set(str(mode[0].value))):
+                found.append((node.lineno, where))
     return sorted(found)
 
 
@@ -305,3 +311,37 @@ def test_stray_file_reader_is_reported():
                      "data = open('x').read()\n")
     assert file_readers(tree) == [(2, "read_file"), (7, "save"),
                                   (10, "inner"), (11, "load"), (12, None)]
+
+
+def log_reads(tree):
+    """(line, function, owner) of every read of a `.log` attribute in
+    `tree`, numpy's and math's aside; the function is the innermost one
+    around the read, and the owner is the source of what it is read from."""
+    return sorted(
+        (node.lineno, where, ast.unparse(node.value))
+        for node, where in walk_in_functions(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "log"
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in ("np", "numpy", "math")))
+
+
+def test_one_log_reader():
+    # arithmetic runs on exp and zech, and a field builds its log on the
+    # first read, so only the small subfield that `CoordinateMap.coords`
+    # reads may hold one: the big field of the pipeline never does
+    readers = [(p.name, where, owner) for p in SOURCES
+               for _, where, owner in log_reads(ast.parse(p.read_text()))]
+    assert readers == [("field.py", "coords", "self.sub")]
+
+
+def test_stray_log_read_is_reported():
+    tree = ast.parse("import math\nimport numpy as np\n"
+                     "def coords(self, packed):\n"
+                     "    return self.sub.log[packed]\n"
+                     "def relation(rg, x):\n"
+                     "    return rg.field.log[x], np.log(x), math.log(2)\n"
+                     "field.log = None\n"
+                     "table = field.log\n")
+    assert log_reads(tree) == [(4, "coords", "self.sub"),
+                               (6, "relation", "rg.field"), (8, None, "field")]
