@@ -341,9 +341,9 @@ def test_repeated_rows_match_lexsort(containment_codes):
     seen = set()
     for G in containment_codes:
         S = support_profiles(G).supports
-        # forged: rows copied over others, then over a third of the rows
-        # one word copied from another row, equal rows and rows equal in
-        # one word only alike
+        # forged: a third of the rows overwritten by copies of other rows,
+        # then one word of another third copied from random rows, which
+        # leaves rows that are equal in that word only
         copied = S.copy()
         copied[rng.choice(len(S), len(S) // 3)] = S[rng.choice(len(S),
                                                               len(S) // 3)]
