@@ -359,7 +359,8 @@ def test_repeated_rows_match_lexsort(containment_codes):
             if len(np.unique(supports[:, 0])) < len(np.unique(supports,
                                                               axis=0)):
                 seen.add("rows equal in a word, unequal in another")
-    assert seen == {"equal supports", "rows equal in a word, unequal in another"}
+    assert seen == {"equal supports",
+                    "rows equal in a word, unequal in another"}
 
 
 def test_containment_reads_the_first_n_bits_only(code45):
