@@ -35,9 +35,9 @@ from .geometry import (
 # the most codeword classes `support_profiles` evaluates; read at call time
 DEFAULT_CLASS_BUDGET = 10 ** 5
 # bytes per batched AND block of the minimality check, with the unpacked
-# zero sets of its classes: the block and one gathered operand stay within
-# a core's L2 cache
-AND_BYTES = 1 << 20
+# zero sets of its classes: the block and one gathered operand hold at most
+# 256 KiB apiece, the working-set rule of `geometry`'s batched kernels
+AND_BYTES = 1 << 19
 # set bits of each byte value
 _ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8)
@@ -103,9 +103,11 @@ def support_profiles(G: GeneratorMatrix):
 
     Class b vanishes at column j iff message hyperplane b passes through
     column j, so Z(b) is read off the pencils of the columns, 64 columns
-    (one support word) at a time.  `pencils` takes the columns as they are
-    (incidence is scale-invariant); a zero column, which lies on no pencil,
-    vanishes on every class.
+    (one support word, one uint64 vanish word per class) at a time: each
+    column's pencil sets its bit in the words of its hyperplanes, which
+    are distinct within one pencil.  `pencils` takes the columns as they
+    are (incidence is scale-invariant); a zero column, which lies on no
+    pencil, vanishes on every class.
     """
     space = G.message_space()
     C = space.num_points
@@ -116,18 +118,19 @@ def support_profiles(G: GeneratorMatrix):
     weights = np.zeros(C, dtype=np.int64)
     cols = G.entries.T
     zero = np.all(cols == 0, axis=1)
+    bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     for w in range(words):
         live = np.flatnonzero(~zero[64 * w:64 * w + 64])
         # zero columns and the padding past column n vanish everywhere
-        vanish = np.ones((C, 64), dtype=bool)
-        vanish[:, live] = False
+        vanish = np.full(C, ~np.bitwise_or.reduce(bit[live]))
         for rows, msgs in space.pencils(cols[64 * w + live]):
-            vanish[msgs, live[rows, None]] = True
-        # one bool array per word: the support bits are the vanish bits
-        # flipped, 0 for zero columns and padding
-        weights += 64 - np.count_nonzero(vanish, axis=1)
-        supports[:, w] = ~np.packbits(vanish, axis=1, bitorder="little").view(
-            np.uint64)[:, 0]
+            for row, hyperplanes in zip(rows.tolist(), msgs):
+                vanish[hyperplanes] |= bit[live[row]]
+        # the support bits are the vanish bits flipped, 0 for zero columns
+        # and padding
+        weights += 64 - _ONES[vanish.view(np.uint8)].reshape(C, 8).sum(
+            axis=1, dtype=np.int64)
+        supports[:, w] = ~vanish
     if np.any(weights == 0):
         raise RankDeficient("a nonzero message gives the zero codeword: "
                             "the generator matrix is not of full rank")
@@ -207,13 +210,14 @@ def _contained(prof):
     # larger[i]: the classes with |Z| > sizes[i], ranks 0 .. larger[i] - 1
     larger = C - np.cumsum(counts)
     # vanish[j]: bit r set iff class rank[r] vanishes at column j, over the
-    # ranks some container reads; built 512 bytes (4096 ranks) at a time
+    # ranks some container reads; built 128 bytes (1,024 ranks) at a time,
+    # so the unpacked block holds 1,024 n bytes
     vwidth = (int(larger[0]) + 7) // 8
     vanish = np.empty((n, vwidth), dtype=np.uint8)
-    for lo in range(0, vwidth, 512):
-        zero = np.unpackbits(~S[rank[8 * lo:8 * min(lo + 512, vwidth)]].view(
+    for lo in range(0, vwidth, 128):
+        zero = np.unpackbits(~S[rank[8 * lo:8 * min(lo + 128, vwidth)]].view(
             np.uint8), axis=1, count=n, bitorder="little")
-        vanish[:, lo:lo + 512] = np.packbits(zero.T, axis=1,
+        vanish[:, lo:lo + 128] = np.packbits(zero.T, axis=1,
                                              bitorder="little")
     hits = np.zeros(vwidth, dtype=np.uint8)  # rank order
     for s, lo, end in zip(sizes.tolist(), larger.tolist(),

@@ -3,25 +3,26 @@
 Elements are integer codes: code 0 is the zero element, and code c in
 [1, order-1] denotes g^(c-1) where g is the root of the (primitive) modulus.
 With this encoding, multiplication is index addition and addition is a Zech
-table lookup.  A field keeps two int32 tables, exp and zech (the order is
-capped at DEFAULT_ORDER_CAP = 2^25, so every code fits), from one
-block-doubling builder for every p and m, made of table gathers only.  The
-log that zech is built through is transient: the builder drops it and
-rebuilds exp by a second doubling pass, so at most two order-size tables
-are ever alive, and a field scatters its log from exp again only when
-something reads it.  The builder works TABLE_BLOCK = 2^14 cells at a
-time, and no lookup table of a doubling step holds more, so each
-temporary holds at most 128 KiB of int64 and stays in cache.  The build of
-GF(3^12) peaks (tracemalloc) 0.63 MiB above its two tables, at 4.68 MiB
-against the 6.66 MiB of holding exp, log and zech, and the second pass
-takes it from 0.028 s to 0.039 s.  A field with at most DENSE_CELLS code
-pairs (every order up to 512, which covers the PG(3, q^3) scans for
-q <= 8) also holds dense order x order addition and multiplication tables,
-built once from the Zech kernels, so each vectorized add or mul is one
-table gather, with no zero case and no modular reduction; larger fields
-use the Zech kernels directly.  All operations come in scalar and
-numpy-vectorized flavours; scalar results are Python integers, vectorized
-ones int64 arrays.
+table lookup.  A field is built with one int32 table, exp (the order is
+capped at DEFAULT_ORDER_CAP = 2^25, so every code fits), by one
+block-doubling builder for every p and m, made of table gathers only.  Its
+log and zech tables are built from exp when something first reads them:
+the scalar `add` and the Zech kernels read zech, and a caller that only
+multiplies, names cosets by exponent and adds packed digits (`digits`,
+`add_packed`) never holds either, as the pipeline's GF(q^12) does not.
+The builder works TABLE_BLOCK = 2^14 cells at a time, and no lookup table
+of a doubling step holds more, so each temporary holds at most 128 KiB of
+int64 and stays in cache.  The build of GF(3^12) peaks (tracemalloc)
+0.61 MiB above its exp table, at 2.63 MiB against the 4.68 MiB of
+building exp and zech, and takes about 0.022 s instead of 0.043 s; that
+of GF(2^24) takes 0.14 s instead of 0.99 s.  A field with at most
+DENSE_CELLS code pairs (every order up to 512, which covers the
+PG(3, q^3) scans for q <= 8) also holds dense order x order addition and
+multiplication tables, built once from the Zech kernels, so each
+vectorized add or mul is one table gather, with no zero case and no
+modular reduction; larger fields use the Zech kernels directly.  All
+operations come in scalar and numpy-vectorized flavours; scalar results
+are Python integers, vectorized ones int64 arrays.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def _ilog(n, base):
     return e
 
 
-def _times_g_to_the_b(mat, p, count):
+def _times_g_to_the_b(mat, p, count, layouts):
     """The map v -> v * g^B on an int32 array of packed values of GF(p^m),
     m > 1, where row j of `mat` holds the digits of x^j g^B.
 
@@ -299,7 +300,9 @@ def _times_g_to_the_b(mat, p, count):
     b = c(p-1)+1, where c digits below p add without carries, with one
     accumulator per group of w digits, b^w <= TABLE_BLOCK (or w = 1), so no
     sum leaves int32; a gather from a b^w-entry table reduces the group's
-    digits mod p and repacks them in base p.
+    digits mod p and repacks them in base p.  Those digit and reduction
+    tables depend only on p, m and c, so `layouts` keeps those of the
+    current c for the steps of one build (`_odd_layout`).
     """
     m = len(mat)
     c = -(-m // max(1, _ilog(min(TABLE_BLOCK, count), p)))
@@ -320,19 +323,12 @@ def _times_g_to_the_b(mat, p, count):
                 out ^= tables[t].take(v >> t * h & mask)
             return out
         return step
-    digits = np.arange(p ** h)[:, None] // p ** np.arange(h) % p
+    if c not in layouts:  # c never rises as the steps grow: keep one
+        layouts.clear()
+        layouts[c] = _odd_layout(p, m, c, h)
+    digits, base, groups, reduce = layouts[c]
     images = [digits[:p ** len(rows), :len(rows)] @ rows % p
               for rows in chunks]
-    base = c * (p - 1) + 1
-    w = max(1, _ilog(TABLE_BLOCK, base))
-    groups = [(g, min(g + w, m)) for g in range(0, m, w)]
-    digit = np.arange(base, dtype=np.int32) % p
-    reduce = []
-    for g, hi in groups:  # value at base-b digits d: sum (d_i % p) p^i
-        red = np.zeros(1, dtype=np.int32)
-        for i in range(g, hi):
-            red = (digit[:, None] * p ** i + red).ravel()
-        reduce.append(red)
     tables = [[(img[:, g:hi] @ base ** np.arange(hi - g)).astype(np.int32)
                for g, hi in groups] for img in images]
     unit = p ** h
@@ -354,6 +350,25 @@ def _times_g_to_the_b(mat, p, count):
     return step
 
 
+def _odd_layout(p, m, c, h):
+    """(digits, base, groups, reduce) of c chunks of h digits, p odd: the
+    digits of every chunk value, the carry-free base b = c(p-1)+1, the
+    digit groups (lo, hi) of one accumulator each, and per group the table
+    that maps its base-b digits d to sum (d_i % p) p^i."""
+    digits = np.arange(p ** h)[:, None] // p ** np.arange(h) % p
+    base = c * (p - 1) + 1
+    w = max(1, _ilog(TABLE_BLOCK, base))
+    groups = [(g, min(g + w, m)) for g in range(0, m, w)]
+    digit = np.arange(base, dtype=np.int32) % p
+    reduce = []
+    for g, hi in groups:
+        red = np.zeros(1, dtype=np.int32)
+        for i in range(g, hi):
+            red = (digit[:, None] * p ** i + red).ravel()
+        reduce.append(red)
+    return digits, base, groups, reduce
+
+
 def _exp_table(poly, p, m):
     """int32 exp of GF(p^m) for the monic primitive `poly`: exp[i] packs the
     digits of g^i.
@@ -361,7 +376,13 @@ def _exp_table(poly, p, m):
     Block doubling (Huber, "Some comments on Zech's logarithms", IEEE
     Trans. IT 1990): exp[B:2B] = exp[0:B] * g^B, applied to TABLE_BLOCK
     entries at a time by `_times_g_to_the_b`, or for m = 1 as a product
-    mod p (below 2^50).
+    mod p (below 2^50).  `Field.build` refuses an order past
+    DEFAULT_ORDER_CAP before it gets here; below the cap every code fits
+    int32.  No full-size temporary is formed: TABLE_BLOCK = 2^14, the
+    chunk table cap too, keeps each block's temporaries at 128 KiB of
+    int64 at most, within the working-set rule of `geometry`'s batched
+    kernels; smaller blocks are no faster, and larger ones only raise the
+    peak.
     """
     def times_x(d):
         lead = d[-1]
@@ -369,6 +390,7 @@ def _exp_table(poly, p, m):
 
     exp = np.empty(p ** m - 1, dtype=np.int32)
     exp[0] = 1
+    layouts = {}
     for b, count in _doubling_steps(exp.size):
         image = times_x([int(exp[b - 1]) // p ** i % p for i in range(m)])
         if m == 1:
@@ -379,7 +401,7 @@ def _exp_table(poly, p, m):
                 rows.append(image)
                 image = times_x(image)
             step = _times_g_to_the_b(np.array(rows, dtype=np.int64), p,
-                                     count)
+                                     count, layouts)
         for lo in range(0, count, TABLE_BLOCK):
             v = exp[lo:min(lo + TABLE_BLOCK, count)]
             exp[b + lo:b + lo + v.size] = step(v)
@@ -396,66 +418,35 @@ def _log_table(exp):
     return log
 
 
-def _build_tables(poly, p, m):
-    """int32 (exp, zech) of GF(p^m) for the monic primitive `poly`:
-    exp[i] packs the digits of g^i and zech[i] = log[1 + g^i].
-
-    `Field.build` refuses an order past DEFAULT_ORDER_CAP before it gets
-    here; below the cap every code fits int32.  At most two order-size
-    tables are alive at once: exp is built by `_exp_table`, log is
-    scattered from it by `_log_table`, zech is written over exp's own
-    buffer one block at a time (block i reads only its own exp cells and
-    log), log is dropped, and a second `_exp_table` pass rebuilds exp, the
-    one cost of the scheme (about 0.011 s of GF(3^12)'s 0.039 s).  Every
-    pass works TABLE_BLOCK entries at a time, so no full-size temporary is
-    formed.  TABLE_BLOCK = 2^14, the
-    chunk table cap too, keeps each block's temporaries at 128 KiB of int64
-    at most, within the working-set rule of `geometry`'s batched kernels;
-    smaller blocks are no faster, and larger ones only raise the peak.
-    """
-    zech = _exp_table(poly, p, m)
-    log = _log_table(zech)
-    for lo in range(0, zech.size, TABLE_BLOCK):
-        # exp cells still: only the blocks before this one hold zech
-        e = zech[lo:lo + TABLE_BLOCK]
-        # 1 + g^i changes only the constant digit, mod p (e - e // p * p is
-        # e % p, in the faster division by a constant)
-        plus_one = e ^ 1 if p == 2 else e + np.where(e - e // p * p == p - 1,
-                                                     1 - p, 1)
-        zech[lo:lo + TABLE_BLOCK] = log.take(plus_one)
-    del log
-    return _exp_table(poly, p, m), zech
-
-
 # ---------------------------------------------------------------------------
 
 
 class Field:
     """Immutable handle for GF(p^m); safe for concurrent shared reads.
 
-    Its tables are read-only arrays.  Two are resident: the int32 `exp`
-    and `zech` (exp[i] packs the digits of g^i in base p,
-    zech[i] = log[1 + g^i]), and for an order with order^2 <= DENSE_CELLS
-    also the int64 `add_tab` and `mul_tab`, the codes of a + b and a * b
-    at [a, b] (None for larger orders).  The int32 `log` (log[exp[i]] = i,
-    log[0] = -1) is built from exp on its first read and kept: arithmetic
-    never reads it, so a big field whose log nothing reads never holds it.
+    Its tables are read-only arrays.  One is built with the field: the
+    int32 `exp`, where exp[i] packs the digits of g^i in base p.  For an
+    order with order^2 <= DENSE_CELLS it also holds the int64 `add_tab`
+    and `mul_tab`, the codes of a + b and a * b at [a, b] (None for larger
+    orders).  The int32 `log` (log[exp[i]] = i, log[0] = -1) and `zech`
+    (zech[i] = log[1 + g^i]) are built from exp on their first read and
+    kept, so a big field that only multiplies, names cosets and packs
+    digits never holds either.
     """
 
-    def __init__(self, p, m, modulus, exp, zech):
+    def __init__(self, p, m, modulus, exp):
         self.p = p
         self.m = m
         self.order = p ** m
         self.group_order = self.order - 1
         self.modulus = tuple(modulus)
         self.exp = exp
-        self.zech = zech
         self.add_tab = self.mul_tab = None
         if self.order ** 2 <= DENSE_CELLS:
             codes = np.arange(self.order, dtype=np.int64)
             self.add_tab = self._zech_add(codes[:, None], codes[None, :])
             self.mul_tab = self._zech_mul(codes[:, None], codes[None, :])
-        for table in (exp, zech, self.add_tab, self.mul_tab):
+        for table in (exp, self.add_tab, self.mul_tab):
             if table is not None:
                 table.flags.writeable = False
         self.zero = 0
@@ -477,9 +468,8 @@ class Field:
         Nothing is cached: each call builds its own tables, and a caller
         that shares a field holds it.  An order past DEFAULT_ORDER_CAP is
         refused with FieldTooLarge before anything is allocated.  The
-        exp and zech tables are built by block doubling, a few vectorized
-        gathers per entry instead of one Python step per element
-        (`_build_tables`).
+        exp table is built by block doubling, a few vectorized gathers per
+        entry instead of one Python step per element (`_exp_table`).
         """
         # a p past the cap fails the order check below, prime or not
         if p < 2 or (p <= DEFAULT_ORDER_CAP and factor(p) != {p: 1}):
@@ -509,7 +499,7 @@ class Field:
                                      "not primitive" % (modulus, p, m))
         else:
             modulus = _smallest_primitive_poly(p, m)
-        return Field(p, m, modulus, *_build_tables(modulus, p, m))
+        return Field(p, m, modulus, _exp_table(modulus, p, m))
 
     @functools.cached_property
     def log(self):
@@ -519,6 +509,24 @@ class Field:
         log = _log_table(self.exp)
         log.flags.writeable = False
         return log
+
+    @functools.cached_property
+    def zech(self):
+        """The read-only int32 Zech table, zech[i] = log[1 + g^i], gathered
+        TABLE_BLOCK cells at a time on the first read and then kept, the
+        scalar `add` and the Zech kernels its readers.  It reads the log
+        when that is built, else a transient one, so `zech` alone adds one
+        order-size table to a field.  Two first reads at once may each
+        build it; the tables are equal."""
+        log = vars(self).get("log")
+        if log is None:
+            log = _log_table(self.exp)
+        zech = np.empty_like(self.exp)
+        for lo in range(0, zech.size, TABLE_BLOCK):
+            zech[lo:lo + TABLE_BLOCK] = log.take(
+                self.plus_one(self.exp[lo:lo + TABLE_BLOCK]))
+        zech.flags.writeable = False
+        return zech
 
     # -- element codecs ----------------------------------------------------
 
@@ -616,6 +624,29 @@ class Field:
         and the builder and test oracle of `mul_tab`."""
         out = (a + b - 2) % self.group_order + 1
         return np.where((a == 0) | (b == 0), 0, out)
+
+    def add_packed(self, x, y):
+        """Digit-wise sum mod p of arrays of packed polynomials, such as exp
+        values: the sum of the elements they pack, XOR for p = 2."""
+        p = self.p
+        if p == 2:
+            return x ^ y
+        out = 0
+        for i in range(self.m):
+            x, a = np.divmod(x, p)
+            y, b = np.divmod(y, p)
+            out = out + (a + b) % p * p ** i
+        return out
+
+    def plus_one(self, packed):
+        """The packed digits of 1 + x from those of x, for an array of
+        packed x, in its dtype: only the constant digit changes, mod p
+        (x - x // p * p is x % p, in the faster division by a constant)."""
+        p = self.p
+        if p == 2:
+            return packed ^ 1
+        wraps = packed - packed // p * p == p - 1
+        return packed + 1 - wraps * packed.dtype.type(p)
 
     def neg_vec(self, a):
         return self.mul_vec(a, np.full_like(np.asarray(a), self.neg_one))

@@ -13,7 +13,7 @@ N (Q^n - 1)/(Q - 1) incidences instead of one dual form per point and
 hyperplane, and each incidence is solved for in closed form from the
 point's last nonzero coordinate, about one field addition apiece, with no
 dual form, normalization or index search; `dot_block` stays as its
-oracle, and sums the prefix products of `search.is_r_independent`.
+oracle.
 `line_pencils` solves for the planes of PG(3, Q) through lines the same
 way, from each line's reduced echelon basis, for the strong scan's secant
 lines.  `rank_stack` ranks a stack of equal-size hyperplane sections in
@@ -31,11 +31,16 @@ Every batched kernel follows one working-set rule: each batch holds about
 MARK_BATCH = 2^15 field values per temporary array (256 KiB of int64),
 whatever the array's shape, so a batch stays in cache and the peak is
 bounded before allocation.  A kernel sizes its batch by the values per
-item: one per incidence for `pencils` and `search.free_cosets`, 4 (Q + 1)
-per line for `line_pencils`, k (N - 1) per point for the strong scan's
-secant pass and (k - 1) s per section of size s for its rank stacks.
-The field table build keeps within it too: `field.TABLE_BLOCK` = 2^14
-cells per step, so each of its temporaries holds at most 128 KiB of int64.
+item: one per incidence for `pencils`, one per lookup for
+`search.free_cosets`, r per prefix sum for the membership test of
+`search.is_r_independent`, 4 (Q + 1) per line for `line_pencils`,
+k (N - 1) per point for the strong scan's secant pass and (k - 1) s per
+section of size s for its rank stacks.  The minimality pass of `codes`
+keeps within it in bytes: one uint64 vanish word per class while the
+support profiles are read, index blocks of 1,024 ranks and AND blocks of
+at most 256 KiB apiece.  The field table build keeps within it too:
+`field.TABLE_BLOCK` = 2^14 cells per step, so each of its temporaries
+holds at most 128 KiB of int64.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,

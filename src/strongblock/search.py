@@ -8,7 +8,10 @@ with all coordinates in R: a nontrivial relation exists exactly when some such
 point lies on the hyperplane.  A relation is fixed by its first m-1 entries
 (the last is the one rho_m in R that cancels their sum, if any), so
 `is_r_independent` enumerates only the R-points of PG(m-2, .): for a triple,
-1,042 at q = 3 and 5,357 at q = 4, a few milliseconds each.  A prefix
+1,042 at q = 3 and 5,357 at q = 4, a few milliseconds each.  It reads
+only the exp table: each prefix sum is added in packed base-p digits and
+tested for membership in a coset of R*, so a search builds no Zech or log
+table of GF(q^(k(k-1))).  A prefix
 enumeration beyond SCAN_BUDGET raises BudgetExceeded; no verdict is guessed.
 Independent coset representatives make the union of their subgeometries a
 strong blocking set; the converse fails (at q = 2, 367 of the 703 unions of
@@ -17,9 +20,9 @@ independent).
 
 So every blocking question here is one question: which hyperplane, if any,
 misses a point set?  For B(k,q) the answer depends only on the cosets of the
-dual coordinates, and `free_cosets` reads it off the Zech table for all of
-them at once; since `build_bset` refuses every k >= 5, that decides every
-B(k,q).  A tuple with more entries than R* has cosets is never independent
+dual coordinates, and `free_cosets` reads it off the exp and log tables
+for all of them at once; since `build_bset` refuses every k >= 5, that
+decides every B(k,q).  A tuple with more entries than R* has cosets is never independent
 (pigeonhole).  Any other point set, in any PG(n, Q), goes through
 `mark_lines_through`, which checks the scan budget
 (`ProjectiveSpace.check_scan`) and marks the hyperplanes through each point
@@ -27,8 +30,9 @@ B(k,q).  A tuple with more entries than R* has cosets is never independent
 survivor.  Each witness is re-checked off its own path: by the mask of
 `ProjectiveSpace.section` for a hyperplane missing B and for a relation's
 rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
-`free_cosets` and the pencils, hold about MARK_BATCH values per array, one
-per lookup or incidence.  The weight-1 line statistics key the lines
+`free_cosets`, the membership blocks of `is_r_independent` and the pencils,
+hold about MARK_BATCH values per array, one per lookup, comparison or
+incidence.  The weight-1 line statistics key the lines
 through a point by `ProjectiveSpace.secant_keys`, as the strong scan does.
 """
 
@@ -81,9 +85,17 @@ def is_r_independent(alphas, rg: RGroup):
     R-points of PG(m-2, .) (1,042 at q = 3, m = 3) instead of those of
     PG(m-1, .), and since each prefix admits at most one rho_m, the first
     hit in prefix order is the first relation in canonical order.  Raises
-    BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.  The
-    sums (one `dot_block` row) and a relation's re-check (rhos on the
-    hyperplane alphas) run in PG(m-1, Q), under 2^63 points by the budget.
+    BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.
+
+    Only the exp table is read.  Each sum is formed in packed base-p
+    digits, the products looked up in exp and added by `Field.add_packed`,
+    and s = -rho_m a_m with rho_m in R* exactly when s is one of the r
+    packed values exp[c_m + stride i], a_m = g^c_m; the first one equal to
+    s gives rho_m = -g^(stride i).  That membership is one equality test
+    per pair, about MARK_BATCH pairs per block, with no sort, and stops at
+    the first block with a hit.  A relation's re-check (rhos on the
+    hyperplane alphas, `ProjectiveSpace.section`) runs in PG(m-1, Q),
+    under 2^63 points by the budget.
     """
     alphas = tuple(int(a) for a in alphas)
     m = len(alphas)
@@ -93,18 +105,28 @@ def is_r_independent(alphas, rg: RGroup):
         raise ValueError("alphas must be nonzero")
     f = rg.field
     mat = r_tuple_matrix(rg, m - 1)
-    space = ProjectiveSpace(f, m - 1)
-    acc = space.dot_block([alphas[:-1]], mat)[0]
-    last = alphas[-1]
-    hits = np.flatnonzero((acc == 0) | ((acc - last) % rg.stride == 0))
-    if hits.size:
-        s = int(acc[hits[0]])
-        rho_m = f.div(f.neg(s), last) if s else 0
-        rhos = tuple(int(c) for c in mat[hits[0]]) + (rho_m,)
-        on = space.section([rhos], alphas)
-        if not on[0] or not np.all(rg.in_r(rhos)):
-            raise AssertionError("R-relation re-check failed")
-        return IndependenceVerdict("dependent", rhos)
+    *head, last = alphas
+    sums = None  # packed digits of the prefix sums, one per R-point
+    for col, a in zip(mat.T, head):
+        term = np.where(col == 0, 0, f.exp.take((col + a - 2) % f.group_order))
+        sums = term if sums is None else f.add_packed(sums, term)
+    rstar = np.arange(rg.r, dtype=np.int64) * rg.stride  # exponents of R*
+    targets = f.exp.take((rstar + last - 1) % f.group_order)
+    step = max(1, geometry.MARK_BATCH // rg.r)
+    for lo in range(0, sums.size, step):
+        block = sums[lo:lo + step, None]
+        equal = block == targets
+        hits = np.flatnonzero((block[:, 0] == 0) | equal.any(axis=1))
+        if hits.size:
+            h = int(hits[0])
+            rho_m = 0
+            if block[h, 0]:  # -g^(stride i) for the first target equal to s
+                rho_m = f.neg(f.from_exp(int(rstar[np.argmax(equal[h])])))
+            rhos = tuple(int(c) for c in mat[lo + h]) + (rho_m,)
+            on = ProjectiveSpace(f, m - 1).section([rhos], alphas)
+            if not on[0] or not np.all(rg.in_r(rhos)):
+                raise AssertionError("R-relation re-check failed")
+            return IndependenceVerdict("dependent", rhos)
     return IndependenceVerdict("independent", None)
 
 
@@ -122,9 +144,16 @@ def free_cosets(rg: RGroup, m):
     coset(b) = 0.  (1, b, c) with b, c nonzero is dependent exactly when
     coset(b) = 0, coset(c) = 0, coset(c) = coset(b), or coset(c) lies in
     D(b) = {coset(x + b) : x in R*}.  With b = g^cb and x = g^(s i), where s
-    is the stride, coset(x + b) = (cb + zech[(s i - cb) mod N]) mod s, so D
-    over every coset costs one pass over the Zech table, MARK_BATCH lookups
-    at a time.
+    is the stride, coset(x + b) = (cb + zech[e]) mod s for e = s i - cb mod
+    N, and as (i, cb) runs over R* and the nonzero cosets, e runs over every
+    exponent off R* once, with cb = -e mod s.  So D over every coset costs
+    one pass over exp, and zech[e] = log[1 + g^e] is gathered from exp and
+    log (`Field.plus_one`).  The pass reads exp as an (r, s) array, e = s j
+    + t at [j, t], in tiles of MARK_BATCH exponents: 64 columns t, which
+    are 64 values of cb, so that each tile reads 256 bytes of an exp row
+    and scatters into 64 rows of the result (fewer columns only when
+    MARK_BATCH is smaller).  An exponent of R* gives cb = 0, whose row is
+    already dependent.
     """
     s = rg.stride
     if m == 2:
@@ -135,11 +164,14 @@ def free_cosets(rg: RGroup, m):
     free = np.ones((s, s), dtype=bool)
     free[0, :] = free[:, 0] = False
     np.fill_diagonal(free, False)
-    rstar = np.arange(rg.r, dtype=np.int64) * s  # exponents of R*
-    step = max(1, geometry.MARK_BATCH // rg.r)
-    for lo in range(1, s, step):
-        cb = np.arange(lo, min(lo + step, s), dtype=np.int64)[:, None]
-        free[cb, (cb + f.zech[(rstar - cb) % f.group_order]) % s] = False
+    grid = f.exp.reshape(rg.r, s)
+    width = min(64, geometry.MARK_BATCH)
+    rows = geometry.MARK_BATCH // width
+    for t in range(0, s, width):
+        cb = -np.arange(t, min(t + width, s), dtype=np.int32) % s
+        for j in range(0, rg.r, rows):
+            x = grid[j:j + rows, t:t + width]  # g^e
+            free[cb, (cb + f.log.take(f.plus_one(x))) % s] = False
     return free
 
 

@@ -349,12 +349,13 @@ def loop_tables_odd(poly, p, m):
 
 
 def assert_tables_match_loop(p, m):
-    # the builder's (exp, zech), and the log that a field scatters from exp
-    # on its first read
+    # the builder's exp, the zech that a field gathers through a transient
+    # log on its first read, and the log that it scatters from exp
     poly = field_mod._smallest_primitive_poly(p, m)
     exp, log, zech = (loop_tables_char2(poly, m) if p == 2
                       else loop_tables_odd(poly, p, m))
-    got = field_mod._build_tables(poly, p, m) + (Field.build(p, m).log,)
+    f = Field.build(p, m)
+    got = (f.exp, f.zech, f.log)
     for a, b in zip(got, (exp, zech, log)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -404,28 +405,27 @@ def test_tables_at_workload_sizes(p, m):
 
 
 def test_table_build_peak_memory():
-    # the build holds at most two order-size tables at once, the transient
-    # log included, plus block-sized temporaries: TABLE_BLOCK = 2^14 cells
-    # hold at most 128 KiB of int64 apiece
+    # the build holds one order-size table, exp, plus block-sized
+    # temporaries: TABLE_BLOCK = 2^14 cells hold at most 128 KiB of int64
+    # apiece
     tracemalloc.start()
     try:
         f = Field.build(3, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table_bytes = f.exp.nbytes + f.zech.nbytes
-    assert table_bytes == 2 * 4 * (3 ** 12 - 1)
-    assert peak < table_bytes + (3 << 18)
+    assert f.exp.nbytes == 4 * (3 ** 12 - 1)
+    assert peak < f.exp.nbytes + (3 << 18)
 
 
 def test_pipeline_leaves_the_big_log_unbuilt():
-    # the search, the union and its coordinates read exp, zech and the
-    # subfield's log, never the log of GF(3^12)
+    # the search, the union and its coordinates read exp and the
+    # subfield's log, never the log or the zech of GF(3^12)
     rg = build_rgroup(3, 4)
     res = find_independent_tuple(rg, 3, strategy="random", seed=1)
     union_subgeometries(rg, res.alphas)
     f = rg.field
-    assert "log" not in vars(f)
+    assert "log" not in vars(f) and "zech" not in vars(f)
     log = f.log
     assert log.dtype == np.int32 and not log.flags.writeable
     assert log[0] == -1

@@ -5,8 +5,8 @@ holds an `assert` statement, which `python -O` strips: load-bearing checks
 are explicit raises, no library module calls a numpy function that the
 declared floor (numpy>=1.24) lacks, every name that README.md quotes
 exists, only `geometry` calls `np.add.at`, only `geometry.read_file`
-opens a file to read, and only `CoordinateMap.coords` reads a field's
-`log`, on its subfield."""
+opens a file to read, and only `CoordinateMap.coords`, on its subfield,
+and `search.free_cosets` read a field's `log`."""
 
 import argparse
 import ast
@@ -327,12 +327,14 @@ def log_reads(tree):
 
 
 def test_one_log_reader():
-    # arithmetic runs on exp and zech, and a field builds its log on the
-    # first read, so only the small subfield that `CoordinateMap.coords`
-    # reads may hold one: the big field of the pipeline never does
+    # a field builds its log on the first read, so only the small subfield
+    # that `CoordinateMap.coords` reads and the field of the exhaustive
+    # coset quotient `search.free_cosets` may hold one; the pipeline's big
+    # field never does (test_field.py pins that at run time)
     readers = [(p.name, where, owner) for p in SOURCES
                for _, where, owner in log_reads(ast.parse(p.read_text()))]
-    assert readers == [("field.py", "coords", "self.sub")]
+    assert readers == [("field.py", "coords", "self.sub"),
+                       ("search.py", "free_cosets", "f")]
 
 
 def test_stray_log_read_is_reported():

@@ -76,10 +76,11 @@ FAULT_SCRIPT = textwrap.dedent("""
         return codes.check_minimal(G, profile=prof).status
 
     def relation(cosets, forge):
-        # the decision's own additions keep the true tables, through a copy
-        # of the field taken before they are broken
+        # the decision adds its prefix sums by `add_packed`, which keeps
+        # the true tables through a copy of the field taken before they
+        # are broken, unless forged
         rg = build_rgroup(2, 4)
-        rg.field.add_vec = forge or copy.copy(rg.field).add_vec
+        rg.field.add_packed = forge or copy.copy(rg.field).add_packed
         break_addition(rg.field)
         alphas = tuple(rg.coset_rep(c) for c in cosets)
         return search.is_r_independent(alphas, rg).status

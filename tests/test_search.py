@@ -151,6 +151,51 @@ def test_prefix_enumeration_matches_full_enumeration(name, m, independent,
     assert found == independent
 
 
+def zech_sum_verdict(alphas, rg):
+    """Oracle: the prefix sums added through the Zech table by `dot_block`,
+    and rho_m = -s/a_m wherever s is 0 or shares a_m's coset."""
+    f = rg.field
+    mat = r_tuple_matrix(rg, len(alphas) - 1)
+    acc = ProjectiveSpace(f, len(alphas) - 1).dot_block([alphas[:-1]],
+                                                        mat)[0]
+    last = alphas[-1]
+    hits = np.flatnonzero((acc == 0) | ((acc - last) % rg.stride == 0))
+    if not hits.size:
+        return IndependenceVerdict("independent", None)
+    s = int(acc[hits[0]])
+    rho_m = f.div(f.neg(s), last) if s else 0
+    return IndependenceVerdict(
+        "dependent", tuple(int(c) for c in mat[hits[0]]) + (rho_m,))
+
+
+@pytest.mark.parametrize("name,m,samples,independent", [
+    ("rg24", 3, None, 48), ("rg23", 2, None, 2), ("rg23", 4, None, 0),
+    ("rg34", 3, 40, 5), ("rg43", 2, None, 12), ("rg43", 3, 40, 0),
+    ("rg43", 4, 10, 0),
+])
+def test_packed_sums_match_zech_sums(name, m, samples, independent,
+                                     request):
+    # every coset tuple (0, c_2, ..., c_m), or a seeded sample of them, with
+    # each entry of a sampled tuple scaled by a random element of R*: the
+    # exp-only decision gives the verdict and witness of Zech-table sums
+    rg = request.getfixturevalue(name)
+    f = rg.field
+    tuples = list(np.ndindex(*(rg.stride,) * (m - 1)))
+    rng = random.Random(m)
+    if samples is not None:
+        tuples = rng.sample(tuples, samples)
+    found = 0
+    for cosets in tuples:
+        alphas = (f.one,) + tuple(rg.coset_rep(c) for c in cosets)
+        if samples is not None:
+            alphas = tuple(f.mul(a, int(rng.choice(rg.rstar_codes())))
+                           for a in alphas)
+        verdict = is_r_independent(alphas, rg)
+        assert verdict == zech_sum_verdict(alphas, rg), alphas
+        found += verdict.status == "independent"
+    assert found == independent
+
+
 def test_relation_recheck_needs_r_coefficients(rg24, monkeypatch):
     # a forged prefix (g^1) gives (g^1, 1), a relation of (1, g^1) whose
     # first coefficient lies outside R: the re-check refuses it
