@@ -11,8 +11,8 @@ point lies on the hyperplane.  A relation is fixed by its first m-1 entries
 1,042 at q = 3 and 5,357 at q = 4, a few milliseconds each.  It reads
 only the exp table: each prefix sum is added in packed base-p digits and
 tested for membership in a coset of R*, so a search builds no Zech or log
-table of GF(q^(k(k-1))).  A prefix
-enumeration beyond SCAN_BUDGET raises BudgetExceeded; no verdict is guessed.
+table of GF(q^(k(k-1))).  A prefix enumeration beyond SCAN_BUDGET raises
+BudgetExceeded; no verdict is guessed.
 Independent coset representatives make the union of their subgeometries a
 strong blocking set; the converse fails (at q = 2, 367 of the 703 unions of
 coset 0 with two others are strong, and only 24 of those triples are
@@ -22,9 +22,9 @@ So every blocking question here is one question: which hyperplane, if any,
 misses a point set?  For B(k,q) the answer depends only on the cosets of the
 dual coordinates, and `free_cosets` reads it off the exp and log tables
 for all of them at once; since `build_bset` refuses every k >= 5, that
-decides every B(k,q).  A tuple with more entries than R* has cosets is never independent
-(pigeonhole).  Any other point set, in any PG(n, Q), goes through
-`mark_lines_through`, which checks the scan budget
+decides every B(k,q).  A tuple with more entries than R* has cosets is
+never independent (pigeonhole).  Any other point set, in any PG(n, Q),
+goes through `mark_lines_through`, which checks the scan budget
 (`ProjectiveSpace.check_scan`) and marks the hyperplanes through each point
 (`ProjectiveSpace.pencils`); `strong.verify_blocking` takes the lowest-index
 survivor.  Each witness is re-checked off its own path: by the mask of
@@ -32,8 +32,8 @@ survivor.  Each witness is re-checked off its own path: by the mask of
 rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
 `free_cosets`, the membership blocks of `is_r_independent` and the pencils,
 hold about MARK_BATCH values per array, one per lookup, comparison or
-incidence.  The weight-1 line statistics key the lines
-through a point by `ProjectiveSpace.secant_keys`, as the strong scan does.
+incidence.  The weight-1 line statistics key the lines through a point by
+`ProjectiveSpace.secant_keys`, as the strong scan does.
 """
 
 from __future__ import annotations
