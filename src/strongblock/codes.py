@@ -36,8 +36,13 @@ from .geometry import (
 DEFAULT_CLASS_BUDGET = 10 ** 5
 # bytes per batched AND block of the minimality check, with the unpacked
 # zero sets of its classes: the block and one gathered operand hold at most
-# 256 KiB apiece, the working-set rule of `geometry`'s batched kernels
-AND_BYTES = 1 << 19
+# 128 KiB apiece, half the working-set rule of `geometry`'s batched
+# kernels, so that the minimality pass stays under the strong scan's peak
+AND_BYTES = 1 << 18
+# columns per `pencils` call of `support_profiles`: 8 pencils of PG(3, 27)
+# (6,056 incidences) hold about 0.24 MB of temporaries (tracemalloc), where
+# a full MARK_BATCH batch of 43 holds 1.06 MB, and the pass is no slower
+PENCIL_ROWS = 8
 # set bits of each byte value
 _ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8)
@@ -103,9 +108,10 @@ def support_profiles(G: GeneratorMatrix):
 
     Class b vanishes at column j iff message hyperplane b passes through
     column j, so Z(b) is read off the pencils of the columns, 64 columns
-    (one support word, one uint64 vanish word per class) at a time: each
-    column's pencil sets its bit in the words of its hyperplanes, which
-    are distinct within one pencil.  `pencils` takes the columns as they
+    (one support word, one uint64 vanish word per class) at a time and
+    PENCIL_ROWS columns per `pencils` call: each column's pencil sets its
+    bit in the words of its hyperplanes, which are distinct within one
+    pencil.  `pencils` takes the columns as they
     are (incidence is scale-invariant); a zero column, which lies on no
     pencil, vanishes on every class.
     """
@@ -123,9 +129,11 @@ def support_profiles(G: GeneratorMatrix):
         live = np.flatnonzero(~zero[64 * w:64 * w + 64])
         # zero columns and the padding past column n vanish everywhere
         vanish = np.full(C, ~np.bitwise_or.reduce(bit[live]))
-        for rows, msgs in space.pencils(cols[64 * w + live]):
-            for row, hyperplanes in zip(rows.tolist(), msgs):
-                vanish[hyperplanes] |= bit[live[row]]
+        for lo in range(0, live.size, PENCIL_ROWS):
+            part = live[lo:lo + PENCIL_ROWS]
+            for rows, msgs in space.pencils(cols[64 * w + part]):
+                for row, hyperplanes in zip(rows.tolist(), msgs):
+                    vanish[hyperplanes] |= bit[part[row]]
         # the support bits are the vanish bits flipped, 0 for zero columns
         # and padding
         weights += 64 - _ONES[vanish.view(np.uint8)].reshape(C, 8).sum(
@@ -194,17 +202,22 @@ def _contained(prof):
     so that its sorts and the index are never alive together.  The sizes
     are read off the first n bits of the supports, never off
     `prof.weights`, and every AND block stays within AND_BYTES, so no
-    (C, n) or (C, width) array is formed.  An empty Z(b) contains every
+    (C, n) or (C, width) array is formed; the sizes and the ranks are
+    int32, and the supports are copied masked only when a bit past column
+    n is set.  An empty Z(b) contains every
     class, so it also sets the padding bits past C.
     """
     C, n = prof.class_count, prof.n
-    # columns past n never count, even where a forged profile sets them
-    S = prof.supports & np.packbits(
-        np.arange(64 * prof.supports.shape[1]) < n,
-        bitorder="little").view(np.uint64)
+    S = prof.supports
+    # columns past n never count, even where a forged profile sets them:
+    # S is copied masked only when one of its words past column n has a bit
+    mask = np.packbits(np.arange(64 * S.shape[1]) < n,
+                       bitorder="little").view(np.uint64)
+    if np.any(S[:, n // 64:] & ~mask[n // 64:]):
+        S = S & mask
     flagged = _repeated_rows(S)
-    z = n - _ONES[S.view(np.uint8)].sum(axis=1, dtype=np.int64)
-    rank = np.argsort(-z, kind="stable")
+    z = n - _ONES[S.view(np.uint8)].sum(axis=1, dtype=np.int32)
+    rank = np.argsort(-z, kind="stable").astype(np.int32)
     # return_counts keeps np.unique off its numpy.ma import
     sizes, counts = np.unique(z, return_counts=True)
     # larger[i]: the classes with |Z| > sizes[i], ranks 0 .. larger[i] - 1
@@ -262,17 +275,20 @@ def _repeated_rows(S):
     """
     key = _dense_rank(S[:, 0])
     for word in S.T[1:]:
-        key = _dense_rank(key * len(S) + _dense_rank(word))
+        key *= len(S)
+        key += _dense_rank(word)
+        key = _dense_rank(key)
     return np.bincount(key)[key] > 1
 
 
 def _dense_rank(x):
     """int64 rank of each entry of the 1-D x among its distinct values, by
-    one unstable sort."""
+    one unstable sort; the sorted copy of x becomes the ranks in place."""
     order = np.argsort(x)
-    x = x[order]
-    ranks = np.zeros(x.size, dtype=np.int64)
-    np.cumsum(x[1:] != x[:-1], out=ranks[1:])
+    ranks = x[order].view(np.int64)  # equal entries stay equal
+    ranks[1:] = ranks[1:] != ranks[:-1]
+    ranks[0] = 0
+    np.cumsum(ranks, out=ranks)
     out = np.empty_like(ranks)
     out[order] = ranks
     return out

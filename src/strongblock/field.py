@@ -3,20 +3,23 @@
 Elements are integer codes: code 0 is the zero element, and code c in
 [1, order-1] denotes g^(c-1) where g is the root of the (primitive) modulus.
 With this encoding, multiplication is index addition and addition is a Zech
-table lookup.  A field is built with one int32 table, exp (the order is
-capped at DEFAULT_ORDER_CAP = 2^25, so every code fits), by one
-block-doubling builder for every p and m, made of table gathers only.  Its
-log and zech tables are built from exp when something first reads them:
-the scalar `add` and the Zech kernels read zech, and a caller that only
-multiplies, names cosets by exponent and adds packed digits (`digits`,
-`add_packed`) never holds either, as the pipeline's GF(q^12) does not.
-The builder works TABLE_BLOCK = 2^14 cells at a time, and no lookup table
-of a doubling step holds more, so each temporary holds at most 128 KiB of
-int64 and stays in cache.  The build of GF(3^12) peaks (tracemalloc)
-0.61 MiB above its exp table, at 2.63 MiB against the 4.68 MiB of
-building exp and zech, and takes about 0.022 s instead of 0.043 s; that
-of GF(2^24) takes 0.14 s instead of 0.99 s.  A field with at most
-DENSE_CELLS code pairs (every order up to 512, which covers the
+table lookup.  `Field.build` builds no order-size table (the order is
+capped at DEFAULT_ORDER_CAP = 2^25, so every code fits int32): exp, log
+and zech are built when something first reads them.  exp comes from one
+block-doubling builder for every p and m, made of table gathers only,
+which packs any progression g^(step i) (`Field.powers`) and multiplies
+packed values by one element (`Field.mul_packed`), and log and zech come
+from exp: the scalar `add` and the Zech kernels read zech.  A caller that
+only multiplies, names cosets and adds packed digits holds none of them,
+as the pipeline's GF(q^12) does not: it reads the cosets of R* as images
+of R* (`partition.RGroup.coset_values`), and any other power through
+`Field.exp_at`, by square-and-multiply.  The builder works TABLE_BLOCK =
+2^14 cells at a time, and no lookup table of a doubling step holds more,
+so each temporary holds at most 128 KiB of int64 and stays in cache.  The
+first read of exp of GF(3^12) peaks (tracemalloc) 0.61 MiB above the
+table, at 2.63 MiB against the 4.68 MiB of building exp and zech, and
+takes about 0.01-0.02 s; that of GF(2^24) 0.1-0.15 s.  A field with at
+most DENSE_CELLS code pairs (every order up to 512, which covers the
 PG(3, q^3) scans for q <= 8) also holds dense order x order addition and
 multiplication tables, built once from the Zech kernels, so each
 vectorized add or mul is one table gather, with no zero case and no
@@ -289,13 +292,18 @@ def _ilog(n, base):
 
 
 def _times_g_to_the_b(mat, p, count, layouts):
-    """The map v -> v * g^B on an int32 array of packed values of GF(p^m),
-    m > 1, where row j of `mat` holds the digits of x^j g^B.
+    """The map v -> v y on an int32 array of packed values of GF(p^m),
+    m > 1, where row j of `mat` holds the digits of x^j y: y = g^B for a
+    doubling step of `_powers`, or any one element for `Field.mul_packed`.
 
     The map is GF(p)-linear on the digits.  Split into c chunks of h
-    digits, each chunk value has its image in a table of p^h entries (at
-    most TABLE_BLOCK, and at most `count` past one digit, so that small
-    steps build small tables), and a block costs c gathers.  For p = 2 the
+    digits, each chunk value has its image in a table of p^h entries, and
+    a block costs c gathers.  A table holds at most TABLE_BLOCK entries,
+    and past one digit at most max(64, count / 4) for the `count` values
+    the map serves: a table entry costs more to build than a gather, and
+    under 64 entries the number of chunks, not their size, sets the cost.
+    So the 1,040 values of R* at q = 3 take 3 chunks of 81 entries, not 2
+    of 729, which halves the cost of a coset image.  For p = 2 the
     packed images combine by XOR.  For odd p they are stored in base
     b = c(p-1)+1, where c digits below p add without carries, with one
     accumulator per group of w digits, b^w <= TABLE_BLOCK (or w = 1), so no
@@ -305,7 +313,7 @@ def _times_g_to_the_b(mat, p, count, layouts):
     current c for the steps of one build (`_odd_layout`).
     """
     m = len(mat)
-    c = -(-m // max(1, _ilog(min(TABLE_BLOCK, count), p)))
+    c = -(-m // max(1, _ilog(min(TABLE_BLOCK, max(64, count // 4)), p)))
     h = -(-m // c)  # chunks of (nearly) equal width
     chunks = [mat[t:t + h] for t in range(0, m, h)]
     if p == 2:  # a chunk table doubles with each bit: T[v + 2^j] = T[v] ^ I_j
@@ -323,10 +331,12 @@ def _times_g_to_the_b(mat, p, count, layouts):
                 out ^= tables[t].take(v >> t * h & mask)
             return out
         return step
-    if c not in layouts:  # c never rises as the steps grow: keep one
+    layout = layouts.get(c)
+    if layout is None:  # c never rises as a build's steps grow: keep one
+        layout = _odd_layout(p, m, c, h)
         layouts.clear()
-        layouts[c] = _odd_layout(p, m, c, h)
-    digits, base, groups, reduce = layouts[c]
+        layouts[c] = layout
+    digits, base, groups, reduce = layout
     images = [digits[:p ** len(rows), :len(rows)] @ rows % p
               for rows in chunks]
     tables = [[(img[:, g:hi] @ base ** np.arange(hi - g)).astype(np.int32)
@@ -369,43 +379,63 @@ def _odd_layout(p, m, c, h):
     return digits, base, groups, reduce
 
 
-def _exp_table(poly, p, m):
-    """int32 exp of GF(p^m) for the monic primitive `poly`: exp[i] packs the
-    digits of g^i.
+def _digits_of(v, p, m):
+    """The m base-p digits, low to high, of a packed value or a trimmed
+    coefficient tuple."""
+    if isinstance(v, tuple):
+        return list(v) + [0] * (m - len(v))
+    return [v // p ** i % p for i in range(m)]
+
+
+def _times_x(d, poly, p):
+    """The digits of x y mod `poly` from the digits d of y."""
+    lead = d[-1]
+    return [(c - lead * a) % p for c, a in zip([0] + d[:-1], poly)]
+
+
+def _times(poly, p, y, src, dst, layouts):
+    """dst[:] = src y for packed values src of GF(p^m) and the m digits y
+    of one element, TABLE_BLOCK values at a time: a product mod p for
+    m = 1 (below 2^50), else the step of `_times_g_to_the_b` whose row j
+    holds the digits of x^j y.  No temporary holds more than a block."""
+    m = len(poly) - 1
+    if m == 1:
+        step = lambda v: v.astype(np.int64) * y[0] % p
+    else:
+        rows = []
+        for _ in range(m):
+            rows.append(y)
+            y = _times_x(y, poly, p)
+        step = _times_g_to_the_b(np.array(rows, dtype=np.int64), p,
+                                 src.size, layouts)
+    for lo in range(0, src.size, TABLE_BLOCK):
+        dst[lo:lo + TABLE_BLOCK] = step(src[lo:lo + TABLE_BLOCK])
+
+
+def _powers(poly, p, step, count):
+    """int32 array of the packed digits of h^i, i < count, for h = g^step
+    and the monic primitive `poly`: exp for step 1 and count p^m - 1, and
+    a subgroup such as R* for a larger step.
 
     Block doubling (Huber, "Some comments on Zech's logarithms", IEEE
-    Trans. IT 1990): exp[B:2B] = exp[0:B] * g^B, applied to TABLE_BLOCK
-    entries at a time by `_times_g_to_the_b`, or for m = 1 as a product
-    mod p (below 2^50).  `Field.build` refuses an order past
-    DEFAULT_ORDER_CAP before it gets here; below the cap every code fits
-    int32.  No full-size temporary is formed: TABLE_BLOCK = 2^14, the
-    chunk table cap too, keeps each block's temporaries at 128 KiB of
-    int64 at most, within the working-set rule of `geometry`'s batched
-    kernels; smaller blocks are no faster, and larger ones only raise the
-    peak.
+    Trans. IT 1990): entries B .. 2B-1 are entries 0 .. B-1 times h^B, by
+    `_times`; h^B is h^(B-1) h, one polynomial product per step.
+    `Field.build` refuses an order past DEFAULT_ORDER_CAP; below the cap
+    every code fits int32.  No full-size temporary is formed: TABLE_BLOCK
+    = 2^14, the chunk table cap too, keeps each block's temporaries at 128
+    KiB of int64 at most, within the working-set rule of `geometry`'s
+    batched kernels; smaller blocks are no faster, and larger ones only
+    raise the peak.
     """
-    def times_x(d):
-        lead = d[-1]
-        return [(c - lead * a) % p for c, a in zip([0] + d[:-1], poly)]
-
-    exp = np.empty(p ** m - 1, dtype=np.int32)
-    exp[0] = 1
+    m = len(poly) - 1
+    h = _digits_of(_poly_powmod((0, 1), step, poly, p), p, m)
+    out = np.empty(count, dtype=np.int32)
+    out[0] = 1
     layouts = {}
-    for b, count in _doubling_steps(exp.size):
-        image = times_x([int(exp[b - 1]) // p ** i % p for i in range(m)])
-        if m == 1:
-            step = lambda v, gb=image[0]: v.astype(np.int64) * gb % p
-        else:
-            rows = []
-            for _ in range(m):
-                rows.append(image)
-                image = times_x(image)
-            step = _times_g_to_the_b(np.array(rows, dtype=np.int64), p,
-                                     count, layouts)
-        for lo in range(0, count, TABLE_BLOCK):
-            v = exp[lo:min(lo + TABLE_BLOCK, count)]
-            exp[b + lo:b + lo + v.size] = step(v)
-    return exp
+    for b, n in _doubling_steps(count):
+        y = _poly_mulmod(_digits_of(int(out[b - 1]), p, m), h, poly, p)
+        _times(poly, p, _digits_of(y, p, m), out[:n], out[b:b + n], layouts)
+    return out
 
 
 def _log_table(exp):
@@ -424,31 +454,33 @@ def _log_table(exp):
 class Field:
     """Immutable handle for GF(p^m); safe for concurrent shared reads.
 
-    Its tables are read-only arrays.  One is built with the field: the
-    int32 `exp`, where exp[i] packs the digits of g^i in base p.  For an
-    order with order^2 <= DENSE_CELLS it also holds the int64 `add_tab`
-    and `mul_tab`, the codes of a + b and a * b at [a, b] (None for larger
-    orders).  The int32 `log` (log[exp[i]] = i, log[0] = -1) and `zech`
-    (zech[i] = log[1 + g^i]) are built from exp on their first read and
-    kept, so a big field that only multiplies, names cosets and packs
-    digits never holds either.
+    Its tables are read-only arrays.  For an order with order^2 <=
+    DENSE_CELLS it holds the int64 `add_tab` and `mul_tab`, the codes of
+    a + b and a * b at [a, b], built with the field (None for larger
+    orders).  The int32 `exp` (exp[i] packs the digits of g^i in base p),
+    `log` (log[exp[i]] = i, log[0] = -1) and `zech` (zech[i] = log[1 +
+    g^i]) are built on their first read and kept, so a big field that
+    only multiplies, names cosets and adds packed digits holds none of
+    them: its readers take the progressions they need from `powers` and
+    `mul_packed`, and `exp_at` evaluates any other power without a table.
     """
 
-    def __init__(self, p, m, modulus, exp):
+    def __init__(self, p, m, modulus):
         self.p = p
         self.m = m
         self.order = p ** m
         self.group_order = self.order - 1
         self.modulus = tuple(modulus)
-        self.exp = exp
+        # the odd-p layout of the last `mul_packed`, which the next one
+        # reuses; two calls at once may each build one
+        self._layouts = {}
         self.add_tab = self.mul_tab = None
         if self.order ** 2 <= DENSE_CELLS:
             codes = np.arange(self.order, dtype=np.int64)
             self.add_tab = self._zech_add(codes[:, None], codes[None, :])
             self.mul_tab = self._zech_mul(codes[:, None], codes[None, :])
-        for table in (exp, self.add_tab, self.mul_tab):
-            if table is not None:
-                table.flags.writeable = False
+            self.add_tab.flags.writeable = False
+            self.mul_tab.flags.writeable = False
         self.zero = 0
         self.one = 1
         # exponent of -1 is (order-1)/2 in odd characteristic
@@ -465,11 +497,11 @@ class Field:
         read from DEFAULT_MODULI and certified by one `_is_primitive` call
         for the fields `build_rgroup` builds, searched for otherwise.  An
         explicit modulus is checked for irreducibility and primitivity.
-        Nothing is cached: each call builds its own tables, and a caller
+        Nothing is cached: each field builds its own tables, and a caller
         that shares a field holds it.  An order past DEFAULT_ORDER_CAP is
-        refused with FieldTooLarge before anything is allocated.  The
-        exp table is built by block doubling, a few vectorized gathers per
-        entry instead of one Python step per element (`_exp_table`).
+        refused with FieldTooLarge before anything is allocated.  No
+        order-size table is built here: exp, log and zech wait for their
+        first read.
         """
         # a p past the cap fails the order check below, prime or not
         if p < 2 or (p <= DEFAULT_ORDER_CAP and factor(p) != {p: 1}):
@@ -499,7 +531,18 @@ class Field:
                                      "not primitive" % (modulus, p, m))
         else:
             modulus = _smallest_primitive_poly(p, m)
-        return Field(p, m, modulus, _exp_table(modulus, p, m))
+        return Field(p, m, modulus)
+
+    @functools.cached_property
+    def exp(self):
+        """The read-only int32 exp, exp[i] packing the digits of g^i,
+        built by block doubling on the first read (`powers`) and then
+        kept, a few vectorized gathers per entry instead of one Python step
+        per element.  Two first reads at once may each build it; the
+        tables are equal."""
+        exp = self.powers(1, self.group_order)
+        exp.flags.writeable = False
+        return exp
 
     @functools.cached_property
     def log(self):
@@ -638,6 +681,66 @@ class Field:
             out = out + (a + b) % p * p ** i
         return out
 
+    def mul_packed(self, x, y):
+        """int32 packed digits of x y for each packed x of a 1-D array and
+        one packed y, by one `_times_g_to_the_b` map (a product mod p for
+        m = 1), TABLE_BLOCK values at a time: the builder's own step."""
+        out = np.empty(len(x), dtype=np.int32)
+        _times(self.modulus, self.p, _digits_of(int(y), self.p, self.m),
+               np.asarray(x), out, self._layouts)
+        return out
+
+    def powers(self, step, count):
+        """int32 packed digits of g^(step i) for i < count, by the block
+        doubling of `_powers`: exp for step 1, R* for the stride of
+        `partition.RGroup`."""
+        return _powers(self.modulus, self.p, step, count)
+
+    def exp_at(self, e):
+        """exp.take(e) for an int64 array of exponents in [0, group order),
+        whether or not the field holds exp: gathered from exp when it does,
+        and else evaluated by square-and-multiply (`_squared_powers`,
+        int64), which shares no table or kernel with `powers` and
+        `mul_packed`."""
+        exp = vars(self).get("exp")
+        return exp.take(e) if exp is not None else self._squared_powers(e)
+
+    def _squared_powers(self, e):
+        """int64 packed digits of g^e for an array of exponents in [0,
+        group order), by square-and-multiply: the digits of 1 times the
+        matrix of g^(2^b) mod p for every set bit b."""
+        digits = np.zeros(e.shape + (self.m,), dtype=np.int64)
+        digits[..., 0] = 1
+        for b, rows in enumerate(self._square_rows):
+            digits = np.where((e >> b & 1)[..., None] == 1,
+                              digits @ rows % self.p, digits)
+        return digits @ self.p ** np.arange(self.m)
+
+    @functools.cached_property
+    def _square_rows(self):
+        """(bits, m, m) array whose [b, j] row holds the digits of x^j
+        g^(2^b), for every bit of an exponent below the group order."""
+        p, m, poly = self.p, self.m, self.modulus
+        y = _times_x([1] + [0] * (m - 1), poly, p)  # g
+        out = []
+        for _ in range(max(1, (self.group_order - 1).bit_length())):
+            rows = []
+            for _ in range(m):
+                rows.append(y)
+                y = _times_x(y, poly, p)
+            out.append(rows)
+            y = _digits_of(_poly_mulmod(rows[0], rows[0], poly, p), p, m)
+        return np.array(out, dtype=np.int64)
+
+    def unpack(self, packed):
+        """Digits (low-to-high, int64, a last axis of m) of an array of
+        packed values."""
+        packed = np.asarray(packed, dtype=np.int64)
+        out = np.empty(packed.shape + (self.m,), dtype=np.int64)
+        for i in range(self.m):
+            packed, out[..., i] = np.divmod(packed, self.p)
+        return out
+
     def plus_one(self, packed):
         """The packed digits of 1 + x from those of x, for an array of
         packed x, in its dtype: only the constant digit changes, mod p
@@ -669,13 +772,11 @@ class Field:
     # -- misc --------------------------------------------------------------
 
     def digits(self, codes):
-        """Polynomial coefficient digits (low-to-high) of an array of codes."""
+        """Polynomial coefficient digits (low-to-high) of an array of codes,
+        by `exp_at`."""
         codes = np.asarray(codes, dtype=np.int64)
-        packed = np.where(codes == 0, 0, self.exp[np.maximum(codes - 1, 0)])
-        out = np.empty(codes.shape + (self.m,), dtype=np.int64)
-        for i in range(self.m):
-            packed, out[..., i] = np.divmod(packed, self.p)
-        return out
+        return self.unpack(np.where(codes == 0, 0,
+                                    self.exp_at(np.maximum(codes - 1, 0))))
 
     def __repr__(self):
         return "Field(GF(%d^%d), modulus=%s)" % (self.p, self.m, list(self.modulus))
@@ -727,14 +828,16 @@ class CoordinateMap:
         self.stride = parent.subfield_stride(d)
         e = m // d
         self.basis = tuple(parent.from_exp(i) for i in range(e))
-        # column i*d + t: the digits of g^i gamma^t = g^(i + t*stride)
+        # column i*d + t: the digits of g^i gamma^t = g^(i + t*stride); then
+        # those of gamma^d
         exps = np.arange(e)[:, None] + np.arange(d) * self.stride
-        inv = _matrix_inverse_mod_p(
-            parent.digits(parent.from_exp(exps.ravel())).T, p)
+        digits = parent.digits(parent.from_exp(
+            np.append(exps.ravel(), d * self.stride)))
+        inv = _matrix_inverse_mod_p(digits[:-1].T, p)
         if inv is None:
             raise AssertionError("polynomial basis is dependent over GF(%d^%d)"
                                  % (p, d))
-        power = inv @ parent.digits([parent.from_exp(d * self.stride)])[0] % p
+        power = inv @ digits[-1] % p
         if power[d:].any():
             raise AssertionError("gamma^%d lies outside GF(%d^%d)" % (d, p, d))
         self.sub = Field.build(p, d, [-int(c) for c in power[:d]] + [1])
@@ -747,21 +850,14 @@ class CoordinateMap:
         codes = np.asarray(codes, dtype=np.int64)
         return np.where(codes == 0, 0, (codes - 1) * self.stride + 1)
 
-    def coords(self, codes):
-        """(N, m/d) array of subfield codes with sum(c_i * basis_i) = code."""
-        codes = np.atleast_1d(np.asarray(codes, dtype=np.int64))
-        dig = self.parent.digits(codes)  # (N, m)
+    def coords(self, packed):
+        """(N, m/d) array of the subfield codes c_i with sum(c_i basis_i)
+        = x, for each x of a 1-D array of packed digits (as exp holds them:
+        `Field.exp_at`, or a progression such as
+        `partition.RGroup.coset_values`)."""
+        dig = self.parent.unpack(np.atleast_1d(packed))  # (N, m)
         u = dig @ self._inv.T % self.parent.p  # (N, m), grouped (i, t)
-        u = u.reshape(codes.shape[0], self._e, self.d)
+        u = u.reshape(dig.shape[0], self._e, self.d)
         packed = (u * self._pw).sum(axis=2)
         return np.where(packed == 0, 0,
                         self.sub.log[packed].astype(np.int64) + 1)
-
-    def recompose(self, coords):
-        """Inverse of :meth:`coords`; used as the round-trip oracle."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        big = self.to_parent(coords)
-        acc = np.zeros(coords.shape[0], dtype=np.int64)
-        for i, b in enumerate(self.basis):
-            acc = self.parent.add_vec(acc, self.parent.mul_vec(big[:, i], b))
-        return acc

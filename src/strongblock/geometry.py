@@ -37,8 +37,8 @@ item: one per incidence for `pencils`, one per lookup for
 k (N - 1) per point for the strong scan's secant pass and (k - 1) s per
 section of size s for its rank stacks.  The minimality pass of `codes`
 keeps within it in bytes: one uint64 vanish word per class while the
-support profiles are read, index blocks of 1,024 ranks and AND blocks of
-at most 256 KiB apiece.  The field table build keeps within it too:
+support profiles are read, pencils of 8 columns per call, index blocks
+of 1,024 ranks and AND blocks of at most 128 KiB apiece.  The field table build keeps within it too:
 `field.TABLE_BLOCK` = 2^14 cells per step, so each of its temporaries
 holds at most 128 KiB of int64.
 
@@ -216,11 +216,14 @@ class ProjectiveSpace:
         polynomial digits: the one incidence evaluation of every witness
         re-check, off the batched paths.
 
-        Each product x_i u_i is an exponent addition looked up in `exp`,
-        which packs its m base-p digits, and a point lies on the hyperplane
-        iff every digit of sum_i x_i u_i, the sum of the products' digits,
-        is 0 mod p.  No Zech or dense table and no `add_vec` or `Field.add`
-        is read: no re-check shares an addition with what it re-checks.
+        Each product x_i u_i is an exponent addition, whose m base-p
+        digits `Field.exp_at` packs: from exp when the field holds it, by
+        square-and-multiply on a big field that does not.  A point lies on
+        the hyperplane iff every digit of sum_i x_i u_i, the sum of the
+        products' digits, is 0 mod p.  No Zech or dense table, no
+        `add_vec` or `Field.add` and no coset image is read: no re-check
+        shares an addition with what it re-checks, and the relation
+        re-check of `search.is_r_independent` shares no product either.
         """
         f = self.field
         u = np.asarray(dual, dtype=np.int64)
@@ -232,7 +235,7 @@ class ProjectiveSpace:
         if x.ndim != 2 or x.shape[1] != self.k:
             raise DimensionMismatch("expected %d coordinates" % self.k)
         packed = np.where((x == 0) | (u == 0), 0,
-                          f.exp[(x + u - 2) % f.group_order])
+                          f.exp_at((x + u - 2) % f.group_order))
         on = np.ones(len(x), dtype=bool)
         for _ in range(f.m):
             packed, digit = np.divmod(packed, f.p)

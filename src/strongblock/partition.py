@@ -6,12 +6,20 @@ set of exponents divisible by a fixed stride, each coset index in
 [0, stride) names one F_q-subgeometry of PG(k-1, q^(k-1)), and together they
 partition the point set.  `build_rgroup` certifies the stride exactly, for
 every (q, k), with one gcd, and keeps the `CoordinateMap` over
-GF(q^(k-1)); `subgeometry_points` coordinatizes one code per point, and
+GF(q^(k-1)); `subgeometry_points` coordinatizes one element per point, and
 `r_tuple_matrix` indexes the R codes by `geometry.canonical_points`.
+
+The values of the big field enter only as cosets of R*: `RGroup` packs
+R* once, g^(stride i) for i < r, by the block doubling of `Field.powers`,
+and `RGroup.coset_values` multiplies entries of it by a representative g^c
+(`Field.mul_packed`).  So the search and the coordinatization read r-entry
+progressions (1,040 values at q = 3), never a table of the 531,440 of
+GF(3^12).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,6 +80,28 @@ class RGroup:
     def rstar_codes(self):
         return np.arange(self.r, dtype=np.int64) * self.stride + 1
 
+    @functools.cached_property
+    def rstar_values(self):
+        """int32 packed digits of g^(stride i), i < r: R* in exponent
+        order, built on the first read by `Field.powers` and then kept."""
+        return self.field.powers(self.stride, self.r)
+
+    @functools.cached_property
+    def _coset_heads(self):
+        """int32 packed digits of the coset representatives g^c, c <
+        stride."""
+        return self.field.powers(1, self.stride)
+
+    def coset_values(self, e, idx):
+        """int32 packed digits of g^(e + stride i) for each i of a 1-D
+        index array: with e = c + stride t, c < stride, the entries t + i
+        (mod r) of `rstar_values` times g^c, by one `Field.mul_packed`.
+        Every value the pipeline reads of the big field is one of these,
+        so it never builds an order-size table."""
+        t, c = divmod(e % self.field.group_order, self.stride)
+        x = self.rstar_values.take((np.asarray(idx) + t) % self.r)
+        return x if c == 0 else self.field.mul_packed(x, self._coset_heads[c])
+
     def r_codes(self):
         return np.concatenate([[0], self.rstar_codes()])
 
@@ -109,16 +139,18 @@ def subgeometry_points(rg: RGroup, coset_index):
     g^c R* = g^c K* L*, with K = F_{q^(k-1)} the coordinate field and
     L = F_{q^k}, and L* meets K* in F_q*.  So the points of coset c are the
     K*-classes of g^(c + s i), s = n/(q^k - 1) for the group order n,
-    i < (q^k - 1)/(q - 1): one code per point.  They are coordinatized over K, returned in canonical
-    index order and labelled with the coset.
+    i < (q^k - 1)/(q - 1): one element per point.  s is the stride times
+    (q^(k-1) - 1)/(q - 1), so these are the entries i (q^(k-1) - 1)/(q - 1)
+    of coset c (`RGroup.coset_values`).  They are coordinatized over K,
+    returned in canonical index order and labelled with the coset.
     """
     coset_index %= rg.stride
     q, k = rg.q, rg.k
-    step = rg.field.group_order // (q ** k - 1)
-    codes = rg.field.from_exp(
-        coset_index + step * np.arange((q ** k - 1) // (q - 1)))
+    step = (q ** (k - 1) - 1) // (q - 1)
+    packed = rg.coset_values(
+        coset_index, step * np.arange((q ** k - 1) // (q - 1)))
     space = ProjectiveSpace(rg.geom_field, k - 1)
-    norm = space.normalize_vec(rg.coords.coords(codes))
+    norm = space.normalize_vec(rg.coords.coords(packed))
     idx = space.point_index_vec(norm)
     order = np.argsort(idx)
     if np.any(np.diff(idx[order]) == 0):

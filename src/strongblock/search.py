@@ -8,11 +8,12 @@ with all coordinates in R: a nontrivial relation exists exactly when some such
 point lies on the hyperplane.  A relation is fixed by its first m-1 entries
 (the last is the one rho_m in R that cancels their sum, if any), so
 `is_r_independent` enumerates only the R-points of PG(m-2, .): for a triple,
-1,042 at q = 3 and 5,357 at q = 4, a few milliseconds each.  It reads
-only the exp table: each prefix sum is added in packed base-p digits and
-tested for membership in a coset of R*, so a search builds no Zech or log
-table of GF(q^(k(k-1))).  A prefix enumeration beyond SCAN_BUDGET raises
-BudgetExceeded; no verdict is guessed.
+1,042 at q = 3 and 5,357 at q = 4, a few milliseconds each.  It reads no
+table of GF(q^(k(k-1))): its terms and targets are coset images of R*
+(`RGroup.coset_values`), each prefix sum is added in packed base-p digits
+and tested for membership in a coset of R*, so a search builds no exp,
+Zech or log table of the big field.  A prefix enumeration beyond
+SCAN_BUDGET raises BudgetExceeded; no verdict is guessed.
 Independent coset representatives make the union of their subgeometries a
 strong blocking set; the converse fails (at q = 2, 367 of the 703 unions of
 coset 0 with two others are strong, and only 24 of those triples are
@@ -87,14 +88,21 @@ def is_r_independent(alphas, rg: RGroup):
     hit in prefix order is the first relation in canonical order.  Raises
     BudgetExceeded when the prefix enumeration exceeds SCAN_BUDGET.
 
-    Only the exp table is read.  Each sum is formed in packed base-p
-    digits, the products looked up in exp and added by `Field.add_packed`,
-    and s = -rho_m a_m with rho_m in R* exactly when s is one of the r
-    packed values exp[c_m + stride i], a_m = g^c_m; the first one equal to
-    s gives rho_m = -g^(stride i).  That membership is one equality test
-    per pair, about MARK_BATCH pairs per block, with no sort, and stops at
-    the first block with a hit.  A relation's re-check (rhos on the
-    hyperplane alphas, `ProjectiveSpace.section`) runs in PG(m-1, Q),
+    No table of the big field is read.  The relations of the alphas are
+    those of the alphas divided by a_1 = g^c_1, so with a_j = g^c_j and
+    rho = g^(stride i) in R*, the product rho a_j / a_1 is entry i of the
+    coset image of c_j - c_1 (`RGroup.coset_values`), packed in base-p
+    digits; the first column, 0 or 1 on a normalized R-point, reads R*
+    itself.  The sums are added by `Field.add_packed`, and s = -rho_m a_m /
+    a_1 with rho_m in R* exactly when s is one of the r packed values of
+    the coset image of c_m - c_1; the first one equal to s, entry i, gives
+    rho_m = -g^(stride i).  That membership is one equality test per pair,
+    about MARK_BATCH pairs per block, with no sort, and stops at the first
+    block with a hit.  A prefix entry off R is refused before any sum: the
+    coset images index R* by it.  A relation's re-check (rhos on the
+    hyperplane alphas, `ProjectiveSpace.section`) evaluates its products
+    by `Field.exp_at`, by square-and-multiply on a field without exp,
+    which shares no kernel with the coset images; it runs in PG(m-1, Q),
     under 2^63 points by the budget.
     """
     alphas = tuple(int(a) for a in alphas)
@@ -105,13 +113,16 @@ def is_r_independent(alphas, rg: RGroup):
         raise ValueError("alphas must be nonzero")
     f = rg.field
     mat = r_tuple_matrix(rg, m - 1)
+    if not np.all(rg.in_r(mat)):
+        raise AssertionError("R-relation re-check failed: a prefix entry "
+                             "lies off R")
+    index = (mat - 1) // rg.stride  # of each nonzero entry in R*
     *head, last = alphas
     sums = None  # packed digits of the prefix sums, one per R-point
-    for col, a in zip(mat.T, head):
-        term = np.where(col == 0, 0, f.exp.take((col + a - 2) % f.group_order))
+    for col, i, a in zip(mat.T, index.T, head):
+        term = np.where(col == 0, 0, rg.coset_values(a - alphas[0], i))
         sums = term if sums is None else f.add_packed(sums, term)
-    rstar = np.arange(rg.r, dtype=np.int64) * rg.stride  # exponents of R*
-    targets = f.exp.take((rstar + last - 1) % f.group_order)
+    targets = rg.coset_values(last - alphas[0], np.arange(rg.r))
     step = max(1, geometry.MARK_BATCH // rg.r)
     for lo in range(0, sums.size, step):
         block = sums[lo:lo + step, None]
@@ -121,7 +132,8 @@ def is_r_independent(alphas, rg: RGroup):
             h = int(hits[0])
             rho_m = 0
             if block[h, 0]:  # -g^(stride i) for the first target equal to s
-                rho_m = f.neg(f.from_exp(int(rstar[np.argmax(equal[h])])))
+                rho_m = f.neg(f.from_exp(
+                    rg.stride * int(np.argmax(equal[h]))))
             rhos = tuple(int(c) for c in mat[lo + h]) + (rho_m,)
             on = ProjectiveSpace(f, m - 1).section([rhos], alphas)
             if not on[0] or not np.all(rg.in_r(rhos)):

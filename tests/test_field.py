@@ -405,32 +405,48 @@ def test_tables_at_workload_sizes(p, m):
 
 
 def test_table_build_peak_memory():
-    # the build holds one order-size table, exp, plus block-sized
-    # temporaries: TABLE_BLOCK = 2^14 cells hold at most 128 KiB of int64
-    # apiece
+    # `Field.build` builds no order-size table; the first read of exp holds
+    # exp plus block-sized temporaries: TABLE_BLOCK = 2^14 cells hold at
+    # most 128 KiB of int64 apiece
+    f = Field.build(3, 12)
+    assert "exp" not in vars(f)
     tracemalloc.start()
     try:
-        f = Field.build(3, 12)
+        exp = f.exp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f.exp.nbytes == 4 * (3 ** 12 - 1)
-    assert peak < f.exp.nbytes + (3 << 18)
+    assert exp.nbytes == 4 * (3 ** 12 - 1)
+    assert peak < exp.nbytes + (3 << 18)
 
 
 def test_pipeline_leaves_the_big_log_unbuilt():
-    # the search, the union and its coordinates read exp and the
-    # subfield's log, never the log or the zech of GF(3^12)
-    rg = build_rgroup(3, 4)
-    res = find_independent_tuple(rg, 3, strategy="random", seed=1)
-    union_subgeometries(rg, res.alphas)
-    f = rg.field
-    assert "log" not in vars(f) and "zech" not in vars(f)
+    # the search, the union and its coordinates read progressions of R*
+    # and the subfield's log, never the exp, log or zech of GF(q^12)
+    for q in (3, 4):
+        rg = build_rgroup(q, 4)
+        res = find_independent_tuple(rg, 3, strategy="random", seed=1)
+        union_subgeometries(rg, res.alphas)
+        assert not {"exp", "log", "zech"} & set(vars(rg.field)), q
+    f = build_rgroup(3, 4).field
     log = f.log
     assert log.dtype == np.int32 and not log.flags.writeable
     assert log[0] == -1
     assert np.array_equal(log[f.exp], np.arange(f.group_order))
     assert f.log is log
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (65521, 1), (2, 12),
+                                 (3, 12), (5, 6)])
+def test_squared_powers_match_exp(p, m):
+    # the evaluation `Field.exp_at` makes without exp equals the gather
+    # from exp: at every exponent, or past 2^16 at both ends and a seeded
+    # sample
+    f = Field.build(p, m)
+    n = f.group_order
+    e = (np.arange(n) if n <= 1 << 16 else np.r_[
+        0, 1, n - 1, np.random.default_rng(m).integers(0, n, 1 << 14)])
+    assert np.array_equal(f._squared_powers(e), f.exp.take(e))
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -616,12 +632,29 @@ def test_subfield_is_field_homomorphism(gf4096):
                 int(big[a]), int(big[b]))
 
 
+def recompose(cm, coords):
+    """The big-field codes of subfield coordinates, sum_i c_i basis_i added
+    through the parent's Zech kernels: the round-trip oracle of
+    `CoordinateMap.coords`."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
+    big = cm.to_parent(coords)
+    acc = np.zeros(coords.shape[0], dtype=np.int64)
+    for i, b in enumerate(cm.basis):
+        acc = cm.parent.add_vec(acc, cm.parent.mul_vec(big[:, i], b))
+    return acc
+
+
+def coords_of_codes(cm, codes):
+    f = cm.parent
+    return cm.coords(f.digits(codes) @ f.p ** np.arange(f.m))
+
+
 def test_coords_roundtrip_and_bijection(gf4096):
     cm = field_mod.CoordinateMap(gf4096, 4)
     codes = np.arange(gf4096.order, dtype=np.int64)
-    coords = cm.coords(codes)
+    coords = coords_of_codes(cm, codes)
     assert coords.shape == (4096, 3)
-    assert np.array_equal(cm.recompose(coords), codes)
+    assert np.array_equal(recompose(cm, coords), codes)
     packed = coords @ np.array([16 ** 2, 16, 1])
     assert len(np.unique(packed)) == 4096
 
@@ -630,7 +663,7 @@ def test_coords_of_basis_elements(gf4096):
     cm = field_mod.CoordinateMap(gf4096, 4)
     sub_one = cm.sub.one
     for i, b in enumerate(cm.basis):
-        row = cm.coords(np.array([b]))[0]
+        row = coords_of_codes(cm, np.array([b]))[0]
         expect = [0, 0, 0]
         expect[i] = sub_one
         assert list(row) == expect
@@ -644,13 +677,13 @@ def test_coords_linear_over_subfield(gf4096):
     b = rng.integers(0, gf4096.order, 200)
     lam = rng.integers(1, cm.sub.order, 200)
     # additivity
-    lhs = cm.coords(gf4096.add_vec(a, b))
-    rhs = cm.sub.add_vec(cm.coords(a), cm.coords(b))
+    lhs = coords_of_codes(cm, gf4096.add_vec(a, b))
+    rhs = cm.sub.add_vec(coords_of_codes(cm, a), coords_of_codes(cm, b))
     assert np.array_equal(lhs, rhs)
     # scaling by subfield elements
     big_lam = cm.to_parent(lam)
-    lhs = cm.coords(gf4096.mul_vec(a, big_lam))
-    rhs = cm.sub.mul_vec(cm.coords(a), lam[:, None])
+    lhs = coords_of_codes(cm, gf4096.mul_vec(a, big_lam))
+    rhs = cm.sub.mul_vec(coords_of_codes(cm, a), lam[:, None])
     assert np.array_equal(lhs, rhs)
 
 

@@ -5,8 +5,9 @@ holds an `assert` statement, which `python -O` strips: load-bearing checks
 are explicit raises, no library module calls a numpy function that the
 declared floor (numpy>=1.24) lacks, every name that README.md quotes
 exists, only `geometry` calls `np.add.at`, only `geometry.read_file`
-opens a file to read, and only `CoordinateMap.coords`, on its subfield,
-and `search.free_cosets` read a field's `log`."""
+opens a file to read, only `CoordinateMap.coords`, on its subfield,
+and `search.free_cosets` read a field's `log`, and outside `field`, only
+`search.free_cosets` reads a field's `exp`."""
 
 import argparse
 import ast
@@ -313,14 +314,15 @@ def test_stray_file_reader_is_reported():
                                   (10, "inner"), (11, "load"), (12, None)]
 
 
-def log_reads(tree):
-    """(line, function, owner) of every read of a `.log` attribute in
-    `tree`, numpy's and math's aside; the function is the innermost one
-    around the read, and the owner is the source of what it is read from."""
+def table_reads(tree, attr):
+    """(line, function, owner) of every read of an `attr` attribute (a
+    field's `log` or `exp`) in `tree`, numpy's and math's aside; the
+    function is the innermost one around the read, and the owner is the
+    source of what it is read from."""
     return sorted(
         (node.lineno, where, ast.unparse(node.value))
         for node, where in walk_in_functions(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "log"
+        if isinstance(node, ast.Attribute) and node.attr == attr
         and isinstance(node.ctx, ast.Load)
         and not (isinstance(node.value, ast.Name)
                  and node.value.id in ("np", "numpy", "math")))
@@ -332,7 +334,8 @@ def test_one_log_reader():
     # coset quotient `search.free_cosets` may hold one; the pipeline's big
     # field never does (test_field.py pins that at run time)
     readers = [(p.name, where, owner) for p in SOURCES
-               for _, where, owner in log_reads(ast.parse(p.read_text()))]
+               for _, where, owner in table_reads(ast.parse(p.read_text()),
+                                                  "log")]
     assert readers == [("field.py", "coords", "self.sub"),
                        ("search.py", "free_cosets", "f")]
 
@@ -345,5 +348,32 @@ def test_stray_log_read_is_reported():
                      "    return rg.field.log[x], np.log(x), math.log(2)\n"
                      "field.log = None\n"
                      "table = field.log\n")
-    assert log_reads(tree) == [(4, "coords", "self.sub"),
-                               (6, "relation", "rg.field"), (8, None, "field")]
+    assert table_reads(tree, "log") == [(4, "coords", "self.sub"),
+                                        (6, "relation", "rg.field"),
+                                        (8, None, "field")]
+
+
+def test_one_exp_reader():
+    # a field builds exp on the first read, so outside field.py, whose log
+    # and zech scatter and gather from it, only the exhaustive coset
+    # quotient `search.free_cosets` may; the pipeline reads progressions of
+    # R* (`partition.RGroup.coset_values`) and `Field.exp_at`, and its big
+    # field never builds exp (test_field.py pins that at run time)
+    readers = [(p.name, where, owner) for p in SOURCES
+               for _, where, owner in table_reads(ast.parse(p.read_text()),
+                                                  "exp")]
+    assert readers == [("field.py", "log", "self")] + [
+        ("field.py", "zech", "self")] * 3 + [("search.py", "free_cosets", "f")]
+
+
+def test_stray_exp_read_is_reported():
+    tree = ast.parse("import math\nimport numpy as np\n"
+                     "def zech(self):\n"
+                     "    return self.exp[1:]\n"
+                     "def section(space, x):\n"
+                     "    return space.field.exp[x], np.exp(x), math.exp(2)\n"
+                     "field.exp = None\n"
+                     "table = field.exp\n")
+    assert table_reads(tree, "exp") == [(4, "zech", "self"),
+                                        (6, "section", "space.field"),
+                                        (8, None, "field")]

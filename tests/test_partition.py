@@ -158,7 +158,8 @@ def points_of_all_of_the_coset(rg, c):
     """The points of coset c from every one of its |R*| codes: coordinatized,
     normalized, de-duplicated and sorted by canonical index."""
     space = ProjectiveSpace(rg.geom_field, rg.k - 1)
-    norm = space.normalize_vec(rg.coords.coords(rg.rstar_codes() + c))
+    norm = space.normalize_vec(
+        rg.coords.coords(rg.field.exp_at(rg.rstar_codes() - 1 + c)))
     _, first = np.unique(space.point_index_vec(norm), return_index=True)
     return [tuple(int(x) for x in row) for row in norm[first]]
 
@@ -174,6 +175,32 @@ def test_one_code_per_point_matches_all_of_rstar(qk, cosets):
         sub = subgeometry_points(rg, c)
         assert sub.points == points_of_all_of_the_coset(rg, c)
         assert sub.labels == {pt: c for pt in sub.points}
+
+
+@pytest.mark.parametrize("q,cosets", [(2, None), (3, None), (4, 12)])
+def test_coset_values_match_exp(q, cosets):
+    # R* and the coset images of the table-free path equal exp.take of the
+    # same exponents: every coset at q = 2 and 3 and a seeded sample at
+    # q = 4, then exponents off the smallest representative at seeded
+    # index arrays with repeats, in no order
+    rg = build_rgroup(q, 4)
+    f, s, r = rg.field, rg.stride, rg.r
+    rng = np.random.default_rng(q)
+    picks = (range(s) if cosets is None
+             else rng.choice(s, cosets, replace=False).tolist())
+    idx = np.arange(r)
+    images = [rg.coset_values(c, idx) for c in picks]
+    samples = []
+    for _ in range(20):
+        e, i = int(rng.integers(0, f.group_order)), rng.integers(0, r, 50)
+        samples.append((e, i, rg.coset_values(e, i)))
+    assert "exp" not in vars(f)
+    assert np.array_equal(rg.rstar_values, f.exp.take(idx * s))
+    for c, image in zip(picks, images):
+        assert image.dtype == np.int32
+        assert np.array_equal(image, f.exp.take(c + idx * s)), c
+    for e, i, values in samples:
+        assert np.array_equal(values, f.exp.take((e + i * s) % f.group_order))
 
 
 def test_fano_subgeometry(rg23):

@@ -1,10 +1,14 @@
-"""Fault injection: every witness re-check reads no addition table.
+"""Fault injection: every witness re-check reads no addition table, and
+the relation re-check no product of the coset-image kernel.
 
 Once a decision is made, scalar `Field.add` raises and the field's Zech
-and dense addition tables are replaced by ones that make every sum zero.
-The re-checks of true witnesses must still pass, since their incidences are
-the digit sums of `ProjectiveSpace.section`, and forged witnesses must
-still raise, under python -O too, since the re-checks are explicit raises.
+and dense addition tables are replaced by ones that make every sum zero;
+or, for an R-relation, the kernel that multiplies R* into its cosets
+(`field._times_g_to_the_b`) multiplies by one instead.  The re-checks of
+true witnesses must still pass, since their incidences are the digit sums
+of `ProjectiveSpace.section`, evaluated without that kernel, and forged
+witnesses must still raise, under python -O too, since the re-checks are
+explicit raises.
 """
 
 import os
@@ -21,11 +25,13 @@ FAULT_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np
     from strongblock import codes, search, strong
+    from strongblock import field as field_mod
     from strongblock.field import Field
     from strongblock.geometry import PointSet, ProjectiveSpace
     from strongblock.partition import build_bset, build_rgroup
 
-    real = (Field.add, search.free_cosets, strong.mark_lines_through)
+    real = (Field.add, search.free_cosets, strong.mark_lines_through,
+            field_mod._times_g_to_the_b, ProjectiveSpace.section)
 
     def broken_add(self, a, b):
         raise RuntimeError("scalar Field.add read by a re-check")
@@ -54,7 +60,8 @@ FAULT_SCRIPT = textwrap.dedent("""
         except Exception as exc:
             print(name, "raised", type(exc).__name__ + ":", exc)
         finally:
-            Field.add, search.free_cosets, strong.mark_lines_through = real
+            (Field.add, search.free_cosets, strong.mark_lines_through,
+             field_mod._times_g_to_the_b, ProjectiveSpace.section) = real
 
     def not_minimal():
         # a line of PG(3, 8) and two points spanning the rest
@@ -85,6 +92,25 @@ FAULT_SCRIPT = textwrap.dedent("""
         alphas = tuple(rg.coset_rep(c) for c in cosets)
         return search.is_r_independent(alphas, rg).status
 
+    def products_by_one(mat, p, count, layouts):
+        return lambda v: v.astype(np.int32)
+
+    def kernel_relation(cosets, forge):
+        # the decision multiplies R* into its cosets by the kernel, which
+        # multiplies by one once the re-check starts: a re-check that read
+        # exp, which the big field does not hold, would build it so
+        rg = build_rgroup(2, 4)
+        if forge:
+            rg.field.add_packed = forge
+        section = ProjectiveSpace.section
+
+        def breaking_section(self, points, dual):
+            field_mod._times_g_to_the_b = products_by_one
+            return section(self, points, dual)
+        ProjectiveSpace.section = breaking_section
+        alphas = tuple(rg.coset_rep(c) for c in cosets)
+        return search.is_r_independent(alphas, rg).status
+
     def zero_sums(a, b):  # forged: every partial sum of a relation is 0
         return np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
 
@@ -108,10 +134,13 @@ FAULT_SCRIPT = textwrap.dedent("""
     print("optimize", sys.flags.optimize)
     case("not-minimal", not_minimal)
     case("dependent", lambda: relation((0, 1, 2), None))
+    case("dependent, kernel", lambda: kernel_relation((0, 1, 2), None))
     case("B(4,2)", lambda: b42(False))
     case("not-blocking", lambda: not_blocking(False))
     case("forged not-minimal", forged_minimal)
     case("forged dependent", lambda: relation((0, 1, 17), zero_sums))
+    case("forged dependent, kernel",
+         lambda: kernel_relation((0, 1, 17), zero_sums))
     case("forged B(4,2)", lambda: b42(True))
     case("forged not-blocking", lambda: not_blocking(True))
 """)
@@ -129,11 +158,14 @@ def test_rechecks_read_no_addition_table(flags):
         "optimize %d" % len(flags),
         "not-minimal: not-minimal",
         "dependent: dependent",
+        "dependent, kernel: dependent",
         "B(4,2): not-blocking",
         "not-blocking: not-blocking",
         "forged not-minimal raised AssertionError: "
         "minimality witness re-check failed",
         "forged dependent raised AssertionError: R-relation re-check failed",
+        "forged dependent, kernel raised AssertionError: "
+        "R-relation re-check failed",
         "forged B(4,2) raised AssertionError: witness line re-check failed",
         "forged not-blocking raised AssertionError: "
         "strong witness re-check failed",
