@@ -171,9 +171,9 @@ def check_minimal(G: GeneratorMatrix, profile=None):
     """
     prof = profile if profile is not None else support_profiles(G)
     C, S = prof.class_count, prof.supports
+    contained = _contained(prof)
     order = np.argsort(prof.weights, kind="stable")
-    flagged = np.unpackbits(_contained(prof), count=C,
-                            bitorder="little")[order]
+    flagged = np.unpackbits(contained, count=C, bitorder="little")[order]
     if not flagged.any():
         return MinimalityVerdict("minimal", None, classes_checked=C)
     pos = int(np.argmax(flagged))
