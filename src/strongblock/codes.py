@@ -282,8 +282,9 @@ def _repeated_rows(S):
 
 
 def _dense_rank(x):
-    """int64 rank of each entry of the 1-D x among its distinct values, by
-    one unstable sort; the sorted copy of x becomes the ranks in place."""
+    """int64 rank of each entry of the 1-D, 64-bit x among its distinct
+    values, by one unstable sort; the sorted copy of x becomes the ranks in
+    place."""
     order = np.argsort(x)
     ranks = x[order].view(np.int64)  # equal entries stay equal
     ranks[1:] = ranks[1:] != ranks[:-1]
