@@ -3,29 +3,28 @@
 Elements are integer codes: code 0 is the zero element, and code c in
 [1, order-1] denotes g^(c-1) where g is the root of the (primitive) modulus.
 With this encoding, multiplication is index addition and addition is a Zech
-table lookup.  `Field.build` builds no order-size table (the order is
-capped at DEFAULT_ORDER_CAP = 2^25, so every code fits int32): exp, log
-and zech are built when something first reads them.  exp comes from one
-block-doubling builder for every p and m, made of table gathers only,
-which packs any progression g^(step i) (`Field.powers`) and multiplies
-packed values by one element (`Field.mul_packed`), and log and zech come
-from exp: the scalar `add` and the Zech kernels read zech.  A caller that
-only multiplies, names cosets and adds packed digits holds none of them,
-as the pipeline's GF(q^12) does not: it reads the cosets of R* as images
-of R* (`partition.RGroup.coset_values`), and any other power through
+table lookup.  `Field.build` builds no order-size table (the order is capped
+at DEFAULT_ORDER_CAP = 2^25, so every code fits int32): exp, log and zech
+are built when something first reads them.  exp comes from one stateless
+block-doubling builder, `Field.powers`, made of table gathers only, which
+packs any progression g^(step i); `Field.mul_packed` applies its step once
+to multiply packed values by one element.  log and zech come from exp: the
+scalar `add` and the Zech kernels read zech.  A caller that only multiplies,
+names cosets and adds packed digits holds none of them, as the pipeline's
+GF(q^12) does not: it reads the cosets of R* as images of R*
+(`partition.RGroup.coset_values`), and any other power through
 `Field.exp_at`, by square-and-multiply.  The builder works TABLE_BLOCK =
-2^14 cells at a time, and no lookup table of a doubling step holds more,
-so each temporary holds at most 128 KiB of int64 and stays in cache.  The
-first read of exp of GF(3^12) peaks (tracemalloc) 0.61 MiB above the
-table, at 2.63 MiB against the 4.68 MiB of building exp and zech, and
-takes about 0.01-0.02 s; that of GF(2^24) 0.1-0.15 s.  A field with at
-most DENSE_CELLS code pairs (every order up to 512, which covers the
-PG(3, q^3) scans for q <= 8) also holds dense order x order addition and
-multiplication tables, built once from the Zech kernels, so each
-vectorized add or mul is one table gather, with no zero case and no
-modular reduction; larger fields use the Zech kernels directly.  All
-operations come in scalar and numpy-vectorized flavours; scalar results
-are Python integers, vectorized ones int64 arrays.
+2^14 cells at a time, and no lookup table of a doubling step holds more, so
+each temporary holds at most 128 KiB of int64 and stays in cache.  The first
+read of exp of GF(3^12) peaks (tracemalloc) 0.61 MiB above the table, at
+2.63 MiB against the 4.68 MiB of building exp and zech, and takes about
+0.01-0.02 s; that of GF(2^24) 0.1-0.15 s.  A field with at most DENSE_CELLS
+code pairs (every order up to 512, which covers the PG(3, q^3) scans for
+q <= 8) also holds dense order x order addition and multiplication tables,
+built once from the Zech kernels, so each vectorized add or mul is one table
+gather, with no zero case and no modular reduction; larger fields use the
+Zech kernels directly.  All operations come in scalar and numpy-vectorized
+flavours; scalar results are Python integers, vectorized ones int64 arrays.
 """
 
 from __future__ import annotations
@@ -273,16 +272,6 @@ def _smallest_primitive_poly(p, m):
 # table construction
 
 
-def _doubling_steps(n):
-    """(B, count) for each block-doubling step of an n-entry power table:
-    entries B .. B+count-1 are entries 0 .. count-1 times g^B."""
-    b = 1
-    while b < n:
-        count = min(b, n - b)
-        yield b, count
-        b += count
-
-
 def _ilog(n, base):
     """The largest e with base^e <= n."""
     e = 0
@@ -291,10 +280,11 @@ def _ilog(n, base):
     return e
 
 
-def _times_g_to_the_b(mat, p, count, layouts):
+def _times_g_to_the_b(mat, p, count):
     """The map v -> v y on an int32 array of packed values of GF(p^m),
-    m > 1, where row j of `mat` holds the digits of x^j y: y = g^B for a
-    doubling step of `_powers`, or any one element for `Field.mul_packed`.
+    m > 1, where row j of `mat` holds the digits of x^j y: y = h^B for a
+    doubling step of `Field.powers`, or any one element for
+    `Field.mul_packed`.
 
     The map is GF(p)-linear on the digits.  Split into c chunks of h
     digits, each chunk value has its image in a table of p^h entries, and
@@ -308,9 +298,7 @@ def _times_g_to_the_b(mat, p, count, layouts):
     b = c(p-1)+1, where c digits below p add without carries, with one
     accumulator per group of w digits, b^w <= TABLE_BLOCK (or w = 1), so no
     sum leaves int32; a gather from a b^w-entry table reduces the group's
-    digits mod p and repacks them in base p.  Those digit and reduction
-    tables depend only on p, m and c, so `layouts` keeps those of the
-    current c for the steps of one build (`_odd_layout`).
+    digits mod p and repacks them in base p (`_odd_layout`).
     """
     m = len(mat)
     c = -(-m // max(1, _ilog(min(TABLE_BLOCK, max(64, count // 4)), p)))
@@ -331,12 +319,7 @@ def _times_g_to_the_b(mat, p, count, layouts):
                 out ^= tables[t].take(v >> t * h & mask)
             return out
         return step
-    layout = layouts.get(c)
-    if layout is None:  # c never rises as a build's steps grow: keep one
-        layout = _odd_layout(p, m, c, h)
-        layouts.clear()
-        layouts[c] = layout
-    digits, base, groups, reduce = layout
+    digits, base, groups, reduce = _odd_layout(p, m, c, h)
     images = [digits[:p ** len(rows), :len(rows)] @ rows % p
               for rows in chunks]
     tables = [[(img[:, g:hi] @ base ** np.arange(hi - g)).astype(np.int32)
@@ -393,7 +376,7 @@ def _times_x(d, poly, p):
     return [(c - lead * a) % p for c, a in zip([0] + d[:-1], poly)]
 
 
-def _times(poly, p, y, src, dst, layouts):
+def _times(poly, p, y, src, dst):
     """dst[:] = src y for packed values src of GF(p^m) and the m digits y
     of one element, TABLE_BLOCK values at a time: a product mod p for
     m = 1 (below 2^50), else the step of `_times_g_to_the_b` whose row j
@@ -407,35 +390,9 @@ def _times(poly, p, y, src, dst, layouts):
             rows.append(y)
             y = _times_x(y, poly, p)
         step = _times_g_to_the_b(np.array(rows, dtype=np.int64), p,
-                                 src.size, layouts)
+                                 src.size)
     for lo in range(0, src.size, TABLE_BLOCK):
         dst[lo:lo + TABLE_BLOCK] = step(src[lo:lo + TABLE_BLOCK])
-
-
-def _powers(poly, p, step, count):
-    """int32 array of the packed digits of h^i, i < count, for h = g^step
-    and the monic primitive `poly`: exp for step 1 and count p^m - 1, and
-    a subgroup such as R* for a larger step.
-
-    Block doubling (Huber, "Some comments on Zech's logarithms", IEEE
-    Trans. IT 1990): entries B .. 2B-1 are entries 0 .. B-1 times h^B, by
-    `_times`; h^B is h^(B-1) h, one polynomial product per step.
-    `Field.build` refuses an order past DEFAULT_ORDER_CAP; below the cap
-    every code fits int32.  No full-size temporary is formed: TABLE_BLOCK
-    = 2^14, the chunk table cap too, keeps each block's temporaries at 128
-    KiB of int64 at most, within the working-set rule of `geometry`'s
-    batched kernels; smaller blocks are no faster, and larger ones only
-    raise the peak.
-    """
-    m = len(poly) - 1
-    h = _digits_of(_poly_powmod((0, 1), step, poly, p), p, m)
-    out = np.empty(count, dtype=np.int32)
-    out[0] = 1
-    layouts = {}
-    for b, n in _doubling_steps(count):
-        y = _poly_mulmod(_digits_of(int(out[b - 1]), p, m), h, poly, p)
-        _times(poly, p, _digits_of(y, p, m), out[:n], out[b:b + n], layouts)
-    return out
 
 
 def _log_table(exp):
@@ -454,15 +411,17 @@ def _log_table(exp):
 class Field:
     """Immutable handle for GF(p^m); safe for concurrent shared reads.
 
-    Its tables are read-only arrays.  For an order with order^2 <=
-    DENSE_CELLS it holds the int64 `add_tab` and `mul_tab`, the codes of
-    a + b and a * b at [a, b], built with the field (None for larger
-    orders).  The int32 `exp` (exp[i] packs the digits of g^i in base p),
-    `log` (log[exp[i]] = i, log[0] = -1) and `zech` (zech[i] = log[1 +
-    g^i]) are built on their first read and kept, so a big field that
-    only multiplies, names cosets and adds packed digits holds none of
-    them: its readers take the progressions they need from `powers` and
-    `mul_packed`, and `exp_at` evaluates any other power without a table.
+    It holds its build parameters and read-only tables, nothing else: the
+    kernel of `powers` and `mul_packed` builds its chunk and reduction
+    tables on each call.  For an order with order^2 <= DENSE_CELLS it
+    holds the int64 `add_tab` and `mul_tab`, the codes of a + b and a * b
+    at [a, b], built with the field (None for larger orders).  The int32
+    `exp` (exp[i] packs the digits of g^i in base p), `log` (log[exp[i]]
+    = i, log[0] = -1) and `zech` (zech[i] = log[1 + g^i]) are built on
+    their first read and kept, so a big field that only multiplies, names
+    cosets and adds packed digits holds none of them: its readers take the
+    progressions they need from `powers` and `mul_packed`, and `exp_at`
+    evaluates any other power without a table.
     """
 
     def __init__(self, p, m, modulus):
@@ -471,9 +430,6 @@ class Field:
         self.order = p ** m
         self.group_order = self.order - 1
         self.modulus = tuple(modulus)
-        # the odd-p layout of the last `mul_packed`, which the next one
-        # reuses; two calls at once may each build one
-        self._layouts = {}
         self.add_tab = self.mul_tab = None
         if self.order ** 2 <= DENSE_CELLS:
             codes = np.arange(self.order, dtype=np.int64)
@@ -504,7 +460,7 @@ class Field:
         first read.
         """
         # a p past the cap fails the order check below, prime or not
-        if p < 2 or (p <= DEFAULT_ORDER_CAP and factor(p) != {p: 1}):
+        if p <= DEFAULT_ORDER_CAP and not is_prime(p):
             raise NonPrimeP("p = %r is not prime" % (p,))
         if m < 1:
             raise ValueError("extension degree must be positive")
@@ -687,14 +643,35 @@ class Field:
         m = 1), TABLE_BLOCK values at a time: the builder's own step."""
         out = np.empty(len(x), dtype=np.int32)
         _times(self.modulus, self.p, _digits_of(int(y), self.p, self.m),
-               np.asarray(x), out, self._layouts)
+               np.asarray(x), out)
         return out
 
     def powers(self, step, count):
-        """int32 packed digits of g^(step i) for i < count, by the block
-        doubling of `_powers`: exp for step 1, R* for the stride of
-        `partition.RGroup`."""
-        return _powers(self.modulus, self.p, step, count)
+        """int32 array of the packed digits of h^i, i < count, for h =
+        g^step: exp for step 1 and count p^m - 1, and a subgroup such as
+        R* for the stride of `partition.RGroup`.
+
+        Block doubling (Huber, "Some comments on Zech's logarithms", IEEE
+        Trans. IT 1990): entries B .. B+n-1 are entries 0 .. n-1 times h^B,
+        n = min(B, count - B), by `_times`; h^B is h^(B-1) h, one
+        polynomial product per step.  `build` refuses an order past
+        DEFAULT_ORDER_CAP; below the cap every code fits int32.  No
+        full-size temporary is formed: TABLE_BLOCK = 2^14, the chunk table
+        cap too, keeps each block's temporaries at 128 KiB of int64 at
+        most, within the working-set rule of `geometry`'s batched kernels;
+        smaller blocks are no faster, and larger ones only raise the peak.
+        """
+        p, m, poly = self.p, self.m, self.modulus
+        h = _digits_of(_poly_powmod((0, 1), step, poly, p), p, m)
+        out = np.empty(count, dtype=np.int32)
+        out[0] = 1
+        b = 1
+        while b < count:
+            n = min(b, count - b)
+            y = _poly_mulmod(_digits_of(int(out[b - 1]), p, m), h, poly, p)
+            _times(poly, p, _digits_of(y, p, m), out[:n], out[b:b + n])
+            b += n
+        return out
 
     def exp_at(self, e):
         """exp.take(e) for an int64 array of exponents in [0, group order),

@@ -117,8 +117,10 @@ def test_generator_order_gf4096(gf4096):
 
 
 def test_nonprime_p_rejected():
-    with pytest.raises(NonPrimeP):
-        Field.build(4, 2)
+    # 2^25 - 1 = 31 * 601 * 1801 lies just under the order cap
+    for p, m in ((4, 2), (0, 1), (1, 1), (9, 1), (2 ** 25 - 1, 1)):
+        with pytest.raises(NonPrimeP, match="p = %d is not prime" % p):
+            Field.build(p, m)
 
 
 def test_reducible_modulus_rejected():
@@ -434,6 +436,21 @@ def test_pipeline_leaves_the_big_log_unbuilt():
     assert log[0] == -1
     assert np.array_equal(log[f.exp], np.arange(f.group_order))
     assert f.log is log
+
+
+def test_field_holds_only_its_tables():
+    # the kernel of `powers` and `mul_packed` keeps nothing between calls:
+    # past what `__init__` sets, a field holds only its lazy tables
+    params = {"p", "m", "order", "group_order", "modulus", "add_tab",
+              "mul_tab", "zero", "one", "neg_one"}
+    for p in (3, 2):
+        f = Field.build(p, 12)
+        for count in (1040, 4096):
+            f.powers(5, count)
+        for y in (2, 7):
+            f.mul_packed(f.powers(1, 100), y)
+        assert f.exp.size == f.log.size - 1 == f.zech.size
+        assert set(vars(f)) <= params | {"exp", "log", "zech", "_square_rows"}
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (65521, 1), (2, 12),

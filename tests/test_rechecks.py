@@ -92,7 +92,7 @@ FAULT_SCRIPT = textwrap.dedent("""
         alphas = tuple(rg.coset_rep(c) for c in cosets)
         return search.is_r_independent(alphas, rg).status
 
-    def products_by_one(mat, p, count, layouts):
+    def products_by_one(mat, p, count):
         return lambda v: v.astype(np.int32)
 
     def kernel_relation(cosets, forge):
