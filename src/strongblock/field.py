@@ -297,8 +297,9 @@ def _times_g_to_the_b(mat, p, count):
     packed images combine by XOR.  For odd p they are stored in base
     b = c(p-1)+1, where c digits below p add without carries, with one
     accumulator per group of w digits, b^w <= TABLE_BLOCK (or w = 1), so no
-    sum leaves int32; a gather from a b^w-entry table reduces the group's
-    digits mod p and repacks them in base p (`_odd_layout`).
+    sum leaves int32; a gather from one b^w-entry table reduces a group's
+    digits mod p and repacks them in base p, times p^g for the group at
+    digit g (`_odd_layout`).
     """
     m = len(mat)
     c = -(-m // max(1, _ilog(min(TABLE_BLOCK, max(64, count // 4)), p)))
@@ -319,11 +320,12 @@ def _times_g_to_the_b(mat, p, count):
                 out ^= tables[t].take(v >> t * h & mask)
             return out
         return step
-    digits, base, groups, reduce = _odd_layout(p, m, c, h)
+    digits, base, w, reduce = _odd_layout(p, m, c, h)
     images = [digits[:p ** len(rows), :len(rows)] @ rows % p
               for rows in chunks]
-    tables = [[(img[:, g:hi] @ base ** np.arange(hi - g)).astype(np.int32)
-               for g, hi in groups] for img in images]
+    groups = range(0, m, w)
+    tables = [[(img[:, g:g + w] @ base ** np.arange(min(w, m - g))
+                ).astype(np.int32) for g in groups] for img in images]
     unit = p ** h
 
     def step(v):
@@ -334,32 +336,30 @@ def _times_g_to_the_b(mat, p, count):
             v = rest
         values.append(v)
         out = None
-        for i, red in enumerate(reduce):
+        for i, g in enumerate(groups):
             acc = tables[0][i].take(values[0])
             for t in range(1, c):
                 acc += tables[t][i].take(values[t])
-            out = red.take(acc) if out is None else out + red.take(acc)
+            acc = reduce.take(acc)
+            out = acc if out is None else out + acc * np.int32(p ** g)
         return out
     return step
 
 
 def _odd_layout(p, m, c, h):
-    """(digits, base, groups, reduce) of c chunks of h digits, p odd: the
+    """(digits, base, w, reduce) of c chunks of h digits, p odd: the
     digits of every chunk value, the carry-free base b = c(p-1)+1, the
-    digit groups (lo, hi) of one accumulator each, and per group the table
-    that maps its base-b digits d to sum (d_i % p) p^i."""
+    width w of the digit groups of one accumulator each, and the table
+    that maps w base-b digits d to sum (d_i % p) p^i, which group g scales
+    by p^g."""
     digits = np.arange(p ** h)[:, None] // p ** np.arange(h) % p
     base = c * (p - 1) + 1
-    w = max(1, _ilog(TABLE_BLOCK, base))
-    groups = [(g, min(g + w, m)) for g in range(0, m, w)]
+    w = min(m, max(1, _ilog(TABLE_BLOCK, base)))
     digit = np.arange(base, dtype=np.int32) % p
-    reduce = []
-    for g, hi in groups:
-        red = np.zeros(1, dtype=np.int32)
-        for i in range(g, hi):
-            red = (digit[:, None] * p ** i + red).ravel()
-        reduce.append(red)
-    return digits, base, groups, reduce
+    reduce = np.zeros(1, dtype=np.int32)
+    for i in range(w):
+        reduce = (digit[:, None] * p ** i + reduce).ravel()
+    return digits, base, w, reduce
 
 
 def _digits_of(v, p, m):
