@@ -3,28 +3,30 @@
 Elements are integer codes: code 0 is the zero element, and code c in
 [1, order-1] denotes g^(c-1) where g is the root of the (primitive) modulus.
 With this encoding, multiplication is index addition and addition is a Zech
-table lookup.  `Field.build` builds no order-size table (the order is capped
-at DEFAULT_ORDER_CAP = 2^25, so every code fits int32): exp, log and zech
-are built when something first reads them.  exp comes from one stateless
-block-doubling builder, `Field.powers`, made of table gathers only, which
-packs any progression g^(step i); `Field.mul_packed` applies its step once
-to multiply packed values by one element.  log and zech come from exp: the
-scalar `add` and the Zech kernels read zech.  A caller that only multiplies,
-names cosets and adds packed digits holds none of them, as the pipeline's
-GF(q^12) does not: it reads the cosets of R* as images of R*
-(`partition.RGroup.coset_values`), and any other power through
+table lookup.  `Field.build` builds no order-size table (the order is
+capped at DEFAULT_ORDER_CAP = 2^25, so every code fits int32): exp, log
+and zech are built when something first reads them.  exp comes from one
+stateless block-doubling builder for every p and m, `Field.powers`, made
+of table gathers only, which packs any progression g^(step i);
+`Field.mul_packed` applies its step once to multiply packed values by
+one element.  log and zech come from exp: the scalar `add` and the Zech
+kernels read zech.  A caller that only multiplies, names cosets and adds
+packed digits holds none of them,
+as the pipeline's GF(q^12) does not: it reads the cosets of R* as images
+of R* (`partition.RGroup.coset_values`), and any other power through
 `Field.exp_at`, by square-and-multiply.  The builder works TABLE_BLOCK =
-2^14 cells at a time, and no lookup table of a doubling step holds more, so
-each temporary holds at most 128 KiB of int64 and stays in cache.  The first
-read of exp of GF(3^12) peaks (tracemalloc) 0.61 MiB above the table, at
-2.63 MiB against the 4.68 MiB of building exp and zech, and takes about
-0.01-0.02 s; that of GF(2^24) 0.1-0.15 s.  A field with at most DENSE_CELLS
-code pairs (every order up to 512, which covers the PG(3, q^3) scans for
-q <= 8) also holds dense order x order addition and multiplication tables,
-built once from the Zech kernels, so each vectorized add or mul is one table
-gather, with no zero case and no modular reduction; larger fields use the
-Zech kernels directly.  All operations come in scalar and numpy-vectorized
-flavours; scalar results are Python integers, vectorized ones int64 arrays.
+2^14 cells at a time, and no lookup table of a doubling step holds more,
+so each temporary holds at most 128 KiB of int64 and stays in cache.  The
+first read of exp of GF(3^12) peaks (tracemalloc) 0.61 MiB above the
+table, at 2.63 MiB against the 4.68 MiB of building exp and zech, and
+takes about 0.01-0.02 s; that of GF(2^24) 0.1-0.15 s.  A field with at
+most DENSE_CELLS code pairs (every order up to 512, which covers the
+PG(3, q^3) scans for q <= 8) also holds dense order x order addition and
+multiplication tables, built once from the Zech kernels, so each
+vectorized add or mul is one table gather, with no zero case and no
+modular reduction; larger fields use the Zech kernels directly.  All
+operations come in scalar and numpy-vectorized flavours; scalar results
+are Python integers, vectorized ones int64 arrays.
 """
 
 from __future__ import annotations
@@ -413,15 +415,15 @@ class Field:
 
     It holds its build parameters and read-only tables, nothing else: the
     kernel of `powers` and `mul_packed` builds its chunk and reduction
-    tables on each call.  For an order with order^2 <= DENSE_CELLS it
-    holds the int64 `add_tab` and `mul_tab`, the codes of a + b and a * b
-    at [a, b], built with the field (None for larger orders).  The int32
-    `exp` (exp[i] packs the digits of g^i in base p), `log` (log[exp[i]]
-    = i, log[0] = -1) and `zech` (zech[i] = log[1 + g^i]) are built on
-    their first read and kept, so a big field that only multiplies, names
-    cosets and adds packed digits holds none of them: its readers take the
-    progressions they need from `powers` and `mul_packed`, and `exp_at`
-    evaluates any other power without a table.
+    tables on each call.  For an order with order^2 <=
+    DENSE_CELLS it holds the int64 `add_tab` and `mul_tab`, the codes of
+    a + b and a * b at [a, b], built with the field (None for larger
+    orders).  The int32 `exp` (exp[i] packs the digits of g^i in base p),
+    `log` (log[exp[i]] = i, log[0] = -1) and `zech` (zech[i] = log[1 +
+    g^i]) are built on their first read and kept, so a big field that
+    only multiplies, names cosets and adds packed digits holds none of
+    them: its readers take the progressions they need from `powers` and
+    `mul_packed`, and `exp_at` evaluates any other power without a table.
     """
 
     def __init__(self, p, m, modulus):
