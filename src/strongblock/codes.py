@@ -36,12 +36,12 @@ from .geometry import (
 DEFAULT_CLASS_BUDGET = 10 ** 5
 # bytes per batched AND block of the minimality check, with the unpacked
 # zero sets of its classes: the block and one gathered operand hold at most
-# 128 KiB apiece, half the working-set rule of `geometry`'s batched
+# 128 KiB apiece, equal to the working-set rule of `geometry`'s batched
 # kernels, so that the minimality pass stays under the strong scan's peak
 AND_BYTES = 1 << 18
 # columns per `pencils` call of `support_profiles`: 8 pencils of PG(3, 27)
-# (6,056 incidences) hold about 0.24 MB of temporaries (tracemalloc), where
-# a full MARK_BATCH batch of 43 holds 1.06 MB, and the pass is no slower
+# (6,056 incidences) hold about 0.25 MB of temporaries (tracemalloc), where
+# a full MARK_BATCH batch of 21 holds 0.57 MB, and the pass is no slower
 PENCIL_ROWS = 8
 # set bits of each byte value
 _ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(

@@ -28,7 +28,7 @@ the points on every hyperplane; `secant_keys` keys the lines through a
 point.
 
 Every batched kernel follows one working-set rule: each batch holds about
-MARK_BATCH = 2^15 field values per temporary array (256 KiB of int64),
+MARK_BATCH = 2^14 field values per temporary array (128 KiB of int64),
 whatever the array's shape, so a batch stays in cache and the peak is
 bounded before allocation.  A kernel sizes its batch by the values per
 item: one per incidence for `pencils`, one per lookup for
@@ -38,9 +38,9 @@ k (N - 1) per point for the strong scan's secant pass and (k - 1) s per
 section of size s for its rank stacks.  The minimality pass of `codes`
 keeps within it in bytes: one uint64 vanish word per class while the
 support profiles are read, pencils of 8 columns per call, index blocks
-of 1,024 ranks and AND blocks of at most 128 KiB apiece.  The field table build keeps within it too:
-`field.TABLE_BLOCK` = 2^14 cells per step, so each of its temporaries
-holds at most 128 KiB of int64.
+of 1,024 ranks and AND blocks of at most 128 KiB apiece.  The field
+table build keeps within it too: `field.TABLE_BLOCK` = 2^14 cells per
+step, so each of its temporaries holds at most 128 KiB of int64.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
@@ -62,7 +62,7 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, StrongBlockError
 from .field import Field
 
-MARK_BATCH = 1 << 15  # field values per temporary array of a batched kernel
+MARK_BATCH = 1 << 14  # field values per temporary array of a batched kernel
 # the most hyperplanes, lines or R-points an exhaustive scan or enumeration
 # may cover; read at call time, so a test can lower it
 SCAN_BUDGET = 2 * 10 ** 7
@@ -324,13 +324,15 @@ class ProjectiveSpace:
 
     def hyperplane_counts(self, mat):
         """Rows of `mat` on each hyperplane, by canonical index, from one
-        pass over the pencils after `check_scan`.  int32 holds a count (at
-        most the rows, so at most SCAN_BUDGET for a point set), and an
-        np.int32 increment keeps `np.add.at` on its fast path."""
+        pass over the pencils after `check_scan`.  No hyperplane holds more
+        than the N rows, so the counts take the narrowest unsigned dtype
+        that holds N (uint8 up to 255 rows), and an increment of that dtype
+        keeps `np.add.at` on its fast path."""
         self.check_scan()
-        counts = np.zeros(self.num_points, dtype=np.int32)
+        one = np.min_scalar_type(len(mat)).type(1)
+        counts = np.zeros(self.num_points, dtype=one.dtype)
         for _rows, hyperplanes in self.pencils(mat):
-            np.add.at(counts, hyperplanes.ravel(), np.int32(1))
+            np.add.at(counts, hyperplanes.ravel(), one)
         return counts
 
     def line_pencils(self, first, second):

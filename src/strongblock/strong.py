@@ -4,15 +4,17 @@ A strong blocking set meets every hyperplane in a set of full rank k-1.  For
 k <= 3, and for k = 4 when (N - 1)(Q + 7) <= 6 (Q^2 + Q + 1)
 (`_counts_decide`), the scan ranks no section: it counts the points on
 every hyperplane (`ProjectiveSpace.hyperplane_counts`, one pass over the
-pencils) and decides from the counts and the secant lines.  That is
-exact, because a rank-(k-1) section needs k-1 points and two distinct
-points are independent: for k <= 3 a hyperplane is short iff it holds at
-most k-2 points, and for k = 4 a section of three or more points is short
-iff it is collinear, so H is short iff it holds at most 2 points or it
-contains a secant line of m >= 3 points and holds exactly m.  The secant
-lines come from the N (N-1) ordered pairs of points (`_rich_lines`, keyed
-by `ProjectiveSpace.secant_keys`), and only the Q+1 hyperplanes through
-each line of three or more points are visited
+pencils, in the narrowest unsigned dtype that holds N: one byte per
+hyperplane up to 255 points) and decides from the counts and the secant
+lines, building the mask of short hyperplanes only after the secant
+pass.  That is exact, because a rank-(k-1) section needs k-1 points and
+two distinct points are independent: for k <= 3 a hyperplane is short iff
+it holds at most k-2 points, and for k = 4 a section of three or more
+points is short iff it is collinear, so H is short iff it holds at most 2
+points or it contains a secant line of m >= 3 points and holds exactly m.
+The secant lines come from the N (N-1) ordered pairs of points
+(`_rich_lines`, keyed by `ProjectiveSpace.secant_keys`), and only the Q+1
+hyperplanes through each line of three or more points are visited
 (`ProjectiveSpace.line_pencils`).  The rule keeps the pairs and those
 hyperplanes, at most N (N-1)(Q+1)/6, within the N (Q^2 + Q + 1)
 incidences of the rank path, which every other set takes (k >= 5, and
@@ -103,10 +105,10 @@ def _sections(space, mat):
     start is ranked early, a window of at most MARK_BATCH incidences is one
     run, and the runs bound the per-run arrays and rank stacks.  The q = 2
     union (45 points of PG(3,8), 3,285 incidences) is one run.  A k = 5
-    union of 124 points of PG(4,16) (541,756 incidences) takes 5 runs, and
-    its first short section lies in the first, so the scan takes 0.05 s and
-    peaks at 7.5 MB under tracemalloc, against 0.14 s and 9.0 MB for
-    ranking the whole window (2-core Xeon).
+    union of 124 points of PG(4,16) (541,756 incidences) takes 6 runs, and
+    its first short section lies in the first, so the scan takes 0.03 s,
+    against 0.09 s for ranking the whole window; either way it peaks at
+    7.3 MiB under tracemalloc, set by the bucketing (2-core Xeon).
     """
     H, q = space.num_points, space.field.order
     incidences = len(mat) * ((q ** space.n - 1) // (q - 1))
@@ -245,21 +247,29 @@ def _short_by_counts(space, mat):
     counts come from one pass over the pencils, and only the hyperplanes
     through the rich lines of `_rich_lines` are visited; each line's
     hyperplanes hold N + Q m incidences in all, since every row off l lies
-    on exactly one of them, which checks the counts and the lines.
+    on exactly one of them, which checks the counts and the lines.  The
+    collinear hyperplanes are collected during that pass and marked in the
+    mask after it, so the mask is not held beside the pass's batches; a
+    collinear hyperplane contains one rich line only, so it is collected
+    once, and the list holds no more indices than there are short
+    hyperplanes.
     """
     if space.k > 4:
         raise ValueError("section counts decide PG(k-1, Q) for k <= 4 only")
     counts = space.hyperplane_counts(mat)
-    short = counts <= space.k - 2
     if space.k < 4:
-        return short, counts
+        return counts <= space.k - 2, counts
+    collinear = []
     for first, second, size in _rich_lines(space, mat):
         total = len(mat) + space.field.order * size
         for i, hyperplanes in space.line_pencils(mat[first], mat[second]):
             on = counts[hyperplanes]
             if np.any(on.sum(axis=1) != total[i]):
                 raise AssertionError("secant line counts do not add up")
-            short[hyperplanes[on == size[i, None]]] = True
+            collinear.append(hyperplanes[on == size[i, None]])
+    short = counts <= space.k - 2
+    for hyperplanes in collinear:
+        short[hyperplanes] = True
     return short, counts
 
 

@@ -246,7 +246,7 @@ def add_at_lines(tree):
 def test_one_count_pass():
     # the per-hyperplane counts have one home,
     # `ProjectiveSpace.hyperplane_counts`, so the scatter loop and its
-    # int32 fast path cannot fork again
+    # dtype-matched fast path cannot fork again
     users = [p.name for p in SOURCES if add_at_lines(ast.parse(p.read_text()))]
     assert users == ["geometry.py"]
 

@@ -11,6 +11,7 @@ import pytest
 
 import strongblock
 from strongblock import geometry, strong
+from strongblock.bounds import one_mod_p_profile
 from strongblock.errors import BudgetExceeded, RepeatedCoset
 from strongblock.field import Field
 from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
@@ -321,9 +322,13 @@ def checked_sections(space, mat):
 def test_counting_sort_sections_match_stable_sort(monkeypatch, strong_corpus,
                                                   cap):
     # the corpus holds the empty set; a cap of 200 splits most scans into
-    # many windows, each of them one run
+    # many windows, each of them one run.  Without a cap, one run per scan
+    # needs a MARK_BATCH of at least the corpus's largest window, 300
+    # points of PG(3,8) (21,900 incidences), so 2^15 is pinned
     if cap is not None:
         monkeypatch.setattr(strong, "SECTION_CAP", cap)
+    else:
+        monkeypatch.setattr(geometry, "MARK_BATCH", 1 << 15)
     counts = [checked_sections(S.space, S.matrix()) for S in strong_corpus]
     windows = max(c[0] for c in counts)
     assert max(c[1] for c in counts) == 1
@@ -485,7 +490,7 @@ def test_count_mask_matches_rank_mask(strong_corpus, planted_sets):
 
 def test_rank_path_on_a_k5_union_stops_at_the_first_short_run(monkeypatch):
     # four subgeometries of B(2, 5), 124 points of PG(4, 16), take the rank
-    # path; their one window of 541,756 incidences is handed out in 5 runs,
+    # path; their one window of 541,756 incidences is handed out in 6 runs,
     # and the first short section, hyperplane 15 of rank 3, lies in the
     # first, so only that run is ranked
     rg = build_rgroup(2, 5)
@@ -499,16 +504,17 @@ def test_rank_path_on_a_k5_union_stops_at_the_first_short_run(monkeypatch):
     v = verify_strong_blocking(S)
     assert (v.status, v.hyperplanes_checked, v.witness_rank) == (
         "not-strong", 16, 3)
-    assert (len(ranked), runs) == (1, 5)
+    assert (len(ranked), runs) == (1, 6)
     assert v == strong_oracle(S)
 
 
-@pytest.mark.parametrize("batch", [1, 259])
+@pytest.mark.parametrize("batch", [1, 259, 1 << 14, 1 << 15])
 def test_count_path_batch_invariance(monkeypatch, strong_corpus,
                                      random_pg3_64, batch):
     # below k (N - 1) field values a secant-pass block holds one row, and
     # below 4 (Q + 1) = 260 a line-pencil batch of PG(3,64) holds one line:
-    # the same secant lines, counts and short hyperplanes come out
+    # the same secant lines, counts and short hyperplanes come out, as they
+    # do at the default batch and at the old one, 2^15
     sets = [S for S in strong_corpus if S.space.k <= 4] + [random_pg3_64]
 
     def count_path(S):
@@ -526,6 +532,29 @@ def test_count_path_batch_invariance(monkeypatch, strong_corpus,
         assert got_lines == lines, (S.space, len(S))
         assert np.array_equal(got_short, short), (S.space, len(S))
         assert np.array_equal(got_counts, counts), (S.space, len(S))
+
+
+@pytest.mark.parametrize("on_line,off_line", [(255, 0), (255, 1), (256, 1)])
+def test_count_path_at_the_byte_boundary(on_line, off_line):
+    # a points of the line x2 = 0 of PG(2,256), with the point (0,0,1) or
+    # not: the counts are uint8 up to 255 rows and uint16 past them, and
+    # the line's count reaches 255, the largest uint8, then 256
+    Q, a = 256, on_line
+    space = ProjectiveSpace(Field.build(2, 8), 2)
+    line = space.line_through((1, 0, 0), (0, 1, 0))
+    S = PointSet(space, line[:a] + [(0, 0, 1)][:off_line])
+    N = len(S)
+    counts = space.hyperplane_counts(S.matrix())
+    assert counts.dtype == (np.uint8 if N <= 255 else np.uint16)
+    assert counts[space.point_index((0, 0, 1))] == a
+    assert counts.sum() == N * (Q + 1)
+    # every other line meets x2 = 0 in one point, and (0,0,1) lies on one
+    # line through each of its Q + 1 points
+    census = ({a: 1, 1: a * Q, 0: (Q + 1 - a) * Q} if not off_line else
+              {a: 1, 2: a, 1: (Q + 1 - a) + a * (Q - 1),
+               0: (Q + 1 - a) * (Q - 1)})
+    assert one_mod_p_profile(S, 2).census == census
+    assert verify_strong_blocking(S) == strong_oracle(S)
 
 
 def test_count_path_refuses_k_5():
