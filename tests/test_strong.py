@@ -513,8 +513,8 @@ def test_count_path_batch_invariance(monkeypatch, strong_corpus,
                                      random_pg3_64, batch):
     # below k (N - 1) field values a secant-pass block holds one row, and
     # below 4 (Q + 1) = 260 a line-pencil batch of PG(3,64) holds one line:
-    # the same secant lines, counts and short hyperplanes come out, as they
-    # do at the default batch and at the old one, 2^15
+    # the same secant lines, counts and short hyperplanes come out, as at
+    # 2^14 (the default) and 2^15
     sets = [S for S in strong_corpus if S.space.k <= 4] + [random_pg3_64]
 
     def count_path(S):
