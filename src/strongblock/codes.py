@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import BudgetExceeded, RankDeficient
 from .field import Field
 from .geometry import (
@@ -34,11 +35,6 @@ from .geometry import (
 
 # the most codeword classes `support_profiles` evaluates; read at call time
 DEFAULT_CLASS_BUDGET = 10 ** 5
-# bytes per batched AND block of the minimality check, with the unpacked
-# zero sets of its classes: the block and one gathered operand hold at most
-# 128 KiB apiece, equal to the working-set rule of `geometry`'s batched
-# kernels, so that the minimality pass stays under the strong scan's peak
-AND_BYTES = 1 << 18
 # columns per `pencils` call of `support_profiles`: 8 pencils of PG(3, 27)
 # (6,056 incidences) hold about 0.25 MB of temporaries (tracemalloc), where
 # a full MARK_BATCH batch of 21 holds 0.57 MB, and the pass is no slower
@@ -111,7 +107,10 @@ def support_profiles(G: GeneratorMatrix):
     (one support word, one uint64 vanish word per class) at a time and
     PENCIL_ROWS columns per `pencils` call: each column's pencil sets its
     bit in the words of its hyperplanes, which are distinct within one
-    pencil.  `pencils` takes the columns as they
+    pencil.  The vanish bits are written straight into the word's column
+    of the supports and flipped there, and the weights are counted once at
+    the end, MARK_BATCH support bytes at a time (`_popcounts`), so no
+    temporary holds one entry per class.  `pencils` takes the columns as they
     are (incidence is scale-invariant); a zero column, which lies on no
     pencil, vanishes on every class.
     """
@@ -120,15 +119,15 @@ def support_profiles(G: GeneratorMatrix):
     if C > DEFAULT_CLASS_BUDGET:
         raise BudgetExceeded("%d codeword classes exceed budget" % C)
     words = (G.n + 63) // 64
-    supports = np.zeros((C, words), dtype=np.uint64)
-    weights = np.zeros(C, dtype=np.int64)
+    supports = np.empty((C, words), dtype=np.uint64)
     cols = G.entries.T
     zero = np.all(cols == 0, axis=1)
     bit = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
     for w in range(words):
         live = np.flatnonzero(~zero[64 * w:64 * w + 64])
+        vanish = supports[:, w]  # a view: the word's column of the supports
         # zero columns and the padding past column n vanish everywhere
-        vanish = np.full(C, ~np.bitwise_or.reduce(bit[live]))
+        vanish[:] = ~np.bitwise_or.reduce(bit[live])
         for lo in range(0, live.size, PENCIL_ROWS):
             part = live[lo:lo + PENCIL_ROWS]
             for rows, msgs in space.pencils(cols[64 * w + part]):
@@ -136,14 +135,24 @@ def support_profiles(G: GeneratorMatrix):
                     vanish[hyperplanes] |= bit[part[row]]
         # the support bits are the vanish bits flipped, 0 for zero columns
         # and padding
-        weights += 64 - _ONES[vanish.view(np.uint8)].reshape(C, 8).sum(
-            axis=1, dtype=np.int64)
-        supports[:, w] = ~vanish
+        np.invert(vanish, out=vanish)
+    weights = _popcounts(supports, np.int64)
     if np.any(weights == 0):
         raise RankDeficient("a nonzero message gives the zero codeword: "
                             "the generator matrix is not of full rank")
     return SupportProfile(n=G.n, class_count=C, supports=supports,
                           weights=weights)
+
+
+def _popcounts(S, dtype):
+    """Set bits of each row of the (C, words) uint64 array S, as `dtype`,
+    from the counts of MARK_BATCH bytes at a time."""
+    out = np.empty(len(S), dtype=dtype)
+    step = max(1, geometry.MARK_BATCH // (8 * S.shape[1]))
+    for lo in range(0, len(S), step):
+        _ONES[S[lo:lo + step].view(np.uint8)].sum(axis=1, dtype=dtype,
+                                                  out=out[lo:lo + step])
+    return out
 
 
 @dataclass
@@ -200,11 +209,12 @@ def _contained(prof):
     rounded byte is flagged only by an equal support, a containment too.
     `_repeated_rows` flags every equal support, before the index is built,
     so that its sorts and the index are never alive together.  The sizes
-    are read off the first n bits of the supports, never off
-    `prof.weights`, and every AND block stays within AND_BYTES, so no
-    (C, n) or (C, width) array is formed; the sizes and the ranks are
-    int32, and the supports are copied masked only when a bit past column
-    n is set.  An empty Z(b) contains every
+    are counted off the first n bits of the supports by `_popcounts`,
+    never read off `prof.weights`, and every AND block stays within
+    16 MARK_BATCH bytes, the block and one gathered operand at
+    8 MARK_BATCH apiece, so no (C, n) or (C, width) array is formed; the
+    sizes and the ranks are int32, and the supports are copied masked
+    only when a bit past column n is set.  An empty Z(b) contains every
     class, so it also sets the padding bits past C.
     """
     C, n = prof.class_count, prof.n
@@ -216,7 +226,7 @@ def _contained(prof):
     if np.any(S[:, n // 64:] & ~mask[n // 64:]):
         S = S & mask
     flagged = _repeated_rows(S)
-    z = n - _ONES[S.view(np.uint8)].sum(axis=1, dtype=np.int32)
+    z = n - _popcounts(S, np.int32)
     rank = np.argsort(-z, kind="stable").astype(np.int32)
     # return_counts keeps np.unique off its numpy.ma import
     sizes, counts = np.unique(z, return_counts=True)
@@ -239,7 +249,7 @@ def _contained(prof):
         if pw == 0:
             continue
         # the block, one gathered operand and the unpacked zero sets
-        chunk = max(1, AND_BYTES // (2 * pw + n))
+        chunk = max(1, 16 * geometry.MARK_BATCH // (2 * pw + n))
         for r0 in range(lo, end, chunk):
             r = np.arange(r0, min(r0 + chunk, end))
             zero = np.unpackbits(~S[rank[r]].view(np.uint8), axis=1, count=n,

@@ -14,9 +14,11 @@ kernels read zech.  A caller that only multiplies, names cosets and adds
 packed digits holds none of them,
 as the pipeline's GF(q^12) does not: it reads the cosets of R* as images
 of R* (`partition.RGroup.coset_values`), and any other power through
-`Field.exp_at`, by square-and-multiply.  The builder works TABLE_BLOCK =
+`Field.exp_at`, by square-and-multiply.  The builder works MARK_BATCH =
 2^14 cells at a time, and no lookup table of a doubling step holds more,
-so each temporary holds at most 128 KiB of int64 and stays in cache.  The
+so each temporary holds at most 128 KiB of int64 and stays in cache:
+MARK_BATCH is defined here, the bottom module, and `geometry` states the
+working-set rule that every batched kernel keeps with it.  The
 first read of exp of GF(3^12) peaks (tracemalloc) 0.61 MiB above the
 table, at 2.63 MiB against the 4.68 MiB of building exp and zech, and
 takes about 0.01-0.02 s; that of GF(2^24) 0.1-0.15 s.  A field with at
@@ -45,7 +47,7 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 1 << 25
-TABLE_BLOCK = 1 << 14  # cells per table-build step and per chunk table
+MARK_BATCH = 1 << 14  # values per temporary array of a batched kernel
 DENSE_CELLS = 1 << 18  # largest order^2 with dense add/mul tables (GF(512))
 
 # The smallest primitive modulus (as `_smallest_primitive_poly` returns it,
@@ -290,7 +292,7 @@ def _times_g_to_the_b(mat, p, count):
 
     The map is GF(p)-linear on the digits.  Split into c chunks of h
     digits, each chunk value has its image in a table of p^h entries, and
-    a block costs c gathers.  A table holds at most TABLE_BLOCK entries,
+    a block costs c gathers.  A table holds at most MARK_BATCH entries,
     and past one digit at most max(64, count / 4) for the `count` values
     the map serves: a table entry costs more to build than a gather, and
     under 64 entries the number of chunks, not their size, sets the cost.
@@ -298,13 +300,13 @@ def _times_g_to_the_b(mat, p, count):
     of 729, which halves the cost of a coset image.  For p = 2 the
     packed images combine by XOR.  For odd p they are stored in base
     b = c(p-1)+1, where c digits below p add without carries, with one
-    accumulator per group of w digits, b^w <= TABLE_BLOCK (or w = 1), so no
+    accumulator per group of w digits, b^w <= MARK_BATCH (or w = 1), so no
     sum leaves int32; a gather from one b^w-entry table reduces a group's
     digits mod p and repacks them in base p, times p^g for the group at
     digit g (`_odd_layout`).
     """
     m = len(mat)
-    c = -(-m // max(1, _ilog(min(TABLE_BLOCK, max(64, count // 4)), p)))
+    c = -(-m // max(1, _ilog(min(MARK_BATCH, max(64, count // 4)), p)))
     h = -(-m // c)  # chunks of (nearly) equal width
     chunks = [mat[t:t + h] for t in range(0, m, h)]
     if p == 2:  # a chunk table doubles with each bit: T[v + 2^j] = T[v] ^ I_j
@@ -356,7 +358,7 @@ def _odd_layout(p, m, c, h):
     by p^g."""
     digits = np.arange(p ** h)[:, None] // p ** np.arange(h) % p
     base = c * (p - 1) + 1
-    w = min(m, max(1, _ilog(TABLE_BLOCK, base)))
+    w = min(m, max(1, _ilog(MARK_BATCH, base)))
     digit = np.arange(base, dtype=np.int32) % p
     reduce = np.zeros(1, dtype=np.int32)
     for i in range(w):
@@ -380,7 +382,7 @@ def _times_x(d, poly, p):
 
 def _times(poly, p, y, src, dst):
     """dst[:] = src y for packed values src of GF(p^m) and the m digits y
-    of one element, TABLE_BLOCK values at a time: a product mod p for
+    of one element, MARK_BATCH values at a time: a product mod p for
     m = 1 (below 2^50), else the step of `_times_g_to_the_b` whose row j
     holds the digits of x^j y.  No temporary holds more than a block."""
     m = len(poly) - 1
@@ -393,16 +395,16 @@ def _times(poly, p, y, src, dst):
             y = _times_x(y, poly, p)
         step = _times_g_to_the_b(np.array(rows, dtype=np.int64), p,
                                  src.size)
-    for lo in range(0, src.size, TABLE_BLOCK):
-        dst[lo:lo + TABLE_BLOCK] = step(src[lo:lo + TABLE_BLOCK])
+    for lo in range(0, src.size, MARK_BATCH):
+        dst[lo:lo + MARK_BATCH] = step(src[lo:lo + MARK_BATCH])
 
 
 def _log_table(exp):
     """int32 log with log[exp[i]] = i and log[0] = -1, scattered
-    TABLE_BLOCK entries at a time."""
+    MARK_BATCH entries at a time."""
     log = np.full(exp.size + 1, -1, dtype=np.int32)
-    for lo in range(0, exp.size, TABLE_BLOCK):
-        hi = min(lo + TABLE_BLOCK, exp.size)
+    for lo in range(0, exp.size, MARK_BATCH):
+        hi = min(lo + MARK_BATCH, exp.size)
         np.put(log, exp[lo:hi], np.arange(lo, hi, dtype=np.int32))
     return log
 
@@ -514,7 +516,7 @@ class Field:
     @functools.cached_property
     def zech(self):
         """The read-only int32 Zech table, zech[i] = log[1 + g^i], gathered
-        TABLE_BLOCK cells at a time on the first read and then kept, the
+        MARK_BATCH cells at a time on the first read and then kept, the
         scalar `add` and the Zech kernels its readers.  It reads the log
         when that is built, else a transient one, so `zech` alone adds one
         order-size table to a field.  Two first reads at once may each
@@ -523,9 +525,9 @@ class Field:
         if log is None:
             log = _log_table(self.exp)
         zech = np.empty_like(self.exp)
-        for lo in range(0, zech.size, TABLE_BLOCK):
-            zech[lo:lo + TABLE_BLOCK] = log.take(
-                self.plus_one(self.exp[lo:lo + TABLE_BLOCK]))
+        for lo in range(0, zech.size, MARK_BATCH):
+            zech[lo:lo + MARK_BATCH] = log.take(
+                self.plus_one(self.exp[lo:lo + MARK_BATCH]))
         zech.flags.writeable = False
         return zech
 
@@ -642,7 +644,7 @@ class Field:
     def mul_packed(self, x, y):
         """int32 packed digits of x y for each packed x of a 1-D array and
         one packed y, by one `_times_g_to_the_b` map (a product mod p for
-        m = 1), TABLE_BLOCK values at a time: the builder's own step."""
+        m = 1), MARK_BATCH values at a time: the builder's own step."""
         out = np.empty(len(x), dtype=np.int32)
         _times(self.modulus, self.p, _digits_of(int(y), self.p, self.m),
                np.asarray(x), out)
@@ -658,7 +660,7 @@ class Field:
         n = min(B, count - B), by `_times`; h^B is h^(B-1) h, one
         polynomial product per step.  `build` refuses an order past
         DEFAULT_ORDER_CAP; below the cap every code fits int32.  No
-        full-size temporary is formed: TABLE_BLOCK = 2^14, the chunk table
+        full-size temporary is formed: MARK_BATCH = 2^14, the chunk table
         cap too, keeps each block's temporaries at 128 KiB of int64 at
         most, within the working-set rule of `geometry`'s batched kernels;
         smaller blocks are no faster, and larger ones only raise the peak.

@@ -30,17 +30,32 @@ point.
 Every batched kernel follows one working-set rule: each batch holds about
 MARK_BATCH = 2^14 field values per temporary array (128 KiB of int64),
 whatever the array's shape, so a batch stays in cache and the peak is
-bounded before allocation.  A kernel sizes its batch by the values per
-item: one per incidence for `pencils`, one per lookup for
-`search.free_cosets`, r per prefix sum for the membership test of
-`search.is_r_independent`, 4 (Q + 1) per line for `line_pencils`,
-k (N - 1) per point for the strong scan's secant pass and (k - 1) s per
-section of size s for its rank stacks.  The minimality pass of `codes`
-keeps within it in bytes: one uint64 vanish word per class while the
-support profiles are read, pencils of 8 columns per call, index blocks
-of 1,024 ranks and AND blocks of at most 128 KiB apiece.  The field
-table build keeps within it too: `field.TABLE_BLOCK` = 2^14 cells per
-step, so each of its temporaries holds at most 128 KiB of int64.
+bounded before allocation.  MARK_BATCH is the one batch constant; it is
+defined in `field`, the bottom module, and read here.  A kernel sizes its
+batch by the values per item: one per incidence for `pencils`, one per
+lookup for `search.free_cosets`, one per prefix sum for the sorted
+membership test of `search.is_r_independent`, 4 (Q + 1) per line for
+`line_pencils`, k (N - 1) per point for the strong scan's secant pass and
+(k - 1) s per section of size s for its rank stacks.  The field's table
+build takes MARK_BATCH cells per step and per chunk table; `codes` counts
+support weights MARK_BATCH bytes at a time and ANDs its zero sets in
+blocks of 16 MARK_BATCH bytes, the block and one gathered operand at
+8 MARK_BATCH bytes apiece.  Five exceptions are named, each for its
+reason:
+- the C-sized results of `codes` (supports, weights, zero-set sizes,
+  ranks and flags, one entry per codeword class) are outputs, not
+  temporaries;
+- `codes._repeated_rows` sorts global keys over all C support rows,
+  since equal rows may lie anywhere;
+- `codes._contained` builds its zero-set index in tiles of 1,024 ranks,
+  whole 128-byte runs of a packed index row, so a tile unpacks to
+  1,024 n bytes for n columns;
+- the strong scan's rank path buckets incidences in windows of
+  `strong.SECTION_CAP` = 2^22, so that each hyperplane's section comes
+  out whole;
+- `codes.support_profiles` hands `pencils` `codes.PENCIL_ROWS` = 8
+  columns per call, fewer than a batch: its temporaries stay smaller,
+  and whole 64-column words per call were slower.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
@@ -60,9 +75,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, StrongBlockError
-from .field import Field
+from .field import MARK_BATCH, Field
 
-MARK_BATCH = 1 << 14  # field values per temporary array of a batched kernel
 # the most hyperplanes, lines or R-points an exhaustive scan or enumeration
 # may cover; read at call time, so a test can lower it
 SCAN_BUDGET = 2 * 10 ** 7

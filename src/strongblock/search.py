@@ -31,9 +31,9 @@ goes through `mark_lines_through`, which checks the scan budget
 survivor.  Each witness is re-checked off its own path: by the mask of
 `ProjectiveSpace.section` for a hyperplane missing B and for a relation's
 rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
-`free_cosets`, the membership blocks of `is_r_independent` and the pencils,
-hold about MARK_BATCH values per array, one per lookup, comparison or
-incidence.  The weight-1 line statistics key the lines through a point by
+`free_cosets`, the sorted membership blocks of `is_r_independent` and the
+pencils, hold about MARK_BATCH values per array, one per lookup, prefix sum
+or incidence.  The weight-1 line statistics key the lines through a point by
 `ProjectiveSpace.secant_keys`, as the strong scan does.
 """
 
@@ -95,11 +95,12 @@ def is_r_independent(alphas, rg: RGroup):
     digits; the first column, 0 or 1 on a normalized R-point, reads R*
     itself.  The sums are added by `Field.add_packed`, and s = -rho_m a_m /
     a_1 with rho_m in R* exactly when s is one of the r packed values of
-    the coset image of c_m - c_1; the first one equal to s, entry i, gives
-    rho_m = -g^(stride i).  That membership is one equality test per pair,
-    about MARK_BATCH pairs per block, with no sort, and stops at the first
-    block with a hit.  A prefix entry off R is refused before any sum: the
-    coset images index R* by it.  A relation's re-check (rhos on the
+    the coset image of c_m - c_1; the one equal to s, entry i, gives
+    rho_m = -g^(stride i).  The r targets are distinct, so they are sorted
+    once per call and each sum is looked up by `np.searchsorted`, O(log r)
+    comparisons instead of r, MARK_BATCH sums per block, stopping at the
+    first block with a hit.  A prefix entry off R is refused before any
+    sum: the coset images index R* by it.  A relation's re-check (rhos on the
     hyperplane alphas, `ProjectiveSpace.section`) evaluates its products
     by `Field.exp_at`, by square-and-multiply on a field without exp,
     which shares no kernel with the coset images; it runs in PG(m-1, Q),
@@ -123,17 +124,20 @@ def is_r_independent(alphas, rg: RGroup):
         term = np.where(col == 0, 0, rg.coset_values(a - alphas[0], i))
         sums = term if sums is None else f.add_packed(sums, term)
     targets = rg.coset_values(last - alphas[0], np.arange(rg.r))
-    step = max(1, geometry.MARK_BATCH // rg.r)
+    by_value = np.argsort(targets)
+    targets = targets[by_value]
+    step = geometry.MARK_BATCH
     for lo in range(0, sums.size, step):
-        block = sums[lo:lo + step, None]
-        equal = block == targets
-        hits = np.flatnonzero((block[:, 0] == 0) | equal.any(axis=1))
+        block = sums[lo:lo + step]
+        # a sum past every target is compared with the largest, unequal
+        at = np.minimum(np.searchsorted(targets, block), rg.r - 1)
+        hits = np.flatnonzero((block == 0) | (targets[at] == block))
         if hits.size:
             h = int(hits[0])
             rho_m = 0
-            if block[h, 0]:  # -g^(stride i) for the first target equal to s
+            if block[h]:  # -g^(stride i) for the target i equal to s
                 rho_m = f.neg(f.from_exp(
-                    rg.stride * int(np.argmax(equal[h]))))
+                    rg.stride * int(by_value[at[h]])))
             rhos = tuple(int(c) for c in mat[lo + h]) + (rho_m,)
             on = ProjectiveSpace(f, m - 1).section([rhos], alphas)
             if not on[0] or not np.all(rg.in_r(rhos)):

@@ -284,12 +284,14 @@ def containment_codes(code45, gf8):
                             entries=np.eye(3, dtype=np.int64))]
 
 
-@pytest.mark.parametrize("and_bytes", [None, 1])
+@pytest.mark.parametrize("batch", [None, 1])
 def test_batched_containment_matches_per_class_loop(containment_codes,
-                                                    monkeypatch, and_bytes):
-    # and_bytes = 1: every class is its own batch
-    if and_bytes is not None:
-        monkeypatch.setattr(codes_mod, "AND_BYTES", and_bytes)
+                                                    monkeypatch, batch):
+    # batch = 1: AND blocks of 16 bytes, so every class is its own block on
+    # every code of more than 8 columns, and the weights and zero-set sizes
+    # are counted one support row at a time
+    if batch is not None:
+        monkeypatch.setattr("strongblock.geometry.MARK_BATCH", batch)
     seen = set()
     for G in containment_codes:
         prof = support_profiles(G)
@@ -373,13 +375,16 @@ def test_containment_reads_the_first_n_bits_only(code45):
     assert check_minimal(code45, profile=forged).status == "minimal"
 
 
-# tracemalloc peaks on the [120,4]_27 pipeline code, as measured (run alone)
-# before the containment pass ANDed over larger zero sets only, plus 64 KiB
-# for temporaries that move between numpy versions: support_profiles
-# 4,546,120 bytes, and check_minimal on the finished profile 2,408,568.
-# A (C, n) bool array of the 20,440 classes and 120 columns is 2.45 MB
-PROFILE_PEAK_BYTES = 4_546_120 + (64 << 10)
-MINIMALITY_PEAK_BYTES = 2_408_568 + (64 << 10)
+# tracemalloc peaks on the [120,4]_27 pipeline code, as measured (run alone),
+# plus 64 KiB for temporaries that move between numpy versions:
+# support_profiles 630,768 bytes, of which the supports and the weights of
+# the 20,440 classes hold 490,560, and check_minimal on the finished profile
+# 678,823.  A (C, n) bool array of those classes and 120 columns is 2.45 MB
+PROFILE_PEAK_BYTES = 630_768 + (64 << 10)
+MINIMALITY_PEAK_BYTES = 678_823 + (64 << 10)
+# support_profiles on the 255 columns of `random_pg3_64`, as measured: the
+# supports and the weights of its 266,305 classes hold 10,652,200 bytes
+Q4_PROFILE_PEAK_BYTES = 10_957_682 + (64 << 10)
 
 
 def test_minimality_peak_memory(rg34):
@@ -401,6 +406,21 @@ def test_minimality_peak_memory(rg34):
     assert (G.n, verdict.status) == (120, "minimal")
     assert profile_peak <= PROFILE_PEAK_BYTES
     assert minimality_peak <= MINIMALITY_PEAK_BYTES
+
+
+def test_support_profiles_peak_memory_at_q4(random_pg3_64, monkeypatch):
+    # PG(3,64) has 266,305 codeword classes, past the class budget
+    monkeypatch.setattr(codes_mod, "DEFAULT_CLASS_BUDGET", 266_305)
+    G = generator_from_points(random_pg3_64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prof = support_profiles(G)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (prof.class_count, G.n) == (266_305, 255)
+    assert peak <= Q4_PROFILE_PEAK_BYTES
 
 
 RECHECK_SCRIPT = textwrap.dedent("""

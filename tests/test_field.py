@@ -408,7 +408,7 @@ def test_tables_at_workload_sizes(p, m):
 
 def test_table_build_peak_memory():
     # `Field.build` builds no order-size table; the first read of exp holds
-    # exp plus block-sized temporaries: TABLE_BLOCK = 2^14 cells hold at
+    # exp plus block-sized temporaries: MARK_BATCH = 2^14 cells hold at
     # most 128 KiB of int64 apiece
     f = Field.build(3, 12)
     assert "exp" not in vars(f)
@@ -469,8 +469,8 @@ def test_squared_powers_match_exp(p, m):
 @pytest.mark.parametrize("block", [1, 7])
 def test_doubling_tables_with_small_blocks(monkeypatch, block):
     # steps of one cell, and blocks that split every doubling step; the
-    # chunk tables shrink with TABLE_BLOCK, to one digit at block 1
-    monkeypatch.setattr(field_mod, "TABLE_BLOCK", block)
+    # chunk tables shrink with MARK_BATCH, to one digit at block 1
+    monkeypatch.setattr(field_mod, "MARK_BATCH", block)
     for p, m in ((2, 9), (3, 5), (5, 3)):
         assert_tables_match_loop(p, m)
 

@@ -6,8 +6,9 @@ are explicit raises, no library module calls a numpy function that the
 declared floor (numpy>=1.24) lacks, every name that README.md quotes
 exists, only `geometry` calls `np.add.at`, only `geometry.read_file`
 opens a file to read, only `CoordinateMap.coords`, on its subfield,
-and `search.free_cosets` read a field's `log`, and outside `field`, only
-`search.free_cosets` reads a field's `exp`."""
+and `search.free_cosets` read a field's `log`, outside `field`, only
+`search.free_cosets` reads a field's `exp`, and `field.MARK_BATCH` is the
+one batch-size constant."""
 
 import argparse
 import ast
@@ -225,7 +226,7 @@ def test_readme_names_resolve():
 
 def test_stale_readme_name_is_reported():
     text = ("`Field.coord_map` and `Field.build`, `RGroup.coords`, `rank`,\n"
-            "`strongblock.field`, `codes.AND_BYTES`, `iroot(n, h)`, `--q`,\n"
+            "`strongblock.field`, `codes.PENCIL_ROWS`, `iroot(n, h)`, `--q`,\n"
             "`--no-such-flag`, `verify --mode\nblocking`, `np.zeros`\n"
             "```sh\nstrongblock `no_such_name`\n```\n")
     assert stale_readme_names(text) == ["Field.coord_map", "--no-such-flag",
@@ -377,3 +378,38 @@ def test_stray_exp_read_is_reported():
     assert table_reads(tree, "exp") == [(4, "zech", "self"),
                                         (6, "section", "space.field"),
                                         (8, None, "field")]
+
+
+def batch_constants(tree):
+    """(line, name) of every assignment in `tree` to MARK_BATCH or to a
+    name ending in _BLOCK or _BYTES, the names a batch size would take."""
+    return sorted(
+        (node.lineno, target.id) for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Name)
+        and (target.id == "MARK_BATCH"
+             or target.id.endswith(("_BLOCK", "_BYTES"))))
+
+
+def test_one_batch_constant():
+    # every batched kernel keeps one working-set rule, so it has one
+    # constant: `field.MARK_BATCH`, which `geometry` imports and states
+    found = [(p.name, name) for p in SOURCES
+             for _, name in batch_constants(ast.parse(p.read_text()))]
+    assert found == [("field.py", "MARK_BATCH")]
+
+
+def test_stray_batch_constant_is_reported():
+    tree = ast.parse("MARK_BATCH = 1 << 14\n"
+                     "ROW_BLOCK: int = 1 << 14\n"
+                     "step = TILE_BYTES = 1 << 18\n"
+                     "SECTION_CAP = 1 << 22\n"
+                     "def scan():\n"
+                     "    MARK_BATCH = 7\n"
+                     "    LIMIT_BYTES += 1\n"
+                     "    return geometry.MARK_BATCH\n")
+    assert batch_constants(tree) == [(1, "MARK_BATCH"), (2, "ROW_BLOCK"),
+                                     (3, "TILE_BYTES"), (6, "MARK_BATCH"),
+                                     (7, "LIMIT_BYTES")]

@@ -168,16 +168,24 @@ def zech_sum_verdict(alphas, rg):
         "dependent", tuple(int(c) for c in mat[hits[0]]) + (rho_m,))
 
 
-@pytest.mark.parametrize("name,m,samples,independent", [
+PACKED_SUM_CORPUS = [
     ("rg24", 3, None, 48), ("rg23", 2, None, 2), ("rg23", 4, None, 0),
     ("rg34", 3, 40, 5), ("rg43", 2, None, 12), ("rg43", 3, 40, 0),
     ("rg43", 4, 10, 0),
-])
-def test_packed_sums_match_zech_sums(name, m, samples, independent,
-                                     request):
+]
+
+
+@pytest.mark.parametrize("name,m,samples,independent,batch", [
+    pytest.param(*case, batch, id="-".join(map(str, case)) + suffix)
+    for batch, suffix in ((1 << 14, ""), (1, "-batch1"))
+    for case in PACKED_SUM_CORPUS])
+def test_packed_sums_match_zech_sums(name, m, samples, independent, batch,
+                                     request, monkeypatch):
     # every coset tuple (0, c_2, ..., c_m), or a seeded sample of them, with
     # each entry of a sampled tuple scaled by a random element of R*: the
-    # exp-only decision gives the verdict and witness of Zech-table sums
+    # exp-only decision gives the verdict and witness of Zech-table sums,
+    # whether the sorted lookup takes one prefix sum per block or 2^14
+    monkeypatch.setattr(geometry, "MARK_BATCH", batch)
     rg = request.getfixturevalue(name)
     f = rg.field
     tuples = list(np.ndindex(*(rg.stride,) * (m - 1)))
