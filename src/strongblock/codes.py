@@ -39,9 +39,12 @@ DEFAULT_CLASS_BUDGET = 10 ** 5
 # (6,056 incidences) hold about 0.25 MB of temporaries (tracemalloc), where
 # a full MARK_BATCH batch of 21 holds 0.57 MB, and the pass is no slower
 PENCIL_ROWS = 8
-# set bits of each byte value
-_ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8)
+# `_popcounts`' masks of bit pairs, nibbles and bytes, and the multiplier
+# that adds a word's eight byte counts into its top byte
+_M1, _M2, _M4, _H01 = (np.uint64(0x5555555555555555),
+                       np.uint64(0x3333333333333333),
+                       np.uint64(0x0F0F0F0F0F0F0F0F),
+                       np.uint64(0x0101010101010101))
 
 
 @dataclass
@@ -50,11 +53,6 @@ class GeneratorMatrix:
     k: int
     n: int
     entries: np.ndarray  # (k, n) codes
-
-    def column_points(self):
-        """The projective system of the columns, in column order."""
-        space = ProjectiveSpace(self.field, self.k - 1)
-        return PointSet(space, [tuple(int(c) for c in col) for col in self.entries.T])
 
     def message_space(self):
         return ProjectiveSpace(self.field, self.k - 1)
@@ -92,11 +90,6 @@ class SupportProfile:
     # (C, words) uint64, column j -> word j//64 bit j%64; bits past n are 0
     supports: np.ndarray
     weights: np.ndarray   # (C,) int64
-
-    def support_set(self, class_index):
-        bits = np.unpackbits(
-            self.supports[class_index].view(np.uint8), bitorder="little")
-        return frozenset(np.flatnonzero(bits[:self.n]).tolist())
 
 
 def support_profiles(G: GeneratorMatrix):
@@ -146,12 +139,17 @@ def support_profiles(G: GeneratorMatrix):
 
 def _popcounts(S, dtype):
     """Set bits of each row of the (C, words) uint64 array S, as `dtype`,
-    from the counts of MARK_BATCH bytes at a time."""
+    MARK_BATCH bytes at a time: each word's bits are summed in pairs,
+    nibbles and bytes by shifts and masks, and one multiply adds its byte
+    counts into the top byte."""
     out = np.empty(len(S), dtype=dtype)
     step = max(1, geometry.MARK_BATCH // (8 * S.shape[1]))
     for lo in range(0, len(S), step):
-        _ONES[S[lo:lo + step].view(np.uint8)].sum(axis=1, dtype=dtype,
-                                                  out=out[lo:lo + step])
+        x = S[lo:lo + step]
+        x = x - ((x >> 1) & _M1)
+        x = (x & _M2) + ((x >> 2) & _M2)
+        x = (x + (x >> 4)) & _M4
+        ((x * _H01) >> 56).sum(axis=1, dtype=dtype, out=out[lo:lo + step])
     return out
 
 

@@ -562,7 +562,8 @@ class Field:
             return b
         if b == 0:
             return a
-        # a Python int: an int32 scalar would wrap in `pow`'s (a - 1) * e
+        # a Python int: an int32 scalar would wrap in an exponent product
+        # such as (a - 1) * e
         z = int(self.zech[(b - a) % self.group_order])
         if z < 0:
             return 0
@@ -583,16 +584,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverting zero")
         return -(a - 1) % self.group_order + 1
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, e):
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("inverting zero")
-            return 0 if e else 1
-        return (a - 1) * e % self.group_order + 1
 
     # -- vectorized arithmetic on numpy code arrays ------------------------
 
@@ -792,7 +783,7 @@ class CoordinateMap:
 
     The subfield `sub` is generated by gamma = g^stride and has gamma's
     minimal polynomial as modulus, so subfield exponent j is big-field
-    exponent j*stride (`to_parent`).  One mod-p inverse gives both the
+    exponent j*stride.  One mod-p inverse gives both the
     coordinates and that modulus: it inverts the m x m matrix whose column
     (i, t) holds the GF(p)-digits of g^i gamma^t, i < m/d, t < d.  gamma^d
     lies in the subfield, so its coordinates fall in the i = 0 block and
@@ -825,11 +816,6 @@ class CoordinateMap:
         self._inv = inv
         self._e = e
         self._pw = np.array([p ** t for t in range(d)], dtype=np.int64)
-
-    def to_parent(self, codes):
-        """Big-field codes of subfield codes."""
-        codes = np.asarray(codes, dtype=np.int64)
-        return np.where(codes == 0, 0, (codes - 1) * self.stride + 1)
 
     def coords(self, packed):
         """(N, m/d) array of the subfield codes c_i with sum(c_i basis_i)

@@ -33,8 +33,9 @@ whatever the array's shape, so a batch stays in cache and the peak is
 bounded before allocation.  MARK_BATCH is the one batch constant; it is
 defined in `field`, the bottom module, and read here.  A kernel sizes its
 batch by the values per item: one per incidence for `pencils`, one per
-lookup for `search.free_cosets`, one per prefix sum for the sorted
-membership test of `search.is_r_independent`, 4 (Q + 1) per line for
+lookup for `search.free_cosets`, one per prefix for
+`search.is_r_independent`, which sums and looks up its prefix rows a
+block at a time, 4 (Q + 1) per line for
 `line_pencils`, k (N - 1) per point for the strong scan's secant pass and
 (k - 1) s per section of size s for its rank stacks.  The field's table
 build takes MARK_BATCH cells per step and per chunk table; `codes` counts
@@ -164,11 +165,6 @@ class ProjectiveSpace:
 
     # -- canonical enumeration ---------------------------------------------
 
-    def points(self):
-        """Yield all points in canonical order."""
-        for i in range(self.num_points):
-            yield self.point_at(i)
-
     def point_at(self, index):
         q = self.field.order
         for lead in range(self.n + 1):
@@ -211,19 +207,6 @@ class ProjectiveSpace:
         return np.asarray(self._offsets, dtype=np.int64)[lead] + val
 
     # -- incidence ---------------------------------------------------------
-
-    def dot(self, a, b):
-        if len(a) != self.k or len(b) != self.k:
-            raise DimensionMismatch("expected %d coordinates" % self.k)
-        f = self.field
-        acc = 0
-        for x, y in zip(a, b):
-            acc = f.add(acc, f.mul(x, y))
-        return acc
-
-    def incidence(self, point, hyperplane):
-        """True iff the dual form vanishes at the point."""
-        return self.dot(point, hyperplane) == 0
 
     def section(self, points, dual):
         """Bool mask of the points on the hyperplane `dual`, found by
@@ -478,20 +461,6 @@ class ProjectiveSpace:
                                          pt[:, :, None]))
         d = self.normalize_vec(d.reshape(self.k, -1).T)
         return self.point_index_vec(d).reshape(np.shape(r))
-
-    def line_through(self, P, Q):
-        """The q+1 points of the line spanned by two distinct points."""
-        P = self.normalize(P)
-        Q = self.normalize(Q)
-        if P == Q:
-            raise ValueError("need two distinct points")
-        f = self.field
-        Pv = np.asarray(P, dtype=np.int64)
-        Qv = np.asarray(Q, dtype=np.int64)
-        ts = np.arange(f.order, dtype=np.int64)
-        mat = f.add_vec(Qv[None, :], f.mul_vec(ts[:, None], Pv[None, :]))
-        mat = np.concatenate([mat, Pv[None, :]], axis=0)
-        return [tuple(int(c) for c in row) for row in self.normalize_vec(mat)]
 
     def __repr__(self):
         return "PG(%d, %d)" % (self.n, self.field.order)

@@ -189,10 +189,6 @@ class BSet:
     def __len__(self):
         return self.matrix.shape[0]
 
-    def weight_census(self):
-        vals, counts = np.unique(self.weights, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
     def contains(self, coords):
         norm = self.space.normalize(coords)
         return bool(np.all(self.rgroup.in_r(np.asarray(norm, dtype=np.int64))))

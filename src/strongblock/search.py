@@ -31,9 +31,9 @@ goes through `mark_lines_through`, which checks the scan budget
 survivor.  Each witness is re-checked off its own path: by the mask of
 `ProjectiveSpace.section` for a hyperplane missing B and for a relation's
 rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
-`free_cosets`, the sorted membership blocks of `is_r_independent` and the
-pencils, hold about MARK_BATCH values per array, one per lookup, prefix sum
-or incidence.  The weight-1 line statistics key the lines through a point by
+`free_cosets`, the one pass of `is_r_independent` that sums and looks up
+its prefixes a block at a time, and the pencils, hold about MARK_BATCH
+values per array, one per lookup, prefix or incidence.  The weight-1 line statistics key the lines through a point by
 `ProjectiveSpace.secant_keys`, as the strong scan does.
 """
 
@@ -97,14 +97,16 @@ def is_r_independent(alphas, rg: RGroup):
     a_1 with rho_m in R* exactly when s is one of the r packed values of
     the coset image of c_m - c_1; the one equal to s, entry i, gives
     rho_m = -g^(stride i).  The r targets are distinct, so they are sorted
-    once per call and each sum is looked up by `np.searchsorted`, O(log r)
-    comparisons instead of r, MARK_BATCH sums per block, stopping at the
-    first block with a hit.  A prefix entry off R is refused before any
-    sum: the coset images index R* by it.  A relation's re-check (rhos on the
-    hyperplane alphas, `ProjectiveSpace.section`) evaluates its products
-    by `Field.exp_at`, by square-and-multiply on a field without exp,
-    which shares no kernel with the coset images; it runs in PG(m-1, Q),
-    under 2^63 points by the budget.
+    once per call.  Then one pass takes the prefixes MARK_BATCH at a time:
+    it sums each block's terms and looks each sum up by `np.searchsorted`,
+    O(log r) comparisons instead of r, stopping at the first block with a
+    hit, so no temporary holds one entry per prefix.  A block with an
+    entry off R is refused before it is summed: the coset images index R*
+    by it.  A relation's re-check (rhos on the hyperplane alphas,
+    `ProjectiveSpace.section`) evaluates its products by `Field.exp_at`,
+    by square-and-multiply on a field without exp, which shares no kernel
+    with the coset images; it runs in PG(m-1, Q), under 2^63 points by
+    the budget.
     """
     alphas = tuple(int(a) for a in alphas)
     m = len(alphas)
@@ -114,21 +116,22 @@ def is_r_independent(alphas, rg: RGroup):
         raise ValueError("alphas must be nonzero")
     f = rg.field
     mat = r_tuple_matrix(rg, m - 1)
-    if not np.all(rg.in_r(mat)):
-        raise AssertionError("R-relation re-check failed: a prefix entry "
-                             "lies off R")
-    index = (mat - 1) // rg.stride  # of each nonzero entry in R*
     *head, last = alphas
-    sums = None  # packed digits of the prefix sums, one per R-point
-    for col, i, a in zip(mat.T, index.T, head):
-        term = np.where(col == 0, 0, rg.coset_values(a - alphas[0], i))
-        sums = term if sums is None else f.add_packed(sums, term)
     targets = rg.coset_values(last - alphas[0], np.arange(rg.r))
     by_value = np.argsort(targets)
     targets = targets[by_value]
     step = geometry.MARK_BATCH
-    for lo in range(0, sums.size, step):
-        block = sums[lo:lo + step]
+    for lo in range(0, len(mat), step):
+        part = mat[lo:lo + step]
+        if not np.all(rg.in_r(part)):
+            raise AssertionError("R-relation re-check failed: a prefix entry "
+                                 "lies off R")
+        block = None  # packed digits of the block's prefix sums
+        for col, a in zip(part.T, head):
+            # (col - 1) // stride: the index in R* of each nonzero entry
+            term = np.where(col == 0, 0, rg.coset_values(
+                a - alphas[0], (col - 1) // rg.stride))
+            block = term if block is None else f.add_packed(block, term)
         # a sum past every target is compared with the largest, unequal
         at = np.minimum(np.searchsorted(targets, block), rg.r - 1)
         hits = np.flatnonzero((block == 0) | (targets[at] == block))
@@ -138,7 +141,7 @@ def is_r_independent(alphas, rg: RGroup):
             if block[h]:  # -g^(stride i) for the target i equal to s
                 rho_m = f.neg(f.from_exp(
                     rg.stride * int(by_value[at[h]])))
-            rhos = tuple(int(c) for c in mat[lo + h]) + (rho_m,)
+            rhos = tuple(int(c) for c in part[h]) + (rho_m,)
             on = ProjectiveSpace(f, m - 1).section([rhos], alphas)
             if not on[0] or not np.all(rg.in_r(rhos)):
                 raise AssertionError("R-relation re-check failed")

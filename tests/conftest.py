@@ -51,6 +51,11 @@ def rg43():
 
 
 @pytest.fixture(scope="session")
+def rg25():
+    return build_rgroup(2, 5)
+
+
+@pytest.fixture(scope="session")
 def bset23(rg23):
     return build_bset(rg23)
 

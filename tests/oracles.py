@@ -1,0 +1,47 @@
+"""Scalar reference implementations that tests compare the library's batched
+paths against: the dual form and incidence of a point and a hyperplane, the
+points of the line through two points, and a class's support as a set of
+columns.  Nothing in the library calls them, so they live with the tests;
+pytest does not collect this module."""
+
+import numpy as np
+
+from strongblock.errors import DimensionMismatch
+
+
+def dot(space, a, b):
+    if len(a) != space.k or len(b) != space.k:
+        raise DimensionMismatch("expected %d coordinates" % space.k)
+    f = space.field
+    acc = 0
+    for x, y in zip(a, b):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def incidence(space, point, hyperplane):
+    """True iff the dual form vanishes at the point."""
+    return dot(space, point, hyperplane) == 0
+
+
+def line_through(space, P, Q):
+    """The q+1 points of the line spanned by two distinct points."""
+    P = space.normalize(P)
+    Q = space.normalize(Q)
+    if P == Q:
+        raise ValueError("need two distinct points")
+    f = space.field
+    Pv = np.asarray(P, dtype=np.int64)
+    Qv = np.asarray(Q, dtype=np.int64)
+    ts = np.arange(f.order, dtype=np.int64)
+    mat = f.add_vec(Qv[None, :], f.mul_vec(ts[:, None], Pv[None, :]))
+    mat = np.concatenate([mat, Pv[None, :]], axis=0)
+    return [tuple(int(c) for c in row) for row in space.normalize_vec(mat)]
+
+
+def support_set(profile, class_index):
+    """The columns in the support of class `class_index` of a
+    `codes.SupportProfile`."""
+    bits = np.unpackbits(
+        profile.supports[class_index].view(np.uint8), bitorder="little")
+    return frozenset(np.flatnonzero(bits[:profile.n]).tolist())

@@ -16,6 +16,8 @@ from strongblock.errors import BudgetExceeded, InconclusiveE
 from strongblock.geometry import PointSet, ProjectiveSpace
 from strongblock.partition import prime_power, subgeometry_points
 
+from oracles import line_through
+
 
 def odd_prime_powers(lo, hi):
     return [q for q in range(lo, hi + 1)
@@ -142,7 +144,7 @@ def test_baer_subplane_census(rg33):
 
 def test_line_census(gf9):
     space = ProjectiveSpace(gf9, 2)
-    line = PointSet(space, space.line_through((1, 0, 0), (0, 1, 0)))
+    line = PointSet(space, line_through(space, (1, 0, 0), (0, 1, 0)))
     prof = one_mod_p_profile(line, 3)
     assert prof.census == {1: 90, 10: 1}
     assert prof.holds

@@ -14,6 +14,8 @@ import strongblock
 from strongblock import cli, partition, strong
 from strongblock.field import Field
 
+from oracles import line_through
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 
@@ -198,7 +200,7 @@ def test_export_then_check_minimal_for_any_name(name, tmp_path, capsys,
 def test_verify_rejects_weak_set(tmp_path, capsys):
     from strongblock.geometry import PointSet, ProjectiveSpace
     space = ProjectiveSpace(Field.build(2, 3), 3)
-    line = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    line = line_through(space, (1, 0, 0, 0), (0, 1, 0, 0))
     pts = tmp_path / "line.json"
     PointSet(space, line).save(pts)
     code, doc = run_json(capsys, ["verify", "--input", str(pts)])

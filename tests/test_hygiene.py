@@ -7,8 +7,9 @@ declared floor (numpy>=1.24) lacks, every name that README.md quotes
 exists, only `geometry` calls `np.add.at`, only `geometry.read_file`
 opens a file to read, only `CoordinateMap.coords`, on its subfield,
 and `search.free_cosets` read a field's `log`, outside `field`, only
-`search.free_cosets` reads a field's `exp`, and `field.MARK_BATCH` is the
-one batch-size constant."""
+`search.free_cosets` reads a field's `exp`, `field.MARK_BATCH` is the
+one batch-size constant, and every public method of a library class is
+read somewhere in the library or the bench."""
 
 import argparse
 import ast
@@ -25,6 +26,7 @@ from strongblock import cli
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "strongblock"
 README = SRC.parent.parent / "README.md"
+BENCH = sorted((SRC.parent.parent / "bench").glob("*.py"))
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -413,3 +415,54 @@ def test_stray_batch_constant_is_reported():
     assert batch_constants(tree) == [(1, "MARK_BATCH"), (2, "ROW_BLOCK"),
                                      (3, "TILE_BYTES"), (6, "MARK_BATCH"),
                                      (7, "LIMIT_BYTES")]
+
+
+def unread_methods(library, readers):
+    """(class, name) of every public method that a class of the `library`
+    trees defines and that no tree of `readers` reads: neither as an
+    attribute nor as the "Class.method" target of a SPANS table, whose
+    entries the bench wraps by name."""
+    reads = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "SPANS" for t in node.targets):
+                reads |= {target.rsplit(".", 1)[-1] for _, target
+                          in ast.literal_eval(node.value).values()}
+    return sorted(
+        (cls.name, node.name) for tree in library for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in reads)
+
+
+def test_every_public_method_is_read():
+    # a method that only tests call is library code kept for the tests;
+    # a test oracle lives in tests/oracles.py instead.  A read is matched
+    # by name alone, so a read of a name anywhere masks every unread method
+    # of that name: `self.dot` in `incidence` masked `ProjectiveSpace.dot`,
+    # and `PointSet.points` masked `ProjectiveSpace.points`
+    library = [ast.parse(p.read_text()) for p in SOURCES]
+    bench = [ast.parse(p.read_text()) for p in BENCH]
+    assert unread_methods(library, library + bench) == []
+
+
+def test_unread_method_is_reported():
+    library = ast.parse("class Space:\n"
+                        "    def point_at(self, i): ...\n"
+                        "    def dot(self, a, b): ...\n"
+                        "    def dot_block(self, a, b): ...\n"
+                        "    def _helper(self): ...\n"
+                        "    def __len__(self): ...\n"
+                        "    @staticmethod\n"
+                        "    def build(n): ...\n"
+                        "def scan(space):\n"
+                        "    space.dot = None\n"
+                        "    return space.point_at(0)\n")
+    bench = ast.parse('SPANS = {"geometry.dot_block": '
+                      '("strongblock.geometry", "Space.dot_block"),\n'
+                      '         "search.scan": ("strongblock.search", "scan")}\n')
+    assert unread_methods([library], [library, bench]) == [
+        ("Space", "build"), ("Space", "dot")]

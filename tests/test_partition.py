@@ -18,6 +18,8 @@ from strongblock.partition import (
     subgeometry_points,
 )
 
+from oracles import line_through
+
 
 def test_prime_power():
     assert prime_power(8) == (2, 3)
@@ -213,7 +215,7 @@ def test_fano_subgeometry(rg23):
     for P in pts:
         for Q in pts:
             if P != Q:
-                line = set(space.line_through(P, Q))
+                line = set(line_through(space, P, Q))
                 assert len(line & pts) == 3
 
 
@@ -238,14 +240,16 @@ def test_bset_census(bset24):
     # |B(4,2)| and the weight census C(3,w) r^(w-1)
     r = bset24.rgroup.r
     assert len(bset24) == ((r + 1) ** 3 - 1) // r == 11343
-    census = bset24.weight_census()
+    vals, counts = np.unique(bset24.weights, return_counts=True)
+    census = dict(zip(vals.tolist(), counts.tolist()))
     assert census == {w: comb(3, w) * r ** (w - 1) for w in (1, 2, 3)}
     assert census == {1: 3, 2: 315, 3: 11025}
 
 
 def test_bset_small_case(bset23):
     assert len(bset23) == 23
-    assert bset23.weight_census() == {1: 2, 2: 21}
+    vals, counts = np.unique(bset23.weights, return_counts=True)
+    assert dict(zip(vals.tolist(), counts.tolist())) == {1: 2, 2: 21}
 
 
 def test_bset_contains(bset24):

@@ -66,7 +66,7 @@ FAULT_SCRIPT = textwrap.dedent("""
     def not_minimal():
         # a line of PG(3, 8) and two points spanning the rest
         space = ProjectiveSpace(Field.build(2, 3), 3)
-        pts = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+        pts = [(1, c, 0, 0) for c in range(8)] + [(0, 1, 0, 0)]
         G = codes.generator_from_points(
             PointSet(space, pts + [(0, 0, 1, 0), (0, 0, 0, 1)]))
         prof = codes.support_profiles(G)
@@ -76,7 +76,8 @@ FAULT_SCRIPT = textwrap.dedent("""
     def forged_minimal():
         # the simplex code is minimal: class 0 inside class 1 is forged
         space = ProjectiveSpace(Field.build(2, 3), 2)
-        G = codes.generator_from_points(PointSet(space, list(space.points())))
+        G = codes.generator_from_points(PointSet(
+            space, [space.point_at(i) for i in range(space.num_points)]))
         prof = codes.support_profiles(G)
         prof.supports[0] &= prof.supports[1]
         break_addition(G.field)
@@ -124,7 +125,8 @@ FAULT_SCRIPT = textwrap.dedent("""
 
     def not_blocking(forge):
         space = ProjectiveSpace(Field.build(2, 2), 2)
-        pts = [(1, 0, 0), (0, 1, 0)] if not forge else list(space.points())
+        pts = [(1, 0, 0), (0, 1, 0)] if not forge else [
+            space.point_at(i) for i in range(space.num_points)]
         if forge:  # no hyperplane marked: the first one looks missed
             strong.mark_lines_through = lambda space, mat: np.zeros(
                 space.num_points, dtype=bool)

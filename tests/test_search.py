@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -50,14 +51,15 @@ def relation_exists(rg, alphas):
 
 def test_pairs_against_definitional_oracle(rg23):
     # every coset pair (1, g^j), j < stride, both ways
+    f = rg23.field
     for j in range(rg23.stride):
-        alphas = (rg23.field.one, rg23.field.from_exp(j))
+        alphas = (f.one, f.from_exp(j))
         verdict = is_r_independent(alphas, rg23)
         expect = relation_exists(rg23, alphas)
         assert (verdict.status == "dependent") == expect
         # dependence holds exactly when the quotient lies in R*
         assert expect == bool(rg23.in_rstar(
-            np.array([rg23.field.div(alphas[1], alphas[0])]))[0])
+            np.array([f.mul(alphas[1], f.inv(alphas[0]))]))[0])
 
 
 def test_dependent_witness_reevaluates_to_zero(rg24):
@@ -163,7 +165,7 @@ def zech_sum_verdict(alphas, rg):
     if not hits.size:
         return IndependenceVerdict("independent", None)
     s = int(acc[hits[0]])
-    rho_m = f.div(f.neg(s), last) if s else 0
+    rho_m = f.mul(f.neg(s), f.inv(last)) if s else 0
     return IndependenceVerdict(
         "dependent", tuple(int(c) for c in mat[hits[0]]) + (rho_m,))
 
@@ -171,7 +173,7 @@ def zech_sum_verdict(alphas, rg):
 PACKED_SUM_CORPUS = [
     ("rg24", 3, None, 48), ("rg23", 2, None, 2), ("rg23", 4, None, 0),
     ("rg34", 3, 40, 5), ("rg43", 2, None, 12), ("rg43", 3, 40, 0),
-    ("rg43", 4, 10, 0),
+    ("rg43", 4, 10, 0), ("rg25", 4, 2, 0),
 ]
 
 
@@ -184,14 +186,17 @@ def test_packed_sums_match_zech_sums(name, m, samples, independent, batch,
     # every coset tuple (0, c_2, ..., c_m), or a seeded sample of them, with
     # each entry of a sampled tuple scaled by a random element of R*: the
     # exp-only decision gives the verdict and witness of Zech-table sums,
-    # whether the sorted lookup takes one prefix sum per block or 2^14
+    # whether its one pass sums and looks up one prefix per block or 2^14
     monkeypatch.setattr(geometry, "MARK_BATCH", batch)
     rg = request.getfixturevalue(name)
     f = rg.field
-    tuples = list(np.ndindex(*(rg.stride,) * (m - 1)))
+    shape = (rg.stride,) * (m - 1)
     rng = random.Random(m)
-    if samples is not None:
-        tuples = rng.sample(tuples, samples)
+    if samples is None:
+        tuples = list(np.ndindex(*shape))
+    else:  # sampled by index: k = 5 has 2255^3 coset tuples
+        tuples = [tuple(int(c) for c in np.unravel_index(i, shape))
+                  for i in rng.sample(range(rg.stride ** (m - 1)), samples)]
     found = 0
     for cosets in tuples:
         alphas = (f.one,) + tuple(rg.coset_rep(c) for c in cosets)
@@ -202,6 +207,28 @@ def test_packed_sums_match_zech_sums(name, m, samples, independent, batch,
         assert verdict == zech_sum_verdict(alphas, rg), alphas
         found += verdict.status == "independent"
     assert found == independent
+
+
+# tracemalloc peak of one k = 5 decision, as measured (run alone), plus
+# 64 KiB for temporaries that move between numpy versions: the 217,623
+# prefixes of `r_tuple_matrix` set it, and its blocks add nothing past
+# them; summing every prefix before the lookup peaked at 16,975,250
+K5_DECISION_PEAK_BYTES = 10_449_992 + (64 << 10)
+
+
+def test_k5_decision_peak_memory(rg25):
+    # the four cosets of the k = 5 union of test_strong.py
+    alphas = tuple(rg25.coset_rep(c) for c in (0, 7, 100, 1000))
+    is_r_independent(alphas, rg25)  # builds the cached R* progressions
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verdict = is_r_independent(alphas, rg25)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert verdict.witness == (1, 2256, 317956, 1039556)
+    assert peak <= K5_DECISION_PEAK_BYTES
 
 
 def test_relation_recheck_needs_r_coefficients(rg24, monkeypatch):
@@ -260,7 +287,8 @@ def test_mark_lines_matches_brute_force():
     def check(space, pts):
         marks = mark_lines_through(space, pts)
         assert marks.shape == (space.num_points,)
-        duals = np.asarray(list(space.points()), dtype=np.int64)
+        duals = np.asarray([space.point_at(i) for i in range(space.num_points)],
+                           dtype=np.int64)
         expect = np.any(space.dot_block(duals, pts) == 0, axis=1)
         assert np.array_equal(marks, expect)
 

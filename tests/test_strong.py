@@ -29,6 +29,8 @@ from strongblock.strong import (
     verify_strong_blocking,
 )
 
+from oracles import dot, line_through
+
 
 def section(point_set, dual):
     space = point_set.space
@@ -138,7 +140,7 @@ def test_plane_case_single_subgeometry_not_strong(q):
 def test_line_points_blocking_not_strong(gf8):
     from strongblock.geometry import ProjectiveSpace
     space = ProjectiveSpace(gf8, 3)
-    line = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    line = line_through(space, (1, 0, 0, 0), (0, 1, 0, 0))
     S = PointSet(space, line)
     assert verify_blocking(S).status == "blocking"
     verdict = verify_strong_blocking(S)
@@ -184,7 +186,7 @@ def test_dimension_mismatch_and_budget(rg24, monkeypatch):
 def test_whole_space_is_strong(gf9):
     from strongblock.geometry import ProjectiveSpace
     space = ProjectiveSpace(gf9, 2)
-    S = PointSet(space, list(space.points()))
+    S = PointSet(space, [space.point_at(i) for i in range(space.num_points)])
     assert verify_strong_blocking(S).status == "strong"
 
 
@@ -229,9 +231,9 @@ def strong_corpus(rg24):
     corpus += [
         PointSet(pg38, []),
         subgeometry_points(rg24, 0),
-        PointSet(pg38, pg38.line_through((1, 0, 0, 0), (0, 1, 0, 0))),
+        PointSet(pg38, line_through(pg38, (1, 0, 0, 0), (0, 1, 0, 0))),
         PointSet(pg38, [(1, 0, 0, 0), (0, 1, 0, 0)]),
-        PointSet(pg29, list(pg29.points())),
+        PointSet(pg29, [pg29.point_at(i) for i in range(pg29.num_points)]),
         union_subgeometries(
             rg24, find_independent_tuple(rg24, 3, seed=1).alphas),
     ]
@@ -392,7 +394,7 @@ def test_section_ranks_over_k_minus_1_columns(p, m, n):
         for i, coef in enumerate(rng.integers(0, f.order, (len(rows), d))):
             for c, v in zip(coef, span):
                 rows[i] = f.add_vec(rows[i], f.mul_vec(c, v))
-        assert all(space.dot(tuple(r), u) == 0 for r in rows.tolist())
+        assert all(dot(space, tuple(r), u) == 0 for r in rows.tolist())
         sections.append(rows)
         expect.append(space.rank([tuple(r) for r in rows.tolist()]))
     mat = np.concatenate(sections)
@@ -426,9 +428,10 @@ def planted_sets():
                     continue
                 a, b, c = (space.point_at(int(i)) for i in
                            rng.choice(space.num_points, 3, replace=False))
-                pts = space.line_through(a, b)
+                pts = line_through(space, a, b)
                 if flat == "plane":
-                    pts = [x for x in space.points()
+                    pts = [x for x in map(space.point_at,
+                                          range(space.num_points))
                            if space.rank([a, b, c, x]) < 4]
                 pts += [space.point_at(int(i)) for i in
                         rng.choice(space.num_points, extra, replace=False)]
@@ -541,7 +544,7 @@ def test_count_path_at_the_byte_boundary(on_line, off_line):
     # the line's count reaches 255, the largest uint8, then 256
     Q, a = 256, on_line
     space = ProjectiveSpace(Field.build(2, 8), 2)
-    line = space.line_through((1, 0, 0), (0, 1, 0))
+    line = line_through(space, (1, 0, 0), (0, 1, 0))
     S = PointSet(space, line[:a] + [(0, 0, 1)][:off_line])
     N = len(S)
     counts = space.hyperplane_counts(S.matrix())
@@ -568,7 +571,7 @@ def test_corrupted_counts_or_lines_trip_the_line_check(gf8, monkeypatch):
     # a line of PG(3,8) and two more points: one rich line, whose nine
     # planes must hold N + Q m = 11 + 8 * 9 incidences
     space = ProjectiveSpace(gf8, 3)
-    line = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    line = line_through(space, (1, 0, 0, 0), (0, 1, 0, 0))
     S = PointSet(space, line + [(0, 0, 1, 0), (0, 0, 0, 1)])
     lines = [np.stack(block).tolist()
              for block in strong._rich_lines(space, S.matrix())]
@@ -610,7 +613,8 @@ RECHECK_SCRIPT = textwrap.dedent("""
     print("optimize", sys.flags.optimize)
     # PG(2,4) takes the section-count path
     space = ProjectiveSpace(Field.build(2, 2), 2)
-    plane = PointSet(space, list(space.points()))
+    plane = PointSet(space, [space.point_at(i)
+                             for i in range(space.num_points)])
     real_counts = strong._short_by_counts
     strong._short_by_counts = lambda space, mat: (
         np.ones(space.num_points, dtype=bool), real_counts(space, mat)[1])
@@ -623,7 +627,8 @@ RECHECK_SCRIPT = textwrap.dedent("""
     strong._short_by_counts = real_counts
     # PG(4,2) takes the rank path
     space = ProjectiveSpace(Field.build(2, 1), 4)
-    whole = PointSet(space, list(space.points()))
+    whole = PointSet(space, [space.point_at(i)
+                             for i in range(space.num_points)])
     real_rank = ProjectiveSpace.rank_stack
     ProjectiveSpace.rank_stack = lambda self, stack: np.zeros(
         len(stack), dtype=np.int64)
