@@ -39,12 +39,6 @@ DEFAULT_CLASS_BUDGET = 10 ** 5
 # (6,056 incidences) hold about 0.25 MB of temporaries (tracemalloc), where
 # a full MARK_BATCH batch of 21 holds 0.57 MB, and the pass is no slower
 PENCIL_ROWS = 8
-# `_popcounts`' masks of bit pairs, nibbles and bytes, and the multiplier
-# that adds a word's eight byte counts into its top byte
-_M1, _M2, _M4, _H01 = (np.uint64(0x5555555555555555),
-                       np.uint64(0x3333333333333333),
-                       np.uint64(0x0F0F0F0F0F0F0F0F),
-                       np.uint64(0x0101010101010101))
 
 
 @dataclass
@@ -144,12 +138,16 @@ def _popcounts(S, dtype):
     counts into the top byte."""
     out = np.empty(len(S), dtype=dtype)
     step = max(1, geometry.MARK_BATCH // (8 * S.shape[1]))
+    # masks of bit pairs, nibbles and bytes, and the byte-sum multiplier
+    m1, m2, m4, h01 = (np.uint64(v) for v in (
+        0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+        0x0101010101010101))
     for lo in range(0, len(S), step):
         x = S[lo:lo + step]
-        x = x - ((x >> 1) & _M1)
-        x = (x & _M2) + ((x >> 2) & _M2)
-        x = (x + (x >> 4)) & _M4
-        ((x * _H01) >> 56).sum(axis=1, dtype=dtype, out=out[lo:lo + step])
+        x = x - ((x >> 1) & m1)
+        x = (x & m2) + ((x >> 2) & m2)
+        x = (x + (x >> 4)) & m4
+        ((x * h01) >> 56).sum(axis=1, dtype=dtype, out=out[lo:lo + step])
     return out
 
 
