@@ -562,8 +562,8 @@ class Field:
             return b
         if b == 0:
             return a
-        # a Python int: an int32 scalar would wrap in an exponent product
-        # such as (a - 1) * e
+        # a Python int: an int32 scalar would carry int32 wraparound into
+        # the caller's arithmetic on the returned code
         z = int(self.zech[(b - a) % self.group_order])
         if z < 0:
             return 0

@@ -35,9 +35,9 @@ defined in `field`, the bottom module, and read here.  A kernel sizes its
 batch by the values per item: one per incidence for `pencils`, one per
 lookup for `search.free_cosets`, one per prefix for
 `search.is_r_independent`, which sums and looks up its prefix rows a
-block at a time, 4 (Q + 1) per line for
-`line_pencils`, k (N - 1) per point for the strong scan's secant pass and
-(k - 1) s per section of size s for its rank stacks.  The field's table
+block at a time, 4 (Q + 1) per line for `line_pencils`, k (N - 1) per
+point for the strong scan's secant pass and (k - 1) s per section of
+size s for its rank stacks.  The field's table
 build takes MARK_BATCH cells per step and per chunk table; `codes` counts
 support weights MARK_BATCH bytes at a time and ANDs its zero sets in
 blocks of 16 MARK_BATCH bytes, the block and one gathered operand at

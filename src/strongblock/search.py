@@ -33,7 +33,8 @@ survivor.  Each witness is re-checked off its own path: by the mask of
 rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
 `free_cosets`, the one pass of `is_r_independent` that sums and looks up
 its prefixes a block at a time, and the pencils, hold about MARK_BATCH
-values per array, one per lookup, prefix or incidence.  The weight-1 line statistics key the lines through a point by
+values per array, one per lookup, prefix or incidence.  The weight-1
+line statistics key the lines through a point by
 `ProjectiveSpace.secant_keys`, as the strong scan does.
 """
 
