@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / property holds, 1 usage error, 2 property fails with
 witness, 3 budget exceeded (a scan over SCAN_BUDGET, or a random search out of
-trials).  Reports are JSON (schema 1) and embed the field
-modulus and any seed, so a run can be re-verified from the report alone.
+trials; past the union, `pipeline` emits the report built so far and the stage
+that refused).  Reports are JSON (schema 1) and embed the field modulus and
+any seed, so a run can be re-verified from the report alone.
 """
 
 from __future__ import annotations
@@ -81,20 +82,27 @@ def cmd_pipeline(args):
     if S is None:
         _emit(report, args)
         return 2
-    sv = strong.verify_strong_blocking(S)
     report["union"] = {"size": len(S),
                        "expected_size": strong.expected_size(args.q, args.k)}
-    report["strong"] = {"status": sv.status,
-                        "hyperplanes_checked": sv.hyperplanes_checked}
-    if sv.witness is not None:
-        report["strong"]["witness"] = _elems(S.space.field, sv.witness)
-    G = codes.generator_from_points(S)
-    mv, minimality = _minimality(G)
-    report["code"] = {"parameters": [G.n, G.k], "field_order": G.field.order,
-                      "minimal": mv.status, **minimality}
     if args.points_out:
         S.save(args.points_out)
         report["points_file"] = args.points_out
+    stage = "strong"
+    try:
+        sv = strong.verify_strong_blocking(S)
+        report["strong"] = {"status": sv.status,
+                            "hyperplanes_checked": sv.hyperplanes_checked}
+        if sv.witness is not None:
+            report["strong"]["witness"] = _elems(S.space.field, sv.witness)
+        stage = "code"
+        G = codes.generator_from_points(S)
+        mv, minimality = _minimality(G)
+    except BudgetExceeded as exc:
+        report["budget_exceeded"] = {"stage": stage, "message": str(exc)}
+        _emit(report, args)
+        raise
+    report["code"] = {"parameters": [G.n, G.k], "field_order": G.field.order,
+                      "minimal": mv.status, **minimality}
     _emit(report, args)
     return 0 if sv.status == "strong" and mv.status == "minimal" else 2
 

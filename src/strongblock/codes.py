@@ -69,7 +69,7 @@ def generator_from_points(point_set: PointSet):
     space = point_set.space
     k = space.k
     entries = point_set.matrix().T.copy()
-    if space.rank(point_set.points, k) < k:
+    if space.rank(entries.T) < k:
         raise RankDeficient("columns span a proper subspace")
     return GeneratorMatrix(field=space.field, k=k, n=entries.shape[1],
                            entries=entries)

@@ -754,27 +754,22 @@ class Field:
         return "Field(GF(%d^%d), modulus=%s)" % (self.p, self.m, list(self.modulus))
 
 
-def _matrix_inverse_mod_p(mat, p):
-    """Inverse of a square integer matrix mod p, or None if singular."""
-    n = mat.shape[0]
-    a = mat % p
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if aug[row, col] % p:
-                pivot = row
-                break
-        if pivot is None:
-            return None
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        inv = pow(int(aug[col, col]), p - 2, p)
-        aug[col] = aug[col] * inv % p
-        for row in range(n):
-            if row != col and aug[row, col]:
-                aug[row] = (aug[row] - aug[row, col] * aug[col]) % p
-    return aug[:, n:]
+def row_reduce_mod_p(mat, p):
+    """(reduced, pivots): the reduced row echelon form mod p of an integer
+    matrix by Gauss-Jordan elimination, whose rows past len(pivots) are
+    zero, and the ascending columns of its leading ones."""
+    a = np.array(mat, dtype=np.int64) % p
+    pivots = []
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(a[r:, col])
+        if below.size:
+            i = r + below[0]  # pivot row, scaled to 1 in this column
+            row = a[i] * pow(int(a[i, col]), p - 2, p) % p
+            a = (a - np.outer(a[:, col], row)) % p  # clears row i too
+            a[i], a[r] = a[r], row
+            pivots.append(col)
+    return a, pivots
 
 
 class CoordinateMap:
@@ -783,14 +778,14 @@ class CoordinateMap:
 
     The subfield `sub` is generated by gamma = g^stride and has gamma's
     minimal polynomial as modulus, so subfield exponent j is big-field
-    exponent j*stride.  One mod-p inverse gives both the
-    coordinates and that modulus: it inverts the m x m matrix whose column
-    (i, t) holds the GF(p)-digits of g^i gamma^t, i < m/d, t < d.  gamma^d
-    lies in the subfield, so its coordinates fall in the i = 0 block and
-    read gamma^d = sum c_t gamma^t: the minimal polynomial is
-    x^d - sum c_t x^t, which `Field.build` verifies as irreducible and
-    primitive.  For d = m, gamma = g has the parent's modulus, so `sub` is
-    a second build equal to the parent.
+    exponent j*stride.  One mod-p inverse, `row_reduce_mod_p` of [A | I],
+    gives both the coordinates and that modulus: it inverts the m x m
+    matrix A whose column (i, t) holds the GF(p)-digits of g^i gamma^t,
+    i < m/d, t < d.  gamma^d lies in the subfield, so its coordinates fall
+    in the i = 0 block and read gamma^d = sum c_t gamma^t: the minimal
+    polynomial is x^d - sum c_t x^t, which `Field.build` verifies as
+    irreducible and primitive.  For d = m, gamma = g has the parent's
+    modulus, so `sub` is a second build equal to the parent.
     """
 
     def __init__(self, parent, d):
@@ -805,10 +800,12 @@ class CoordinateMap:
         exps = np.arange(e)[:, None] + np.arange(d) * self.stride
         digits = parent.digits(parent.from_exp(
             np.append(exps.ravel(), d * self.stride)))
-        inv = _matrix_inverse_mod_p(digits[:-1].T, p)
-        if inv is None:
+        reduced, pivots = row_reduce_mod_p(
+            np.hstack([digits[:-1].T, np.eye(m, dtype=np.int64)]), p)
+        if pivots != list(range(m)):  # [A | I] reduces to [I | A^-1]
             raise AssertionError("polynomial basis is dependent over GF(%d^%d)"
                                  % (p, d))
+        inv = reduced[:, m:]
         power = inv @ digits[-1] % p
         if power[d:].any():
             raise AssertionError("gamma^%d lies outside GF(%d^%d)" % (d, p, d))

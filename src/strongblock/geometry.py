@@ -17,7 +17,7 @@ oracle.
 `line_pencils` solves for the planes of PG(3, Q) through lines the same
 way, from each line's reduced echelon basis, for the strong scan's secant
 lines.  `rank_stack` ranks a stack of equal-size hyperplane sections in
-one batched elimination; the scalar `rank` is its independent oracle.
+one batched elimination; `rank`, by GF(p) digits, is its oracle.
 Six more facts of the scans have one home here: `check_scan` refuses a
 space past SCAN_BUDGET hyperplanes before a scan allocates; `section`
 masks the points on a hyperplane by polynomial digits, off every
@@ -34,15 +34,15 @@ bounded before allocation.  MARK_BATCH is the one batch constant; it is
 defined in `field`, the bottom module, and read here.  A kernel sizes its
 batch by the values per item: one per incidence for `pencils`, one per
 lookup for `search.free_cosets`, one per prefix for
-`search.is_r_independent`, which sums and looks up its prefix rows a
-block at a time, 4 (Q + 1) per line for `line_pencils`, k (N - 1) per
-point for the strong scan's secant pass and (k - 1) s per section of
-size s for its rank stacks.  The field's table
-build takes MARK_BATCH cells per step and per chunk table; `codes` counts
-support weights MARK_BATCH bytes at a time and ANDs its zero sets in
-blocks of 16 MARK_BATCH bytes, the block and one gathered operand at
-8 MARK_BATCH bytes apiece.  Five exceptions are named, each for its
-reason:
+`search.is_r_independent`, which builds, sums and looks up its prefix
+rows a block at a time, 4 (Q + 1) per line for `line_pencils`, k (N - 1)
+per point for the strong scan's secant pass, (k - 1) s per section of
+size s for its rank stacks and k m^2 digits per point for `rank`.  The
+field's table build takes MARK_BATCH cells per step and per chunk table;
+`codes` counts support weights MARK_BATCH bytes at a time and ANDs its
+zero sets in blocks of 16 MARK_BATCH bytes, the block and one gathered
+operand at 8 MARK_BATCH bytes apiece.  Five exceptions are named, each
+for its reason:
 - the C-sized results of `codes` (supports, weights, zero-set sizes,
   ranks and flags, one entry per codeword class) are outputs, not
   temporaries;
@@ -76,7 +76,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, StrongBlockError
-from .field import MARK_BATCH, Field
+from .field import MARK_BATCH, Field, row_reduce_mod_p
 
 # the most hyperplanes, lines or R-points an exhaustive scan or enumeration
 # may cover; read at call time, so a test can lower it
@@ -385,33 +385,26 @@ class ProjectiveSpace:
 
     # -- rank --------------------------------------------------------------
 
-    def rank(self, pts, target=None):
-        """Rank of the coordinate matrix by elimination; 0 for the empty set.
+    def rank(self, pts):
+        """Rank over GF(Q), Q = p^m, of the rows x of `pts`; 0 for none.
 
-        Stops early once `target` is reached (used by the strong-blocking
-        scan, where most hyperplane sections reach full rank quickly).
-        """
-        f = self.field
-        rows = []
-        rank = 0
-        pivots = []  # (col, row) with row scaled to pivot 1
-        for pt in pts:
-            row = list(pt)
-            for col, prow in pivots:
-                c = row[col]
-                if c:
-                    for j in range(col, self.k):
-                        row[j] = f.sub(row[j], f.mul(c, prow[j]))
-            col = next((j for j, c in enumerate(row) if c), None)
-            if col is None:
-                continue
-            inv = f.inv(row[col])
-            row = [f.mul(c, inv) for c in row]
-            pivots.append((col, row))
-            rank += 1
-            if target is not None and rank >= target:
-                return rank
-        return rank
+        The GF(Q)-span of the x is the GF(p)-span of the g^j x, j < m, so
+        it is the mod-p rank of their digits (`Field.digits`) over m.  The
+        g^j x are built MARK_BATCH digits at a time, and `row_reduce_mod_p`
+        reduces each block with the pivot rows so far, until k m of them."""
+        f, k, m = self.field, self.k, self.field.m
+        x = np.asarray(pts, dtype=np.int64).reshape(-1, 1, k)
+        step = max(1, MARK_BATCH // (k * m * m))
+        basis = np.zeros((0, k * m), dtype=np.int64)
+        for lo in range(0, len(x), step):
+            block = x[lo:lo + step]
+            gx = f.from_exp(block - 1 + np.arange(m)[:, None])  # (b, m, k)
+            rows = f.digits(np.where(block == 0, 0, gx)).reshape(-1, k * m)
+            reduced, pivots = row_reduce_mod_p(np.vstack([basis, rows]), f.p)
+            basis = reduced[:len(pivots)]
+            if len(basis) == k * m:
+                break
+        return len(basis) // m
 
     def rank_stack(self, stack):
         """Ranks of the matrices of an (H, s, c) stack of code matrices.

@@ -165,16 +165,17 @@ def full_partition(rg: RGroup):
     return [subgeometry_points(rg, c) for c in range(rg.stride)]
 
 
-def r_tuple_matrix(rg: RGroup, ncoords):
-    """Normalized points of PG(ncoords-1, .) with every coordinate in R, in
-    canonical index order: the ascending R codes (0, then the field's one)
-    indexed by the base-(r+1) digits of `geometry.canonical_points`.  Raises
-    BudgetExceeded when the ((r+1)^ncoords - 1)/r rows exceed SCAN_BUDGET.
-    """
+def r_tuple_matrix(rg: RGroup, ncoords, start=0, stop=None):
+    """Rows start..stop-1 (all by default) of the normalized points of
+    PG(ncoords-1, .) with every coordinate in R, in canonical index order:
+    the ascending R codes (0, then the field's one) indexed by the base-(r+1)
+    digits of `geometry.canonical_points`.  Raises BudgetExceeded before any
+    row when the ((r+1)^ncoords - 1)/r rows exceed SCAN_BUDGET."""
     r = rg.r
     if (r + 1) ** ncoords - 1 > geometry.SCAN_BUDGET * r:
         raise BudgetExceeded("(r+1)^%d exceeds enumeration budget" % ncoords)
-    return rg.r_codes()[geometry.canonical_points(ncoords - 1, r + 1)]
+    return rg.r_codes()[
+        geometry.canonical_points(ncoords - 1, r + 1, start, stop)]
 
 
 @dataclass

@@ -31,10 +31,10 @@ goes through `mark_lines_through`, which checks the scan budget
 survivor.  Each witness is re-checked off its own path: by the mask of
 `ProjectiveSpace.section` for a hyperplane missing B and for a relation's
 rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
-`free_cosets`, the one pass of `is_r_independent` that sums and looks up
-its prefixes a block at a time, and the pencils, hold about MARK_BATCH
-values per array, one per lookup, prefix or incidence.  The weight-1
-line statistics key the lines through a point by
+`free_cosets`, the one pass of `is_r_independent` that builds, sums and
+looks up its prefixes a block at a time, and the pencils, hold about
+MARK_BATCH values per array, one per lookup, prefix or incidence.  The
+weight-1 line statistics key the lines through a point by
 `ProjectiveSpace.secant_keys`, as the strong scan does.
 """
 
@@ -98,10 +98,10 @@ def is_r_independent(alphas, rg: RGroup):
     a_1 with rho_m in R* exactly when s is one of the r packed values of
     the coset image of c_m - c_1; the one equal to s, entry i, gives
     rho_m = -g^(stride i).  The r targets are distinct, so they are sorted
-    once per call.  Then one pass takes the prefixes MARK_BATCH at a time:
-    it sums each block's terms and looks each sum up by `np.searchsorted`,
+    once per call.  Then one pass builds (`r_tuple_matrix`), sums and looks
+    up the prefixes MARK_BATCH at a time, each sum by `np.searchsorted`,
     O(log r) comparisons instead of r, stopping at the first block with a
-    hit, so no temporary holds one entry per prefix.  A block with an
+    hit, so no array holds one entry per prefix.  A block with an
     entry off R is refused before it is summed: the coset images index R*
     by it.  A relation's re-check (rhos on the hyperplane alphas,
     `ProjectiveSpace.section`) evaluates its products by `Field.exp_at`,
@@ -116,14 +116,14 @@ def is_r_independent(alphas, rg: RGroup):
     if any(a == 0 for a in alphas):
         raise ValueError("alphas must be nonzero")
     f = rg.field
-    mat = r_tuple_matrix(rg, m - 1)
+    count = ((rg.r + 1) ** (m - 1) - 1) // rg.r  # prefixes
     *head, last = alphas
     targets = rg.coset_values(last - alphas[0], np.arange(rg.r))
     by_value = np.argsort(targets)
     targets = targets[by_value]
     step = geometry.MARK_BATCH
-    for lo in range(0, len(mat), step):
-        part = mat[lo:lo + step]
+    for lo in range(0, count, step):
+        part = r_tuple_matrix(rg, m - 1, lo, min(count, lo + step))
         if not np.all(rg.in_r(part)):
             raise AssertionError("R-relation re-check failed: a prefix entry "
                                  "lies off R")

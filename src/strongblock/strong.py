@@ -25,8 +25,8 @@ MARK_BATCH and doubles, and ranked in stacks of equal size with
 `ProjectiveSpace.rank_stack`, over the k-1 coordinates that remain when
 each hyperplane's leading one (`ProjectiveSpace.leads`) is dropped.  On
 either path the witness is the lowest-index hyperplane whose section
-falls short, and is re-checked off the scan path with the mask of
-`ProjectiveSpace.section` (no addition table) and the scalar `rank`.
+falls short, and is re-checked off the scan path and every addition
+table, by GF(p) digits: the mask of `ProjectiveSpace.section`, then `rank`.
 Both paths hold about MARK_BATCH field values per temporary array, the
 one working-set rule of `geometry`.  Plain blocking needs no sections: it
 marks the hyperplanes through each point (`search.mark_lines_through`),
@@ -174,13 +174,13 @@ def _section_ranks(space, mat, lo, indptr, members):
 def _recheck_witness(point_set, index, empty):
     """Verdict for the failing hyperplane `index`, whose section a scan found
     `empty` (unmarked, or with no rows) or short of rank k-1, re-derived off
-    the scan path: the mask of `ProjectiveSpace.section`, then the scalar
-    rank of a nonempty section's rows."""
+    the scan path by GF(p) digits: the mask of `ProjectiveSpace.section`,
+    then the `rank` of a nonempty section's rows."""
     space = point_set.space
     dual = space.point_at(index)
     mat = point_set.matrix()
     on = space.section(mat, dual)
-    rank = 0 if empty else space.rank(mat[on].tolist(), space.k - 1)
+    rank = 0 if empty else space.rank(mat[on])
     if rank >= space.k - 1 or on.any() == empty:
         raise AssertionError("strong witness re-check failed")
     return StrongVerdict("not-blocking" if empty else "not-strong", dual, rank,

@@ -1,8 +1,9 @@
 """Scalar reference implementations that tests compare the library's batched
 paths against: the dual form and incidence of a point and a hyperplane, the
-points of the line through two points, and a class's support as a set of
-columns.  Nothing in the library calls them, so they live with the tests;
-pytest does not collect this module."""
+points of the line through two points, the rank of a set of points by
+elimination in Zech codes, and a class's support as a set of columns.
+Nothing in the library calls them, so they live with the tests; pytest does
+not collect this module."""
 
 import numpy as np
 
@@ -37,6 +38,25 @@ def line_through(space, P, Q):
     mat = f.add_vec(Qv[None, :], f.mul_vec(ts[:, None], Pv[None, :]))
     mat = np.concatenate([mat, Pv[None, :]], axis=0)
     return [tuple(int(c) for c in row) for row in space.normalize_vec(mat)]
+
+
+def scalar_rank(space, pts):
+    """Rank of the coordinate rows by Gauss elimination over the field's
+    codes, one scalar `Field.sub` and `Field.mul` at a time."""
+    f = space.field
+    pivots = []  # (col, row) with row scaled to pivot 1
+    for pt in pts:
+        row = [int(c) for c in pt]
+        for col, prow in pivots:
+            c = row[col]
+            if c:
+                for j in range(col, space.k):
+                    row[j] = f.sub(row[j], f.mul(c, prow[j]))
+        col = next((j for j, c in enumerate(row) if c), None)
+        if col is not None:
+            inv = f.inv(row[col])
+            pivots.append((col, [f.mul(c, inv) for c in row]))
+    return len(pivots)
 
 
 def support_set(profile, class_index):

@@ -5,6 +5,7 @@ GF(p^m): elements are coefficient tuples reduced modulo the same modulus,
 with no exponent tables involved.  Table-driven results must agree with it.
 """
 
+import itertools
 import time
 import tracemalloc
 
@@ -640,6 +641,29 @@ def test_subfield_is_field_homomorphism(gf4096):
                 int(big[a]), int(big[b]))
             assert int(to_parent(cm, np.array([t]))[0]) == gf4096.mul(
                 int(big[a]), int(big[b]))
+
+
+def test_row_reduce_mod_p_is_the_reduced_echelon_form():
+    # sparse random matrices mod p, so zero rows and columns occur; the
+    # row space is enumerated as every combination of the rows
+    rng = np.random.default_rng(29)
+    for p in (2, 3, 5):
+        for shape in [(0, 3), (3, 0), (1, 4), (3, 3), (4, 2), (2, 5)]:
+            for _ in range(10):
+                a = rng.integers(0, p, shape) * (rng.random(shape) < 0.6)
+                reduced, pivots = field_mod.row_reduce_mod_p(a, p)
+                n = len(pivots)
+                assert reduced.shape == a.shape and not reduced[n:].any()
+                assert pivots == sorted(set(pivots))
+                assert np.array_equal(reduced[:n, pivots],
+                                      np.eye(n, dtype=np.int64))
+                for i, col in enumerate(pivots):
+                    assert not reduced[i, :col].any()
+
+                def span(rows):
+                    return {tuple(np.dot(c, rows) % p) for c in
+                            itertools.product(range(p), repeat=len(rows))}
+                assert span(a) == span(reduced[:n])
 
 
 def to_parent(cm, codes):

@@ -22,7 +22,7 @@ from strongblock.strong import (
     verify_strong_blocking,
 )
 
-from oracles import dot, incidence, line_through
+from oracles import dot, incidence, line_through, scalar_rank
 
 
 def count_points(q, n):
@@ -542,14 +542,36 @@ def test_rank_basics():
     assert space.rank(e) == 4
     assert space.rank(e[:2]) == 2
     assert space.rank([e[0], e[0]]) == 1
-    assert space.rank(e, target=2) == 2  # early exit honors the target
+
+
+def test_rank_matches_scalar_elimination():
+    # 840 seeded sets spanning subspaces of random dimension, over prime
+    # and extension fields, odd p with m > 1 among them, and k up to 12
+    rng = np.random.default_rng(2026)
+    for p, m, k in [(2, 1, 3), (2, 3, 4), (3, 1, 5), (3, 2, 4), (5, 1, 6),
+                    (5, 2, 3), (7, 1, 4), (7, 2, 5), (13, 1, 3), (13, 2, 4),
+                    (2, 9, 3), (3, 3, 12), (2, 6, 8), (3, 4, 6)]:
+        space = ProjectiveSpace(Field.build(p, m), k - 1)
+        f = space.field
+        for _ in range(60):
+            basis = rng.integers(0, f.order, (int(rng.integers(0, k + 1)), k))
+            coef = rng.integers(0, f.order, (int(rng.integers(0, 3 * k)),
+                                             basis.shape[0]))
+            rows = np.zeros((coef.shape[0], k), dtype=np.int64)
+            for i in range(basis.shape[0]):
+                rows = f.add_vec(rows, f.mul_vec(coef[:, i:i + 1],
+                                                 basis[i][None, :]))
+            assert space.rank(rows) == scalar_rank(space, rows.tolist())
 
 
 def test_rank_stack_matches_scalar_rank():
     # random stacks with rows drawn from a subspace of random dimension, so
     # deficient, zero and full ranks all occur
     rng = np.random.default_rng(17)
-    for p, m, n in [(2, 3, 2), (3, 2, 3), (2, 1, 4), (2, 6, 1)]:
+    # the extension fields, odd p with m > 1 among them, check the digit
+    # expansion of `rank` by the rows g^j x, j < m
+    for p, m, n in [(2, 3, 2), (3, 2, 3), (2, 1, 4), (2, 6, 1), (5, 2, 3),
+                    (3, 3, 2), (2, 4, 3)]:
         space = ProjectiveSpace(Field.build(p, m), n)
         f, k = space.field, space.k
         for s in (0, 1, 2, 3, 5, 8):

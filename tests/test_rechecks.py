@@ -6,9 +6,10 @@ and dense addition tables are replaced by ones that make every sum zero;
 or, for an R-relation, the kernel that multiplies R* into its cosets
 (`field._times_g_to_the_b`) multiplies by one instead.  The re-checks of
 true witnesses must still pass, since their incidences are the digit sums
-of `ProjectiveSpace.section`, evaluated without that kernel, and forged
-witnesses must still raise, under python -O too, since the re-checks are
-explicit raises.
+of `ProjectiveSpace.section`, evaluated without that kernel, and the rank
+of a not-strong section is the mod-p rank of its GF(p) digits
+(`ProjectiveSpace.rank`).  Forged witnesses must still raise, under
+python -O too, since the re-checks are explicit raises.
 """
 
 import os
@@ -20,8 +21,11 @@ import pytest
 
 import strongblock
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
 FAULT_SCRIPT = textwrap.dedent("""
     import copy
+    import os
     import sys
     import numpy as np
     from strongblock import codes, search, strong
@@ -31,7 +35,8 @@ FAULT_SCRIPT = textwrap.dedent("""
     from strongblock.partition import build_bset, build_rgroup
 
     real = (Field.add, search.free_cosets, strong.mark_lines_through,
-            field_mod._times_g_to_the_b, ProjectiveSpace.section)
+            strong._short_by_counts, field_mod._times_g_to_the_b,
+            ProjectiveSpace.section)
 
     def broken_add(self, a, b):
         raise RuntimeError("scalar Field.add read by a re-check")
@@ -61,7 +66,8 @@ FAULT_SCRIPT = textwrap.dedent("""
             print(name, "raised", type(exc).__name__ + ":", exc)
         finally:
             (Field.add, search.free_cosets, strong.mark_lines_through,
-             field_mod._times_g_to_the_b, ProjectiveSpace.section) = real
+             strong._short_by_counts, field_mod._times_g_to_the_b,
+             ProjectiveSpace.section) = real
 
     def not_minimal():
         # a line of PG(3, 8) and two points spanning the rest
@@ -133,18 +139,32 @@ FAULT_SCRIPT = textwrap.dedent("""
         breaking_after(strong, "mark_lines_through", space.field)
         return strong.verify_blocking(PointSet(space, pts)).status
 
+    def not_strong(forge):
+        # 28 points of PG(3, 8), decided by section counts: plane 19 holds
+        # 3 collinear points
+        S = PointSet.load(os.path.join(sys.argv[1], "collinear_pg3_8.json"))
+        if forge:  # every plane short: plane 0, of full rank, comes first
+            strong._short_by_counts = lambda space, mat: (
+                np.ones(space.num_points, dtype=bool),
+                np.full(space.num_points, len(mat)))
+        breaking_after(strong, "_short_by_counts", S.space.field)
+        v = strong.verify_strong_blocking(S)
+        return v.status, v.witness, v.witness_rank
+
     print("optimize", sys.flags.optimize)
     case("not-minimal", not_minimal)
     case("dependent", lambda: relation((0, 1, 2), None))
     case("dependent, kernel", lambda: kernel_relation((0, 1, 2), None))
     case("B(4,2)", lambda: b42(False))
     case("not-blocking", lambda: not_blocking(False))
+    case("not-strong", lambda: not_strong(False))
     case("forged not-minimal", forged_minimal)
     case("forged dependent", lambda: relation((0, 1, 17), zero_sums))
     case("forged dependent, kernel",
          lambda: kernel_relation((0, 1, 17), zero_sums))
     case("forged B(4,2)", lambda: b42(True))
     case("forged not-blocking", lambda: not_blocking(True))
+    case("forged not-strong", lambda: not_strong(True))
 """)
 
 
@@ -154,7 +174,7 @@ def test_rechecks_read_no_addition_table(flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, *flags, "-c", FAULT_SCRIPT],
+    out = subprocess.run([sys.executable, *flags, "-c", FAULT_SCRIPT, GOLDEN],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
         "optimize %d" % len(flags),
@@ -163,6 +183,7 @@ def test_rechecks_read_no_addition_table(flags):
         "dependent, kernel: dependent",
         "B(4,2): not-blocking",
         "not-blocking: not-blocking",
+        "not-strong: ('not-strong', (1, 0, 2, 3), 2)",
         "forged not-minimal raised AssertionError: "
         "minimality witness re-check failed",
         "forged dependent raised AssertionError: R-relation re-check failed",
@@ -170,5 +191,7 @@ def test_rechecks_read_no_addition_table(flags):
         "R-relation re-check failed",
         "forged B(4,2) raised AssertionError: witness line re-check failed",
         "forged not-blocking raised AssertionError: "
+        "strong witness re-check failed",
+        "forged not-strong raised AssertionError: "
         "strong witness re-check failed",
     ]

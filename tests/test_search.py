@@ -210,10 +210,11 @@ def test_packed_sums_match_zech_sums(name, m, samples, independent, batch,
 
 
 # tracemalloc peak of one k = 5 decision, as measured (run alone), plus
-# 64 KiB for temporaries that move between numpy versions: the 217,623
-# prefixes of `r_tuple_matrix` set it, and its blocks add nothing past
-# them; summing every prefix before the lookup peaked at 16,975,250
-K5_DECISION_PEAK_BYTES = 10_449_992 + (64 << 10)
+# 64 KiB for temporaries that move between numpy versions: its prefixes
+# are built a MARK_BATCH block at a time, where building all 217,623 of
+# them first peaked at 10,449,992 and summing every prefix before the
+# lookup at 16,975,250
+K5_DECISION_PEAK_BYTES = 1_284_692 + (64 << 10)
 
 
 def test_k5_decision_peak_memory(rg25):
@@ -235,7 +236,8 @@ def test_relation_recheck_needs_r_coefficients(rg24, monkeypatch):
     # a forged prefix (g^1) gives (g^1, 1), a relation of (1, g^1) whose
     # first coefficient lies outside R: the re-check refuses it
     monkeypatch.setattr(search, "r_tuple_matrix",
-                        lambda rg, n: np.array([[2]], dtype=np.int64))
+                        lambda rg, n, start, stop: np.array(
+                            [[2]], dtype=np.int64))
     with pytest.raises(AssertionError, match="R-relation re-check failed"):
         is_r_independent((rg24.field.one, 2), rg24)
 

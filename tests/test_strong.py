@@ -196,7 +196,7 @@ def test_whole_space_is_strong(gf9):
 
 def strong_oracle(point_set):
     """Every hyperplane in canonical order, its section from dual forms and
-    the scalar rank with early exit; the first short section is the witness."""
+    its rank by `rank`; the first short section is the witness."""
     space = point_set.space
     target = space.k - 1
     mat = point_set.matrix()
@@ -206,7 +206,7 @@ def strong_oracle(point_set):
         incident = space.dot_block(duals, mat) == 0
         for row, on in enumerate(incident):
             section = [point_set.points[j] for j in np.flatnonzero(on)]
-            rank = space.rank(section, target)
+            rank = space.rank(section)
             if rank < target:
                 return StrongVerdict(
                     "not-strong" if section else "not-blocking",
@@ -370,7 +370,7 @@ def test_counting_sort_sections_of_whole_pg1(monkeypatch, cap):
 def test_section_ranks_over_k_minus_1_columns(p, m, n):
     # random points of every hyperplane, drawn from a subspace of random
     # dimension inside it: ranking without the hyperplane's leading
-    # coordinate gives the scalar rank of the full rows
+    # coordinate gives the `rank` of the full rows
     space = ProjectiveSpace(Field.build(p, m), n)
     f, k = space.field, space.k
     rng = np.random.default_rng(23)
