@@ -302,13 +302,14 @@ def _dense_rank(x):
 
 
 def _recheck_witness(G, contained, container):
-    """Re-evaluation of a minimality witness off the bitset path: a
-    message's support is the columns off its hyperplane's section mask."""
+    """Re-evaluation of a minimality witness off the bitset path and the
+    product table: a message's support is the columns off its hyperplane's
+    section mask, and two messages are distinct iff of rank 2."""
     space = G.message_space()
     sa, sb = (~space.section(G.entries.T, msg)
               for msg in (contained, container))
     if (not sa.any() or (sa & ~sb).any()
-            or space.normalize(contained) == space.normalize(container)):
+            or space.rank([contained, container]) != 2):
         raise AssertionError("minimality witness re-check failed")
 
 

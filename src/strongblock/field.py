@@ -254,12 +254,7 @@ def _smallest_primitive_poly(p, m):
     sign = -1 if m % 2 else 1
     x = (0, 1)
     for packed in range(p ** m):
-        coeffs = []
-        v = packed
-        for _ in range(m):
-            v, rem = divmod(v, p)
-            coeffs.append(rem)
-        mod = tuple(coeffs) + (1,)
+        mod = tuple(_digits_of(packed, p, m)) + (1,)
         norm = sign * mod[0] % p
         if norm == 0 or any(pow(norm, e, p) == 1 for e in cofactors):
             continue
@@ -579,11 +574,6 @@ class Field:
         if a == 0 or b == 0:
             return 0
         return (a + b - 2) % self.group_order + 1
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverting zero")
-        return -(a - 1) % self.group_order + 1
 
     # -- vectorized arithmetic on numpy code arrays ------------------------
 

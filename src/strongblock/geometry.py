@@ -4,7 +4,10 @@ Points are tuples of field codes, normalized so the first nonzero coordinate
 is one.  The canonical enumeration orders points by the position of that
 leading one (ascending), then lexicographically by the remaining codes; the
 same indexing addresses hyperplanes through their dual coordinates, so scans
-can be partitioned by index range without materializing the stream.
+can be partitioned by index range without materializing the stream.  Each
+point codec has one implementation, `canonical_points` to decode,
+`point_index_vec` to encode and `normalize_vec` to normalize, and
+`point_at` and `normalize` are their one-row views.
 
 Every exhaustive scan reads incidences from one generator,
 `ProjectiveSpace.pencils`: the canonical indices of the hyperplanes through
@@ -139,23 +142,20 @@ class ProjectiveSpace:
     # -- normalization -----------------------------------------------------
 
     def normalize(self, coords):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.k:
-            raise DimensionMismatch("expected %d coordinates" % self.k)
-        for c in coords:
-            if c:
-                inv = self.field.inv(c)
-                return tuple(self.field.mul(x, inv) for x in coords)
-        raise ValueError("cannot normalize the zero vector")
+        """`normalize_vec` of one row, as a tuple of ints."""
+        return tuple(self.normalize_vec([coords])[0].tolist())
 
     def normalize_vec(self, mat):
         """Row-wise normalization of an (N, n+1) code matrix.
 
         The work runs on the (n+1, N) transpose, a free view when the caller
         built the coordinates as (n+1, N) rows, so that every field kernel
-        sweeps the long axis.
+        sweeps the long axis.  A zero row raises ValueError.
         """
-        x = np.asarray(mat, dtype=np.int64).T
+        x = np.asarray(mat, dtype=np.int64)
+        if x.ndim != 2 or x.shape[1] != self.k:
+            raise DimensionMismatch("expected %d coordinates" % self.k)
+        x = x.T
         lead_val = x[-1]
         for coord in x[-2::-1]:
             lead_val = np.where(coord != 0, coord, lead_val)
@@ -166,32 +166,13 @@ class ProjectiveSpace:
     # -- canonical enumeration ---------------------------------------------
 
     def point_at(self, index):
-        q = self.field.order
-        for lead in range(self.n + 1):
-            block = q ** (self.n - lead)
-            if index < block:
-                coords = [0] * lead + [1]
-                rest = []
-                for j in range(self.n - lead):
-                    index, rem = divmod(index, q)
-                    rest.append(rem)
-                coords.extend(reversed(rest))
-                return tuple(coords)
-            index -= block
-        raise IndexError("point index out of range")
+        """Row `index` of `canonical_points`, as a tuple of ints."""
+        return tuple(canonical_points(self.n, self.field.order, index,
+                                      index + 1)[0].tolist())
 
     def leads(self, indices):
         """Position of the leading one of each canonical index."""
         return np.searchsorted(self._offsets, indices, side="right") - 1
-
-    def point_index(self, coords):
-        coords = self.normalize(coords)
-        q = self.field.order
-        lead = next(i for i, c in enumerate(coords) if c)
-        val = 0
-        for c in coords[lead + 1:]:
-            val = val * q + c
-        return self._offsets[lead] + val
 
     def point_index_vec(self, mat):
         """Canonical indices of the rows of a normalized (N, n+1) matrix,
@@ -461,21 +442,21 @@ class ProjectiveSpace:
 
 @dataclass
 class PointSet:
-    """A set of points with optional provenance labels."""
+    """A set of points with optional provenance labels; its rows are
+    normalized in one batch, and the first row of each point kept."""
 
     space: ProjectiveSpace
     points: list
     labels: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        normalized = []
-        seen = set()
-        for pt in self.points:
-            npt = self.space.normalize(pt)
-            if npt not in seen:
-                seen.add(npt)
-                normalized.append(npt)
-        self.points = normalized
+        k = self.space.k
+        if any(len(pt) != k for pt in self.points):
+            raise DimensionMismatch("expected %d coordinates" % k)
+        norm = self.space.normalize_vec(np.reshape(self.points, (-1, k)))
+        _, first = np.unique(self.space.point_index_vec(norm),
+                             return_index=True)
+        self.points = list(map(tuple, norm[np.sort(first)].tolist()))
 
     def __len__(self):
         return len(self.points)
@@ -506,13 +487,14 @@ class PointSet:
             raise ValueError("%s: every point needs n + 1 = %d coordinates"
                              % (where, n + 1))
         rows = parse_rows(f, rows)
-        ps = PointSet(space, rows)
+        norm = space.normalize_vec(np.reshape(rows, (-1, n + 1))).tolist()
+        ps = PointSet(space, norm)
         if "labels" in doc:  # a key indexes the file's rows, repeats and all
             for key, tag in json_fields(doc, where, labels=dict)[0].items():
-                if not (key.isdigit() and int(key) < len(rows)):
+                if not (key.isdecimal() and int(key) < len(norm)):
                     raise ValueError("%s: label key %r is not a point index"
                                      % (where, key))
-                pt = space.normalize(rows[int(key)])
+                pt = tuple(norm[int(key)])
                 if ps.labels.setdefault(pt, tag) != tag:
                     raise ValueError("%s: rows of one point carry the labels "
                                      "%r and %r" % (where, ps.labels[pt], tag))

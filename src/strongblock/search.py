@@ -208,7 +208,8 @@ def _first_free_tuple(rg: RGroup, m):
         return None, None
     cosets = np.unravel_index(first, (rg.stride,) * (m - 1))
     alphas = (rg.field.one,) + tuple(rg.coset_rep(int(c)) for c in cosets)
-    return ProjectiveSpace(rg.field, m - 1).point_index(alphas), alphas
+    space = ProjectiveSpace(rg.field, m - 1)
+    return int(space.point_index_vec([alphas])[0]), alphas
 
 
 # ---------------------------------------------------------------------------

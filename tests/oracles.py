@@ -1,13 +1,47 @@
 """Scalar reference implementations that tests compare the library's batched
-paths against: the dual form and incidence of a point and a hyperplane, the
-points of the line through two points, the rank of a set of points by
-elimination in Zech codes, and a class's support as a set of columns.
+paths against: the point of a canonical index, decoded block by block, the
+normalization of one point, the dual form and incidence of a point and a
+hyperplane, the points of the line through two points, the rank of a set of
+points by elimination in Zech codes, and a class's support as a set of
+columns.
 Nothing in the library calls them, so they live with the tests; pytest does
 not collect this module."""
 
 import numpy as np
 
 from strongblock.errors import DimensionMismatch
+
+
+def scalar_point_at(space, index):
+    """The point of canonical index `index`: the block of its leading one,
+    then the base-Q digits of its offset in the block."""
+    q = space.field.order
+    for lead in range(space.n + 1):
+        block = q ** (space.n - lead)
+        if index < block:
+            coords = [0] * lead + [1]
+            rest = []
+            for j in range(space.n - lead):
+                index, rem = divmod(index, q)
+                rest.append(rem)
+            coords.extend(reversed(rest))
+            return tuple(coords)
+        index -= block
+    raise IndexError("point index out of range")
+
+
+def scalar_normalize(space, coords):
+    """The point scaled so its first nonzero coordinate is one, one scalar
+    `Field.mul` per coordinate."""
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != space.k:
+        raise DimensionMismatch("expected %d coordinates" % space.k)
+    f = space.field
+    for c in coords:
+        if c:
+            inv = f.from_exp(-(c - 1))
+            return tuple(f.mul(x, inv) for x in coords)
+    raise ValueError("cannot normalize the zero vector")
 
 
 def dot(space, a, b):
@@ -54,7 +88,7 @@ def scalar_rank(space, pts):
                     row[j] = f.sub(row[j], f.mul(c, prow[j]))
         col = next((j for j, c in enumerate(row) if c), None)
         if col is not None:
-            inv = f.inv(row[col])
+            inv = int(f.inv_vec(row[col]))
             pivots.append((col, [f.mul(c, inv) for c in row]))
     return len(pivots)
 

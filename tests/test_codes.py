@@ -178,8 +178,8 @@ def test_not_minimal_witness_verified(gf8):
     verdict = check_minimal(G, profile=prof)
     assert verdict.status == "not-minimal"
     contained, container = verdict.witness
-    ia = space.point_index(contained)
-    ib = space.point_index(container)
+    ia, ib = space.point_index_vec(
+        space.normalize_vec([contained, container]))
     assert ia != ib
     assert support_set(prof, ia) < support_set(prof, ib)
 

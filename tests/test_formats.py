@@ -1,14 +1,18 @@
 """Hypothesis round-trips of the file formats over small fields with
 explicit moduli: point sets through JSON, generator matrices through the
 json and text formats.  Codes are drawn through the int32 `log` table, so
-`elem_str` and `parse_elem` see int32 codes as well as Python integers."""
+`elem_str` and `parse_elem` see int32 codes as well as Python integers.
+Label keys of a points file that are not decimal row indices exit 1."""
 
 import json
+import pathlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongblock import cli
 from strongblock import field as field_mod
 from strongblock.codes import GeneratorMatrix, export_code, import_code
 from strongblock.field import Field
@@ -74,3 +78,17 @@ def test_code_export_import_roundtrip(tmp_path_factory, data, format):
     assert back == G
     assert back.field.meta() == f.meta()
     assert back.entries.dtype == np.int64
+
+
+@pytest.mark.parametrize("key", ["\u00b2", "1\u00b2"])
+def test_superscript_label_key_exits_1(tmp_path, capsys, key):
+    # str.isdigit() holds for a superscript two, which int() refuses
+    golden = pathlib.Path(__file__).parent / "data" / "golden"
+    doc = json.loads((golden / "points_q2_k3.json").read_text())
+    doc["labels"] = {key: 0}
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: points JSON: label key %r is not a point index\n"
+        % (path, key))

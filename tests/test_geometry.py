@@ -22,7 +22,14 @@ from strongblock.strong import (
     verify_strong_blocking,
 )
 
-from oracles import dot, incidence, line_through, scalar_rank
+from oracles import (
+    dot,
+    incidence,
+    line_through,
+    scalar_normalize,
+    scalar_point_at,
+    scalar_rank,
+)
 
 
 def count_points(q, n):
@@ -57,12 +64,19 @@ def test_enumeration_is_all_points_once():
 def test_index_roundtrip_exhaustive(params):
     p, m, n = params
     space = ProjectiveSpace(Field.build(p, m), n)
-    pts = [space.point_at(i) for i in range(space.num_points)]
+    pts = [scalar_point_at(space, i) for i in range(space.num_points)]
+    assert np.array_equal(space.point_index_vec(pts),
+                          np.arange(space.num_points))
     for i, pt in enumerate(pts):
-        assert space.point_index(pt) == i
         assert space.point_at(i) == pt
-    with pytest.raises(IndexError):
-        space.point_at(space.num_points)
+
+
+def test_point_at_refuses_out_of_range_indices():
+    # a negative index is out of range too, not counted from the end
+    space = ProjectiveSpace(Field.build(2, 3), 3)
+    for index in (-1, -600, space.num_points):
+        with pytest.raises(IndexError):
+            space.point_at(index)
 
 
 def test_index_roundtrip_sampled_big_plane():
@@ -78,8 +92,8 @@ def test_canonical_points_match_point_at(params):
     p, m, n = params
     space = ProjectiveSpace(Field.build(p, m), n)
     q = space.field.order
-    ref = np.asarray([space.point_at(i) for i in range(space.num_points)],
-                     dtype=np.int64)
+    ref = np.asarray([scalar_point_at(space, i)
+                      for i in range(space.num_points)], dtype=np.int64)
     assert np.array_equal(canonical_points(n, q), ref)
     for off in space._offsets:
         # ranges straddling each leading-one boundary, and empty ranges
@@ -183,7 +197,7 @@ def test_normalize():
     pt = (f.from_exp(3), f.from_exp(5), 0)
     npt = space.normalize(pt)
     assert npt[0] == f.one
-    assert npt[1] == f.mul(pt[1], f.inv(pt[0]))
+    assert npt[1] == f.mul(pt[1], int(f.inv_vec(pt[0])))
     with pytest.raises(ValueError):
         space.normalize((0, 0, 0))
     with pytest.raises(DimensionMismatch):
@@ -197,17 +211,17 @@ def test_normalize_vec_matches_scalar():
     mat[np.all(mat == 0, axis=1), 0] = 1
     norm = space.normalize_vec(mat)
     for row, nrow in zip(mat, norm):
-        assert space.normalize(tuple(int(c) for c in row)) == tuple(
-            int(c) for c in nrow)
+        assert scalar_normalize(space, row) == tuple(int(c) for c in nrow)
+        assert space.normalize(row) == tuple(int(c) for c in nrow)
 
 
 def test_scaling_invariance_of_index():
     space = ProjectiveSpace(Field.build(2, 3), 2)
     f = space.field
-    for pt in map(space.point_at, range(space.num_points)):
-        for lam in range(1, f.order):
-            scaled = tuple(f.mul(lam, c) for c in pt)
-            assert space.point_index(scaled) == space.point_index(pt)
+    for i, pt in enumerate(map(space.point_at, range(space.num_points))):
+        scaled = [tuple(f.mul(lam, c) for c in pt)
+                  for lam in range(1, f.order)]
+        assert np.all(space.point_index_vec(space.normalize_vec(scaled)) == i)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +287,7 @@ def points_with_zeros(space, dual, rng, count):
         for i in range(space.k):
             if i != j:
                 acc = f.add(acc, f.mul(int(row[i]), dual[i]))
-        row[j] = f.mul(f.neg(acc), f.inv(dual[j]))
+        row[j] = f.mul(f.neg(acc), int(f.inv_vec(dual[j])))
     return [tuple(int(c) for c in row) for row in pts if np.any(row)]
 
 
@@ -363,7 +377,7 @@ def test_pencils_on_the_zech_path(monkeypatch, batch):
     for j, got in enumerate(pencils_by_row(space, mat)):
         assert got.size == space.field.order + 1
         assert np.all(np.diff(got) > 0)
-        duals = np.asarray([space.point_at(int(h)) for h in got])
+        duals = np.asarray([scalar_point_at(space, int(h)) for h in got])
         assert not np.any(space.dot_block(duals, mat[j:j + 1]))
 
 
@@ -420,7 +434,7 @@ def test_line_pencils_on_the_zech_path():
     for i, got in enumerate(line_pencils_by_line(space, first, second)):
         assert got.size == space.field.order + 1
         assert np.all(np.diff(got) > 0)
-        duals = np.asarray([space.point_at(int(h)) for h in got])
+        duals = np.asarray([scalar_point_at(space, int(h)) for h in got])
         assert not np.any(space.dot_block(duals, first[i:i + 1]))
         assert not np.any(space.dot_block(duals, second[i:i + 1]))
 
@@ -776,6 +790,20 @@ def test_pointset_dedupe_and_normalize():
     ps = PointSet(space, [pt, scaled, (1, 0, 0)])
     assert len(ps) == 2
     assert ps.points[0] == space.normalize(pt)
+    # first rows of each point, in input order, not canonical order
+    assert PointSet(space, [(0, 0, 1), scaled, (1, 0, 0), pt]).points == [
+        (0, 0, 1), space.normalize(pt), (1, 0, 0)]
+    assert PointSet(space, []).points == []
+
+
+def test_pointset_refuses_malformed_rows():
+    space = ProjectiveSpace(Field.build(2, 3), 3)
+    for rows in ([(1, 0, 0)], [(1, 0, 0, 0), (1, 0, 0)],
+                 [(1, 0, 0, 0), (0, 1, 0, 0, 0)]):
+        with pytest.raises(DimensionMismatch):
+            PointSet(space, rows)
+    with pytest.raises(ValueError, match="zero vector"):
+        PointSet(space, [(1, 0, 0, 0), (0, 0, 0, 0)])
 
 
 def test_pointset_json_roundtrip(tmp_path):

@@ -1,15 +1,17 @@
-"""Fault injection: every witness re-check reads no addition table, and
-the relation re-check no product of the coset-image kernel.
+"""Fault injection: every witness re-check reads no addition table and no
+dense table, and the relation re-check no product of the coset-image
+kernel.
 
-Once a decision is made, scalar `Field.add` raises and the field's Zech
-and dense addition tables are replaced by ones that make every sum zero;
-or, for an R-relation, the kernel that multiplies R* into its cosets
+Once a decision is made, scalar `Field.add` raises, the field's Zech and
+dense addition tables are replaced by ones that make every sum zero and
+its dense multiplication table by one that makes every product zero; or,
+for an R-relation, the kernel that multiplies R* into its cosets
 (`field._times_g_to_the_b`) multiplies by one instead.  The re-checks of
 true witnesses must still pass, since their incidences are the digit sums
 of `ProjectiveSpace.section`, evaluated without that kernel, and the rank
-of a not-strong section is the mod-p rank of its GF(p) digits
-(`ProjectiveSpace.rank`).  Forged witnesses must still raise, under
-python -O too, since the re-checks are explicit raises.
+of a not-strong section, or of two distinct messages, is the mod-p rank of
+its GF(p) digits (`ProjectiveSpace.rank`).  Forged witnesses must still
+raise, under python -O too, since the re-checks are explicit raises.
 """
 
 import os
@@ -42,12 +44,14 @@ FAULT_SCRIPT = textwrap.dedent("""
         raise RuntimeError("scalar Field.add read by a re-check")
 
     def break_addition(f):
-        # every sum reads zero: a re-check that adds through these tables
-        # fails a true witness or passes a forged one
+        # every sum and every dense product reads zero: a re-check that
+        # reads these tables fails a true witness or passes a forged one
         Field.add = broken_add
         f.zech = np.full_like(f.zech, -1)
         if f.add_tab is not None:
             f.add_tab = np.zeros_like(f.add_tab)
+        if f.mul_tab is not None:
+            f.mul_tab = np.zeros_like(f.mul_tab)
 
     def breaking_after(owner, name, f):
         # owner.name ends a decision; addition breaks once it returns

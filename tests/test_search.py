@@ -59,7 +59,7 @@ def test_pairs_against_definitional_oracle(rg23):
         assert (verdict.status == "dependent") == expect
         # dependence holds exactly when the quotient lies in R*
         assert expect == bool(rg23.in_rstar(
-            np.array([f.mul(alphas[1], f.inv(alphas[0]))]))[0])
+            np.array([f.mul(alphas[1], int(f.inv_vec(alphas[0])))]))[0])
 
 
 def test_dependent_witness_reevaluates_to_zero(rg24):
@@ -165,7 +165,7 @@ def zech_sum_verdict(alphas, rg):
     if not hits.size:
         return IndependenceVerdict("independent", None)
     s = int(acc[hits[0]])
-    rho_m = f.mul(f.neg(s), f.inv(last)) if s else 0
+    rho_m = f.mul(f.neg(s), int(f.inv_vec(last))) if s else 0
     return IndependenceVerdict(
         "dependent", tuple(int(c) for c in mat[hits[0]]) + (rho_m,))
 

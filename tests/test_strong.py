@@ -549,7 +549,7 @@ def test_count_path_at_the_byte_boundary(on_line, off_line):
     N = len(S)
     counts = space.hyperplane_counts(S.matrix())
     assert counts.dtype == (np.uint8 if N <= 255 else np.uint16)
-    assert counts[space.point_index((0, 0, 1))] == a
+    assert counts[space.point_index_vec([(0, 0, 1)])[0]] == a
     assert counts.sum() == N * (Q + 1)
     # every other line meets x2 = 0 in one point, and (0,0,1) lies on one
     # line through each of its Q + 1 points
