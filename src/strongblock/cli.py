@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / property holds, 1 usage error, 2 property fails with
 witness, 3 budget exceeded (a scan over SCAN_BUDGET, or a random search out of
-trials; past the union, `pipeline` emits the report built so far and the stage
-that refused).  Reports are JSON (schema 1) and embed the field modulus and
+trials; when its strong scan refuses, `pipeline` emits the report built so
+far).  Reports are JSON (schema 1) and embed the field modulus and
 any seed, so a run can be re-verified from the report alone.
 """
 
@@ -64,12 +64,11 @@ def _construct(args):
 
 
 def _minimality(G):
-    """(verdict, fields) of the minimality check of code G, from one support
-    profile: the verdict of `check_minimal`, and the report fields that
-    `pipeline` and `check-minimal` share, the weight distribution and any
-    witness."""
+    """(verdict, fields) of the minimality check of code G: the verdict of
+    `check_minimal`, and the report fields that `pipeline` and
+    `check-minimal` share, the weight distribution and any witness."""
     prof = codes.support_profiles(G)
-    mv = codes.check_minimal(G, profile=prof)
+    mv = codes.check_minimal(G)
     dist = codes.weight_distribution(G, profile=prof)
     fields = {"weight_distribution": {str(w): c for w, c in dist.items()}}
     if mv.witness is not None:
@@ -87,20 +86,19 @@ def cmd_pipeline(args):
     if args.points_out:
         S.save(args.points_out)
         report["points_file"] = args.points_out
-    stage = "strong"
     try:
         sv = strong.verify_strong_blocking(S)
-        report["strong"] = {"status": sv.status,
-                            "hyperplanes_checked": sv.hyperplanes_checked}
-        if sv.witness is not None:
-            report["strong"]["witness"] = _elems(S.space.field, sv.witness)
-        stage = "code"
-        G = codes.generator_from_points(S)
-        mv, minimality = _minimality(G)
     except BudgetExceeded as exc:
-        report["budget_exceeded"] = {"stage": stage, "message": str(exc)}
+        report["budget_exceeded"] = {"stage": "strong", "message": str(exc)}
         _emit(report, args)
         raise
+    report["strong"] = {"status": sv.status,
+                        "hyperplanes_checked": sv.hyperplanes_checked}
+    if sv.witness is not None:
+        report["strong"]["witness"] = _elems(S.space.field, sv.witness)
+    # the code stage scans the same PG(k-1, Q), so it keeps within the budget
+    G = codes.generator_from_points(S)
+    mv, minimality = _minimality(G)
     report["code"] = {"parameters": [G.n, G.k], "field_order": G.field.order,
                       "minimal": mv.status, **minimality}
     _emit(report, args)

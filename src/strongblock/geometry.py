@@ -27,8 +27,9 @@ masks the points on a hyperplane by polynomial digits, off every
 addition table, for every witness re-check; `canonical_points` decodes
 the canonical order over any base (the R-tuples of `partition` too) and
 `leads` reads leading positions off indices; `hyperplane_counts` counts
-the points on every hyperplane; `secant_keys` keys the lines through a
-point.
+the points on every hyperplane, for the strong scan's count path, the
+plain blocking scan and the code weights; `secant_keys` keys the lines
+through a point.
 
 Every batched kernel follows one working-set rule: each batch holds about
 MARK_BATCH = 2^14 field values per temporary array (128 KiB of int64),
@@ -41,25 +42,10 @@ lookup for `search.free_cosets`, one per prefix for
 rows a block at a time, 4 (Q + 1) per line for `line_pencils`, k (N - 1)
 per point for the strong scan's secant pass, (k - 1) s per section of
 size s for its rank stacks and k m^2 digits per point for `rank`.  The
-field's table build takes MARK_BATCH cells per step and per chunk table;
-`codes` counts support weights MARK_BATCH bytes at a time and ANDs its
-zero sets in blocks of 16 MARK_BATCH bytes, the block and one gathered
-operand at 8 MARK_BATCH bytes apiece.  Five exceptions are named, each
-for its reason:
-- the C-sized results of `codes` (supports, weights, zero-set sizes,
-  ranks and flags, one entry per codeword class) are outputs, not
-  temporaries;
-- `codes._repeated_rows` sorts global keys over all C support rows,
-  since equal rows may lie anywhere;
-- `codes._contained` builds its zero-set index in tiles of 1,024 ranks,
-  whole 128-byte runs of a packed index row, so a tile unpacks to
-  1,024 n bytes for n columns;
-- the strong scan's rank path buckets incidences in windows of
-  `strong.SECTION_CAP` = 2^22, so that each hyperplane's section comes
-  out whole;
-- `codes.support_profiles` hands `pencils` `codes.PENCIL_ROWS` = 8
-  columns per call, fewer than a batch: its temporaries stay smaller,
-  and whole 64-column words per call were slower.
+field's table build takes MARK_BATCH cells per step and per chunk table.
+One exception is named, for its reason: the strong scan's rank path
+buckets incidences in windows of `strong.SECTION_CAP` = 2^22, so that
+each hyperplane's section comes out whole.
 
 The batched kernels keep row-major shapes, (N, n+1) for `normalize_vec` and
 `point_index_vec` and (H, s, c) for `rank_stack`, and work on the transpose,
@@ -254,51 +240,54 @@ class ProjectiveSpace:
         vectors c P_i x (every code) on top of c P_j: about one field
         addition per incidence.
         """
-        f, n, q = self.field, self.n, self.field.order
         x = np.asarray(mat, dtype=np.int64)
-        offs = self._offsets
-        width = offs[-1] - offs[1]  # hyperplanes through a point
-        codes = np.arange(q, dtype=np.int64)
+        width = self._offsets[-1] - self._offsets[1]  # hyperplanes per point
         step = max(1, MARK_BATCH // width)
         for start in range(0, x.shape[0], step):
             rows = x[start:start + step]
-            b = rows.shape[0]
             nonzero = rows != 0
             if not np.all(np.any(nonzero, axis=1)):
                 raise ValueError("the zero vector is not a point")
-            last = n - np.argmax(nonzero[:, ::-1], axis=1)
-            out = np.empty((b, width), dtype=np.int64)
+            last = self.n - np.argmax(nonzero[:, ::-1], axis=1)
+            out = np.empty((rows.shape[0], width), dtype=np.int64)
             for z in range(self.k):
                 sel = np.flatnonzero(last == z)
-                if sel.size == 0:
-                    continue
-                # c P_i for i < z, with c = -1/P_z, and c P_i u_i for every
-                # u_i and the free digits 0 < i < z only: (s, z-1, Q), so
-                # under n MARK_BATCH entries, and none on the line (z <= 1)
-                cp = f.mul_vec(rows[sel, :z],
-                               f.neg_vec(f.inv_vec(rows[sel, z]))[:, None])
-                if z > 1:
-                    terms = f.mul_vec(cp[:, 1:, None], codes)
-                tail = q ** (n - z)
-                col = 0
-                for j in range(z):
-                    uz = cp[:, j:j + 1]  # u_z over d, one digit at a time
-                    for i in range(j + 1, z):
-                        uz = f.add_vec(uz[:, :, None],
-                                       terms[:, i - 1, None, :])
-                        uz = uz.reshape(sel.size, -1)
-                    base = offs[j] + np.arange(0, uz.shape[1] * q * tail,
-                                               q * tail)
-                    block = ((base + uz * tail)[:, :, None]
-                             + np.arange(tail)).reshape(sel.size, -1)
-                    out[sel, col:col + block.shape[1]] = block
-                    col += block.shape[1]
-                col_end = col + offs[-1] - offs[z + 1]
-                if col_end != width:
-                    raise AssertionError("pencil of %d hyperplanes, expected "
-                                         "%d" % (col_end, width))
-                out[sel, col:] = np.arange(offs[z + 1], offs[-1])
-            yield np.arange(start, start + b), out
+                if sel.size:
+                    self._fill_pencils(out, sel, rows[sel], z)
+            yield np.arange(start, start + rows.shape[0]), out
+
+    def _fill_pencils(self, out, sel, rows, z):
+        """Write into rows `sel` of `out` the pencils of the given rows,
+        whose last nonzero coordinate is z, as `pencils` solves for them.
+        Its temporaries die on return, so none is held beside the next
+        batch or the caller's copy of `out`."""
+        f, n, q, offs = self.field, self.n, self.field.order, self._offsets
+        # c P_i for i < z, with c = -1/P_z, and c P_i u_i for every u_i and
+        # the free digits 0 < i < z only: (s, z-1, Q), so under n MARK_BATCH
+        # entries, and none on the line (z <= 1)
+        cp = f.mul_vec(rows[:, :z], f.neg_vec(f.inv_vec(rows[:, z]))[:, None])
+        if z > 1:
+            terms = f.mul_vec(cp[:, 1:, None], np.arange(q, dtype=np.int64))
+        tail = q ** (n - z)
+        col = 0
+        for j in range(z):
+            uz = cp[:, j:j + 1]  # u_z over d, one digit at a time
+            for i in range(j + 1, z):
+                uz = f.add_vec(uz[:, :, None], terms[:, i - 1, None, :])
+                uz = uz.reshape(sel.size, -1)
+            # the index offs[j] + d Q^(n-z+1) + u_z Q^(n-z) of t = 0, made
+            # in a new array since uz may be a view of cp
+            uz = uz * tail
+            uz += offs[j] + np.arange(0, uz.shape[1] * q * tail, q * tail)
+            if tail > 1:
+                uz = (uz[:, :, None] + np.arange(tail)).reshape(sel.size, -1)
+            out[sel, col:col + uz.shape[1]] = uz
+            col += uz.shape[1]
+        if col + offs[-1] - offs[z + 1] != out.shape[1]:
+            raise AssertionError("pencil of %d hyperplanes, expected %d"
+                                 % (col + offs[-1] - offs[z + 1],
+                                    out.shape[1]))
+        out[sel, col:] = np.arange(offs[z + 1], offs[-1])
 
     def hyperplane_counts(self, mat):
         """Rows of `mat` on each hyperplane, by canonical index, from one

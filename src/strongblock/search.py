@@ -25,15 +25,16 @@ dual coordinates, and `free_cosets` reads it off the exp and log tables
 for all of them at once; since `build_bset` refuses every k >= 5, that
 decides every B(k,q).  A tuple with more entries than R* has cosets is
 never independent (pigeonhole).  Any other point set, in any PG(n, Q),
-goes through `mark_lines_through`, which checks the scan budget
-(`ProjectiveSpace.check_scan`) and marks the hyperplanes through each point
-(`ProjectiveSpace.pencils`); `strong.verify_blocking` takes the lowest-index
-survivor.  Each witness is re-checked off its own path: by the mask of
-`ProjectiveSpace.section` for a hyperplane missing B and for a relation's
-rhos, by the exhaustive `is_r_independent` for a tuple.  The batched passes,
-`free_cosets`, the one pass of `is_r_independent` that builds, sums and
-looks up its prefixes a block at a time, and the pencils, hold about
-MARK_BATCH values per array, one per lookup, prefix or incidence.  The
+goes through `mark_lines_through`, which marks the hyperplanes with a
+nonzero `ProjectiveSpace.hyperplane_counts` (one pass over the pencils,
+after the scan budget check); `strong.verify_blocking` takes the
+lowest-index survivor.  Each witness is re-checked off its own path: by
+the mask of `ProjectiveSpace.section` for a hyperplane missing B and for
+a relation's rhos, by the exhaustive `is_r_independent` for a tuple.
+The batched passes, `free_cosets`, the one pass of `is_r_independent`
+that builds, sums and looks up its prefixes a block at a time, and the
+pencils, hold about MARK_BATCH values per array, one per lookup, prefix
+or incidence.  The
 weight-1 line statistics key the lines through a point by
 `ProjectiveSpace.secant_keys`, as the strong scan does.
 """
@@ -217,18 +218,11 @@ def _first_free_tuple(rg: RGroup, m):
 
 
 def mark_lines_through(space: ProjectiveSpace, mat):
-    """Mark, in a bitset over canonical hyperplane indices, every hyperplane
-    through any of the given normalized points.  Returns the bitset.
-
-    A space past SCAN_BUDGET hyperplanes raises BudgetExceeded before the
-    bitset is allocated.  The marks are scattered batch by batch from
-    `space.pencils`; no incidence is kept.
-    """
-    space.check_scan()
-    marks = np.zeros(space.num_points, dtype=bool)
-    for _rows, hyperplanes in space.pencils(mat):
-        marks[hyperplanes] = True
-    return marks
+    """Bool mask over canonical hyperplane indices of the hyperplanes
+    through any of the given points: those whose `hyperplane_counts` are
+    nonzero, so a space past SCAN_BUDGET hyperplanes raises BudgetExceeded
+    before anything is allocated."""
+    return space.hyperplane_counts(mat) > 0
 
 
 def blocking_status(bset: BSet):

@@ -2,14 +2,15 @@
 paths against: the point of a canonical index, decoded block by block, the
 normalization of one point, the dual form and incidence of a point and a
 hyperplane, the points of the line through two points, the rank of a set of
-points by elimination in Zech codes, and a class's support as a set of
-columns.
+points by elimination in Zech codes, and the supports of a code's classes
+with the minimality verdict that comparing all of them gives.
 Nothing in the library calls them, so they live with the tests; pytest does
 not collect this module."""
 
 import numpy as np
 
 from strongblock.errors import DimensionMismatch
+from strongblock.geometry import canonical_points
 
 
 def scalar_point_at(space, index):
@@ -93,9 +94,45 @@ def scalar_rank(space, pts):
     return len(pivots)
 
 
-def support_set(profile, class_index):
-    """The columns in the support of class `class_index` of a
-    `codes.SupportProfile`."""
-    bits = np.unpackbits(
-        profile.supports[class_index].view(np.uint8), bitorder="little")
-    return frozenset(np.flatnonzero(bits[:profile.n]).tolist())
+def supports(G):
+    """(C, n) bool array of the supports of code G, one row per projective
+    message class in canonical order: the dual form of every message on
+    every column, by `dot_block`."""
+    space = G.message_space()
+    msgs = canonical_points(space.n, space.field.order)
+    return space.dot_block(msgs, G.entries.T) != 0
+
+
+def support_set(G, class_index):
+    """The columns in the support of class `class_index` of code G, from
+    `dot_block`."""
+    space = G.message_space()
+    vals = space.dot_block([space.point_at(class_index)], G.entries.T)[0]
+    return frozenset(np.flatnonzero(vals != 0).tolist())
+
+
+def all_pairs_minimality(G):
+    """(status, witness, classes_checked) of G by comparing supports pair
+    by pair.
+
+    The container b is the lowest-index class whose support holds another
+    class's support, the contained class a the lowest-index other class
+    inside it, and classes_checked is b + 1; a minimal code checks all C.
+    A class inside b vanishes wherever b does, so b is compared only with
+    the classes that vanish at its first zero column, or with all of them
+    when it has none.
+    """
+    S = supports(G)
+    packed = np.packbits(S, axis=1)
+    vanish = [np.flatnonzero(col) for col in ~S.T]
+    every = np.arange(len(S))
+    space = G.message_space()
+    for b, row in enumerate(S):
+        zeros = np.flatnonzero(~row)
+        others = vanish[zeros[0]] if zeros.size else every
+        inside = others[~np.any(packed[others] & ~packed[b], axis=1)
+                        & (others != b)]
+        if inside.size:
+            return ("not-minimal",
+                    (space.point_at(int(inside[0])), space.point_at(b)), b + 1)
+    return "minimal", None, len(S)

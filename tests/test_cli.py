@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 import strongblock
-from strongblock import cli, codes, geometry, partition, strong
+from strongblock import cli, geometry, partition, strong
 from strongblock.field import Field
 
 from oracles import line_through
@@ -456,9 +456,9 @@ GOLDEN_COMMANDS = [
      3),
     ("search_q2_k4_m5_max_iters_3",
      ["search", "--q", "2", "--k", "4", "--m", "5", "--max-iters", "3"], 3),
-    # the strong scan finishes and the code stage's 266,305 classes exceed
-    # its budget: exit 3 with the report built so far
-    ("pipeline_q4_seed_1", ["pipeline", "--q", "4", "--seed", "1"], 3),
+    # the strong scan and the code stage both cover the 266,305 planes of
+    # PG(3,64): strong and minimal
+    ("pipeline_q4_seed_1", ["pipeline", "--q", "4", "--seed", "1"], 0),
     # the strong scan's two paths: collinear_pg3_8.json (28 points) is
     # decided by section counts and secant lines and first fails at plane
     # 19, whose 3 points are collinear; points_q2_k4.json is `pipeline --q 2
@@ -510,22 +510,19 @@ def test_pipeline_frees_the_big_field_before_the_scans(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("module,name,stage,message", [
-    (geometry, "SCAN_BUDGET", "strong", "585 hyperplanes exceed scan budget"),
-    (codes, "DEFAULT_CLASS_BUDGET", "code",
-     "585 codeword classes exceed budget")])
+    (geometry, "SCAN_BUDGET", "strong", "585 hyperplanes exceed scan budget")])
 def test_pipeline_budget_exit_emits_the_report_so_far(module, name, stage,
                                                      message, monkeypatch,
                                                      tmp_path, capsys):
-    # a budget below PG(3,8)'s 585 planes refuses the strong scan or the
-    # code stage: the report holds every stage before it and names the one
-    # that refused, the union is saved, and the exit code and stderr line
-    # are those of any budget exit
+    # a budget below PG(3,8)'s 585 planes refuses the strong scan: the
+    # report holds every stage before it and names the one that refused,
+    # the union is saved, and the exit code and stderr line are those of
+    # any budget exit
     pts = str(tmp_path / "pts.json")
     expect = json.loads((GOLDEN / "pipeline_q2_k4_seed_1.out").read_text())
     expect["points_file"] = pts
     del expect["code"]
-    if stage == "strong":
-        del expect["strong"]
+    del expect["strong"]
     monkeypatch.setattr(module, name, 500)
     assert cli.main(["pipeline", "--q", "2", "--k", "4", "--seed", "1",
                      "--points-out", pts]) == 3
@@ -537,6 +534,29 @@ def test_pipeline_budget_exit_emits_the_report_so_far(module, name, stage,
     assert report.pop("budget_exceeded") == {"stage": stage,
                                              "message": message}
     assert report == expect
+
+
+def test_pipeline_code_stage_keeps_within_the_scan_budget(monkeypatch,
+                                                          capsys):
+    # the code stage scans the PG(3,8) whose 585 planes the strong scan
+    # passed, so a budget of exactly 585 lets the pipeline finish
+    monkeypatch.setattr(geometry, "SCAN_BUDGET", 585)
+    code, out = run(capsys, ["pipeline", "--q", "2", "--k", "4",
+                             "--seed", "1"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "pipeline_q2_k4_seed_1.out").read_bytes()
+
+
+def test_check_minimal_refuses_past_the_scan_budget(monkeypatch, tmp_path,
+                                                   capsys):
+    # the [2,2]_8 code's 9 classes are the 9 points of its message space
+    # PG(1,8)
+    shutil.copy(GOLDEN / "code_pair_pg3_8.json", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(geometry, "SCAN_BUDGET", 8)
+    assert cli.main(["check-minimal", "--input", "code_pair_pg3_8.json"]) == 3
+    assert capsys.readouterr() == (
+        "", "budget exceeded: 9 hyperplanes exceed scan budget\n")
 
 
 def test_each_command_builds_each_field_once(tmp_path, monkeypatch, capsys):

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 import strongblock
-from strongblock import codes as codes_mod
 from strongblock.codes import (
     GeneratorMatrix,
-    SupportProfile,
     check_minimal,
     export_code,
     generator_from_points,
@@ -30,7 +28,7 @@ from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
 from strongblock.search import find_independent_tuple
 from strongblock.strong import union_subgeometries, verify_strong_blocking
 
-from oracles import line_through, support_set
+from oracles import all_pairs_minimality, line_through, support_set, supports
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -65,45 +63,27 @@ def test_generator_rejects_bad_input(gf8):
 def test_simplex_code_constant_weight(gf8):
     # all points of PG(2,8): every nonzero codeword has weight q^(k-1) = 64
     space = ProjectiveSpace(gf8, 2)
-    G = generator_from_points(PointSet(
-        space, [space.point_at(i) for i in range(space.num_points)]))
+    G = generator_from_points(PointSet(space, canonical_points(2, 8)))
     assert (G.k, G.n) == (3, 73)
     prof = support_profiles(G)
     assert prof.class_count == 73
     assert np.all(prof.weights == 64)
-    assert check_minimal(G, profile=prof).status == "minimal"
+    assert check_minimal(G).status == "minimal"
 
 
 def test_support_profiles_against_direct_evaluation(code45):
     prof = support_profiles(code45)
-    space = code45.message_space()
     rng = np.random.default_rng(21)
-    cols = code45.entries.T
     for i in rng.integers(0, prof.class_count, 40):
-        msg = np.asarray([space.point_at(int(i))], dtype=np.int64)
-        vals = space.dot_block(msg, cols)[0]
-        support = frozenset(np.flatnonzero(vals != 0).tolist())
-        assert support_set(prof, int(i)) == support
-        assert prof.weights[int(i)] == len(support)
-
-
-def dot_block_profile(G):
-    """Supports and weights from every message's dual form on every column."""
-    space = G.message_space()
-    msgs = canonical_points(space.n, space.field.order)
-    nz = space.dot_block(msgs, G.entries.T) != 0
-    words = (G.n + 63) // 64
-    nz = np.concatenate(
-        [nz, np.zeros((nz.shape[0], words * 64 - G.n), dtype=bool)], axis=1)
-    supports = np.packbits(nz, axis=1, bitorder="little").view(np.uint64)
-    return supports, nz.sum(axis=1)
+        assert prof.weights[int(i)] == len(support_set(code45, int(i)))
 
 
 def test_support_profiles_match_dot_block_oracle(code45, gf8):
     rng = np.random.default_rng(11)
     corpus = [code45]
     for p, m, k, n in [(2, 3, 3, 20), (2, 3, 3, 64), (2, 3, 3, 130),
-                       (3, 2, 2, 12), (2, 1, 5, 40), (2, 2, 4, 70)]:
+                       (3, 2, 2, 12), (2, 1, 5, 40), (2, 2, 4, 70),
+                       (2, 1, 3, 300)]:
         f = Field.build(p, m)
         while True:
             entries = rng.integers(0, f.order, (k, n))
@@ -116,41 +96,24 @@ def test_support_profiles_match_dot_block_oracle(code45, gf8):
                     [tuple(int(c) for c in col) for col in entries.T]) == k:
                 break
         corpus.append(G)
+    dtypes = set()
     for G in corpus:
         prof = support_profiles(G)
-        supports, weights = dot_block_profile(G)
-        assert np.array_equal(prof.supports, supports)
-        assert np.array_equal(prof.weights, weights)
+        assert np.array_equal(prof.weights, supports(G).sum(axis=1))
+        # the narrowest unsigned dtype that holds the nonzero columns
+        live = np.count_nonzero(np.any(G.entries != 0, axis=0))
+        assert prof.weights.dtype == np.min_scalar_type(live)
+        dtypes.add(prof.weights.dtype)
+    assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
 
 
 def test_weights_are_hyperplane_complements(code45, union45):
     # weight of class m equals n minus the size of the hyperplane section
     prof = support_profiles(code45)
     space = code45.message_space()
-    mat = union45.matrix()
-    duals = np.asarray([space.point_at(i) for i in range(prof.class_count)],
-                       dtype=np.int64)
-    on_hyperplane = (space.dot_block(duals, mat) == 0).sum(axis=1)
+    duals = canonical_points(space.n, space.field.order)
+    on_hyperplane = (space.dot_block(duals, union45.matrix()) == 0).sum(axis=1)
     assert np.array_equal(prof.weights, code45.n - on_hyperplane)
-
-
-@pytest.mark.parametrize("batch", [1 << 14, 8])
-def test_popcounts_match_byte_table(batch, monkeypatch):
-    # the shift-and-mask counts of whole words against a table of the set
-    # bits of each byte value: zero words, all-ones words, bit 63 alone
-    # and random words, in blocks of 2^14 bytes or of one row
-    monkeypatch.setattr("strongblock.geometry.MARK_BATCH", batch)
-    ones = np.array([bin(b).count("1") for b in range(256)])
-    rng = np.random.default_rng(7)
-    for words in (1, 2, 5):
-        S = rng.integers(0, 2 ** 64, (3000, words), dtype=np.uint64)
-        S[0], S[1], S[2] = 0, ~np.uint64(0), np.uint64(1) << np.uint64(63)
-        expect = ones[S.view(np.uint8)].sum(axis=1)
-        assert expect[:3].tolist() == [0, 64 * words, words]
-        for dtype in (np.int64, np.int32):
-            got = codes_mod._popcounts(S, dtype)
-            assert got.dtype == dtype
-            assert np.array_equal(got, expect)
 
 
 def test_weight_distribution_45(code45):
@@ -174,34 +137,13 @@ def test_not_minimal_witness_verified(gf8):
     S = PointSet(space, pts)
     G = generator_from_points(S)
     assert verify_strong_blocking(S).status == "not-strong"
-    prof = support_profiles(G)
-    verdict = check_minimal(G, profile=prof)
+    verdict = check_minimal(G)
     assert verdict.status == "not-minimal"
     contained, container = verdict.witness
     ia, ib = space.point_index_vec(
         space.normalize_vec([contained, container]))
     assert ia != ib
-    assert support_set(prof, ia) < support_set(prof, ib)
-
-
-def all_pairs_minimality(G, prof):
-    """Reference check: every class against the whole support matrix.
-
-    Classes go in stable weight order; the first whose support sits inside
-    another class's support is the witness, with its lowest-index container.
-    """
-    S = prof.supports
-    order = np.argsort(prof.weights, kind="stable")
-    space = G.message_space()
-    for pos, a in enumerate(order):
-        containers = np.all((S & S[a]) == S[a], axis=1)
-        containers[a] = False
-        hits = np.flatnonzero(containers)
-        if hits.size:
-            return ("not-minimal",
-                    (space.point_at(int(a)), space.point_at(int(hits[0]))),
-                    pos + 1)
-    return "minimal", None, prof.class_count
+    assert support_set(G, ia) < support_set(G, ib)
 
 
 def oracle_corpus(code45):
@@ -219,8 +161,8 @@ def oracle_corpus(code45):
                 if space.rank(S.points) == space.k:
                     break
             corpus.append(generator_from_points(S))
-    # PG(2,64) has 4161 classes, more than one step of the index build: the
-    # three sides of a triangle (strong), then without one non-vertex point
+    # PG(2,64): the three sides of a triangle (strong), then without one
+    # non-vertex point
     space = ProjectiveSpace(Field.build(2, 6), 2)
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     sides = [pt for i in range(3)
@@ -247,167 +189,39 @@ def test_check_minimal_matches_all_pairs_oracle(code45):
     assert len(corpus) >= 60
     seen = set()
     for G in corpus:
-        prof = support_profiles(G)
-        v = check_minimal(G, profile=prof)
-        assert (v.status, v.witness, v.classes_checked) == \
-            all_pairs_minimality(G, prof)
+        v = check_minimal(G)
+        want = all_pairs_minimality(G)
+        assert (v.status, v.witness, v.classes_checked) == want
+        S = supports(G)
+        weights = support_profiles(G).weights
+        assert np.array_equal(weights, S.sum(axis=1))
         seen.add(v.status)
-        if v.status == "not-minimal" and v.classes_checked > 1:
-            seen.add("witness past the lightest class")
-        if prof.weights.max() == G.n:
+        if v.status == "not-minimal":
+            if v.classes_checked > 1:
+                seen.add("container past the first class")
+            if weights[v.classes_checked - 1] == np.count_nonzero(
+                    S.any(axis=0)):
+                seen.add("container missing every column")
+        if weights.max() == G.n:
             seen.add("full-weight class")
-        if len(np.unique(prof.supports, axis=0)) < prof.class_count:
+        if len(np.unique(S, axis=0)) < len(S):
             seen.add("equal supports")
         if len(PointSet(G.message_space(),
                         [tuple(c) for c in G.entries.T])) < G.n:
             seen.add("repeated column")
-    assert seen == {"minimal", "not-minimal", "witness past the lightest class",
-                    "full-weight class", "equal supports", "repeated column"}
-
-
-def loop_contained(prof):
-    """Reference containment bitset: the per-class loop that the batched
-    `codes._contained` replaced, one zero-set lookup and one AND reduction
-    of the zero-set index per class."""
-    C, S = prof.class_count, prof.supports
-    bits = np.unpackbits(S.view(np.uint8), axis=1, count=prof.n,
-                         bitorder="little")
-    vanish = np.packbits(bits.T == 0, axis=1, bitorder="little")
-    contained = np.zeros((C + 7) // 8, dtype=np.uint8)
-    for b in range(C):
-        byte, bit = b >> 3, np.uint8(1 << (b & 7))
-        zb = np.flatnonzero(vanish[:, byte] & bit)
-        # an empty Z(b) reduces to all ones: b contains every class
-        inside = np.bitwise_and.reduce(vanish[zb], axis=0)
-        inside[byte] &= ~bit
-        contained |= inside
-    return contained
-
-
-@pytest.fixture(scope="module")
-def containment_codes(code45, gf8):
-    """The codes the containment pass is checked on."""
-    space = ProjectiveSpace(gf8, 3)
-    line_plus_two = PointSet(space, line_through(space,
-        (1, 0, 0, 0), (0, 1, 0, 0)) + [(0, 0, 1, 0), (0, 0, 0, 1)])
-    # 500 random points of PG(2,64): 4161 classes, 4148 of them with more
-    # than one zero, so the containers with one zero read the zero-set
-    # index past its first build step
-    plane = ProjectiveSpace(Field.build(2, 6), 2)
-    picks = np.random.default_rng(64).choice(plane.num_points, 500,
-                                             replace=False)
-    random_plane = PointSet(plane, [plane.point_at(int(i)) for i in picks])
-    return [code45, generator_from_points(line_plus_two),
-            import_code(GOLDEN / "code_pair_pg3_8.json"),
-            import_code(GOLDEN / "code_zero_column_pg2_8.json"),
-            GeneratorMatrix(field=Field.build(2, 2), k=3, n=3,
-                            entries=np.eye(3, dtype=np.int64)),
-            generator_from_points(random_plane),
-            # 13 classes; (1, 1, 0) and (1, 2, 0) share the support {0, 1}
-            GeneratorMatrix(field=Field.build(3, 1), k=3, n=3,
-                            entries=np.eye(3, dtype=np.int64))]
-
-
-@pytest.mark.parametrize("batch", [None, 1])
-def test_batched_containment_matches_per_class_loop(containment_codes,
-                                                    monkeypatch, batch):
-    # batch = 1: AND blocks of 16 bytes, so every class is its own block on
-    # every code of more than 8 columns, and the weights and zero-set sizes
-    # are counted one support row at a time
-    if batch is not None:
-        monkeypatch.setattr("strongblock.geometry.MARK_BATCH", batch)
-    seen = set()
-    for G in containment_codes:
-        prof = support_profiles(G)
-        assert np.array_equal(codes_mod._contained(prof), loop_contained(prof))
-        got = check_minimal(G, profile=prof)
-        with monkeypatch.context() as mp:
-            mp.setattr(codes_mod, "_contained", loop_contained)
-            want = check_minimal(G, profile=prof)
-        assert (got.status, got.witness, got.classes_checked) == \
-            (want.status, want.witness, want.classes_checked)
-        seen.add(got.status)
-        C, z = prof.class_count, G.n - prof.weights
-        sizes, counts = np.unique(z, return_counts=True)
-        # containers of size sizes[i] AND over ranks 0 .. larger[i] - 1,
-        # and the first of them has rank larger[i]
-        larger = C - np.cumsum(counts)
-        _, first, copies = np.unique(prof.supports, axis=0, return_index=True,
-                                     return_counts=True)
-        if sizes[0] == 0:
-            seen.add("empty zero set")
-        if sizes.size >= 4:
-            seen.add("several zero-set sizes")
-        if np.any((copies > 1) & (z[first] > sizes[0])):
-            seen.add("equal supports above a smaller zero set")
-        if C % 8 and np.any(larger % 8):
-            seen.add("own bit in the rounded prefix")
-        if np.any((sizes > 0) & (larger > 8 * 512)):
-            seen.add("index past one build step")
-    assert seen == {"minimal", "not-minimal", "empty zero set",
-                    "several zero-set sizes",
-                    "equal supports above a smaller zero set",
-                    "own bit in the rounded prefix",
-                    "index past one build step"}
-
-
-def lexsort_repeated_rows(S):
-    """Reference equal-support flags: the rows sorted word by word by
-    `np.lexsort`, and each pair of equal neighbours flagged."""
-    by_row = np.lexsort(S.T)
-    sorted_rows = S[by_row]
-    same = np.all(sorted_rows[1:] == sorted_rows[:-1], axis=1)
-    flagged = np.zeros(len(S), dtype=bool)
-    flagged[by_row[1:][same]] = flagged[by_row[:-1][same]] = True
-    return flagged
-
-
-def test_repeated_rows_match_lexsort(containment_codes):
-    rng = np.random.default_rng(28)
-    seen = set()
-    for G in containment_codes:
-        S = support_profiles(G).supports
-        # forged: a third of the rows overwritten by copies of other rows,
-        # then one word of another third copied from random rows, which
-        # leaves rows that are equal in that word only
-        copied = S.copy()
-        copied[rng.choice(len(S), len(S) // 3)] = S[rng.choice(len(S),
-                                                              len(S) // 3)]
-        word = copied.copy()
-        rows = rng.choice(len(S), len(S) // 3)
-        w = rng.integers(S.shape[1])
-        word[rows, w] = copied[rng.choice(len(S), rows.size), w]
-        for supports in (S, copied, word):
-            flagged = codes_mod._repeated_rows(supports)
-            assert np.array_equal(flagged, lexsort_repeated_rows(supports))
-            if flagged.any():
-                seen.add("equal supports")
-            if len(np.unique(supports[:, 0])) < len(np.unique(supports,
-                                                              axis=0)):
-                seen.add("rows equal in a word, unequal in another")
-    assert seen == {"equal supports",
-                    "rows equal in a word, unequal in another"}
-
-
-def test_containment_reads_the_first_n_bits_only(code45):
-    # a profile handed to check_minimal may set the bits past column n
-    prof = support_profiles(code45)
-    forged = SupportProfile(
-        n=prof.n, class_count=prof.class_count, weights=prof.weights,
-        supports=prof.supports | np.uint64(2 ** 64 - 2 ** prof.n))
-    assert np.array_equal(codes_mod._contained(forged), loop_contained(prof))
-    assert check_minimal(code45, profile=forged).status == "minimal"
+    assert seen == {"minimal", "not-minimal", "container past the first class",
+                    "container missing every column", "full-weight class",
+                    "equal supports", "repeated column"}
 
 
 # tracemalloc peaks on the [120,4]_27 pipeline code, as measured (run alone),
 # plus 64 KiB for temporaries that move between numpy versions:
-# support_profiles 630,768 bytes, of which the supports and the weights of
-# the 20,440 classes hold 490,560, and check_minimal on the finished profile
-# 678,823.  A (C, n) bool array of those classes and 120 columns is 2.45 MB
+# support_profiles 630,768 bytes, and the strong scan of its 120 columns
+# 850,119, which is all of check_minimal on a minimal code
 PROFILE_PEAK_BYTES = 630_768 + (64 << 10)
-MINIMALITY_PEAK_BYTES = 678_823 + (64 << 10)
-# support_profiles on the 255 columns of `random_pg3_64`, as measured: the
-# supports and the weights of its 266,305 classes hold 10,652,200 bytes
+MINIMALITY_PEAK_BYTES = 850_119 + (64 << 10)
+# support_profiles on the 255 columns of `random_pg3_64`, with the 266,305
+# classes' supports and weights it held as packed bitsets
 Q4_PROFILE_PEAK_BYTES = 10_957_682 + (64 << 10)
 
 
@@ -419,11 +233,11 @@ def test_minimality_peak_memory(rg34):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        prof = support_profiles(G)
+        support_profiles(G)
         profile_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        verdict = check_minimal(G, profile=prof)
+        verdict = check_minimal(G)
         minimality_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -432,9 +246,7 @@ def test_minimality_peak_memory(rg34):
     assert minimality_peak <= MINIMALITY_PEAK_BYTES
 
 
-def test_support_profiles_peak_memory_at_q4(random_pg3_64, monkeypatch):
-    # PG(3,64) has 266,305 codeword classes, past the class budget
-    monkeypatch.setattr(codes_mod, "DEFAULT_CLASS_BUDGET", 266_305)
+def test_support_profiles_peak_memory_at_q4(random_pg3_64):
     G = generator_from_points(random_pg3_64)
     tracemalloc.start()
     try:
@@ -454,13 +266,15 @@ RECHECK_SCRIPT = textwrap.dedent("""
     from strongblock.geometry import PointSet, ProjectiveSpace
 
     print("optimize", sys.flags.optimize)
-    space = ProjectiveSpace(Field.build(2, 3), 2)
+    # a line of PG(3, 8) and two points spanning the rest
+    space = ProjectiveSpace(Field.build(2, 3), 3)
     G = codes.generator_from_points(PointSet(
-        space, [space.point_at(i) for i in range(space.num_points)]))
-    prof = codes.support_profiles(G)
-    prof.supports[0] &= prof.supports[1]  # forged: class 0 inside class 1
+        space, [(1, c, 0, 0) for c in range(8)]
+        + [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
+    # forged: the container itself stands in for the contained class
+    codes._lowest_through = lambda space, section, b: b
     try:
-        codes.check_minimal(G, profile=prof)
+        codes.check_minimal(G)
     except AssertionError as exc:
         print("witness raised:", exc)
     else:
@@ -469,7 +283,7 @@ RECHECK_SCRIPT = textwrap.dedent("""
 
 
 def test_minimality_recheck_survives_python_O():
-    # the simplex code is minimal, so the forged witness must be refused
+    # the forged witness names one class twice, so it must be refused
     src = os.path.dirname(os.path.dirname(strongblock.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -487,11 +301,14 @@ def test_zero_weight_class_is_rank_deficient(gf8):
                         entries=np.asarray([[1, 0], [0, 1], [0, 0]]))
     with pytest.raises(RankDeficient):
         support_profiles(G)
+    with pytest.raises(RankDeficient):
+        check_minimal(G)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_minimality_matches_strong_blocking(rg43, seed):
-    # random spanning column sets in PG(2,16): the two verdicts must agree
+    # random spanning column sets in PG(2,16): the strong scan's verdict
+    # must agree with comparing every pair of supports
     space = ProjectiveSpace(rg43.geom_field, 2)
     rng = np.random.default_rng(seed)
     idx = rng.choice(space.num_points, 40, replace=False)
@@ -499,7 +316,7 @@ def test_minimality_matches_strong_blocking(rg43, seed):
     if space.rank(S.points) < 3:
         pytest.skip("sampled columns do not span")
     G = generator_from_points(S)
-    minimal = check_minimal(G).status == "minimal"
+    minimal = all_pairs_minimality(G)[0] == "minimal"
     strong = verify_strong_blocking(S).status == "strong"
     assert minimal == strong
 
@@ -520,20 +337,19 @@ def test_row_transform_invariance(code45, gf8):
         entries[i] = acc
     G2 = generator_from_points(PointSet(space, list(code45.entries.T)))
     G2.entries = entries  # same columns transformed in place
-    p1 = support_profiles(code45)
-    p2 = support_profiles(G2)
-    s1 = sorted(tuple(sorted(support_set(p1, i)))
-                for i in range(p1.class_count))
-    s2 = sorted(tuple(sorted(support_set(p2, i)))
-                for i in range(p2.class_count))
+    s1, s2 = (sorted(map(tuple, np.unique(supports(G), axis=0)))
+              for G in (code45, G2))
     assert s1 == s2
     assert weight_distribution(code45) == weight_distribution(G2)
+    assert check_minimal(G2).status == "minimal"
 
 
 def test_budget(code45, monkeypatch):
-    monkeypatch.setattr(codes_mod, "DEFAULT_CLASS_BUDGET", 10)
+    monkeypatch.setattr("strongblock.geometry.SCAN_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         support_profiles(code45)
+    with pytest.raises(BudgetExceeded):
+        check_minimal(code45)
 
 
 @pytest.mark.parametrize("format", ["json", "text"])

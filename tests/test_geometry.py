@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from strongblock import geometry, strong
 from strongblock.bounds import one_mod_p_profile
-from strongblock.codes import generator_from_points, support_profiles
+from strongblock.codes import (
+    check_minimal,
+    generator_from_points,
+    support_profiles,
+)
 from strongblock.errors import BudgetExceeded, DimensionMismatch
 from strongblock.field import Field
 from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
@@ -53,7 +57,7 @@ def test_known_point_counts():
 
 def test_enumeration_is_all_points_once():
     space = ProjectiveSpace(Field.build(2, 2), 2)
-    pts = [space.point_at(i) for i in range(space.num_points)]
+    pts = list(map(tuple, canonical_points(2, 4).tolist()))
     assert len(pts) == space.num_points
     assert len(set(pts)) == space.num_points
     for pt in pts:
@@ -144,20 +148,21 @@ def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
         rg24, find_independent_tuple(rg24, 3, seed=1).alphas)
     space = union45.space
     H = space.point_at(100)
-    pts = [space.point_at(i) for i in range(space.num_points)]
+    pts = canonical_points(space.n, space.field.order).tolist()
     off_H = [pt for pt in pts if not incidence(space, pt, H)]
     on_H = next(pt for pt in pts if incidence(space, pt, H))
     # strong; one point on H (not strong); nothing on H (not blocking)
     sets = [union45, PointSet(space, off_H + [on_H]), PointSet(space, off_H)]
     code45 = generator_from_points(union45)
+    # not minimal: its witness's contained class comes from a count pass
+    code_on_H = generator_from_points(sets[1])
     baer = subgeometry_points(rg33, 0)
 
     def scans():
-        prof = support_profiles(code45)
         return ([verify_strong_blocking(S) for S in sets],
                 [verify_blocking(S) for S in sets],
-                prof.supports, prof.weights, one_mod_p_profile(baer, 3).census,
-                free_cosets(rg24, 3))
+                check_minimal(code_on_H), support_profiles(code45).weights,
+                one_mod_p_profile(baer, 3).census, free_cosets(rg24, 3))
 
     default = scans()
     strong, blocking = default[0], default[1]
@@ -174,9 +179,10 @@ def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
     # windows of a few hyperplanes, and coset quotient blocks of one coset
     monkeypatch.setattr(geometry, "MARK_BATCH", 7)
     monkeypatch.setattr("strongblock.strong.SECTION_CAP", 2000)
+    assert default[2].status == "not-minimal"
+    assert default[2].witness[1] == H
     small = scans()
-    assert small[:2] == default[:2]
-    assert np.array_equal(small[2], default[2])
+    assert small[:3] == default[:3]
     assert np.array_equal(small[3], default[3])
     assert small[4] == default[4]
     assert np.array_equal(small[5], default[5])
@@ -185,7 +191,7 @@ def test_block_size_does_not_change_scans(monkeypatch, rg24, rg33):
 def test_canonical_order_is_monotone_in_lead():
     space = ProjectiveSpace(Field.build(2, 3), 2)
     last_lead = 0
-    for pt in map(space.point_at, range(space.num_points)):
+    for pt in canonical_points(2, 8).tolist():
         lead = next(i for i, c in enumerate(pt) if c)
         assert lead >= last_lead
         last_lead = lead
@@ -218,7 +224,7 @@ def test_normalize_vec_matches_scalar():
 def test_scaling_invariance_of_index():
     space = ProjectiveSpace(Field.build(2, 3), 2)
     f = space.field
-    for i, pt in enumerate(map(space.point_at, range(space.num_points))):
+    for i, pt in enumerate(canonical_points(2, 8).tolist()):
         scaled = [tuple(f.mul(lam, c) for c in pt)
                   for lam in range(1, f.order)]
         assert np.all(space.point_index_vec(space.normalize_vec(scaled)) == i)
@@ -257,8 +263,7 @@ def test_dot_block_matches_scalar():
 def test_hyperplane_point_counts():
     # every hyperplane of PG(n,q) carries (q^n - 1)/(q - 1) points
     space = ProjectiveSpace(Field.build(2, 2), 2)
-    pts = np.asarray([space.point_at(i) for i in range(space.num_points)],
-                     dtype=np.int64)
+    pts = canonical_points(2, 4)
     for h in pts:  # hyperplanes share the point indexing
         on = np.count_nonzero(
             space.dot_block(np.asarray([h]), pts)[0] == 0)
@@ -648,7 +653,7 @@ def test_plane_line_axioms_exhaustive(params):
     p, m = params
     space = ProjectiveSpace(Field.build(p, m), 2)
     q = space.field.order
-    pts = [space.point_at(i) for i in range(space.num_points)]
+    pts = list(map(tuple, canonical_points(2, q).tolist()))
     lines = set()
     for i, P in enumerate(pts):
         for Q in pts[i + 1:]:
@@ -678,7 +683,7 @@ def test_pencil_through_point():
     space = ProjectiveSpace(Field.build(2, 2), 2)
     q = space.field.order
     P = space.normalize((1, 2, 3))
-    pts = [space.point_at(i) for i in range(space.num_points)]
+    pts = list(map(tuple, canonical_points(2, q).tolist()))
     pencil = list({frozenset(line_through(space, P, Q))
                    for Q in pts if Q != P})
     assert len(pencil) == q + 1
@@ -694,7 +699,7 @@ def test_pencil_through_point():
 
 def test_pencil_in_projective_line():
     space = ProjectiveSpace(Field.build(2, 2), 1)
-    pts = [space.point_at(i) for i in range(space.num_points)]
+    pts = list(map(tuple, canonical_points(1, 4).tolist()))
     pencil = {frozenset(line_through(space, (1, 0), Q))
               for Q in pts if Q != (1, 0)}
     assert pencil == {frozenset(pts)}

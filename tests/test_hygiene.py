@@ -4,7 +4,9 @@ private attribute of an object other than `self`, no library module
 holds an `assert` statement, which `python -O` strips: load-bearing checks
 are explicit raises, no library module calls a numpy function that the
 declared floor (numpy>=1.24) lacks, every name that README.md quotes
-exists, only `geometry` calls `np.add.at`, only `geometry.read_file`
+exists, only `geometry` calls `np.add.at`, only
+`ProjectiveSpace.hyperplane_counts` and `strong._sections` read
+`ProjectiveSpace.pencils`, only `geometry.read_file`
 opens a file to read, only `CoordinateMap.coords`, on its subfield,
 and `search.free_cosets` read a field's `log`, outside `field`, only
 `search.free_cosets` reads a field's `exp`, `field.MARK_BATCH` is the
@@ -228,7 +230,8 @@ def test_readme_names_resolve():
 
 def test_stale_readme_name_is_reported():
     text = ("`Field.coord_map` and `Field.build`, `RGroup.coords`, `rank`,\n"
-            "`strongblock.field`, `codes.PENCIL_ROWS`, `iroot(n, h)`, `--q`,\n"
+            "`strongblock.field`, `geometry.SCAN_BUDGET`, `iroot(n, h)`,\n"
+            "`--q`,\n"
             "`--no-such-flag`, `verify --mode\nblocking`, `np.zeros`\n"
             "```sh\nstrongblock `no_such_name`\n```\n")
     assert stale_readme_names(text) == ["Field.coord_map", "--no-such-flag",
@@ -261,6 +264,39 @@ def test_add_at_reference_is_reported():
                      "c.add.at(i)\n"
                      "# np.add.at in a comment\n")
     assert add_at_lines(tree) == [2, 3]
+
+
+def pencils_readers(tree):
+    """(line, function) of every read of a `pencils` attribute in `tree`;
+    the function is the innermost one around the read."""
+    return sorted((node.lineno, where)
+                  for node, where in walk_in_functions(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "pencils"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_one_pencils_reader():
+    # the incidences of every scan come from `ProjectiveSpace.pencils`
+    # through two readers only: the counts of `hyperplane_counts` (the
+    # count path of the strong scan, the plain blocking scan and the code
+    # weights) and the sections of the rank path, `strong._sections`
+    readers = [(p.name, where) for p in SOURCES
+               for _, where in pencils_readers(ast.parse(p.read_text()))]
+    assert readers == [("geometry.py", "hyperplane_counts"),
+                       ("strong.py", "_sections")]
+
+
+def test_stray_pencils_reader_is_reported():
+    tree = ast.parse("def hyperplane_counts(self, mat):\n"
+                     "    for rows, h in self.pencils(mat):\n"
+                     "        pass\n"
+                     "def mark(space, mat):\n"
+                     "    gen = space.pencils\n"
+                     "    return space.line_pencils(mat, mat), gen\n"
+                     "space.pencils = None\n"
+                     "batches = list(space.pencils(m))\n")
+    assert pencils_readers(tree) == [(2, "hyperplane_counts"), (5, "mark"),
+                                     (8, None)]
 
 
 def walk_in_functions(tree):

@@ -2,9 +2,11 @@
 dense table, and the relation re-check no product of the coset-image
 kernel.
 
-Once a decision is made, scalar `Field.add` raises, the field's Zech and
-dense addition tables are replaced by ones that make every sum zero and
-its dense multiplication table by one that makes every product zero; or,
+Once a decision is made (for minimality, once the strong scan and the
+search for the contained class return), scalar `Field.add` raises, the
+field's Zech and dense addition tables are replaced by ones that make
+every sum zero and its dense multiplication table by one that makes
+every product zero; or,
 for an R-relation, the kernel that multiplies R* into its cosets
 (`field._times_g_to_the_b`) multiplies by one instead.  The re-checks of
 true witnesses must still pass, since their incidences are the digit sums
@@ -33,12 +35,12 @@ FAULT_SCRIPT = textwrap.dedent("""
     from strongblock import codes, search, strong
     from strongblock import field as field_mod
     from strongblock.field import Field
-    from strongblock.geometry import PointSet, ProjectiveSpace
+    from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
     from strongblock.partition import build_bset, build_rgroup
 
     real = (Field.add, search.free_cosets, strong.mark_lines_through,
             strong._short_by_counts, field_mod._times_g_to_the_b,
-            ProjectiveSpace.section)
+            ProjectiveSpace.section, codes._lowest_through)
 
     def broken_add(self, a, b):
         raise RuntimeError("scalar Field.add read by a re-check")
@@ -71,27 +73,21 @@ FAULT_SCRIPT = textwrap.dedent("""
         finally:
             (Field.add, search.free_cosets, strong.mark_lines_through,
              strong._short_by_counts, field_mod._times_g_to_the_b,
-             ProjectiveSpace.section) = real
+             ProjectiveSpace.section, codes._lowest_through) = real
 
-    def not_minimal():
-        # a line of PG(3, 8) and two points spanning the rest
+    def not_minimal(forge):
+        # a line of PG(3, 8) and two points spanning the rest: plane 1,
+        # (1, 0, 0, 1), holds the rank-2 section {(0, 1, 0, 0), (0, 0, 1, 0)},
+        # and addition breaks once the strong scan and the search for the
+        # contained class, plane 0, return
         space = ProjectiveSpace(Field.build(2, 3), 3)
         pts = [(1, c, 0, 0) for c in range(8)] + [(0, 1, 0, 0)]
         G = codes.generator_from_points(
             PointSet(space, pts + [(0, 0, 1, 0), (0, 0, 0, 1)]))
-        prof = codes.support_profiles(G)
-        break_addition(G.field)
-        return codes.check_minimal(G, profile=prof).status
-
-    def forged_minimal():
-        # the simplex code is minimal: class 0 inside class 1 is forged
-        space = ProjectiveSpace(Field.build(2, 3), 2)
-        G = codes.generator_from_points(PointSet(
-            space, [space.point_at(i) for i in range(space.num_points)]))
-        prof = codes.support_profiles(G)
-        prof.supports[0] &= prof.supports[1]
-        break_addition(G.field)
-        return codes.check_minimal(G, profile=prof).status
+        if forge:  # plane 9, (1, 0, 1, 1), misses (0, 0, 1, 0)
+            codes._lowest_through = lambda space, section, b: 9
+        breaking_after(codes, "_lowest_through", G.field)
+        return codes.check_minimal(G).status
 
     def relation(cosets, forge):
         # the decision adds its prefix sums by `add_packed`, which keeps
@@ -135,8 +131,8 @@ FAULT_SCRIPT = textwrap.dedent("""
 
     def not_blocking(forge):
         space = ProjectiveSpace(Field.build(2, 2), 2)
-        pts = [(1, 0, 0), (0, 1, 0)] if not forge else [
-            space.point_at(i) for i in range(space.num_points)]
+        pts = [(1, 0, 0), (0, 1, 0)] if not forge else canonical_points(
+            2, 4)
         if forge:  # no hyperplane marked: the first one looks missed
             strong.mark_lines_through = lambda space, mat: np.zeros(
                 space.num_points, dtype=bool)
@@ -156,13 +152,13 @@ FAULT_SCRIPT = textwrap.dedent("""
         return v.status, v.witness, v.witness_rank
 
     print("optimize", sys.flags.optimize)
-    case("not-minimal", not_minimal)
+    case("not-minimal", lambda: not_minimal(False))
     case("dependent", lambda: relation((0, 1, 2), None))
     case("dependent, kernel", lambda: kernel_relation((0, 1, 2), None))
     case("B(4,2)", lambda: b42(False))
     case("not-blocking", lambda: not_blocking(False))
     case("not-strong", lambda: not_strong(False))
-    case("forged not-minimal", forged_minimal)
+    case("forged not-minimal", lambda: not_minimal(True))
     case("forged dependent", lambda: relation((0, 1, 17), zero_sums))
     case("forged dependent, kernel",
          lambda: kernel_relation((0, 1, 17), zero_sums))

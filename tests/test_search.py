@@ -18,7 +18,7 @@ from strongblock import field as field_mod
 from strongblock import geometry, search
 from strongblock.errors import BudgetExceeded
 from strongblock.field import Field
-from strongblock.geometry import ProjectiveSpace
+from strongblock.geometry import ProjectiveSpace, canonical_points
 from strongblock.partition import r_tuple_matrix
 from strongblock.search import (
     IndependenceVerdict,
@@ -289,8 +289,7 @@ def test_mark_lines_matches_brute_force():
     def check(space, pts):
         marks = mark_lines_through(space, pts)
         assert marks.shape == (space.num_points,)
-        duals = np.asarray([space.point_at(i) for i in range(space.num_points)],
-                           dtype=np.int64)
+        duals = canonical_points(space.n, space.field.order)
         expect = np.any(space.dot_block(duals, pts) == 0, axis=1)
         assert np.array_equal(marks, expect)
 

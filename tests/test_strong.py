@@ -186,7 +186,7 @@ def test_dimension_mismatch_and_budget(rg24, monkeypatch):
 def test_whole_space_is_strong(gf9):
     from strongblock.geometry import ProjectiveSpace
     space = ProjectiveSpace(gf9, 2)
-    S = PointSet(space, [space.point_at(i) for i in range(space.num_points)])
+    S = PointSet(space, canonical_points(2, 9))
     assert verify_strong_blocking(S).status == "strong"
 
 
@@ -233,7 +233,7 @@ def strong_corpus(rg24):
         subgeometry_points(rg24, 0),
         PointSet(pg38, line_through(pg38, (1, 0, 0, 0), (0, 1, 0, 0))),
         PointSet(pg38, [(1, 0, 0, 0), (0, 1, 0, 0)]),
-        PointSet(pg29, [pg29.point_at(i) for i in range(pg29.num_points)]),
+        PointSet(pg29, canonical_points(pg29.n, pg29.field.order)),
         union_subgeometries(
             rg24, find_independent_tuple(rg24, 3, seed=1).alphas),
     ]
@@ -430,8 +430,8 @@ def planted_sets():
                            rng.choice(space.num_points, 3, replace=False))
                 pts = line_through(space, a, b)
                 if flat == "plane":
-                    pts = [x for x in map(space.point_at,
-                                          range(space.num_points))
+                    pts = [x for x in canonical_points(
+                               n, space.field.order).tolist()
                            if space.rank([a, b, c, x]) < 4]
                 pts += [space.point_at(int(i)) for i in
                         rng.choice(space.num_points, extra, replace=False)]
@@ -600,7 +600,7 @@ RECHECK_SCRIPT = textwrap.dedent("""
     import numpy as np
     from strongblock import strong
     from strongblock.field import Field
-    from strongblock.geometry import PointSet, ProjectiveSpace
+    from strongblock.geometry import PointSet, ProjectiveSpace, canonical_points
 
     def expect_error(name, call):
         try:
@@ -613,8 +613,7 @@ RECHECK_SCRIPT = textwrap.dedent("""
     print("optimize", sys.flags.optimize)
     # PG(2,4) takes the section-count path
     space = ProjectiveSpace(Field.build(2, 2), 2)
-    plane = PointSet(space, [space.point_at(i)
-                             for i in range(space.num_points)])
+    plane = PointSet(space, canonical_points(2, 4))
     real_counts = strong._short_by_counts
     strong._short_by_counts = lambda space, mat: (
         np.ones(space.num_points, dtype=bool), real_counts(space, mat)[1])
@@ -627,8 +626,7 @@ RECHECK_SCRIPT = textwrap.dedent("""
     strong._short_by_counts = real_counts
     # PG(4,2) takes the rank path
     space = ProjectiveSpace(Field.build(2, 1), 4)
-    whole = PointSet(space, [space.point_at(i)
-                             for i in range(space.num_points)])
+    whole = PointSet(space, canonical_points(4, 2))
     real_rank = ProjectiveSpace.rank_stack
     ProjectiveSpace.rank_stack = lambda self, stack: np.zeros(
         len(stack), dtype=np.int64)
