@@ -118,21 +118,24 @@ def all_pairs_minimality(G):
     The container b is the lowest-index class whose support holds another
     class's support, the contained class a the lowest-index other class
     inside it, and classes_checked is b + 1; a minimal code checks all C.
-    A class inside b vanishes wherever b does, so b is compared only with
-    the classes that vanish at its first zero column, or with all of them
-    when it has none.
+    A class inside b vanishes wherever b does, so the classes b whose
+    first zero column is j are compared only with the classes that vanish
+    at j; a b with no zero column holds every class.
     """
     S = supports(G)
-    packed = np.packbits(S, axis=1)
-    vanish = [np.flatnonzero(col) for col in ~S.T]
-    every = np.arange(len(S))
+    C, zero = len(S), ~S
+    # a is inside b iff no column is in supp(a) and in Z(b); float32 counts
+    # the columns exactly
+    Sf, Zf = S.astype(np.float32), zero.astype(np.float32)
+    first = np.where(zero.any(axis=1), np.argmax(zero, axis=1), -1)
+    lowest = np.where(np.arange(C) == 0, 1, 0)  # inside a b with no zero
+    for j in np.unique(first[first >= 0]):
+        bs, others = np.flatnonzero(first == j), np.flatnonzero(zero[:, j])
+        inside = (Zf[bs] @ Sf[others].T == 0) & (others != bs[:, None])
+        lowest[bs] = np.where(inside.any(axis=1),
+                              others[np.argmax(inside, axis=1)], C)
     space = G.message_space()
-    for b, row in enumerate(S):
-        zeros = np.flatnonzero(~row)
-        others = vanish[zeros[0]] if zeros.size else every
-        inside = others[~np.any(packed[others] & ~packed[b], axis=1)
-                        & (others != b)]
-        if inside.size:
-            return ("not-minimal",
-                    (space.point_at(int(inside[0])), space.point_at(b)), b + 1)
-    return "minimal", None, len(S)
+    for b in np.flatnonzero(lowest < C)[:1].tolist():
+        return ("not-minimal",
+                (space.point_at(int(lowest[b])), space.point_at(b)), b + 1)
+    return "minimal", None, C
