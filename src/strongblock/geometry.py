@@ -283,10 +283,10 @@ class ProjectiveSpace:
                 uz = (uz[:, :, None] + np.arange(tail)).reshape(sel.size, -1)
             out[sel, col:col + uz.shape[1]] = uz
             col += uz.shape[1]
-        if col + offs[-1] - offs[z + 1] != out.shape[1]:
+        col_end = col + offs[-1] - offs[z + 1]
+        if col_end != out.shape[1]:
             raise AssertionError("pencil of %d hyperplanes, expected %d"
-                                 % (col + offs[-1] - offs[z + 1],
-                                    out.shape[1]))
+                                 % (col_end, out.shape[1]))
         out[sel, col:] = np.arange(offs[z + 1], offs[-1])
 
     def hyperplane_counts(self, mat):
