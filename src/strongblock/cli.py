@@ -63,17 +63,14 @@ def _construct(args):
     return report, strong.union_subgeometries(rg, res.alphas)
 
 
-def _minimality(G):
-    """(verdict, fields) of the minimality check of code G: the verdict of
-    `check_minimal`, and the report fields that `pipeline` and
-    `check-minimal` share, the weight distribution and any witness."""
-    prof = codes.support_profiles(G)
-    mv = codes.check_minimal(G)
-    dist = codes.weight_distribution(G, profile=prof)
+def _minimality(G, mv, weights):
+    """The report fields that `pipeline` and `check-minimal` share: the
+    distribution of class `weights`, and any witness of verdict `mv`."""
+    dist = codes.weight_distribution(weights)
     fields = {"weight_distribution": {str(w): c for w, c in dist.items()}}
     if mv.witness is not None:
         fields["witness"] = [_elems(G.field, w) for w in mv.witness]
-    return mv, fields
+    return fields
 
 
 def cmd_pipeline(args):
@@ -96,11 +93,15 @@ def cmd_pipeline(args):
                         "hyperplanes_checked": sv.hyperplanes_checked}
     if sv.witness is not None:
         report["strong"]["witness"] = _elems(S.space.field, sv.witness)
-    # the code stage scans the same PG(k-1, Q), so it keeps within the budget
+    # the code stage reads the scan: a PointSet has no zero or repeated
+    # point, so class u's weight is the number of points off hyperplane u
     G = codes.generator_from_points(S)
-    mv, minimality = _minimality(G)
+    mv = codes.minimality(G, sv)
+    counts = (sv.counts if sv.counts is not None  # None from the rank path
+              else S.space.hyperplane_counts(S.matrix()))
     report["code"] = {"parameters": [G.n, G.k], "field_order": G.field.order,
-                      "minimal": mv.status, **minimality}
+                      "minimal": mv.status,
+                      **_minimality(G, mv, len(S) - counts)}
     _emit(report, args)
     return 0 if sv.status == "strong" and mv.status == "minimal" else 2
 
@@ -186,11 +187,12 @@ def cmd_check_minimal(args):
     G = codes.import_code(args.input)
     if G.k < 2:  # the message space PG(k-1, Q) needs k >= 2
         raise ValueError("%s: k must be at least 2" % args.input)
-    mv, minimality = _minimality(G)
+    weights = codes.support_profiles(G).weights
+    mv = codes.check_minimal(G)
     _emit({"command": "check-minimal", "input": args.input,
            "field": G.field.meta(), "parameters": [G.n, G.k],
            "classes": G.message_space().num_points, "status": mv.status,
-           **minimality}, args)
+           **_minimality(G, mv, weights)}, args)
     return 0 if mv.status == "minimal" else 2
 
 

@@ -6,9 +6,9 @@ codeword of message hyperplane u, and vanishes exactly at the columns on u.
 So the weights are column counts of `ProjectiveSpace.hyperplane_counts`,
 and the code is minimal exactly when its nonzero columns form a strong
 blocking set (Alfarano-Borello-Neri, Adv. Math. Commun. 2022;
-Tang-Qiu-Liao-Zhou, IEEE Trans. IT 2021), which the strong scan decides.
-A witness support is re-checked as the columns off the mask of
-`ProjectiveSpace.section`.
+Tang-Qiu-Liao-Zhou, IEEE Trans. IT 2021), which the strong scan decides:
+`check_minimal` runs it, `minimality` reads a scan already run.  A witness
+support is re-checked as the columns off the mask of `section`.
 A code file's name picks its format, for export and import alike
 (`code_format`), and `import_code` reads it through `read_file`.
 """
@@ -68,11 +68,15 @@ def generator_from_points(point_set: PointSet):
                            entries=entries)
 
 
+def _live_columns(G):
+    """The nonzero columns of G, as rows, in column order."""
+    return G.entries.T[np.any(G.entries != 0, axis=0)]
+
+
 @dataclass
 class SupportProfile:
     """Per projective codeword class: its weight, by canonical index."""
 
-    n: int
     class_count: int
     weights: np.ndarray  # (C,) narrowest unsigned dtype of the nonzero columns
 
@@ -89,15 +93,13 @@ def support_profiles(G: GeneratorMatrix):
     raises RankDeficient.
     """
     space = G.message_space()
-    cols = G.entries.T
-    live = cols[np.any(cols != 0, axis=1)]
+    live = _live_columns(G)
     weights = space.hyperplane_counts(live)
     np.subtract(len(live), weights, out=weights)
     if not weights.all():
         raise RankDeficient("a nonzero message gives the zero codeword: "
                             "the generator matrix is not of full rank")
-    return SupportProfile(n=G.n, class_count=space.num_points,
-                          weights=weights)
+    return SupportProfile(class_count=space.num_points, weights=weights)
 
 
 @dataclass
@@ -117,23 +119,24 @@ def check_minimal(G: GeneratorMatrix):
     a != b that holds iff the columns on b lie in a n b, a subspace of
     codimension one in b; and b holds such an a iff its section does not
     span b, for a proper subspace of b lies in a second hyperplane.
-
-    The witness is (a, b): b is the scan's witness, the lowest-index class
-    whose support contains another's, and a the lowest-index hyperplane
-    other than b through every column on b (`_lowest_through`), re-checked
-    by the incidence masks of `_recheck_witness`.
     """
     space = G.message_space()
-    cols = G.entries.T
-    live = cols[np.any(cols != 0, axis=1)]
+    live = _live_columns(G)
     if space.rank(live) < space.k:
         raise RankDeficient("columns span a proper subspace")
-    points = PointSet(space, live)
-    sv = verify_strong_blocking(points)
+    return minimality(G, verify_strong_blocking(PointSet(space, live)))
+
+
+def minimality(G: GeneratorMatrix, sv):
+    """The verdict of code G read off `sv`, the strong verdict of the
+    points of its nonzero columns.  The witness is (a, b): b is the scan's,
+    the lowest-index class whose support contains another's, and a the
+    lowest-index other hyperplane through every column on b."""
     if sv.witness is None:
         return MinimalityVerdict("minimal", None, sv.hyperplanes_checked)
-    mat = points.matrix()
-    a = _lowest_through(space, mat[space.section(mat, sv.witness)],
+    space = G.message_space()
+    live = _live_columns(G)
+    a = _lowest_through(space, live[space.section(live, sv.witness)],
                         sv.hyperplanes_checked - 1)
     witness = (space.point_at(a), sv.witness)
     _recheck_witness(G, *witness)
@@ -159,10 +162,9 @@ def _recheck_witness(G, contained, container):
         raise AssertionError("minimality witness re-check failed")
 
 
-def weight_distribution(G: GeneratorMatrix, profile=None):
-    """Mapping weight -> number of projective codeword classes."""
-    prof = profile if profile is not None else support_profiles(G)
-    vals, counts = np.unique(prof.weights, return_counts=True)
+def weight_distribution(weights):
+    """Mapping weight -> number of classes, from the weight of each."""
+    vals, counts = np.unique(weights, return_counts=True)
     return {int(v): int(c) for v, c in zip(vals, counts)}
 
 

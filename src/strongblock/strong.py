@@ -5,13 +5,14 @@ k <= 3, and for k = 4 when (N - 1)(Q + 7) <= 6 (Q^2 + Q + 1)
 (`_counts_decide`), the scan ranks no section: it counts the points on
 every hyperplane (`ProjectiveSpace.hyperplane_counts`, one pass over the
 pencils, in the narrowest unsigned dtype that holds N: one byte per
-hyperplane up to 255 points) and decides from the counts and the secant
-lines, building the mask of short hyperplanes only after the secant
-pass.  That is exact, because a rank-(k-1) section needs k-1 points and
-two distinct points are independent: for k <= 3 a hyperplane is short iff
-it holds at most k-2 points, and for k = 4 a section of three or more
-points is short iff it is collinear, so H is short iff it holds at most 2
-points or it contains a secant line of m >= 3 points and holds exactly m.
+hyperplane up to 255 points, kept as `StrongVerdict.counts`) and decides
+from the counts and the secant lines, building the mask of short
+hyperplanes only after the secant pass.  That is exact, because a
+rank-(k-1) section needs k-1 points and two distinct points are
+independent: for k <= 3 a hyperplane is short iff it holds at most k-2
+points, and for k = 4 a section of three or more points is short iff it
+is collinear, so H is short iff it holds at most 2 points or it contains
+a secant line of m >= 3 points and holds exactly m.
 The secant lines come from the N (N-1) ordered pairs of points
 (`_rich_lines`, keyed by `ProjectiveSpace.secant_keys`), and only the Q+1
 hyperplanes through each line of three or more points are visited
@@ -38,7 +39,7 @@ BudgetExceeded, from `ProjectiveSpace.check_scan`, before they allocate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class StrongVerdict:
     witness: tuple | None  # dual coordinates of the offending hyperplane
     witness_rank: int | None  # rank of its section, 0 when not blocking
     hyperplanes_checked: int
+    # points on each hyperplane, by canonical index, from the count path only
+    counts: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def expected_size(q, k):
@@ -279,9 +282,9 @@ def verify_strong_blocking(point_set: PointSet):
     Returns "strong", or the first offending hyperplane: "not-blocking" when
     the section is empty, "not-strong" when its rank falls short of k-1,
     for the set's own PG(k-1, Q).  Where `_counts_decide`, the section
-    counts and secant lines of `_short_by_counts` decide every hyperplane;
-    otherwise incidences are held about SECTION_CAP at a time and ranked,
-    and a failure stops the scan soon after its hyperplane.
+    counts and secant lines of `_short_by_counts` decide every hyperplane,
+    kept on the verdict; otherwise incidences are held about SECTION_CAP at
+    a time and ranked, and a failure stops the scan soon after its hyperplane.
     """
     space = point_set.space
     space.check_scan()
@@ -289,17 +292,19 @@ def verify_strong_blocking(point_set: PointSet):
     if _counts_decide(space, len(mat)):
         short, counts = _short_by_counts(space, mat)
         hits = np.flatnonzero(short)
+        verdict = StrongVerdict("strong", None, None, space.num_points)
         if hits.size:
             h = int(hits[0])
-            return _recheck_witness(point_set, h, counts[h] == 0)
-    else:
-        for lo, indptr, members in _sections(space, mat):
-            short = np.flatnonzero(
-                _section_ranks(space, mat, lo, indptr, members) < space.k - 1)
-            if short.size:
-                h = int(short[0])
-                return _recheck_witness(point_set, lo + h,
-                                        indptr[h] == indptr[h + 1])
+            verdict = _recheck_witness(point_set, h, counts[h] == 0)
+        verdict.counts = counts
+        return verdict
+    for lo, indptr, members in _sections(space, mat):
+        short = np.flatnonzero(
+            _section_ranks(space, mat, lo, indptr, members) < space.k - 1)
+        if short.size:
+            h = int(short[0])
+            return _recheck_witness(point_set, lo + h,
+                                    indptr[h] == indptr[h + 1])
     return StrongVerdict("strong", None, None, space.num_points)
 
 

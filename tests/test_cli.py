@@ -11,8 +11,10 @@ import weakref
 import pytest
 
 import strongblock
-from strongblock import cli, geometry, partition, strong
+from strongblock import cli, codes, geometry, partition, strong
+from strongblock.errors import RankDeficient
 from strongblock.field import Field
+from strongblock.geometry import PointSet, ProjectiveSpace
 
 from oracles import line_through
 
@@ -538,13 +540,77 @@ def test_pipeline_budget_exit_emits_the_report_so_far(module, name, stage,
 
 def test_pipeline_code_stage_keeps_within_the_scan_budget(monkeypatch,
                                                           capsys):
-    # the code stage scans the PG(3,8) whose 585 planes the strong scan
+    # the code stage reads the strong scan's verdict, and after this rank
+    # path counts the points on the 585 planes of PG(3,8) that the scan
     # passed, so a budget of exactly 585 lets the pipeline finish
     monkeypatch.setattr(geometry, "SCAN_BUDGET", 585)
     code, out = run(capsys, ["pipeline", "--q", "2", "--k", "4",
                              "--seed", "1"])
     assert code == 0
     assert out.encode() == (GOLDEN / "pipeline_q2_k4_seed_1.out").read_bytes()
+
+
+def counting(calls, name, fn):
+    """`fn`, appending `name` to `calls` on each call."""
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--q", "2", "--k", "4", "--seed", "1"],
+    ["pipeline", "--q", "3", "--seed", "1006"],
+], ids=["rank-path", "count-path"])
+def test_pipeline_scans_once(argv, monkeypatch, capsys):
+    # the code stage reads the strong verdict: one scan, and one count
+    # pass, the scan's own on the count path (q = 3's 120 points of
+    # PG(3,27)) or the weights' own after the rank path (q = 2's 45
+    # points of PG(3,8))
+    calls = []
+    monkeypatch.setattr(strong, "verify_strong_blocking", counting(
+        calls, "scan", strong.verify_strong_blocking))
+    monkeypatch.setattr(ProjectiveSpace, "hyperplane_counts", counting(
+        calls, "count", ProjectiveSpace.hyperplane_counts))
+    for name in ("check_minimal", "support_profiles"):
+        monkeypatch.setattr(codes, name,
+                            counting(calls, name, getattr(codes, name)))
+    code, _ = run(capsys, argv)
+    assert code == 0
+    assert calls == ["scan", "count"]
+
+
+def test_pipeline_code_stage_matches_check_minimal(monkeypatch, capsys):
+    # the pipeline's reading of its strong scan, fed each point set below
+    # as its union, reports what `check_minimal` and `support_profiles`
+    # decide on the code of that set, on both scan paths and both verdicts
+    seen = set()
+    for name in ("points_q2_k3", "points_q2_k4", "collinear_pg3_8",
+                 "dense_pg3_4", "points_pg4_2"):
+        S = PointSet.load(GOLDEN / (name + ".json"))
+        monkeypatch.setattr(cli, "_construct",
+                            lambda args: ({"command": "pipeline"}, S))
+        code, doc = run_json(capsys, ["pipeline", "--q", "2"])
+        G = codes.generator_from_points(S)
+        mv = codes.check_minimal(G)
+        sv = strong.verify_strong_blocking(S)
+        assert codes.minimality(G, sv) == mv
+        dist = codes.weight_distribution(codes.support_profiles(G).weights)
+        want = {"minimal": mv.status,
+                "weight_distribution": {str(w): c for w, c in dist.items()}}
+        if mv.witness is not None:
+            want["witness"] = [[G.field.elem_str(int(c)) for c in w]
+                               for w in mv.witness]
+        got = {key: doc["code"][key] for key in want}
+        assert (got, sorted(doc["code"])) == (
+            want, sorted(["parameters", "field_order", *want])), name
+        assert code == (0 if mv.status == "minimal" else 2), name
+        seen.add((sv.counts is None, mv.status))
+    assert seen == {(path, status) for path in (False, True)
+                    for status in ("minimal", "not-minimal")}
+    # a set that spans no space has no code on either path
+    with pytest.raises(RankDeficient):
+        codes.generator_from_points(PointSet.load(GOLDEN / "pair_pg3_8.json"))
 
 
 def test_check_minimal_refuses_past_the_scan_budget(monkeypatch, tmp_path,
